@@ -6,14 +6,34 @@ marking-equation heuristic is the exact optimum of the continuous
 state-equation relaxation ``min c.x s.t. I x = m_f - m, x >= 0``; it is
 admissible but not assumed consistent, so entries are reopened whenever a
 strictly better g arrives, which preserves optimality.  g, h, and all
-costs are exact rationals; epsilon-cost silent moves enter g and h
-exactly as they do in the flow formulation, so both methods optimize the
-identical objective.
+costs are exact: the move costs are multiplied by ``scale``, the lcm of
+their denominators, so g is an integer and h an integer or a rational in
+the same units, and scaling by a positive constant keeps every comparison
+and tie.  Epsilon-cost silent moves enter g and h exactly as they do in the
+flow formulation, so both methods optimize the identical objective.
+
+How h is computed.  The relaxation's data are built once per search: the
+integer incidence rows and the scaled integer move costs, so the simplex
+sees integers only.  A marking's h is solved lazily, when it is about to
+be expanded, and every marking with a finite h keeps its sparse optimal
+``x`` and the column indices of its optimal basis, nothing more.  When
+marking m was reached from its parent p by move t:
+
+- **Reuse.**  If ``x_p[t] >= 1`` then ``h(m) = h(p) - c(t)`` with vector
+  ``x_p - e_t``, and nothing is solved.  ``x_p - e_t`` is feasible for m,
+  so h(m) <= h(p) - c(t); any y feasible for m gives y + e_t feasible for
+  p, so h(p) <= h(m) + c(t).
+- **Warm start.**  Otherwise the simplex starts from p's optimal basis:
+  only the right-hand side changed, so that basis is still dual feasible
+  and a dual simplex, re-factored on that basis, finishes the solve.
+
+Only the start marking is solved cold.  Either way h is the exact optimum,
+so heap keys, expansion order and the returned alignment do not depend on
+how it was obtained.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -25,7 +45,7 @@ from fractions import Fraction
 from .errors import InvalidInputError
 from .flow import Alignment, Method
 from .petri import Marking, firing_data, incidence_matrices
-from .simplex import solve_min_eq
+from .simplex import integers, solve_min_eq
 from .sync_product import SynchronousProduct
 
 
@@ -57,18 +77,71 @@ class SearchConfig:
 @dataclass
 class SearchStats:
     expansions: int = 0
-    heuristic_calls: int = 0
+    heuristic_calls: int = 0  # simplex solves, cold or warm-started
+    heuristic_reuses: int = 0  # h values taken from the parent's solution
     queue_peak: int = 0
     wall_time: float = 0.0
     outcome: SearchOutcome = SearchOutcome.EXHAUSTED
 
 
-@functools.lru_cache(maxsize=None)
-def _relaxation_data(sp: SynchronousProduct):
-    inc = incidence_matrices(sp.net).incidence
-    rows = [[int(v) for v in inc[i, :]] for i in range(inc.shape[0])]
-    costs = [m.cost for m in sp.moves]
-    return rows, costs
+def scaled_costs(sp: SynchronousProduct) -> tuple[list[int], int]:
+    """Move costs times ``scale``, the lcm of their denominators, and ``scale``."""
+    return integers([m.cost for m in sp.moves])
+
+
+class MarkingEquation:
+    """Exact marking-equation values for markings of one product.
+
+    Built once per search: the integer incidence rows and the scaled
+    integer move costs.  ``self(m, via)`` returns h(m) in those units
+    (an ``int`` when integral, else a ``Fraction``; ``math.inf`` for a
+    dead end) and remembers it in ``values``.  For every marking with a
+    finite value it also keeps the sparse optimal x and the optimal basis,
+    which the reuse rule and the warm start of m's successors draw on.
+    """
+
+    def __init__(self, sp: SynchronousProduct):
+        self.final = sp.net.final_marking
+        self.rows = incidence_matrices(sp.net).incidence.tolist()
+        self.costs, self.scale = scaled_costs(sp)
+        self.values: dict[Marking, int | Fraction | float] = {}
+        self._optima: dict[Marking, tuple[dict[int, Fraction], tuple[int, ...]]] = {}
+        self.solves = 0  # simplex calls, cold or warm-started
+        self.reuses = 0  # values taken from the parent's solution
+
+    def __call__(
+        self, m: Marking, via: tuple[Marking, int] | None = None
+    ) -> int | Fraction | float:
+        """h(m); ``via = (parent, move)`` says how m was reached."""
+        val = self.values.get(m)
+        if val is not None:
+            return val
+        basis = None
+        optimum = self._optima.get(via[0]) if via is not None else None
+        if optimum is not None:
+            x, basis = optimum
+            t = via[1]
+            if x.get(t, 0) >= 1:
+                self.reuses += 1
+                x = dict(x)
+                x[t] -= 1
+                if not x[t]:
+                    del x[t]
+                self._optima[m] = (x, basis)
+                val = self.values[via[0]] - self.costs[t]
+                self.values[m] = val
+                return val
+        self.solves += 1
+        rhs = [f - v for f, v in zip(self.final, m)]
+        result = solve_min_eq(self.rows, rhs, self.costs, basis)
+        if result is None:
+            val = math.inf
+        else:
+            value, x = result
+            val = value.numerator if value.denominator == 1 else value
+            self._optima[m] = ({j: x[j] for j in result.basis if x[j]}, result.basis)
+        self.values[m] = val
+        return val
 
 
 def marking_equation_heuristic(sp: SynchronousProduct, m: Marking) -> Fraction | float:
@@ -76,19 +149,16 @@ def marking_equation_heuristic(sp: SynchronousProduct, m: Marking) -> Fraction |
 
     Returns ``math.inf`` when even the continuous relaxation cannot reach
     the final marking (the state is a dead end).  Always a lower bound on
-    the true remaining alignment cost.
+    the true remaining alignment cost.  Each call is a cold solve.
     """
     final = sp.net.final_marking
     if len(m) != len(final):
         raise InvalidInputError("marking does not index the product's places")
     if m == final:
         return Fraction(0)
-    rows, costs = _relaxation_data(sp)
-    rhs = [f - v for f, v in zip(final, m)]
-    result = solve_min_eq(rows, rhs, costs)
-    if result is None:
-        return math.inf
-    return result[0]
+    relaxation = MarkingEquation(sp)
+    h = relaxation(m)
+    return h if h == math.inf else Fraction(h, relaxation.scale)
 
 
 def astar_align(
@@ -110,24 +180,26 @@ def astar_align(
     n_trans = len(net.transitions)
     moves = sp.moves
     cap = cfg.token_cap
-    zero_h = cfg.heuristic is Heuristic.ZERO
 
-    # Exact heuristic values, computed lazily: a successor is queued under
-    # the derived admissible bound max(0, h(parent) - move cost) and only
-    # gets its own relaxation solved when it is about to be expanded.
-    h_exact: dict[Marking, Fraction | float] = {}
+    # g, h and f are in units of 1/scale (see the module docstring).
+    # Exact heuristic values are computed lazily: a successor is queued
+    # under the derived admissible bound max(0, h(parent) - move cost) and
+    # only gets its own value when it is about to be expanded.
+    parent: dict[Marking, tuple[Marking, int]] = {}
+    if cfg.heuristic is Heuristic.MARKING_EQUATION:
+        heuristic = MarkingEquation(sp)
+        costs, h_exact = heuristic.costs, heuristic.values
+    else:
+        heuristic = None
+        costs, h_exact = scaled_costs(sp)[0], {}
 
-    def h(marking: Marking) -> Fraction | float:
-        if zero_h:
-            return Fraction(0)
-        val = h_exact.get(marking)
-        if val is None:
-            stats.heuristic_calls += 1
-            val = marking_equation_heuristic(sp, marking)
-            h_exact[marking] = val
-        return val
+    def h(marking: Marking) -> int | Fraction | float:
+        return heuristic(marking, parent.get(marking)) if heuristic is not None else 0
 
     def finish(outcome: SearchOutcome, alignment: Alignment | None = None):
+        if heuristic is not None:
+            stats.heuristic_calls = heuristic.solves
+            stats.heuristic_reuses = heuristic.reuses
         stats.outcome = outcome
         stats.wall_time = time.monotonic() - t0
         return alignment, stats
@@ -137,9 +209,8 @@ def astar_align(
         return finish(SearchOutcome.EXHAUSTED)
 
     counter = itertools.count()
-    best_g: dict[Marking, Fraction] = {start: Fraction(0)}
-    parent: dict[Marking, tuple[Marking, int]] = {}
-    heap: list = [(h0, Fraction(0), next(counter), start)]
+    best_g: dict[Marking, int] = {start: 0}
+    heap: list = [(h0, 0, next(counter), start)]
     while heap:
         stats.queue_peak = max(stats.queue_peak, len(heap))
         if time.monotonic() - t0 > cfg.timeout:
@@ -187,15 +258,15 @@ def astar_align(
             succ_t = tuple(succ)
             if succ_t == cur:
                 continue
-            ng = g + moves[j].cost
+            ng = g + costs[j]
             old = best_g.get(succ_t)
             if old is not None and ng >= old:
                 continue
             hs = h_exact.get(succ_t)
             if hs is None:
-                hs = hc - moves[j].cost
+                hs = hc - costs[j]
                 if hs < 0:
-                    hs = Fraction(0)
+                    hs = 0
             elif hs == math.inf:
                 continue
             best_g[succ_t] = ng

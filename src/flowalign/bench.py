@@ -129,6 +129,19 @@ def records_to_csv_text(records: list[BenchmarkRecord]) -> str:
     return buf.getvalue()
 
 
+# One wall-clock sample of a short alignment is mostly noise, and lp_win
+# compares two: for method "both", until this much time has passed since an
+# instance started, both engines are run again (alternating) and each keeps
+# its best time.  Instances longer than this are timed once.
+TIMING_WINDOW_S = 0.1
+
+
+def _set_lp_times(rec: BenchmarkRecord, product_us: int, lp_stats) -> None:
+    rec.rg_build_time_us = lp_stats.rg_build_us
+    rec.lp_solve_time_us = lp_stats.solve_us
+    rec.lp_total_time_us = product_us + lp_stats.rg_build_us + lp_stats.solve_us
+
+
 def run_instance(
     net: PetriNet,
     trace: Trace,
@@ -145,7 +158,7 @@ def run_instance(
             trace,
             fitness,
             cfg.thresholds,
-            limits=None,
+            limits=cfg.limits_for,
             search=cfg.search_config(),
             cost=cfg.cost,
         )
@@ -184,9 +197,7 @@ def run_instance(
         rec.lp_outcome = lp_stats.status.value
         rec.rg_nodes = lp_stats.rg_nodes
         rec.rg_edges = lp_stats.rg_edges
-        rec.rg_build_time_us = lp_stats.rg_build_us
-        rec.lp_solve_time_us = lp_stats.solve_us
-        rec.lp_total_time_us = product_us + lp_stats.rg_build_us + lp_stats.solve_us
+        _set_lp_times(rec, product_us, lp_stats)
         if alignment is not None:
             rec.lp_cost = alignment.total_cost
 
@@ -196,6 +207,14 @@ def run_instance(
     )
     if both_optimal:
         rec.costs_agree = rec.astar_cost == rec.lp_cost
+        while time.perf_counter_ns() - t0 < TIMING_WINDOW_S * 1e9:
+            t1 = time.perf_counter_ns()
+            astar_align(sp, cfg.search_config())
+            astar_us = product_us + (time.perf_counter_ns() - t1) // 1000
+            rec.astar_time_us = min(rec.astar_time_us, astar_us)
+            lp_stats = lp_align(sp, cfg.limits_for(sp))[1]
+            if product_us + lp_stats.rg_build_us + lp_stats.solve_us < rec.lp_total_time_us:
+                _set_lp_times(rec, product_us, lp_stats)
         rec.lp_win = rec.lp_total_time_us < rec.astar_time_us
     return rec
 
@@ -244,17 +263,30 @@ class Summary:
     mean_lp_us: float = 0.0
 
     def render(self) -> str:
-        agree_rate = 100.0 * self.agreement / self.both_optimal if self.both_optimal else 100.0
+        agree_rate = (
+            f"{100.0 * self.agreement / self.both_optimal:.1f}%" if self.both_optimal else "n/a"
+        )
         win_rate = 100.0 * self.lp_wins / self.both_optimal if self.both_optimal else 0.0
         return (
             f"instances: {self.instances}\n"
             f"both optimal: {self.both_optimal}\n"
-            f"cost agreement: {agree_rate:.1f}%\n"
+            f"cost agreement: {agree_rate}\n"
             f"lp win rate: {win_rate:.1f}%\n"
             f"mean astar time: {self.mean_astar_us:.0f} us\n"
             f"mean lp time: {self.mean_lp_us:.0f} us\n"
             f"timeouts: {self.timeouts}\n"
         )
+
+
+def failed_records(records: list[BenchmarkRecord]) -> list[BenchmarkRecord]:
+    """Records whose engines disagree on the optimal cost or that raised."""
+    return [
+        r
+        for r in records
+        if r.costs_agree is False
+        or r.astar_outcome.startswith("error: ")
+        or r.lp_outcome.startswith("error: ")
+    ]
 
 
 def summarize(records: list[BenchmarkRecord]) -> Summary:

@@ -17,6 +17,7 @@ from .astar import Heuristic, SearchOutcome, astar_align
 from .bench import (
     RunConfig,
     bucket_report,
+    failed_records,
     run_conformance,
     run_corpus,
     summarize,
@@ -127,7 +128,7 @@ def cmd_align(args) -> int:
               f"solve {lp_stats.solve_us} us")
     if cfg.method == "hybrid":
         fitness = token_replay_fitness(net, EventLog((trace,)))
-        result = hybrid_align(net, trace, fitness, cfg.thresholds,
+        result = hybrid_align(net, trace, fitness, cfg.thresholds, limits=cfg.limits_for,
                               search=cfg.search_config(), cost=cfg.cost)
         print(f"hybrid chose {result.method_chosen.value} "
               f"(L={result.selection_inputs[0]}, F={result.selection_inputs[1]:.3f}, "
@@ -165,7 +166,17 @@ def cmd_conformance(args) -> int:
     else:
         write_csv(records, sys.stdout)
     print(summarize(records).render(), end="")
-    return EXIT_OK
+    return _batch_exit(records)
+
+
+def _batch_exit(records) -> int:
+    """EXIT_INVARIANT when any record shows a cost disagreement or an error."""
+    failed = failed_records(records)
+    for r in failed:
+        errors = [o for o in (r.astar_outcome, r.lp_outcome) if o.startswith("error: ")]
+        reason = errors[0].removeprefix("error: ") if errors else "optimal costs disagree"
+        print(f"error: {r.case_id}: {reason}", file=sys.stderr)
+    return EXIT_INVARIANT if failed else EXIT_OK
 
 
 def cmd_bench(args) -> int:
@@ -178,7 +189,7 @@ def cmd_bench(args) -> int:
         write_csv(records, sys.stdout)
     print(summarize(records).render(), end="")
     print(bucket_report(records), end="")
-    return EXIT_OK
+    return _batch_exit(records)
 
 
 def cmd_gen(args) -> int:

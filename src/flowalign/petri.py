@@ -24,6 +24,9 @@ Marking = tuple[int, ...]
 
 Arc = tuple[str, str, int]  # (source id, target id, weight)
 
+#: Per transition, its sparse ``(place index, weight)`` arcs.
+ArcSets = tuple[tuple[tuple[int, int], ...], ...]
+
 
 @dataclass(frozen=True)
 class PetriNet:
@@ -110,6 +113,31 @@ class PetriNet:
     def transition_index(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.transitions)}
 
+    @functools.cached_property
+    def _incidence(self) -> "IncidenceTriple":
+        w_minus = np.zeros((len(self.places), len(self.transitions)), dtype=np.int64)
+        w_plus = np.zeros_like(w_minus)
+        pidx, tidx = self.place_index, self.transition_index
+        for src, tgt, w in self.arcs:
+            if src in pidx:  # place -> transition consumes
+                w_minus[pidx[src], tidx[tgt]] += w
+            else:  # transition -> place produces
+                w_plus[pidx[tgt], tidx[src]] += w
+        inc = w_plus - w_minus
+        for m in (w_minus, w_plus, inc):
+            m.setflags(write=False)
+        return IncidenceTriple(w_minus=w_minus, w_plus=w_plus, incidence=inc)
+
+    @functools.cached_property
+    def _firing_data(self) -> tuple[ArcSets, ArcSets]:
+        tri = self._incidence
+        pre = []
+        post = []
+        for j in range(len(self.transitions)):
+            pre.append(tuple((int(i), int(w)) for i, w in enumerate(tri.w_minus[:, j]) if w))
+            post.append(tuple((int(i), int(w)) for i, w in enumerate(tri.w_plus[:, j]) if w))
+        return tuple(pre), tuple(post)
+
     @property
     def labeling(self) -> dict[str, str | None]:
         return dict(zip(self.transitions, self.labels))
@@ -142,43 +170,19 @@ class Trace:
         return len(self.activities)
 
 
-@functools.lru_cache(maxsize=None)
-def _incidence(net: PetriNet) -> IncidenceTriple:
-    w_minus = np.zeros((len(net.places), len(net.transitions)), dtype=np.int64)
-    w_plus = np.zeros_like(w_minus)
-    pidx, tidx = net.place_index, net.transition_index
-    for src, tgt, w in net.arcs:
-        if src in pidx:  # place -> transition consumes
-            w_minus[pidx[src], tidx[tgt]] += w
-        else:  # transition -> place produces
-            w_plus[pidx[tgt], tidx[src]] += w
-    inc = w_plus - w_minus
-    for m in (w_minus, w_plus, inc):
-        m.setflags(write=False)
-    return IncidenceTriple(w_minus=w_minus, w_plus=w_plus, incidence=inc)
-
-
 def incidence_matrices(net: PetriNet) -> IncidenceTriple:
     """Backward/forward/net incidence matrices, deterministic per net."""
-    return _incidence(net)
+    return net._incidence
 
 
-@functools.lru_cache(maxsize=None)
-def firing_data(
-    net: PetriNet,
-) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+def firing_data(net: PetriNet) -> tuple[ArcSets, ArcSets]:
     """Per-transition sparse (place index, weight) pre/post sets.
 
     This is the hot-path representation used by reachability exploration
-    and search; it is derived once per net and cached.
+    and search; it is derived once per net and kept on the net, so it lives
+    exactly as long as the net does.
     """
-    tri = _incidence(net)
-    pre = []
-    post = []
-    for j in range(len(net.transitions)):
-        pre.append(tuple((int(i), int(w)) for i, w in enumerate(tri.w_minus[:, j]) if w))
-        post.append(tuple((int(i), int(w)) for i, w in enumerate(tri.w_plus[:, j]) if w))
-    return tuple(pre), tuple(post)
+    return net._firing_data
 
 
 def _check_marking(net: PetriNet, m: Marking) -> None:

@@ -14,13 +14,15 @@ import logging
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .astar import SearchConfig, astar_align
 from .errors import InvalidInputError
 from .flow import Alignment, Method, SolveStatus, lp_align
 from .model_io import EventLog
 from .petri import PetriNet, Trace, firing_data
-from .sync_product import CostConfig, product_for_trace
+from .reachability import ExplorationLimits
+from .sync_product import CostConfig, SynchronousProduct, product_for_trace
 
 log = logging.getLogger(__name__)
 
@@ -136,13 +138,18 @@ def hybrid_align(
     trace: Trace,
     fitness: float,
     thresholds: SelectionThresholds = SelectionThresholds(),
-    limits=None,
+    limits: ExplorationLimits | Callable[[SynchronousProduct], ExplorationLimits] | None = None,
     search: SearchConfig = SearchConfig(),
     cost: CostConfig = CostConfig(),
 ) -> HybridResult:
     """Run exactly the method the rule selects; fall back to A* when the
     LP path cannot reach the final marking because the graph was cut
-    short by its limits."""
+    short by its limits.
+
+    ``limits`` bound the flow path's graph; a callable receives the
+    trace's product and returns them (``RunConfig.limits_for``).  ``None``
+    means ``default_limits`` of the product.
+    """
     length = len(trace.activities)
     method = select_method(length, fitness, thresholds)
     expected = (1 - Fraction(fitness)) * length
@@ -160,7 +167,7 @@ def hybrid_align(
     )
 
     if method is Method.LP:
-        alignment, lp_stats = lp_align(sp, limits)
+        alignment, lp_stats = lp_align(sp, limits(sp) if callable(limits) else limits)
         timings["rg_build_us"] = lp_stats.rg_build_us
         timings["lp_solve_us"] = lp_stats.solve_us
         if alignment is not None:

@@ -1,18 +1,42 @@
-"""A small exact simplex over rationals for equality-form LPs.
+"""A small exact simplex over integers for equality-form LPs.
 
-Solves ``min c^T x  s.t.  A x = b, x >= 0`` with a two-phase tableau.
-All values are exact rationals; pivots follow Bland's rule (smallest
-eligible index enters, ratio ties broken by the smallest basic index),
-which precludes cycling.  Rows are stored as integer cell vectors with
-one shared positive denominator, so a pivot costs integer multiply-adds
-plus a single gcd reduction per row.  Intended for the small systems
-that arise as marking-equation relaxations, not as a general-purpose
-solver.
+Solves ``min c^T x  s.t.  A x = b, x >= 0``.  On entry every constraint
+row ``[a_i | b_i]`` is multiplied by the lcm of its denominators and the
+cost vector by the lcm of its own (so a silent-move cost of 1/10^6 becomes
+an integer); the tableau then runs on Python ``int`` only.  Tableau rows
+are integer cell vectors with one shared positive denominator, so a pivot
+costs integer multiply-adds plus a single gcd reduction per row.  The cost
+scale is divided out only when the optimal value leaves the solver.
+
+There are two ways in:
+
+- **Cold.**  A two-phase primal simplex with Bland's rule (smallest
+  eligible index enters, ratio ties broken by the smallest basic index),
+  which precludes cycling.
+- **Warm.**  Given the optimal basis of an earlier solve with the same
+  ``A`` and ``c`` but another ``b``, the tableau is re-factored on that
+  basis.  Reduced costs do not depend on ``b``, so the basis is still dual
+  feasible, and an exact dual simplex with Bland's rule (the infeasible
+  basic variable of smallest index leaves; among ratio ties the smallest
+  column index enters) either restores primal feasibility or proves the
+  new LP infeasible.  A basis that is singular or not dual feasible for
+  the given data is ignored and the solve runs cold, so a warm start can
+  change the work done but never the answer.
+
+Rows of ``A`` that are combinations of the other rows are dropped from
+the tableau.  Every tableau carries the row operations applied so far (a
+block ``E`` with one column per constraint row), which yields those
+combinations; they are kept, and a ``b`` that does not obey them makes
+the LP infeasible.
+
+Intended for the small systems that arise as marking-equation
+relaxations, not as a general-purpose solver.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,8 +47,36 @@ class Unbounded(InternalInvariantError):
     pass
 
 
+class Optimum(tuple):
+    """An optimal solve: unpacks as ``(value, x)``.
+
+    ``basis`` lists the basic columns at the optimum, one per constraint
+    row that is not a combination of the others.  Pass it back as
+    ``solve_min_eq(a, b2, c, basis=...)`` to warm-start a solve of the
+    same ``a`` and ``c`` with another right-hand side.
+    """
+
+    basis: tuple[int, ...]
+
+    def __new__(cls, value: Fraction, x: list[Fraction], basis: tuple[int, ...]) -> "Optimum":
+        self = super().__new__(cls, (value, x))
+        self.basis = basis
+        return self
+
+
+def integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """``values`` times the lcm of their denominators, and that lcm."""
+    if set(map(type, values)) <= {int}:
+        return list(values), 1
+    fracs = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
 def _normalize(cells: list[int], den: int) -> int:
     """Reduce a row by the gcd of its cells and denominator; keep den > 0."""
+    if den == 1:
+        return 1
     if den < 0:
         den = -den
         cells[:] = [-v for v in cells]
@@ -40,56 +92,87 @@ def _normalize(cells: list[int], den: int) -> int:
     return den
 
 
+def _eliminate(row: list[int], den: int, c: int, prow: list[int], pden: int, support) -> int:
+    """Subtract the multiple of ``prow / pden`` (whose column c is 1) that
+    clears column c of ``row / den``; return the row's new denominator.
+    ``support`` lists the nonzero cells of ``prow`` when ``pden == 1``."""
+    f = row[c]
+    if support is not None:
+        for j, v in support:
+            row[j] -= f * v
+        return _normalize(row, den)
+    row[:] = [a * pden - f * b for a, b in zip(row, prow)]
+    return _normalize(row, den * pden)
+
+
 class _Tableau:
     """Constraint rows plus a maintained reduced-cost row.
 
-    ``rows[i][j] / dens[i]`` is the tableau entry, ``rows[i][-1]`` the
-    right-hand side; ``obj[j] / obj_den`` is the reduced cost of column
-    j and ``obj[-1] / obj_den`` the negated objective value.
+    Columns are ``[A | E | rhs]``: the n structural columns, one column per
+    constraint row, then the right-hand side.  Tableau row k starts as
+    ``scales[k]`` times row k of ``[A | b]`` with E = identity; every row
+    operation also applies to E, so row i is the sum over k of
+    ``E[i][k] * scales[k]`` times original row k.  ``rows[i][j] / dens[i]``
+    is a tableau entry; ``obj[j] / obj_den`` is the reduced cost of column
+    j and ``obj[-1] / obj_den`` the negated objective value.  ``basis[i]``
+    is row i's basic column, or -1 while a re-factorization has not yet
+    pivoted on it.  ``dependent`` holds, per dropped row, the weights of a
+    combination of the original rows that vanishes on ``A``.
     """
 
-    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int]):
+    def __init__(self, rows: list[list[int]], basis: list[int], scales: list[int]):
         self.rows = rows
-        self.dens = dens
+        self.dens = [1] * len(rows)
         self.basis = basis
+        self.scales = scales
+        self.dependent: list[list[int]] = []
         self.obj: list[int] = []
         self.obj_den = 1
 
-    def set_costs(self, costs: Sequence[Fraction], width: int) -> None:
-        vals = [Fraction(costs[j]) if j < len(costs) else Fraction(0) for j in range(width)]
-        vals.append(Fraction(0))
-        for i, bi in enumerate(self.basis):
-            cb = costs[bi] if bi < len(costs) else Fraction(0)
-            if cb:
-                den = self.dens[i]
-                row = self.rows[i]
-                vals = [v - cb * Fraction(cell, den) if cell else v for v, cell in zip(vals, row)]
+    def set_costs(self, costs: Sequence[int]) -> None:
+        """Reduced costs of integer ``costs`` (one per column) under the basis."""
         den = 1
-        for v in vals:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        self.obj = [int(v * den) for v in vals]
-        self.obj_den = den
+        for i, bi in enumerate(self.basis):
+            if costs[bi]:
+                den = math.lcm(den, self.dens[i])
+        obj = [v * den for v in costs]
+        obj.append(0)
+        for i, bi in enumerate(self.basis):
+            cb = costs[bi]
+            if cb:
+                f = cb * (den // self.dens[i])
+                obj = [v - f * cell if cell else v for v, cell in zip(obj, self.rows[i])]
+        self.obj = obj
+        self.obj_den = _normalize(obj, den)
+
+    def consistent(self, b: Sequence[int | Fraction]) -> bool:
+        """Does ``b`` obey every combination of rows that vanishes on ``A``?"""
+        return not any(sum(map(operator.mul, w, b)) for w in self.dependent)
 
     def pivot(self, r: int, c: int) -> None:
         prow = self.rows[r]
         pden = _normalize(prow, prow[c])
-        self.rows[r] = prow
         self.dens[r] = pden
+        # Incidence rows are sparse: with a unit pivot only the pivot row's
+        # support changes in the other rows.
+        support = [(j, v) for j, v in enumerate(prow) if v] if pden == 1 else None
         for i, row in enumerate(self.rows):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                row[:] = [a * pden - f * b for a, b in zip(row, prow)]
-                self.dens[i] = _normalize(row, self.dens[i] * pden)
-        f = self.obj[c]
-        if f:
-            self.obj[:] = [a * pden - f * b for a, b in zip(self.obj, prow)]
-            self.obj_den = _normalize(self.obj, self.obj_den * pden)
+            if i != r and row[c]:
+                self.dens[i] = _eliminate(row, self.dens[i], c, prow, pden, support)
+        if self.obj and self.obj[c]:
+            self.obj_den = _eliminate(self.obj, self.obj_den, c, prow, pden, support)
         self.basis[r] = c
 
+    def drop(self, rows: list[int], n: int) -> None:
+        """Move rows whose structural part vanishes into ``dependent``."""
+        for i in reversed(rows):
+            row = self.rows.pop(i)
+            self.dependent.append([e * s for e, s in zip(row[n:-1], self.scales)])
+            del self.dens[i]
+            del self.basis[i]
+
     def run(self, width: int) -> None:
-        """Bland-rule pivoting to optimality over columns [0, width)."""
+        """Primal Bland-rule pivoting to optimality over columns [0, width)."""
         while True:
             entering = -1
             for j in range(width):
@@ -114,56 +197,71 @@ class _Tableau:
                 raise Unbounded("LP is unbounded below")
             self.pivot(leaving, entering)
 
-    def objective_value(self) -> Fraction:
-        return Fraction(-self.obj[-1], self.obj_den)
+    def run_dual(self, width: int) -> bool:
+        """Dual Bland-rule pivoting from a dual-feasible basis.
 
-    def solution(self, n: int) -> list[Fraction]:
+        Returns False when a row proves the LP infeasible: its basic value
+        is negative and no column can enter it.
+        """
+        obj = self.obj
+        while True:
+            leaving = -1
+            for i, row in enumerate(self.rows):
+                if row[-1] < 0 and (leaving < 0 or self.basis[i] < self.basis[leaving]):
+                    leaving = i
+            if leaving < 0:
+                return True
+            row = self.rows[leaving]
+            entering = -1
+            best_num = best_den = 0  # ratio obj[j] / -row[j], both over positive dens
+            for j in range(width):
+                coef = row[j]
+                if coef < 0 and (entering < 0 or obj[j] * best_den < best_num * -coef):
+                    best_num, best_den = obj[j], -coef
+                    entering = j
+            if entering < 0:
+                return False
+            self.pivot(leaving, entering)
+
+    def optimum(self, n: int, scale: int) -> Optimum:
         x = [Fraction(0)] * n
         for i, bi in enumerate(self.basis):
-            if bi < n:
-                x[bi] = Fraction(self.rows[i][-1], self.dens[i])
-        return x
+            v, den = self.rows[i][-1], self.dens[i]
+            x[bi] = Fraction(v) if den == 1 else Fraction(v, den)
+        return Optimum(Fraction(-self.obj[-1], self.obj_den * scale), x, tuple(self.basis))
 
 
-def solve_min_eq(
-    a: Sequence[Sequence[int | Fraction]],
-    b: Sequence[int | Fraction],
-    c: Sequence[int | Fraction],
-) -> tuple[Fraction, list[Fraction]] | None:
-    """Minimize ``c.x`` subject to ``a x = b`` and ``x >= 0``.
-
-    Returns ``(optimal value, x)`` or ``None`` when infeasible.
-    """
+def _start(a, b, n: int, signed: bool) -> _Tableau:
+    """The tableau ``[A | E | b]`` with E = identity, each row scaled to
+    integers and, when ``signed``, to a nonnegative rhs."""
     m = len(a)
-    n = len(c)
-    costs = [Fraction(v) for v in c]
-    if m == 0:
-        return Fraction(0), [Fraction(0)] * n
-
-    rows: list[list[int]] = []
-    dens: list[int] = []
+    rows = []
+    scales = []
     for i in range(m):
-        vals = [Fraction(v) for v in a[i]] + [Fraction(b[i])]
-        if vals[-1] < 0:
-            vals = [-v for v in vals]
-        den = 1
-        for v in vals:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        cells = [int(v * den) for v in vals]
-        # Phase-1 artificial identity block sits between A and the rhs.
-        cells[n:n] = [den if j == i else 0 for j in range(m)]
-        rows.append(cells)
-        dens.append(_normalize(cells, den))
+        row, den = integers([*a[i], b[i]])
+        if signed and row[-1] < 0:
+            row = [-v for v in row]
+            den = -den
+        row[n:n] = [1 if k == i else 0 for k in range(m)]
+        rows.append(row)
+        scales.append(den)
+    return _Tableau(rows, [-1] * m, scales)
 
-    tab = _Tableau(rows, dens, basis=[n + i for i in range(m)])
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * m
-    tab.set_costs(phase1, n + m)
+
+def _cold(a, b, n: int, costs: list[int]) -> _Tableau | None:
+    """Two-phase solve; the optimal tableau, or None when infeasible."""
+    m = len(a)
+    # Block E doubles as the phase-1 artificial columns: every rhs is
+    # nonnegative, so they form a feasible starting basis.
+    tab = _start(a, b, n, signed=True)
+    tab.basis = [n + i for i in range(m)]
+    tab.set_costs([0] * n + [1] * m)
     tab.run(n + m)
-    if tab.objective_value() > 0:
+    if tab.obj[-1]:
         return None
 
     # Drive leftover artificials out of the (degenerate) basis; rows that
-    # cannot pivot are redundant and dropped.
+    # cannot pivot are combinations of the others and are dropped.
     drop: list[int] = []
     for i in range(m):
         if tab.basis[i] >= n:
@@ -172,14 +270,61 @@ def solve_min_eq(
                 drop.append(i)
             else:
                 tab.pivot(i, col)
-    for i in reversed(drop):
-        del tab.rows[i]
-        del tab.dens[i]
-        del tab.basis[i]
-
-    for i, row in enumerate(tab.rows):
-        tab.rows[i] = row[:n] + [row[-1]]
-        tab.dens[i] = _normalize(tab.rows[i], tab.dens[i])
-    tab.set_costs(costs, n)
+    tab.drop(drop, n)
+    tab.set_costs(costs + [0] * m)
     tab.run(n)
-    return tab.objective_value(), tab.solution(n)
+    return tab
+
+
+def _refactor(a, b, n: int, costs: list[int], basis: Sequence[int]) -> _Tableau | None:
+    """The tableau of ``basis`` for this ``b``, or None when ``basis`` is
+    not a basis of ``a`` or not dual feasible for these costs."""
+    if len(set(basis)) != len(basis) or not all(0 <= col < n for col in basis):
+        return None
+    tab = _start(a, b, n, signed=False)
+    for col in basis:
+        r = next((r for r, bi in enumerate(tab.basis) if bi < 0 and tab.rows[r][col]), -1)
+        if r < 0:
+            return None
+        tab.pivot(r, col)
+    rest = [r for r, bi in enumerate(tab.basis) if bi < 0]
+    if any(any(tab.rows[r][:n]) for r in rest):
+        return None
+    tab.drop(rest, n)
+    tab.set_costs(costs + [0] * len(a))
+    if any(v < 0 for v in tab.obj[:n]):
+        return None
+    return tab
+
+
+def _warm(a, b, n: int, costs: list[int], basis: Sequence[int]) -> _Tableau | bool:
+    """Dual simplex from ``basis``: the optimal tableau, False when the LP
+    is infeasible, True when ``basis`` cannot seed it."""
+    tab = _refactor(a, b, n, costs, basis)
+    if tab is None:
+        return True
+    return tab.consistent(b) and tab.run_dual(n) and tab
+
+
+def solve_min_eq(
+    a: Sequence[Sequence[int | Fraction]],
+    b: Sequence[int | Fraction],
+    c: Sequence[int | Fraction],
+    basis: Sequence[int] | None = None,
+) -> Optimum | None:
+    """Minimize ``c.x`` subject to ``a x = b`` and ``x >= 0``.
+
+    Returns ``(optimal value, x)`` as an :class:`Optimum`, or ``None``
+    when infeasible.  ``basis``, the ``Optimum.basis`` of an earlier
+    solve with the same ``a`` and ``c``, warm-starts the dual simplex.
+    """
+    n = len(c)
+    if len(a) == 0:
+        return Optimum(Fraction(0), [Fraction(0)] * n, ())
+    costs, scale = integers(c)
+    tab = True if basis is None else _warm(a, b, n, costs, basis)
+    if tab is True:
+        tab = _cold(a, b, n, costs)
+    if not tab:
+        return None
+    return tab.optimum(n, scale)

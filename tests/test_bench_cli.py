@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from flowalign import bench
 from flowalign.bench import (
     CSV_COLUMNS,
     RunConfig,
@@ -14,6 +15,7 @@ from flowalign.bench import (
     summarize,
 )
 from flowalign.cli import main
+from flowalign.errors import InternalInvariantError
 from flowalign.model_io import EventLog, serialize_pnml, serialize_xes
 from flowalign.petri import Trace
 
@@ -251,3 +253,71 @@ class TestCliConformanceAndBench:
         out = capsys.readouterr().out
         assert "truncated" in out
         assert "NOT reached" in out
+
+
+class TestHybridLimits:
+    LONG = Trace("long", ("a",) * 21)  # routed to flow when fitness is 0
+
+    def test_run_instance_passes_limits_to_flow_route(self, fig_acyclic):
+        lp = run_instance(fig_acyclic, self.LONG, RunConfig(method="lp", max_nodes=5))
+        assert lp.lp_outcome == "truncated_graph"
+        cfg = RunConfig(method="hybrid", max_nodes=5)
+        rec = run_instance(fig_acyclic, self.LONG, cfg, fitness=0.0)
+        assert rec.method_chosen == "lp"
+        assert rec.lp_outcome == ""  # the capped graph fell back to search
+        assert rec.astar_outcome == "optimal"
+
+    def test_default_limits_unchanged(self, fig_acyclic):
+        rec = run_instance(fig_acyclic, self.LONG, RunConfig(method="hybrid"), fitness=0.0)
+        assert rec.lp_outcome == "optimal"
+
+    def test_cli_align_hybrid_honours_max_nodes(self, toy_files, capsys):
+        model, _ = toy_files
+        trace = ",".join(self.LONG.activities)
+        code = main(["align", str(model), "--trace", trace, "--max-nodes", "5"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "hybrid chose lp" in out
+        assert "[fell back to astar]" in out
+
+
+class TestBatchFailures:
+    def test_agreement_is_na_when_nothing_compared(self, fig_acyclic):
+        log = EventLog((Trace("c1", ("a", "b", "e")),))
+        text = summarize(run_conformance(fig_acyclic, log, RunConfig(method="astar"))).render()
+        assert "both optimal: 0" in text
+        assert "cost agreement: n/a" in text
+
+    def test_conformance_error_row_exits_5(self, toy_files, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise InternalInvariantError("broken engine")
+
+        monkeypatch.setattr(bench, "run_instance", broken)
+        model, log = toy_files
+        assert main(["conformance", str(model), str(log)]) == 5
+        captured = capsys.readouterr()
+        assert "error: broken engine" in captured.out
+        assert "c1" in captured.err
+
+    def test_conformance_disagreement_exits_5(self, toy_files, monkeypatch, capsys):
+        real = bench.run_instance
+
+        def disagreeing(*args, **kwargs):
+            rec = real(*args, **kwargs)
+            rec.costs_agree = False
+            return rec
+
+        monkeypatch.setattr(bench, "run_instance", disagreeing)
+        model, log = toy_files
+        assert main(["conformance", str(model), str(log)]) == 5
+        assert "optimal costs disagree" in capsys.readouterr().err
+
+    def test_bench_error_row_exits_5(self, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["gen", "--spec", "seq(a, b)", "--traces", "2", "--out", str(corpus)]) == 0
+
+        def broken(*args, **kwargs):
+            raise InternalInvariantError("broken engine")
+
+        monkeypatch.setattr(bench, "run_instance", broken)
+        assert main(["bench", str(corpus)]) == 5

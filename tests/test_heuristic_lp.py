@@ -1,0 +1,246 @@
+"""The marking-equation heuristic's cheap paths against its cold solve.
+
+A* takes h of a marking from its parent's LP optimum (the reuse rule) or
+warm-starts the simplex from the parent's optimal basis.  Both must give
+exactly the value a cold solve gives, and the search must expand and
+return exactly what it did when every value was solved cold.
+"""
+
+import gc
+import json
+import math
+import random
+import weakref
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import CORPUS_SEED, build_corpus_models
+from flowalign import astar
+from flowalign.astar import (
+    MarkingEquation,
+    SearchConfig,
+    SearchOutcome,
+    astar_align,
+    marking_equation_heuristic,
+)
+from flowalign.flow import SolveStatus, lp_align
+from flowalign.generator import (
+    alphabet_of,
+    apply_random_edits,
+    block_to_net,
+    playout,
+    random_block,
+)
+from flowalign.petri import PetriNet, Trace, firing_data
+from flowalign.reachability import build_reachability_graph
+from flowalign.simplex import Optimum, solve_min_eq
+from flowalign.sync_product import product_for_trace
+from oracles import oracle_shortest_cost
+
+GOLDEN = Path(__file__).parent / "data" / "astar_first_edit_cycle.json"
+
+
+def random_block_product(rng: random.Random):
+    block = random_block(rng, rng.randint(2, 6))
+    acts = apply_random_edits(playout(block, rng), rng.randint(0, 3), alphabet_of(block), rng)
+    return product_for_trace(block_to_net(block), Trace("t", acts))
+
+
+def random_net_product(rng: random.Random):
+    """A small unstructured net, so the final marking is often out of reach."""
+    places = [f"p{i}" for i in range(rng.randint(2, 4))]
+    transitions = [f"t{i}" for i in range(rng.randint(1, 4))]
+    arcs = []
+    for t in transitions:
+        for p in places:
+            if rng.random() < 0.4:
+                arcs.append((p, t))
+            if rng.random() < 0.4:
+                arcs.append((t, p))
+    net = PetriNet.build(
+        places,
+        transitions,
+        arcs,
+        {t: rng.choice(["a", "b", None]) for t in transitions},
+        {places[0]: 1},
+        {places[-1]: 1},
+    )
+    acts = tuple(rng.choice("ab") for _ in range(rng.randint(0, 3)))
+    return product_for_trace(net, Trace("t", acts))
+
+
+def enabled_moves(sp, m, cap=8):
+    pre, post = firing_data(sp.net)
+    for j in range(len(sp.moves)):
+        if all(m[i] >= w for i, w in pre[j]):
+            succ = list(m)
+            for i, w in pre[j]:
+                succ[i] -= w
+            for i, w in post[j]:
+                succ[i] += w
+            if max(succ) <= cap and tuple(succ) != m:
+                yield j, tuple(succ)
+
+
+def random_edge(sp, rng: random.Random):
+    """A marking reached by a short random walk, and one enabled move there."""
+    m = sp.net.initial_marking
+    for _ in range(rng.randint(0, 6)):
+        options = list(enabled_moves(sp, m))
+        if not options:
+            break
+        m = rng.choice(options)[1]
+    options = list(enabled_moves(sp, m))
+    if not options:
+        return None
+    j, child = rng.choice(options)
+    return m, j, child
+
+
+def exact(h, scale):
+    return h if h == math.inf else Fraction(h, scale)
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_reuse_and_warm_start_equal_cold_solve(rng, block_model):
+    sp = random_block_product(rng) if block_model else random_net_product(rng)
+    edge = random_edge(sp, rng)
+    if edge is None:
+        return
+    m, j, child = edge
+    h = MarkingEquation(sp)
+    if h(m) == math.inf:
+        return
+    cold = marking_equation_heuristic(sp, child)
+    assert exact(h(child, (m, j)), h.scale) == cold
+    assert h.solves + h.reuses == 2
+
+    # The warm start alone, also where the reuse rule answered above.
+    rhs = [f - v for f, v in zip(sp.net.final_marking, child)]
+    parent = solve_min_eq(h.rows, [f - v for f, v in zip(sp.net.final_marking, m)], h.costs)
+    warm = solve_min_eq(h.rows, rhs, h.costs, basis=parent.basis)
+    assert (math.inf if warm is None else Fraction(warm[0], h.scale)) == cold
+
+
+def test_warm_start_detects_dead_end():
+    net = PetriNet.build(
+        ["p0", "p1", "pd"], ["t", "u"], [("p0", "t"), ("t", "p1"), ("p0", "u"), ("u", "pd")],
+        {"t": "a", "u": "b"}, {"p0": 1}, {"p1": 1},
+    )
+    sp = product_for_trace(net, Trace("x", ("a",)))
+    h = MarkingEquation(sp)
+    start = sp.net.initial_marking
+    assert h(start) == 0
+    j, dead = next(
+        (j, c) for j, c in enabled_moves(sp, start) if sp.moves[j].process_transition == "u"
+    )
+    assert marking_equation_heuristic(sp, dead) == math.inf
+    assert h(dead, (start, j)) == math.inf
+    assert h.solves == 2 and h.reuses == 0
+
+
+@st.composite
+def equality_lps(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    cell = st.sampled_from([-1, 0, 0, 1, 2, Fraction(1, 2)])
+    a = [[draw(cell) for _ in range(n)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        a[-1] = [x + 2 * y for x, y in zip(a[0], a[1])]  # a dependent row
+    c = [draw(st.sampled_from([0, 1, 3, Fraction(1, 10**6)])) for _ in range(n)]
+    x0 = [draw(st.integers(0, 3)) for _ in range(n)]
+    b = [sum(r[j] * x0[j] for j in range(n)) for r in a]
+    b2 = [v + draw(st.integers(-2, 2)) for v in b]
+    return a, b, b2, c
+
+
+@given(equality_lps())
+@settings(max_examples=200, deadline=None)
+def test_solve_min_eq_warm_start_matches_cold(lp):
+    a, b, b2, c = lp
+    first = solve_min_eq(a, b, c)
+    assert isinstance(first, Optimum)
+    cold = solve_min_eq(a, b2, c)
+    warm = solve_min_eq(a, b2, c, basis=first.basis)
+    assert (warm is None) == (cold is None)
+    if cold is not None:
+        value, x = warm
+        assert value == cold[0]
+        assert all(v >= 0 for v in x)
+        assert all(sum(r[j] * x[j] for j in range(len(x))) == v for r, v in zip(a, b2))
+
+
+def test_unusable_basis_falls_back_to_cold():
+    a, b, c = [[1, 1, 0], [0, 1, 1]], [2, 3], [3, 1, 4]
+    value = solve_min_eq(a, b, c)[0]
+    for basis in ((), (0,), (0, 0), (5, 1), (0, 2)):
+        assert solve_min_eq(a, b, c, basis=basis)[0] == value
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_lp_astar_and_oracle_costs_equal(rng):
+    sp = random_block_product(rng)
+    rg = build_reachability_graph(sp)
+    if rg.final_index is None or len(rg.nodes) > 500:
+        return
+    lp_alignment, lp_stats = lp_align(sp)
+    alignment, stats = astar_align(sp)
+    assert lp_stats.status is SolveStatus.OPTIMAL and stats.outcome is SearchOutcome.OPTIMAL
+    assert lp_alignment.total_cost == alignment.total_cost == oracle_shortest_cost(rg)
+
+
+def first_edit_cycle(model_ids):
+    for model_id, net, block in build_corpus_models():
+        if model_id not in model_ids:
+            continue
+        rng = random.Random(f"{CORPUS_SEED}/{model_id}")
+        alphabet = alphabet_of(block)
+        for i in range(9):
+            acts = apply_random_edits(playout(block, rng), i, alphabet, rng)
+            case = f"{model_id}-c{i:03d}-k{i}"
+            yield case, product_for_trace(net, Trace(case, acts))
+
+
+def test_search_order_matches_cold_solves_golden():
+    """Expansions and alignments recorded when every h was a cold solve."""
+    golden = json.loads(GOLDEN.read_text())
+    model_ids = {case.split("-")[0] for case in golden}
+    seen = {}
+    reuses = 0
+    for case, sp in first_edit_cycle(model_ids):
+        alignment, stats = astar_align(sp)
+        seen[case] = [stats.expansions, [m.move_id for m in alignment.moves]]
+        reuses += stats.heuristic_reuses
+    assert seen == golden
+    assert reuses > 0
+
+
+def test_every_solve_goes_through_solve_min_eq(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_min_eq(*args, **kwargs)
+
+    monkeypatch.setattr(astar, "solve_min_eq", counting)
+    _, sp = next(case for case in first_edit_cycle({"m04"}) if case[0].endswith("k5"))
+    alignment, stats = astar_align(sp)
+    assert stats.heuristic_calls == len(calls)
+    assert stats.heuristic_reuses > 0
+
+
+def test_aligned_product_is_not_kept_alive():
+    block = random_block(random.Random(5), 5)
+    net = block_to_net(block)
+    sp = product_for_trace(net, Trace("t", playout(block, random.Random(6))))
+    astar_align(sp, SearchConfig())
+    lp_align(sp)
+    ref = weakref.ref(sp.net)
+    del sp
+    gc.collect()
+    assert ref() is None
