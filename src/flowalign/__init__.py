@@ -12,7 +12,6 @@ from .astar import (
     Heuristic,
     SearchConfig,
     SearchOutcome,
-    SearchStats,
     astar_align,
     marking_equation_heuristic,
 )
@@ -34,6 +33,7 @@ from .flow import (
     FlowSolution,
     Method,
     MilpMatrices,
+    RunStats,
     SolveStatus,
     TuWitness,
     alignment_to_dict,

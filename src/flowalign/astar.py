@@ -43,7 +43,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .flow import Alignment, Method
+from .flow import Alignment, Method, RunStats
 from .petri import Marking, firing_data, incidence_matrices
 from .simplex import integers, solve_min_eq
 from .sync_product import SynchronousProduct
@@ -72,16 +72,6 @@ class SearchConfig:
             raise InvalidInputError("timeout must be positive")
         if self.max_expansions < 1 or self.token_cap < 1:
             raise InvalidInputError("max_expansions and token_cap must be >= 1")
-
-
-@dataclass
-class SearchStats:
-    expansions: int = 0
-    heuristic_calls: int = 0  # simplex solves, cold or warm-started
-    heuristic_reuses: int = 0  # h values taken from the parent's solution
-    queue_peak: int = 0
-    wall_time: float = 0.0
-    outcome: SearchOutcome = SearchOutcome.EXHAUSTED
 
 
 def scaled_costs(sp: SynchronousProduct) -> tuple[list[int], int]:
@@ -163,7 +153,7 @@ def marking_equation_heuristic(sp: SynchronousProduct, m: Marking) -> Fraction |
 
 def astar_align(
     sp: SynchronousProduct, cfg: SearchConfig = SearchConfig()
-) -> tuple[Alignment | None, SearchStats]:
+) -> tuple[Alignment | None, RunStats]:
     """A* over product markings; optimal when it completes.
 
     Outcomes TIMEOUT and EXHAUSTED are reported in the stats, never
@@ -171,8 +161,9 @@ def astar_align(
     the per-place token cap are pruned, mirroring reachability-graph
     construction so both methods search the same capped space.
     """
-    stats = SearchStats()
-    t0 = time.monotonic()
+    stats = RunStats(Method.ASTAR, SearchOutcome.EXHAUSTED)
+    t0 = time.perf_counter_ns()
+    deadline = t0 + cfg.timeout * 1e9
     net = sp.net
     start = net.initial_marking
     goal = net.final_marking
@@ -201,7 +192,7 @@ def astar_align(
             stats.heuristic_calls = heuristic.solves
             stats.heuristic_reuses = heuristic.reuses
         stats.outcome = outcome
-        stats.wall_time = time.monotonic() - t0
+        stats.solve_us = (time.perf_counter_ns() - t0) // 1000
         return alignment, stats
 
     h0 = h(start)
@@ -213,7 +204,7 @@ def astar_align(
     heap: list = [(h0, 0, next(counter), start)]
     while heap:
         stats.queue_peak = max(stats.queue_peak, len(heap))
-        if time.monotonic() - t0 > cfg.timeout:
+        if time.perf_counter_ns() > deadline:
             return finish(SearchOutcome.TIMEOUT)
         f, neg_g, _, cur = heapq.heappop(heap)
         g = -neg_g

@@ -1,10 +1,12 @@
 """Benchmark harness: per-instance records, CSV output, bucket reports.
 
-One record per (trace, model) instance.  All columns except the four
-trailing ``*_us`` timing columns are deterministic given inputs, config,
-and seed, so CSV output diffs cleanly against goldens.  Parallel runs
-fan out per instance and re-sort results to input order before writing,
-producing the same file as a serial run (timing columns aside).
+One record per (trace, model) instance, filled from the engines'
+:class:`~flowalign.flow.RunStats`.  All columns except ``lp_win`` and the
+four trailing ``*_us`` timing columns are deterministic given inputs and
+config, so CSV output diffs cleanly against goldens.  ``lp_win`` compares
+one wall-clock sample per engine.  Parallel runs fan out per instance and
+re-sort results to input order before writing, producing the same file as
+a serial run (timing columns and ``lp_win`` aside).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 from .astar import Heuristic, SearchConfig, SearchOutcome, astar_align
 from .errors import InvalidInputError
-from .flow import Method, SolveStatus, lp_align
+from .flow import Alignment, Method, RunStats, SolveStatus, lp_align
 from .model_io import EventLog, parse_pnml, parse_xes, read_csv_log
 from .petri import PetriNet, Trace
 from .reachability import ExplorationLimits, default_limits
@@ -39,7 +41,6 @@ class RunConfig:
     timeout_s: float = 30.0  # per-instance search budget
     thresholds: SelectionThresholds = SelectionThresholds()
     parallel: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.method not in ("astar", "lp", "hybrid", "both"):
@@ -129,17 +130,25 @@ def records_to_csv_text(records: list[BenchmarkRecord]) -> str:
     return buf.getvalue()
 
 
-# One wall-clock sample of a short alignment is mostly noise, and lp_win
-# compares two: for method "both", until this much time has passed since an
-# instance started, both engines are run again (alternating) and each keeps
-# its best time.  Instances longer than this are timed once.
-TIMING_WINDOW_S = 0.1
-
-
-def _set_lp_times(rec: BenchmarkRecord, product_us: int, lp_stats) -> None:
-    rec.rg_build_time_us = lp_stats.rg_build_us
-    rec.lp_solve_time_us = lp_stats.solve_us
-    rec.lp_total_time_us = product_us + lp_stats.rg_build_us + lp_stats.solve_us
+def _record_run(
+    rec: BenchmarkRecord, product_us: int, alignment: Alignment | None, stats: RunStats
+) -> None:
+    """Fill the cells of the engine that produced ``stats``."""
+    cost = alignment.total_cost if alignment is not None else None
+    total_us = product_us + stats.rg_build_us + stats.solve_us
+    if stats.method is Method.ASTAR:
+        rec.astar_outcome = stats.outcome.value
+        rec.astar_cost = cost
+        rec.astar_expansions = stats.expansions
+        rec.astar_time_us = total_us
+    else:
+        rec.lp_outcome = stats.outcome.value
+        rec.lp_cost = cost
+        rec.rg_nodes = stats.rg_nodes
+        rec.rg_edges = stats.rg_edges
+        rec.rg_build_time_us = stats.rg_build_us
+        rec.lp_solve_time_us = stats.solve_us
+        rec.lp_total_time_us = total_us
 
 
 def run_instance(
@@ -163,58 +172,22 @@ def run_instance(
             cost=cfg.cost,
         )
         rec.method_chosen = result.method_chosen.value
-        if result.method_chosen is Method.LP and not result.fell_back_to_astar:
-            rec.lp_outcome = result.outcome
-            rec.rg_build_time_us = result.timings.get("rg_build_us")
-            rec.lp_solve_time_us = result.timings.get("lp_solve_us")
-            if result.alignment is not None:
-                rec.lp_cost = result.alignment.total_cost
-                rec.lp_total_time_us = (
-                    result.timings.get("product_us", 0)
-                    + result.timings.get("rg_build_us", 0)
-                    + result.timings.get("lp_solve_us", 0)
-                )
-        else:
-            rec.astar_outcome = result.outcome
-            if result.alignment is not None:
-                rec.astar_cost = result.alignment.total_cost
-                rec.astar_time_us = result.timings.get("product_us", 0) + result.timings.get("astar_us", 0)
+        _record_run(rec, result.product_us, result.alignment, result.stats)
         return rec
 
     t0 = time.perf_counter_ns()
     sp = product_for_trace(net, trace, cfg.cost)
     product_us = (time.perf_counter_ns() - t0) // 1000
     if cfg.method in ("astar", "both"):
-        t1 = time.perf_counter_ns()
-        alignment, stats = astar_align(sp, cfg.search_config())
-        rec.astar_time_us = product_us + (time.perf_counter_ns() - t1) // 1000
-        rec.astar_outcome = stats.outcome.value
-        rec.astar_expansions = stats.expansions
-        if alignment is not None:
-            rec.astar_cost = alignment.total_cost
+        _record_run(rec, product_us, *astar_align(sp, cfg.search_config()))
     if cfg.method in ("lp", "both"):
-        alignment, lp_stats = lp_align(sp, cfg.limits_for(sp))
-        rec.lp_outcome = lp_stats.status.value
-        rec.rg_nodes = lp_stats.rg_nodes
-        rec.rg_edges = lp_stats.rg_edges
-        _set_lp_times(rec, product_us, lp_stats)
-        if alignment is not None:
-            rec.lp_cost = alignment.total_cost
+        _record_run(rec, product_us, *lp_align(sp, cfg.limits_for(sp)))
 
-    both_optimal = (
+    if (
         rec.astar_outcome == SearchOutcome.OPTIMAL.value
         and rec.lp_outcome == SolveStatus.OPTIMAL.value
-    )
-    if both_optimal:
+    ):
         rec.costs_agree = rec.astar_cost == rec.lp_cost
-        while time.perf_counter_ns() - t0 < TIMING_WINDOW_S * 1e9:
-            t1 = time.perf_counter_ns()
-            astar_align(sp, cfg.search_config())
-            astar_us = product_us + (time.perf_counter_ns() - t1) // 1000
-            rec.astar_time_us = min(rec.astar_time_us, astar_us)
-            lp_stats = lp_align(sp, cfg.limits_for(sp))[1]
-            if product_us + lp_stats.rg_build_us + lp_stats.solve_us < rec.lp_total_time_us:
-                _set_lp_times(rec, product_us, lp_stats)
         rec.lp_win = rec.lp_total_time_us < rec.astar_time_us
     return rec
 

@@ -31,7 +31,7 @@ from .errors import (
     ModelParseError,
     UnreachableFinalError,
 )
-from .flow import SolveStatus, alignment_to_dict, lp_align, move_table
+from .flow import Method, RunStats, SolveStatus, alignment_to_dict, lp_align, move_table
 from .generator import alphabet_of, generate_corpus, parse_block_spec
 from .model_io import EventLog, NoiseSpec, parse_pnml, parse_xes, read_csv_log
 from .petri import Trace
@@ -83,7 +83,6 @@ def _run_config(args, default_method: str) -> RunConfig:
         timeout_s=args.timeout_ms / 1000.0,
         thresholds=SelectionThresholds(args.length_threshold, args.dev_threshold),
         parallel=args.parallel,
-        seed=args.seed,
     )
 
 
@@ -98,34 +97,8 @@ def _load_log(path: Path) -> EventLog:
     return parse_xes(path)
 
 
-def cmd_align(args) -> int:
-    cfg = _run_config(args, "hybrid")
-    net = parse_pnml(args.model)
-    trace = _parse_trace(args.trace)
-    sp = product_for_trace(net, trace, cfg.cost)
-
-    alignments = {}
-    if cfg.method in ("astar", "both"):
-        alignment, stats = astar_align(sp, cfg.search_config())
-        if alignment is None:
-            print(f"astar outcome: {stats.outcome.value}")
-            return EXIT_TIMEOUT if stats.outcome is SearchOutcome.TIMEOUT else EXIT_INFEASIBLE
-        alignments["astar"] = alignment
-        print(f"astar: cost {alignment.total_cost}  expansions {stats.expansions}  "
-              f"time {stats.wall_time * 1e6:.0f} us")
-    if cfg.method in ("lp", "both"):
-        alignment, lp_stats = lp_align(sp, cfg.limits_for(sp))
-        if alignment is None:
-            print(f"lp outcome: {lp_stats.status.value}")
-            return (
-                EXIT_TIMEOUT
-                if lp_stats.status is SolveStatus.TRUNCATED_GRAPH
-                else EXIT_INFEASIBLE
-            )
-        alignments["lp"] = alignment
-        print(f"lp: cost {alignment.total_cost}  rg {lp_stats.rg_nodes} nodes / "
-              f"{lp_stats.rg_edges} edges  build {lp_stats.rg_build_us} us  "
-              f"solve {lp_stats.solve_us} us")
+def _engine_runs(cfg: RunConfig, net, trace: Trace):
+    """``(alignment, RunStats)`` of each engine ``cfg.method`` runs, in order."""
     if cfg.method == "hybrid":
         fitness = token_replay_fitness(net, EventLog((trace,)))
         result = hybrid_align(net, trace, fitness, cfg.thresholds, limits=cfg.limits_for,
@@ -134,21 +107,48 @@ def cmd_align(args) -> int:
               f"(L={result.selection_inputs[0]}, F={result.selection_inputs[1]:.3f}, "
               f"expected deviations={result.selection_inputs[2]:.3f})"
               + ("  [fell back to astar]" if result.fell_back_to_astar else ""))
-        if result.alignment is None:
-            print(f"outcome: {result.outcome}")
-            return EXIT_TIMEOUT if result.outcome in ("timeout", "truncated_graph") else EXIT_INFEASIBLE
-        alignments["hybrid"] = result.alignment
+        yield result.alignment, result.stats
+        return
+    sp = product_for_trace(net, trace, cfg.cost)
+    if cfg.method in ("astar", "both"):
+        yield astar_align(sp, cfg.search_config())
+    if cfg.method in ("lp", "both"):
+        yield lp_align(sp, cfg.limits_for(sp))
 
-    shown = alignments.get("lp") or alignments.get("hybrid") or alignments.get("astar")
+
+def _engine_line(alignment, stats: RunStats) -> str:
+    if stats.method is Method.ASTAR:
+        work = f"expansions {stats.expansions}  time {stats.solve_us} us"
+    else:
+        work = (f"rg {stats.rg_nodes} nodes / {stats.rg_edges} edges  "
+                f"build {stats.rg_build_us} us  solve {stats.solve_us} us")
+    return f"{stats.method.value}: cost {alignment.total_cost}  {work}"
+
+
+def cmd_align(args) -> int:
+    cfg = _run_config(args, "hybrid")
+    net = parse_pnml(args.model)
+    trace = _parse_trace(args.trace)
+
+    alignments = {}
+    for alignment, stats in _engine_runs(cfg, net, trace):
+        if alignment is None:
+            print(f"{stats.method.value} outcome: {stats.outcome.value}")
+            timed_out = stats.outcome in (SearchOutcome.TIMEOUT, SolveStatus.TRUNCATED_GRAPH)
+            return EXIT_TIMEOUT if timed_out else EXIT_INFEASIBLE
+        print(_engine_line(alignment, stats))
+        alignments[stats.method] = alignment
+
+    shown = alignments.get(Method.LP) or alignments[Method.ASTAR]
     print()
     print(move_table(shown), end="")
     if cfg.method == "both":
-        agree = alignments["astar"].total_cost == alignments["lp"].total_cost
-        print(f"\nverdict: {'AGREE' if agree else 'DISAGREE'}")
-        if not agree:
+        astar_cost = alignments[Method.ASTAR].total_cost
+        lp_cost = alignments[Method.LP].total_cost
+        print(f"\nverdict: {'AGREE' if astar_cost == lp_cost else 'DISAGREE'}")
+        if astar_cost != lp_cost:
             raise InternalInvariantError(
-                f"optimal costs disagree: astar {alignments['astar'].total_cost} "
-                f"vs lp {alignments['lp'].total_cost}"
+                f"optimal costs disagree: astar {astar_cost} vs lp {lp_cost}"
             )
     if args.out:
         args.out.write_text(json.dumps(alignment_to_dict(shown), indent=2) + "\n")

@@ -53,6 +53,28 @@ class SolveStatus(Enum):
     TRUNCATED_GRAPH = "truncated_graph"
 
 
+@dataclass
+class RunStats:
+    """What one engine run did and how long it took, in integer µs.
+
+    ``outcome`` is a :class:`SolveStatus` for the flow engine and an
+    ``astar.SearchOutcome`` for A*.  ``solve_us`` is the search for A*, and
+    assemble + solve + extract for the flow engine, whose graph build is
+    ``rg_build_us``.  Counts the engine does not produce stay 0.
+    """
+
+    method: Method
+    outcome: Enum
+    rg_build_us: int = 0
+    solve_us: int = 0
+    rg_nodes: int = 0
+    rg_edges: int = 0
+    expansions: int = 0
+    heuristic_calls: int = 0  # simplex solves, cold or warm-started
+    heuristic_reuses: int = 0  # h values taken from the parent's solution
+    queue_peak: int = 0
+
+
 @dataclass(frozen=True, eq=False)
 class FlowProblem:
     """One-unit min-cost flow instance over a reachability graph."""
@@ -304,57 +326,38 @@ def extract_alignment(
     return alignment
 
 
-@dataclass
-class LpRunStats:
-    """Timings and sizes for one LP-path run (microseconds)."""
-
-    rg_nodes: int = 0
-    rg_edges: int = 0
-    rg_build_us: int = 0
-    solve_us: int = 0
-    truncated: bool = False
-    status: SolveStatus = SolveStatus.INFEASIBLE
-
-
 def lp_align(
     sp: SynchronousProduct, limits=None
-) -> tuple[Alignment | None, LpRunStats]:
+) -> tuple[Alignment | None, RunStats]:
     """Product -> bounded reachability graph -> flow solve -> alignment.
 
-    Returns ``(None, stats)`` with status ``TRUNCATED_GRAPH`` when the
+    Returns ``(None, stats)`` with outcome ``TRUNCATED_GRAPH`` when the
     graph was cut short before reaching the final marking (a timeout-like
     outcome, not a cost), and ``INFEASIBLE`` when the final marking is
     genuinely unreachable.
     """
     from .reachability import build_reachability_graph
 
-    stats = LpRunStats()
+    stats = RunStats(Method.LP, SolveStatus.INFEASIBLE)
     t0 = time.perf_counter_ns()
     rg = build_reachability_graph(sp, limits)
-    stats.rg_build_us = (time.perf_counter_ns() - t0) // 1000
+    t1 = time.perf_counter_ns()
+    stats.rg_build_us = (t1 - t0) // 1000
     stats.rg_nodes = len(rg.nodes)
     stats.rg_edges = len(rg.edges)
-    stats.truncated = rg.stats.truncated
 
-    t1 = time.perf_counter_ns()
+    alignment = None
     try:
         fp = assemble_flow_problem(rg)
     except UnreachableFinalError as exc:
-        stats.solve_us = (time.perf_counter_ns() - t1) // 1000
-        stats.status = (
-            SolveStatus.TRUNCATED_GRAPH
-            if exc.reason in ("truncated", "token_cap")
-            else SolveStatus.INFEASIBLE
-        )
-        return None, stats
-    sol = solve_min_cost_unit_flow(fp)
-    if sol.status is not SolveStatus.OPTIMAL:
-        stats.solve_us = (time.perf_counter_ns() - t1) // 1000
-        stats.status = sol.status
-        return None, stats
-    alignment = extract_alignment(rg, sp, sol)
+        if exc.reason in ("truncated", "token_cap"):
+            stats.outcome = SolveStatus.TRUNCATED_GRAPH
+    else:
+        sol = solve_min_cost_unit_flow(fp)
+        stats.outcome = sol.status
+        if sol.status is SolveStatus.OPTIMAL:
+            alignment = extract_alignment(rg, sp, sol)
     stats.solve_us = (time.perf_counter_ns() - t1) // 1000
-    stats.status = SolveStatus.OPTIMAL
     return alignment, stats
 
 
@@ -498,7 +501,9 @@ def _det_int(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-_BLOCK_CELLS = 4_000_000  # cap on temporary array size during scans
+# Cap on temporary array size during scans; it also bounds the time one
+# block takes, and so how far a scan can run past its deadline.
+_BLOCK_CELLS = 1_000_000
 
 
 def _scan_order2(a: np.ndarray, deadline: float) -> TuWitness | None:
@@ -508,15 +513,13 @@ def _scan_order2(a: np.ndarray, deadline: float) -> TuWitness | None:
     for i in range(rows - 1):
         ai = a[i]
         for j0 in range(i + 1, rows, rb):
-            if time.monotonic() > deadline:
-                return None
             rest = a[j0 : min(j0 + rb, rows)]
             for c1 in range(0, cols, cb):
-                if time.monotonic() > deadline:
-                    return None
                 b1 = ai[c1 : c1 + cb]
                 r1 = rest[:, c1 : c1 + cb]
                 for c2 in range(c1, cols, cb):
+                    if time.monotonic() > deadline:
+                        return None
                     b2 = ai[c2 : c2 + cb]
                     r2 = rest[:, c2 : c2 + cb]
                     # det[(j, k, l)] = a[i,k]*a[j,l] - a[i,l]*a[j,k]
@@ -534,21 +537,33 @@ def _scan_order2(a: np.ndarray, deadline: float) -> TuWitness | None:
 
 
 def _col_triple_blocks(cols: int, block: int = 200_000):
-    buf: list[tuple[int, int, int]] = []
-    for tri in itertools.combinations(range(cols), 3):
-        buf.append(tri)
-        if len(buf) == block:
-            yield np.array(buf, dtype=np.int64)
-            buf = []
-    if buf:
-        yield np.array(buf, dtype=np.int64)
+    """Column triples ``j < k < l`` in lexicographic order, as arrays of
+    about ``block`` rows: every leading pair (j, k) contributes its run of
+    l values, which a few vectorized operations expand."""
+    pairs: list[tuple[int, int]] = []
+    size = 0
+    for j, k in itertools.combinations(range(cols - 1), 2):
+        pairs.append((j, k))
+        size += cols - 1 - k
+        if size >= block:
+            yield _expand_pairs(pairs, cols)
+            pairs, size = [], 0
+    if pairs:
+        yield _expand_pairs(pairs, cols)
+
+
+def _expand_pairs(pairs: list[tuple[int, int]], cols: int) -> np.ndarray:
+    jk = np.array(pairs, dtype=np.int64)
+    runs = cols - 1 - jk[:, 1]
+    lead = np.repeat(jk, runs, axis=0)
+    run_start = np.repeat(np.cumsum(runs) - runs, runs)
+    last = lead[:, 1] + 1 + np.arange(len(lead)) - run_start
+    return np.column_stack([lead, last])
 
 
 def _scan_order3(a: np.ndarray, deadline: float) -> TuWitness | None:
     rows, cols = a.shape
     for block in _col_triple_blocks(cols):
-        if time.monotonic() > deadline:
-            return None
         for rt in itertools.combinations(range(rows), 3):
             if time.monotonic() > deadline:
                 return None

@@ -15,6 +15,7 @@ import io
 import logging
 import random
 import xml.etree.ElementTree as ET
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
@@ -71,8 +72,19 @@ def _read_bytes(source: bytes | str | Path | IO[bytes]) -> bytes:
     else:
         data = source.read()
     if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
+        try:
+            data = gzip.decompress(data)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise ModelParseError(f"corrupt gzip data: {exc}") from exc
     return data
+
+
+def _count(text: str, what: str) -> int:
+    """An integer cell: a token count or an arc weight."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ModelParseError(f"{what} must be an integer, got {text!r}") from None
 
 
 def _parse_xml(data: bytes, what: str) -> ET.Element:
@@ -81,6 +93,8 @@ def _parse_xml(data: bytes, what: str) -> ET.Element:
     except ET.ParseError as exc:
         line, col = exc.position
         raise ModelParseError(f"malformed {what} XML at line {line}, column {col}: {exc.msg}") from exc
+    except (LookupError, ValueError) as exc:  # e.g. an unknown declared encoding
+        raise ModelParseError(f"malformed {what} XML: {exc}") from exc
 
 
 def _local(tag: str) -> str:
@@ -167,7 +181,7 @@ def parse_pnml(source: bytes | str | Path | IO[bytes]) -> PetriNet:
             places.append(pid)
             tokens = _text_of(_find_local(elem, "initialMarking"))
             if tokens:
-                initial[pid] = int(tokens)
+                initial[pid] = _count(tokens, f"initial marking of {pid!r}")
         elif tag == "transition":
             tid = elem.get("id")
             if tid is None:
@@ -183,7 +197,7 @@ def parse_pnml(source: bytes | str | Path | IO[bytes]) -> PetriNet:
             if src is None or tgt is None:
                 raise SemanticError(f"arc {elem.get('id')!r} lacks source/target")
             w = _text_of(_find_local(elem, "inscription"))
-            arcs.append((src, tgt, int(w) if w else 1))
+            arcs.append((src, tgt, _count(w, f"inscription of arc {src!r} -> {tgt!r}") if w else 1))
         elif tag == "finalmarkings":
             saw_finalmarkings = True
             first = _find_local(elem, "marking")
@@ -193,7 +207,7 @@ def parse_pnml(source: bytes | str | Path | IO[bytes]) -> PetriNet:
                         continue
                     ref = pl.get("idref")
                     count = _text_of(pl)
-                    final[ref] = int(count) if count else 1
+                    final[ref] = _count(count, f"final marking of {ref!r}") if count else 1
 
     if unknown_tags:
         log.warning("ignoring unsupported PNML elements: %s", ", ".join(sorted(unknown_tags)))
@@ -210,6 +224,8 @@ def parse_pnml(source: bytes | str | Path | IO[bytes]) -> PetriNet:
         final = {p: 1 for p in places if p not in outgoing}
     if not initial:
         raise SemanticError("no place carries an initial token")
+    if not set(places).issuperset(final):
+        raise SemanticError("final marking references an unknown place")
     if not final:
         raise SemanticError("no final marking given and none derivable from sink places")
 
@@ -301,23 +317,33 @@ def read_csv_log(source: bytes | str | Path | IO[bytes], source_name: str = "") 
     """
     if not source_name and isinstance(source, (str, Path)):
         source_name = str(source)
-    text = _read_bytes(source).decode("utf-8")
+    try:
+        text = _read_bytes(source).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelParseError(f"CSV log is not valid UTF-8: {exc}") from exc
     reader = csv.DictReader(io.StringIO(text))
+    try:
+        fieldnames = reader.fieldnames
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ModelParseError(f"malformed CSV log: {exc}") from exc
     required = {"case_id", "activity", "order"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise ModelParseError(f"CSV log must have columns {sorted(required)}, got {reader.fieldnames}")
+    if fieldnames is None or not required.issubset(fieldnames):
+        raise ModelParseError(f"CSV log must have columns {sorted(required)}, got {fieldnames}")
     by_case: dict[str, list[tuple[int, str]]] = {}
     order_of_cases: list[str] = []
-    for row in reader:
-        cid = row["case_id"]
+    for n, row in enumerate(rows, 1):
+        cid, activity, order = row["case_id"], row["activity"], row["order"]
+        if None in (cid, activity, order):
+            raise ModelParseError(f"CSV record {n} lacks a cell")
+        try:
+            pos = int(order)
+        except ValueError as exc:
+            raise ModelParseError(f"non-integer order value {order!r}") from exc
         if cid not in by_case:
             by_case[cid] = []
             order_of_cases.append(cid)
-        try:
-            pos = int(row["order"])
-        except ValueError as exc:
-            raise ModelParseError(f"non-integer order value {row['order']!r}") from exc
-        by_case[cid].append((pos, row["activity"]))
+        by_case[cid].append((pos, activity))
     traces = tuple(
         Trace(cid, tuple(act for _, act in sorted(by_case[cid], key=lambda x: x[0])))
         for cid in order_of_cases

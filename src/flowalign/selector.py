@@ -18,7 +18,7 @@ from typing import Callable
 
 from .astar import SearchConfig, astar_align
 from .errors import InvalidInputError
-from .flow import Alignment, Method, SolveStatus, lp_align
+from .flow import Alignment, Method, RunStats, SolveStatus, lp_align
 from .model_io import EventLog
 from .petri import PetriNet, Trace, firing_data
 from .reachability import ExplorationLimits
@@ -43,9 +43,9 @@ class HybridResult:
     alignment: Alignment | None
     method_chosen: Method
     selection_inputs: tuple[int, float, float]  # (L, F, expected deviations)
-    timings: dict[str, int]  # phase -> microseconds
+    product_us: int
+    stats: RunStats  # of the engine that produced the outcome
     fell_back_to_astar: bool = False
-    outcome: str = "optimal"
 
 
 def token_replay_fitness(net: PetriNet, event_log: EventLog) -> float:
@@ -153,36 +153,22 @@ def hybrid_align(
     length = len(trace.activities)
     method = select_method(length, fitness, thresholds)
     expected = (1 - Fraction(fitness)) * length
-    timings: dict[str, int] = {}
 
     t0 = time.perf_counter_ns()
     sp = product_for_trace(net, trace, cost)
-    timings["product_us"] = (time.perf_counter_ns() - t0) // 1000
+    product_us = (time.perf_counter_ns() - t0) // 1000
 
-    result = HybridResult(
-        alignment=None,
+    fell_back = False
+    if method is Method.LP:
+        alignment, stats = lp_align(sp, limits(sp) if callable(limits) else limits)
+        fell_back = stats.outcome is SolveStatus.TRUNCATED_GRAPH
+    if method is Method.ASTAR or fell_back:
+        alignment, stats = astar_align(sp, search)
+    return HybridResult(
+        alignment=alignment,
         method_chosen=method,
         selection_inputs=(length, float(fitness), float(expected)),
-        timings=timings,
+        product_us=product_us,
+        stats=stats,
+        fell_back_to_astar=fell_back,
     )
-
-    if method is Method.LP:
-        alignment, lp_stats = lp_align(sp, limits(sp) if callable(limits) else limits)
-        timings["rg_build_us"] = lp_stats.rg_build_us
-        timings["lp_solve_us"] = lp_stats.solve_us
-        if alignment is not None:
-            result.alignment = alignment
-            result.outcome = "optimal"
-            return result
-        if lp_stats.status is SolveStatus.TRUNCATED_GRAPH:
-            result.fell_back_to_astar = True
-        else:
-            result.outcome = "infeasible"
-            return result
-
-    t1 = time.perf_counter_ns()
-    alignment, stats = astar_align(sp, search)
-    timings["astar_us"] = (time.perf_counter_ns() - t1) // 1000
-    result.alignment = alignment
-    result.outcome = stats.outcome.value
-    return result

@@ -12,8 +12,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from flowalign.astar import SearchConfig, SearchStats, astar_align
-from flowalign.flow import Alignment, SolveStatus, lp_align
+from flowalign.astar import SearchConfig, astar_align
+from flowalign.flow import Alignment, RunStats, SolveStatus, lp_align
 from flowalign.generator import (
     alphabet_of,
     apply_random_edits,
@@ -136,7 +136,7 @@ class Instance:
     lp_alignment: Alignment | None
     lp_status: SolveStatus
     astar_alignment: Alignment | None
-    astar_stats: SearchStats
+    astar_stats: RunStats
 
 
 def build_corpus_models() -> list[tuple[str, PetriNet, object]]:
@@ -174,7 +174,7 @@ def build_corpus_instances() -> list[Instance]:
                     sp=sp,
                     rg=rg,
                     lp_alignment=lp_alignment,
-                    lp_status=lp_stats.status,
+                    lp_status=lp_stats.outcome,
                     astar_alignment=astar_alignment,
                     astar_stats=astar_stats,
                 )

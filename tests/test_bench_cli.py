@@ -37,7 +37,8 @@ def toy_files(tmp_path, fig_acyclic):
     return model, log
 
 
-TIMING_COLUMNS = ("astar_time_us", "lp_total_time_us", "rg_build_time_us", "lp_solve_time_us")
+# lp_win compares one wall-clock sample per engine, so it varies like the times.
+TIMING_COLUMNS = ("lp_win", "astar_time_us", "lp_total_time_us", "rg_build_time_us", "lp_solve_time_us")
 
 
 def strip_timings(csv_text: str) -> str:
@@ -321,3 +322,37 @@ class TestBatchFailures:
 
         monkeypatch.setattr(bench, "run_instance", broken)
         assert main(["bench", str(corpus)]) == 5
+
+
+class TestHybridRowCells:
+    """A hybrid row carries the same engine cells as that engine's own row."""
+
+    ENGINE_CELLS = ("astar_outcome", "lp_outcome", "astar_cost", "lp_cost",
+                    "rg_nodes", "rg_edges", "astar_expansions")
+
+    def cells(self, rec):
+        return [getattr(rec, c) for c in self.ENGINE_CELLS]
+
+    def test_flow_route_fills_graph_cells(self, fig_acyclic):
+        trace = TestHybridLimits.LONG
+        lp = run_instance(fig_acyclic, trace, RunConfig(method="lp"))
+        rec = run_instance(fig_acyclic, trace, RunConfig(method="hybrid"), fitness=0.0)
+        assert rec.method_chosen == "lp"
+        assert (rec.rg_nodes, rec.rg_edges) == (132, 301)
+        assert self.cells(rec) == self.cells(lp)
+        assert rec.lp_total_time_us is not None
+
+    def test_search_route_fills_expansions(self, fig_acyclic):
+        trace = Trace("c", ("a", "b", "e"))
+        astar = run_instance(fig_acyclic, trace, RunConfig(method="astar"))
+        rec = run_instance(fig_acyclic, trace, RunConfig(method="hybrid"), fitness=1.0)
+        assert rec.method_chosen == "astar"
+        assert rec.astar_expansions == 4
+        assert self.cells(rec) == self.cells(astar)
+        assert rec.astar_time_us is not None
+
+    def test_fallback_row_reports_the_search(self, fig_acyclic):
+        cfg = RunConfig(method="hybrid", max_nodes=5)
+        rec = run_instance(fig_acyclic, TestHybridLimits.LONG, cfg, fitness=0.0)
+        assert rec.lp_outcome == "" and rec.rg_nodes is None
+        assert rec.astar_outcome == "optimal" and rec.astar_expansions > 0

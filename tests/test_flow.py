@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from flowalign.flow import (
     find_non_tu_witness,
     lp_align,
     move_table,
+    _col_triple_blocks,
     alignment_to_dict,
     solve_min_cost_unit_flow,
     verify_integrality,
@@ -103,7 +106,7 @@ class TestSolveMinCostUnitFlow:
         sp = product_for_trace(net, Trace("x", ()))
         alignment, stats = lp_align(sp)
         assert alignment is None
-        assert stats.status is SolveStatus.INFEASIBLE
+        assert stats.outcome is SolveStatus.INFEASIBLE
 
     def test_solution_is_deterministic(self, toy_rg):
         fp = assemble_flow_problem(toy_rg)
@@ -243,6 +246,19 @@ class TestFindNonTuWitness:
     def test_rg_incidence_has_no_witness(self, toy_rg):
         dense = node_arc_incidence(toy_rg).to_dense()
         assert find_non_tu_witness(dense, order_limit=3, budget_s=30.0) is None
+
+    def test_scan_honours_its_budget(self, fig_acyclic):
+        sp = product_for_trace(fig_acyclic, Trace("t", ("a", "b", "c", "d", "e", "a")))
+        dense = node_arc_incidence(build_reachability_graph(sp)).to_dense()
+        assert dense.shape == (42, 93)  # a full scan takes over a minute
+        t0 = time.monotonic()
+        assert find_non_tu_witness(dense, order_limit=3, budget_s=0.05) is None
+        assert time.monotonic() - t0 < 0.05 + 0.1
+
+    def test_column_triples_in_lexicographic_order(self):
+        for cols in (3, 4, 17, 93):
+            got = np.concatenate(list(_col_triple_blocks(cols, block=500)))
+            assert got.tolist() == [list(t) for t in itertools.combinations(range(cols), 3)]
 
     def test_known_bad_matrix(self):
         m = np.array([[1, 1], [-1, 1]], dtype=np.int64)

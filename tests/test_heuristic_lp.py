@@ -190,7 +190,7 @@ def test_lp_astar_and_oracle_costs_equal(rng):
         return
     lp_alignment, lp_stats = lp_align(sp)
     alignment, stats = astar_align(sp)
-    assert lp_stats.status is SolveStatus.OPTIMAL and stats.outcome is SearchOutcome.OPTIMAL
+    assert lp_stats.outcome is SolveStatus.OPTIMAL and stats.outcome is SearchOutcome.OPTIMAL
     assert lp_alignment.total_cost == alignment.total_cost == oracle_shortest_cost(rg)
 
 

@@ -92,7 +92,7 @@ class TestHybridAlign:
         assert result.alignment.total_cost == 1
         assert result.alignment.method is Method.ASTAR
         assert not result.fell_back_to_astar
-        assert "astar_us" in result.timings
+        assert result.stats.method is Method.ASTAR and result.stats.expansions > 0
 
     def test_long_deviating_trace_uses_lp(self, fig_acyclic):
         acts = ("a",) + ("x",) * 58 + ("e",)
@@ -100,7 +100,7 @@ class TestHybridAlign:
         assert result.method_chosen is Method.LP
         assert result.alignment is not None
         assert result.alignment.method is Method.LP
-        assert "rg_build_us" in result.timings
+        assert result.stats.method is Method.LP and result.stats.rg_nodes > 0
         assert result.selection_inputs[0] == 60
 
     def test_truncated_lp_falls_back_to_astar(self, fig_acyclic):
