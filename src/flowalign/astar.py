@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError
 from .flow import Alignment, Method, RunStats
-from .petri import Marking, firing_data, incidence_matrices
+from .petri import Marking, incidence_matrices, successors
 from .simplex import integers, solve_min_eq
 from .sync_product import SynchronousProduct
 
@@ -157,9 +157,10 @@ def astar_align(
     """A* over product markings; optimal when it completes.
 
     Outcomes TIMEOUT and EXHAUSTED are reported in the stats, never
-    raised.  Self-loop successors are skipped and successors exceeding
-    the per-place token cap are pruned, mirroring reachability-graph
-    construction so both methods search the same capped space.
+    raised.  Successors come from ``petri.successors``, the loop
+    reachability-graph construction uses: self-loops are skipped and
+    successors exceeding the per-place token cap are pruned, so both
+    methods search the same capped space.
     """
     stats = RunStats(Method.ASTAR, SearchOutcome.EXHAUSTED)
     t0 = time.perf_counter_ns()
@@ -167,8 +168,6 @@ def astar_align(
     net = sp.net
     start = net.initial_marking
     goal = net.final_marking
-    pre, post = firing_data(net)
-    n_trans = len(net.transitions)
     moves = sp.moves
     cap = cfg.token_cap
 
@@ -228,39 +227,21 @@ def astar_align(
         if stats.expansions >= cfg.max_expansions:
             return finish(SearchOutcome.EXHAUSTED)
         stats.expansions += 1
-        for j in range(n_trans):
-            enabled = True
-            for i, w in pre[j]:
-                if cur[i] < w:
-                    enabled = False
-                    break
-            if not enabled:
-                continue
-            succ = list(cur)
-            for i, w in pre[j]:
-                succ[i] -= w
-            capped = False
-            for i, w in post[j]:
-                succ[i] += w
-                if succ[i] > cap:
-                    capped = True
-            if capped:
-                continue
-            succ_t = tuple(succ)
-            if succ_t == cur:
+        for j, succ in successors(net, cur, cap):
+            if succ is None or succ == cur:
                 continue
             ng = g + costs[j]
-            old = best_g.get(succ_t)
+            old = best_g.get(succ)
             if old is not None and ng >= old:
                 continue
-            hs = h_exact.get(succ_t)
+            hs = h_exact.get(succ)
             if hs is None:
                 hs = hc - costs[j]
                 if hs < 0:
                     hs = 0
             elif hs == math.inf:
                 continue
-            best_g[succ_t] = ng
-            parent[succ_t] = (cur, j)
-            heapq.heappush(heap, (ng + hs, -ng, next(counter), succ_t))
+            best_g[succ] = ng
+            parent[succ] = (cur, j)
+            heapq.heappush(heap, (ng + hs, -ng, next(counter), succ))
     return finish(SearchOutcome.EXHAUSTED)

@@ -9,10 +9,14 @@ so with an integral balance vector every basic optimum is integral and
 selects a single initial-to-final path.
 
 The kernel here is a label-setting shortest path (valid since all move
-costs are nonnegative and exactly one unit flows), run in exact rational
-arithmetic.  Optimality is re-certified from the distance labels, and
-among equal-cost optima the lexicographically smallest path under edge
-index order is returned so goldens are deterministic.
+costs are nonnegative and exactly one unit flows), run on integers scaled
+by the lcm of the cost denominators; the scale is divided out only when
+the objective leaves the solver.  One Dijkstra over the reversed edges
+labels every node with its distance to the final node.  A walk from the
+initial node then takes, at each step, the lowest-index edge whose cost
+equals the drop in label, so among equal-cost optima the
+lexicographically smallest path under edge index order is returned and
+goldens are deterministic.  Optimality is re-certified from the labels.
 
 This module also builds (never solves) the step-indexed MILP matrices of
 the direct synchronous-product formulation, whose combined constraint
@@ -38,7 +42,13 @@ from .errors import (
     UnreachableFinalError,
 )
 from .petri import incidence_matrices
-from .reachability import NodeArcIncidence, ReachabilityGraph, node_arc_incidence
+from .reachability import (
+    NodeArcIncidence,
+    ReachabilityGraph,
+    edge_endpoints,
+    node_arc_incidence,
+)
+from .simplex import integers
 from .sync_product import GAP, MoveKind, SyncMove, SynchronousProduct
 
 
@@ -88,7 +98,7 @@ class FlowProblem:
 
 @dataclass(frozen=True)
 class FlowSolution:
-    x: tuple[Fraction, ...]
+    x: tuple[int, ...]
     objective: Fraction | None
     status: SolveStatus
 
@@ -167,122 +177,82 @@ def assemble_flow_problem(rg: ReachabilityGraph) -> FlowProblem:
     )
 
 
-def _edge_endpoints(b: NodeArcIncidence) -> tuple[list[int], list[int]]:
-    tails = [-1] * b.cols
-    heads = [-1] * b.cols
-    for r, c, v in b.entries:
-        if v == 1:
-            tails[c] = r
-        elif v == -1:
-            heads[c] = r
-    if -1 in tails or -1 in heads:
-        raise InvalidInputError("incidence matrix is not a valid edge-column structure")
-    return tails, heads
-
-
 def solve_min_cost_unit_flow(fp: FlowProblem) -> FlowSolution:
     """Exact label-setting solve; the optimum is an integral extreme point.
 
     The returned ``x`` is 0/1 per edge, the chosen edges form one simple
     source-to-sink path, and the objective is certified against the
-    shortest-path distance labels before returning.
+    distance labels before returning.
     """
-    n_edges = fp.incidence.cols
-    if any(c < 0 for c in fp.costs):
+    n_nodes, n_edges = fp.incidence.rows, fp.incidence.cols
+    tails, heads = edge_endpoints(fp.incidence)
+    costs, scale = integers(fp.costs)
+    if any(c < 0 for c in costs):
         raise InvalidInputError("edge costs must be nonnegative")
     if fp.source == fp.sink:
-        return FlowSolution(x=(Fraction(0),) * n_edges, objective=Fraction(0), status=SolveStatus.OPTIMAL)
+        return FlowSolution(x=(0,) * n_edges, objective=Fraction(0), status=SolveStatus.OPTIMAL)
 
-    tails, heads = _edge_endpoints(fp.incidence)
-    out: list[list[int]] = [[] for _ in range(fp.incidence.rows)]
+    out: list[list[int]] = [[] for _ in range(n_nodes)]
+    into: list[list[int]] = [[] for _ in range(n_nodes)]
     for e in range(n_edges):
         out[tails[e]].append(e)
+        into[heads[e]].append(e)
 
-    INF = None
-    dist: list[Fraction | None] = [INF] * fp.incidence.rows
-    dist[fp.source] = Fraction(0)
-    counter = itertools.count()
-    heap: list[tuple[Fraction, int, int]] = [(Fraction(0), next(counter), fp.source)]
-    done = [False] * fp.incidence.rows
+    # dist[v]: cost of a cheapest v-to-sink path, in units of 1/scale.
+    dist: list[int | None] = [None] * n_nodes
+    dist[fp.sink] = 0
+    heap = [(0, fp.sink)]
     while heap:
-        d, _, v = heapq.heappop(heap)
-        if done[v]:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
             continue
-        done[v] = True
-        for e in out[v]:
-            nd = d + fp.costs[e]
-            h = heads[e]
-            if dist[h] is None or nd < dist[h]:
-                dist[h] = nd
-                heapq.heappush(heap, (nd, next(counter), h))
-
-    if dist[fp.sink] is None:
-        return FlowSolution(x=(Fraction(0),) * n_edges, objective=None, status=SolveStatus.INFEASIBLE)
-
-    # Tight edges (dist[head] == dist[tail] + cost) carry every optimal
-    # path; they form a DAG because zero-cost cycles cannot exist.
-    tight = [
-        e
-        for e in range(n_edges)
-        if dist[tails[e]] is not None
-        and dist[heads[e]] is not None
-        and dist[heads[e]] == dist[tails[e]] + fp.costs[e]
-    ]
-    reach_sink = {fp.sink}
-    rev: list[list[int]] = [[] for _ in range(fp.incidence.rows)]
-    for e in tight:
-        rev[heads[e]].append(e)
-    stack = [fp.sink]
-    while stack:
-        v = stack.pop()
-        for e in rev[v]:
+        for e in into[v]:
+            nd = d + costs[e]
             t = tails[e]
-            if t not in reach_sink:
-                reach_sink.add(t)
-                stack.append(t)
+            if dist[t] is None or nd < dist[t]:
+                dist[t] = nd
+                heapq.heappush(heap, (nd, t))
 
-    tight_out: list[list[int]] = [[] for _ in range(fp.incidence.rows)]
-    for e in tight:
-        tight_out[tails[e]].append(e)
+    if dist[fp.source] is None:
+        return FlowSolution(x=(0,) * n_edges, objective=None, status=SolveStatus.INFEASIBLE)
 
+    # An edge whose cost closes the gap between its endpoints' labels lies
+    # on a cheapest path to the sink; taking the lowest-index such edge at
+    # each step gives the lexicographically smallest optimal path.
     chosen: list[int] = []
     cur = fp.source
-    for _ in range(n_edges + 1):
-        if cur == fp.sink:
-            break
-        nxt = next((e for e in tight_out[cur] if heads[e] in reach_sink), None)
+    while cur != fp.sink:
+        if len(chosen) > n_edges:
+            raise InternalInvariantError("label walk did not terminate (cycle?)")
+        nxt = next(
+            (e for e in out[cur] if dist[heads[e]] is not None and dist[cur] == costs[e] + dist[heads[e]]),
+            None,
+        )
         if nxt is None:
-            raise InternalInvariantError("tight-edge walk lost the sink")
+            raise InternalInvariantError("label walk lost the sink")
         chosen.append(nxt)
         cur = heads[nxt]
-    else:
-        raise InternalInvariantError("tight-edge walk did not terminate (cycle?)")
 
-    objective = dist[fp.sink]
-    path_cost = sum((fp.costs[e] for e in chosen), Fraction(0))
-    _certify(fp, dist, chosen, tails, heads, objective, path_cost)
-
-    x = [Fraction(0)] * n_edges
+    _certify(fp, dist, chosen, tails, heads, costs)
+    x = [0] * n_edges
     for e in chosen:
-        x[e] = Fraction(1)
-    return FlowSolution(x=tuple(x), objective=objective, status=SolveStatus.OPTIMAL)
+        x[e] = 1
+    return FlowSolution(x=tuple(x), objective=Fraction(dist[fp.source], scale), status=SolveStatus.OPTIMAL)
 
 
-def _certify(fp, dist, chosen, tails, heads, objective, path_cost) -> None:
-    # Label correctness proves optimality: dist(head) <= dist(tail) + cost
-    # everywhere, with equality along the chosen path.
-    if path_cost != objective:
-        raise InternalInvariantError("path cost disagrees with distance label")
-    if dist[fp.source] != 0:
-        raise InternalInvariantError("source distance is nonzero")
-    for e in range(fp.incidence.cols):
-        dt = dist[tails[e]]
-        dh = dist[heads[e]]
-        if dt is not None and (dh is None or dh > dt + fp.costs[e]):
+def _certify(fp, dist, chosen, tails, heads, costs) -> None:
+    # Label correctness proves optimality: dist(tail) <= cost + dist(head)
+    # on every edge that reaches the sink, with equality along the path.
+    if dist[fp.sink] != 0:
+        raise InternalInvariantError("sink distance is nonzero")
+    for e, (t, h) in enumerate(zip(tails, heads)):
+        if dist[h] is not None and (dist[t] is None or dist[t] > costs[e] + dist[h]):
             raise InternalInvariantError(f"distance label violated at edge {e}")
     for e in chosen:
-        if dist[heads[e]] != dist[tails[e]] + fp.costs[e]:
+        if dist[tails[e]] != costs[e] + dist[heads[e]]:
             raise InternalInvariantError(f"chosen edge {e} is not tight")
+    if sum(costs[e] for e in chosen) != dist[fp.source]:
+        raise InternalInvariantError("path cost disagrees with distance label")
 
 
 def verify_integrality(sol: FlowSolution, tol: Fraction = Fraction(0)) -> bool:

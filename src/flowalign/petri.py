@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -114,29 +114,34 @@ class PetriNet:
         return {t: i for i, t in enumerate(self.transitions)}
 
     @functools.cached_property
+    def _firing_data(self) -> tuple[ArcSets, ArcSets]:
+        # Duplicate arcs add up, weight 0 drops out, places sort by index.
+        pidx, tidx = self.place_index, self.transition_index
+        pre: list[dict[int, int]] = [{} for _ in self.transitions]
+        post: list[dict[int, int]] = [{} for _ in self.transitions]
+        for src, tgt, w in self.arcs:
+            if src in pidx:  # place -> transition consumes
+                sets, i = pre[tidx[tgt]], pidx[src]
+            else:  # transition -> place produces
+                sets, i = post[tidx[src]], pidx[tgt]
+            sets[i] = sets.get(i, 0) + w
+        return tuple(
+            tuple(tuple(sorted((i, w) for i, w in d.items() if w)) for d in side)
+            for side in (pre, post)
+        )
+
+    @functools.cached_property
     def _incidence(self) -> "IncidenceTriple":
         w_minus = np.zeros((len(self.places), len(self.transitions)), dtype=np.int64)
         w_plus = np.zeros_like(w_minus)
-        pidx, tidx = self.place_index, self.transition_index
-        for src, tgt, w in self.arcs:
-            if src in pidx:  # place -> transition consumes
-                w_minus[pidx[src], tidx[tgt]] += w
-            else:  # transition -> place produces
-                w_plus[pidx[tgt], tidx[src]] += w
+        for m, sets in zip((w_minus, w_plus), self._firing_data):
+            for j, arcs in enumerate(sets):
+                for i, w in arcs:
+                    m[i, j] = w
         inc = w_plus - w_minus
         for m in (w_minus, w_plus, inc):
             m.setflags(write=False)
         return IncidenceTriple(w_minus=w_minus, w_plus=w_plus, incidence=inc)
-
-    @functools.cached_property
-    def _firing_data(self) -> tuple[ArcSets, ArcSets]:
-        tri = self._incidence
-        pre = []
-        post = []
-        for j in range(len(self.transitions)):
-            pre.append(tuple((int(i), int(w)) for i, w in enumerate(tri.w_minus[:, j]) if w))
-            post.append(tuple((int(i), int(w)) for i, w in enumerate(tri.w_plus[:, j]) if w))
-        return tuple(pre), tuple(post)
 
     @property
     def labeling(self) -> dict[str, str | None]:
@@ -183,6 +188,32 @@ def firing_data(net: PetriNet) -> tuple[ArcSets, ArcSets]:
     exactly as long as the net does.
     """
     return net._firing_data
+
+
+def successors(
+    net: PetriNet, m: Marking, cap: int
+) -> Iterator[tuple[int, Marking | None]]:
+    """``(j, m')`` for every transition j enabled at ``m``, in canonical order.
+
+    ``m'`` is the marking firing j produces, or ``None`` when it would put
+    more than ``cap`` tokens on a place.  This is the successor loop that
+    reachability-graph construction and A* share; it does not check ``m``.
+    """
+    pre, post = firing_data(net)
+    for j, consume in enumerate(pre):
+        for i, w in consume:
+            if m[i] < w:
+                break
+        else:
+            succ = list(m)
+            for i, w in consume:
+                succ[i] -= w
+            capped = False
+            for i, w in post[j]:
+                succ[i] += w
+                if succ[i] > cap:
+                    capped = True
+            yield j, None if capped else tuple(succ)
 
 
 def _check_marking(net: PetriNet, m: Marking) -> None:

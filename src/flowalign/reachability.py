@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidLimitsError
-from .petri import Marking, firing_data
+from .errors import InvalidInputError, InvalidLimitsError
+from .petri import Marking, successors
 from .sync_product import MoveKind, SynchronousProduct
 
 
@@ -97,8 +97,6 @@ def build_reachability_graph(
             f"initial marking exceeds token_cap={limits.token_cap}"
         )
     final = net.final_marking
-    pre, post = firing_data(net)
-    n_trans = len(net.transitions)
     costs = [m.cost for m in sp.moves]
     trans_ids = net.transitions
     cap = limits.token_cap
@@ -120,36 +118,18 @@ def build_reachability_graph(
         if d >= limits.max_depth:
             # Depth limit: this node stays unexpanded; only counts as
             # truncation if something was actually enabled here.
-            for j in range(n_trans):
-                if all(cur[i] >= w for i, w in pre[j]):
-                    stats.truncated = True
-                    break
+            if next(successors(net, cur, cap), None) is not None:
+                stats.truncated = True
             continue
         stats.nodes_expanded += 1
-        for j in range(n_trans):
-            enabled = True
-            for i, w in pre[j]:
-                if cur[i] < w:
-                    enabled = False
-                    break
-            if not enabled:
-                continue
-            succ = list(cur)
-            for i, w in pre[j]:
-                succ[i] -= w
-            capped = False
-            for i, w in post[j]:
-                succ[i] += w
-                if succ[i] > cap:
-                    capped = True
-            if capped:
+        for j, succ in successors(net, cur, cap):
+            if succ is None:
                 stats.cap_prunes += 1
                 continue
-            succ_t = tuple(succ)
-            if succ_t == cur:
+            if succ == cur:
                 stats.edges_pruned_self_loops += 1
                 continue
-            head = index.get(succ_t)
+            head = index.get(succ)
             if head is None:
                 # A new node and its discovering edge are added atomically;
                 # hitting either budget halts before adding, so results
@@ -159,11 +139,11 @@ def build_reachability_graph(
                     halted = True
                     break
                 head = len(nodes)
-                nodes.append(succ_t)
+                nodes.append(succ)
                 depth.append(d + 1)
-                index[succ_t] = head
+                index[succ] = head
                 stats.depth_reached = max(stats.depth_reached, d + 1)
-                if succ_t == final:
+                if succ == final:
                     final_index = head
                 queue.append(head)
             else:
@@ -209,18 +189,31 @@ def node_arc_incidence(rg: ReachabilityGraph) -> NodeArcIncidence:
     return NodeArcIncidence(rows=len(rg.nodes), cols=len(rg.edges), entries=tuple(entries))
 
 
+def edge_endpoints(b: NodeArcIncidence) -> tuple[list[int], list[int]]:
+    """The tail row (+1) and head row (-1) of every column.
+
+    Raises :class:`InvalidInputError` unless every column holds exactly one
+    +1 and one -1 and nothing else, inside the matrix's bounds.
+    """
+    tails = [-1] * b.cols
+    heads = [-1] * b.cols
+    for r, c, v in b.entries:
+        ends = tails if v == 1 else heads if v == -1 else None
+        if ends is None or not (0 <= c < b.cols and 0 <= r < b.rows) or ends[c] != -1:
+            raise InvalidInputError(f"incidence entry ({r}, {c}, {v}) breaks the edge-column structure")
+        ends[c] = r
+    if -1 in tails or -1 in heads:
+        raise InvalidInputError("incidence matrix has a column without both endpoints")
+    return tails, heads
+
+
 def check_tu_column_structure(b: NodeArcIncidence) -> bool:
     """True iff every column is exactly one +1 and one -1 (and nothing else)."""
-    pos: dict[int, int] = {}
-    neg: dict[int, int] = {}
-    for _, c, v in b.entries:
-        if v == 1:
-            pos[c] = pos.get(c, 0) + 1
-        elif v == -1:
-            neg[c] = neg.get(c, 0) + 1
-        else:
-            return False
-    return all(pos.get(c, 0) == 1 and neg.get(c, 0) == 1 for c in range(b.cols))
+    try:
+        edge_endpoints(b)
+    except InvalidInputError:
+        return False
+    return True
 
 
 def edge_list_text(rg: ReachabilityGraph) -> str:

@@ -68,9 +68,8 @@ def integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """``values`` times the lcm of their denominators, and that lcm."""
     if set(map(type, values)) <= {int}:
         return list(values), 1
-    fracs = [Fraction(v) for v in values]
-    den = math.lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _normalize(cells: list[int], den: int) -> int:

@@ -51,3 +51,6 @@ def test_traced_counts_match_the_rows(layers, fig_acyclic):
     routed = tracer.counts["selector.routed_flow"] + tracer.counts["selector.routed_search"]
     assert routed == len(cases) + 2
     assert tracer.counts["selector.routed_flow"] >= 1
+    # lp_align must reach the solver through the attribute the tracer wraps.
+    flow_rows = sum(1 for r in rows if r.lp_outcome)
+    assert tracer.calls["flow", "solve_min_cost_unit_flow"] == flow_rows > 0

@@ -1,6 +1,8 @@
 import itertools
+import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from flowalign.errors import (
     UnreachableFinalError,
 )
 from flowalign.flow import (
+    FlowProblem,
     FlowSolution,
     SolveStatus,
     assemble_flow_problem,
@@ -27,13 +30,17 @@ from flowalign.flow import (
 from flowalign.petri import PetriNet, Trace, fire
 from flowalign.reachability import (
     ExplorationLimits,
+    NodeArcIncidence,
     build_reachability_graph,
+    check_tu_column_structure,
     node_arc_incidence,
 )
 from flowalign.sync_product import MoveKind, product_for_trace
 from oracles import oracle_shortest_cost
+from test_heuristic_lp import first_edit_cycle
 
 EPS = Fraction(1, 10**6)
+GOLDEN = Path(__file__).parent / "data" / "flow_first_edit_cycle.json"
 
 
 class TestAssembleFlowProblem:
@@ -123,6 +130,35 @@ class TestSolveMinCostUnitFlow:
         )
         with pytest.raises(InvalidInputError):
             solve_min_cost_unit_flow(bad)
+
+    def test_malformed_incidence_rejected_by_solver_and_check(self):
+        # Column 0 has two +1 entries; column 1 has a stray 5.
+        bad = NodeArcIncidence(
+            3, 2, ((0, 0, 1), (1, 0, -1), (2, 0, 1), (1, 1, 1), (2, 1, -1), (0, 1, 5))
+        )
+        assert not check_tu_column_structure(bad)
+        fp = FlowProblem(
+            incidence=bad, costs=(Fraction(1), Fraction(1)), balance=(1, 0, -1), source=0, sink=2
+        )
+        with pytest.raises(InvalidInputError):
+            solve_min_cost_unit_flow(fp)
+
+    def test_solution_is_zero_one_ints(self, toy_rg):
+        sol = solve_min_cost_unit_flow(assemble_flow_problem(toy_rg))
+        assert set(map(type, sol.x)) == {int}
+        assert set(sol.x) == {0, 1}
+        assert type(sol.objective) is Fraction
+
+
+def test_first_edit_cycle_matches_golden():
+    """Costs and moves recorded for all 12 corpus models: the engine returns
+    the lexicographically smallest optimal path under edge-index order."""
+    golden = json.loads(GOLDEN.read_text())
+    seen = {}
+    for case, sp in first_edit_cycle({case.split("-")[0] for case in golden}):
+        alignment, _ = lp_align(sp)
+        seen[case] = [str(alignment.total_cost), [m.move_id for m in alignment.moves]]
+    assert seen == golden
 
 
 class TestVerifyIntegrality:

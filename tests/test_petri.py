@@ -1,18 +1,26 @@
+import functools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_corpus_models
 from flowalign.errors import InvalidInputError, NotEnabledError
+from flowalign.generator import playout
 from flowalign.petri import (
     PetriNet,
     Trace,
     build_trace_model,
     enabled_transitions,
     fire,
+    firing_data,
     incidence_matrices,
+    successors,
     validate_workflow_net,
 )
+from flowalign.sync_product import product_for_trace
 
 TABLE_ACYCLIC = np.array(
     [
@@ -252,3 +260,59 @@ def test_trace_model_is_single_path_until_final(activities):
         seen.append(m)
     assert enabled_transitions(tm, m) == set()
     assert len(seen) == len(activities) + 1
+
+
+@functools.cache
+def successor_nets() -> tuple[PetriNet, ...]:
+    """One product per corpus model, and a net whose ``free`` transition
+    has an empty preset and so is enabled at every marking."""
+    products = tuple(
+        product_for_trace(net, Trace("t", playout(block, random.Random(k)))).net
+        for k, (_, net, block) in enumerate(build_corpus_models())
+    )
+    free = PetriNet.build(
+        ["p", "q"],
+        ["free", "move"],
+        [("free", "q"), ("p", "move"), ("move", "q", 2)],
+        {"free": "a", "move": "b"},
+        {"p": 1},
+        {"q": 1},
+    )
+    return products + (free,)
+
+
+@st.composite
+def nets_markings_caps(draw):
+    net = draw(st.sampled_from(successor_nets()))
+    cap = draw(st.integers(1, 3))
+    marking = tuple(draw(st.lists(st.integers(0, cap), min_size=len(net.places), max_size=len(net.places))))
+    return net, marking, cap
+
+
+@given(nets_markings_caps())
+@settings(max_examples=150, deadline=None)
+def test_successors_follow_enabled_transitions_and_fire(case):
+    net, m, cap = case
+    enabled = enabled_transitions(net, m)
+    expected = []
+    for j, t in enumerate(net.transitions):
+        if t in enabled:
+            succ = fire(net, m, t)
+            expected.append((j, succ if max(succ) <= cap else None))
+    assert list(successors(net, m, cap)) == expected
+
+
+def test_firing_data_sums_duplicate_arcs_and_drops_zero_weights():
+    net = PetriNet.build(
+        ["p", "q", "r"],
+        ["t"],
+        [("r", "t"), ("p", "t"), ("p", "t", 2), ("t", "q", 0), ("t", "r")],
+        {"t": "a"},
+        {"p": 3},
+        {"r": 1},
+    )
+    assert firing_data(net) == ((((0, 3), (2, 1)),), (((2, 1),),))
+    tri = incidence_matrices(net)
+    assert tri.w_minus[:, 0].tolist() == [3, 0, 1]
+    assert tri.w_plus[:, 0].tolist() == [0, 0, 1]
+    assert tri.incidence[:, 0].tolist() == [-3, 0, 0]
