@@ -172,6 +172,8 @@ def run_instance(
             cost=cfg.cost,
         )
         rec.method_chosen = result.method_chosen.value
+        if result.discarded is not None:
+            _record_run(rec, result.product_us, None, result.discarded)
         _record_run(rec, result.product_us, result.alignment, result.stats)
         return rec
 

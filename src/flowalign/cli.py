@@ -107,6 +107,8 @@ def _engine_runs(cfg: RunConfig, net, trace: Trace):
               f"(L={result.selection_inputs[0]}, F={result.selection_inputs[1]:.3f}, "
               f"expected deviations={result.selection_inputs[2]:.3f})"
               + ("  [fell back to astar]" if result.fell_back_to_astar else ""))
+        if result.discarded is not None:
+            print(_engine_line(None, result.discarded))
         yield result.alignment, result.stats
         return
     sp = product_for_trace(net, trace, cfg.cost)
@@ -122,7 +124,8 @@ def _engine_line(alignment, stats: RunStats) -> str:
     else:
         work = (f"rg {stats.rg_nodes} nodes / {stats.rg_edges} edges  "
                 f"build {stats.rg_build_us} us  solve {stats.solve_us} us")
-    return f"{stats.method.value}: cost {alignment.total_cost}  {work}"
+    result = f"cost {alignment.total_cost}" if alignment is not None else f"outcome {stats.outcome.value}"
+    return f"{stats.method.value}: {result}  {work}"
 
 
 def cmd_align(args) -> int:

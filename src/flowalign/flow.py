@@ -11,7 +11,10 @@ selects a single initial-to-final path.
 The kernel here is a label-setting shortest path (valid since all move
 costs are nonnegative and exactly one unit flows), run on integers scaled
 by the lcm of the cost denominators; the scale is divided out only when
-the objective leaves the solver.  One Dijkstra over the reversed edges
+the objective leaves the solver.  It reads the graph's per-edge int
+arrays (tail, head, move) and one scaled cost per move; a problem given
+as an explicit incidence matrix (``FlowProblem.from_incidence``) is
+parsed into the same arrays.  One Dijkstra over the reversed edges
 labels every node with its distance to the final node.  A walk from the
 initial node then takes, at each step, the lowest-index edge whose cost
 equals the drop in label, so among equal-cost optima the
@@ -29,6 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -42,12 +46,7 @@ from .errors import (
     UnreachableFinalError,
 )
 from .petri import incidence_matrices
-from .reachability import (
-    NodeArcIncidence,
-    ReachabilityGraph,
-    edge_endpoints,
-    node_arc_incidence,
-)
+from .reachability import NodeArcIncidence, ReachabilityGraph, edge_endpoints
 from .simplex import integers
 from .sync_product import GAP, MoveKind, SyncMove, SynchronousProduct
 
@@ -87,13 +86,44 @@ class RunStats:
 
 @dataclass(frozen=True, eq=False)
 class FlowProblem:
-    """One-unit min-cost flow instance over a reachability graph."""
+    """One-unit min-cost flow instance over a graph of ``num_nodes`` nodes.
 
-    incidence: NodeArcIncidence
-    costs: tuple[Fraction, ...]
-    balance: tuple[int, ...]
+    Edge ``e`` runs from ``tails[e]`` to ``heads[e]`` and costs
+    ``move_costs[moves[e]] / scale``: costs are kept once per move, as
+    integers over one common denominator.
+    """
+
+    num_nodes: int
+    tails: Sequence[int]
+    heads: Sequence[int]
+    moves: Sequence[int]
+    move_costs: Sequence[int]
+    scale: int
     source: int
     sink: int
+
+    @classmethod
+    def from_incidence(
+        cls, incidence: NodeArcIncidence, costs: Sequence[Fraction], source: int, sink: int
+    ) -> "FlowProblem":
+        """A problem on an explicit incidence matrix, one cost per column.
+
+        Raises :class:`InvalidInputError` unless every column holds exactly
+        one +1 and one -1 and there is one cost per column.
+        """
+        tails, heads = edge_endpoints(incidence)
+        if len(costs) != incidence.cols:
+            raise InvalidInputError(f"{len(costs)} costs for {incidence.cols} columns")
+        move_costs, scale = integers(costs)
+        return cls(incidence.rows, tails, heads, range(incidence.cols), move_costs, scale, source, sink)
+
+    @property
+    def balance(self) -> tuple[int, ...]:
+        """+1 at the source, -1 at the sink, 0 elsewhere (all 0 if they coincide)."""
+        balance = [0] * self.num_nodes
+        if self.source != self.sink:
+            balance[self.source], balance[self.sink] = 1, -1
+        return tuple(balance)
 
 
 @dataclass(frozen=True)
@@ -164,14 +194,14 @@ def assemble_flow_problem(rg: ReachabilityGraph) -> FlowProblem:
         raise UnreachableFinalError(
             "unreachable", "final marking is unreachable in the full graph"
         )
-    balance = [0] * len(rg.nodes)
-    if rg.initial_index != rg.final_index:
-        balance[rg.initial_index] = 1
-        balance[rg.final_index] = -1
+    move_costs, scale = integers(rg.move_costs)
     return FlowProblem(
-        incidence=node_arc_incidence(rg),
-        costs=tuple(e.cost for e in rg.edges),
-        balance=tuple(balance),
+        num_nodes=len(rg.nodes),
+        tails=rg.tails,
+        heads=rg.heads,
+        moves=rg.moves,
+        move_costs=move_costs,
+        scale=scale,
         source=rg.initial_index,
         sink=rg.final_index,
     )
@@ -184,22 +214,26 @@ def solve_min_cost_unit_flow(fp: FlowProblem) -> FlowSolution:
     source-to-sink path, and the objective is certified against the
     distance labels before returning.
     """
-    n_nodes, n_edges = fp.incidence.rows, fp.incidence.cols
-    tails, heads = edge_endpoints(fp.incidence)
-    costs, scale = integers(fp.costs)
-    if any(c < 0 for c in costs):
+    n_nodes, tails, heads, scale = fp.num_nodes, fp.tails, fp.heads, fp.scale
+    n_edges = len(tails)
+    move_costs = fp.move_costs
+    if any(c < 0 for c in move_costs):
         raise InvalidInputError("edge costs must be nonnegative")
+    costs = [move_costs[m] for m in fp.moves]
     if fp.source == fp.sink:
         return FlowSolution(x=(0,) * n_edges, objective=Fraction(0), status=SolveStatus.OPTIMAL)
 
-    out: list[list[int]] = [[] for _ in range(n_nodes)]
     into: list[list[int]] = [[] for _ in range(n_nodes)]
-    for e in range(n_edges):
-        out[tails[e]].append(e)
-        into[heads[e]].append(e)
+    for e, h in enumerate(heads):
+        into[h].append(e)
 
-    # dist[v]: cost of a cheapest v-to-sink path, in units of 1/scale.
+    # dist[v]: cost of a cheapest v-to-sink path, in units of 1/scale;
+    # step[v]: the lowest-index edge out of v whose cost closes the gap
+    # between its endpoints' labels, so that it starts such a path.  Every
+    # edge into a labelled node is relaxed once, with that node's final
+    # label, so step[v] is exact once the heap is empty.
     dist: list[int | None] = [None] * n_nodes
+    step: list[int] = [-1] * n_nodes
     dist[fp.sink] = 0
     heap = [(0, fp.sink)]
     while heap:
@@ -211,27 +245,23 @@ def solve_min_cost_unit_flow(fp: FlowProblem) -> FlowSolution:
             t = tails[e]
             if dist[t] is None or nd < dist[t]:
                 dist[t] = nd
+                step[t] = e
                 heapq.heappush(heap, (nd, t))
+            elif nd == dist[t] and e < step[t]:
+                step[t] = e
 
     if dist[fp.source] is None:
         return FlowSolution(x=(0,) * n_edges, objective=None, status=SolveStatus.INFEASIBLE)
 
-    # An edge whose cost closes the gap between its endpoints' labels lies
-    # on a cheapest path to the sink; taking the lowest-index such edge at
-    # each step gives the lexicographically smallest optimal path.
+    # Following step[] from the source gives the lexicographically smallest
+    # optimal path under edge index order.
     chosen: list[int] = []
     cur = fp.source
     while cur != fp.sink:
         if len(chosen) > n_edges:
             raise InternalInvariantError("label walk did not terminate (cycle?)")
-        nxt = next(
-            (e for e in out[cur] if dist[heads[e]] is not None and dist[cur] == costs[e] + dist[heads[e]]),
-            None,
-        )
-        if nxt is None:
-            raise InternalInvariantError("label walk lost the sink")
-        chosen.append(nxt)
-        cur = heads[nxt]
+        chosen.append(step[cur])
+        cur = heads[step[cur]]
 
     _certify(fp, dist, chosen, tails, heads, costs)
     x = [0] * n_edges
@@ -245,8 +275,8 @@ def _certify(fp, dist, chosen, tails, heads, costs) -> None:
     # on every edge that reaches the sink, with equality along the path.
     if dist[fp.sink] != 0:
         raise InternalInvariantError("sink distance is nonzero")
-    for e, (t, h) in enumerate(zip(tails, heads)):
-        if dist[h] is not None and (dist[t] is None or dist[t] > costs[e] + dist[h]):
+    for e, (t, h, c) in enumerate(zip(tails, heads, costs)):
+        if dist[h] is not None and (dist[t] is None or dist[t] > c + dist[h]):
             raise InternalInvariantError(f"distance label violated at edge {e}")
     for e in chosen:
         if dist[tails[e]] != costs[e] + dist[heads[e]]:
@@ -268,15 +298,15 @@ def extract_alignment(
     """Order the chosen edges into a path and map them to moves."""
     if sol.status is not SolveStatus.OPTIMAL:
         raise InvalidInputError("extract_alignment expects an OPTIMAL solution")
-    chosen = [i for i, v in enumerate(sol.x) if v == 1]
-    if any(v not in (0, 1) for v in sol.x):
+    if not set(sol.x) <= {0, 1}:
         raise InternalInvariantError("flow solution is not integral")
+    chosen = [i for i, v in enumerate(sol.x) if v == 1]
     by_tail: dict[int, int] = {}
     for i in chosen:
-        e = rg.edges[i]
-        if e.tail in by_tail:
-            raise InternalInvariantError(f"two chosen edges leave node {e.tail}")
-        by_tail[e.tail] = i
+        tail = rg.tails[i]
+        if tail in by_tail:
+            raise InternalInvariantError(f"two chosen edges leave node {tail}")
+        by_tail[tail] = i
 
     moves: list[SyncMove] = []
     cur = rg.initial_index
@@ -284,9 +314,8 @@ def extract_alignment(
         if cur not in by_tail:
             raise InternalInvariantError("chosen edges do not form a single path")
         i = by_tail.pop(cur)
-        e = rg.edges[i]
-        moves.append(sp.move(e.transition))
-        cur = e.head
+        moves.append(sp.moves[rg.moves[i]])
+        cur = rg.heads[i]
     if by_tail or cur != rg.final_index:
         raise InternalInvariantError("chosen edges do not form an initial-to-final path")
 

@@ -3,11 +3,27 @@
 A marking is a plain tuple of token counts, one entry per place in the
 net's canonical place order.  Nets are immutable after construction and
 safe to share between threads; every operation here is a pure function.
+
+A net also keeps caches of derived data: its firing data and incidence
+matrices, and one :class:`SuccessorMemo` per token cap.  The memo numbers
+the markings reached from the initial marking in discovery order and keeps
+each one's successors once they have been read through :func:`successors`,
+so that reachability graphs of the same model against many traces fire
+each model transition once per marking, not once per graph node.  Its size
+is bounded by the model's state space under the cap, not by the length or
+number of the traces aligned against it.  A memo fills under its own
+lock: a thread that misses re-checks under the lock before it numbers a
+marking or reads its successors, so concurrent builds see one numbering,
+and a filled entry never changes, so reads take no lock.  The memos are
+left out of pickles and copies, so a net sent to a worker process starts
+without them.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -143,6 +159,11 @@ class PetriNet:
             m.setflags(write=False)
         return IncidenceTriple(w_minus=w_minus, w_plus=w_plus, incidence=inc)
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_successor_memos", None)
+        return state
+
     @property
     def labeling(self) -> dict[str, str | None]:
         return dict(zip(self.transitions, self.labels))
@@ -214,6 +235,65 @@ def successors(
                 if succ[i] > cap:
                     capped = True
             yield j, None if capped else tuple(succ)
+
+
+#: Successor id of a transition whose firing would exceed the token cap.
+CAPPED = -1
+
+
+class SuccessorMemo:
+    """The markings of one net reachable under one token cap, numbered in
+    discovery order, with their successors.
+
+    ``markings[i]`` is the marking with id ``i``.  ``table[i]`` is ``None``
+    until :meth:`expand` fills it with ``((j, i'), ...)``, one pair per
+    transition ``j`` enabled at marking ``i`` in canonical order, where
+    ``i'`` is the successor's id or :data:`CAPPED`.  The net's initial and
+    final markings get ids 0 and 1 (one id if they are equal).
+    """
+
+    def __init__(self, net: PetriNet, cap: int) -> None:
+        self._net = weakref.ref(net)  # the net holds the memo
+        self.cap = cap
+        self.markings: list[Marking] = []
+        self.ids: dict[Marking, int] = {}
+        self.table: list[tuple[tuple[int, int], ...] | None] = []
+        self._lock = threading.Lock()
+        for m in (net.initial_marking, net.final_marking):
+            self._number(m)
+
+    def _number(self, m: Marking) -> int:
+        # Callers hold the lock (or own the memo); the id is published last.
+        i = self.ids.get(m)
+        if i is None:
+            i = len(self.markings)
+            self.markings.append(m)
+            self.table.append(None)
+            self.ids[m] = i
+        return i
+
+    def expand(self, i: int) -> tuple[tuple[int, int], ...]:
+        """``table[i]``, filled through :func:`successors` on first use."""
+        row = self.table[i]
+        if row is None:
+            with self._lock:
+                row = self.table[i]
+                if row is None:
+                    row = tuple(
+                        (j, CAPPED if m is None else self._number(m))
+                        for j, m in successors(self._net(), self.markings[i], self.cap)
+                    )
+                    self.table[i] = row
+        return row
+
+
+def successor_memo(net: PetriNet, cap: int) -> SuccessorMemo:
+    """The net's memo for token cap ``cap``, created on first use."""
+    memos = net.__dict__.setdefault("_successor_memos", {})
+    memo = memos.get(cap)
+    if memo is None:
+        memo = memos.setdefault(cap, SuccessorMemo(net, cap))
+    return memo
 
 
 def _check_marking(net: PetriNet, m: Marking) -> None:

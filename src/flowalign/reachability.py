@@ -1,17 +1,42 @@
 """Bounded breadth-first reachability graphs and their node-arc incidence.
 
-Exploration is deterministic: layers are processed in discovery order and
-successors are generated in the product's canonical transition order, so
+The graph of a synchronous product is composed from the process model's
+successors.  A product marking is a process marking plus the position of
+the one token on the trace path, so a node is a pair ``(m, pos)``.  The
+successors of each process marking ``m`` are read once per model and token
+cap from the model's :class:`~flowalign.petri.SuccessorMemo`, and the
+successors of ``(m, pos)`` are, in the product's canonical transition
+order:
+
+1. the synchronous move of each process transition ``j`` enabled at ``m``
+   whose label equals the event at ``pos``, to ``(m_j, pos + 1)``, in
+   ascending ``j``;
+2. the model move of every ``j`` enabled at ``m``, to ``(m_j, pos)``, in
+   ascending ``j``;
+3. the log move at ``pos``, to ``(m, pos + 1)``, unless the trace is done.
+
+A product successor exceeds the token cap exactly when its process
+successor does, because a trace place holds at most one token.  A model
+move with ``m_j == m`` is a self-loop.  This is the order in which firing
+every product transition at the full product marking meets them, so the
+node and edge order is that of a breadth-first search over the product.
+
+Exploration is deterministic: layers are processed in discovery order, so
 two builds of the same product under the same limits yield identical node
 and edge orderings.  Self-loop edges (marking unchanged) are dropped and
 counted; they cannot lie on a minimum-cost path under nonnegative costs.
 Per-place token counts are capped to guarantee termination on unbounded
 nets; capped branches are counted, not errors.
+
+The graph stores its edges as three int tuples (tail, head, product move
+index); :attr:`ReachabilityGraph.edges` presents them as :class:`RGEdge`
+values.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -19,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, InvalidLimitsError
-from .petri import Marking, successors
+from .petri import Marking, successor_memo
 from .sync_product import MoveKind, SynchronousProduct
 
 
@@ -70,13 +95,55 @@ class RGStats:
 
 @dataclass(frozen=True, eq=False)
 class ReachabilityGraph:
-    """Markings as nodes (node 0 = initial), firings as weighted edges."""
+    """Markings as nodes (node 0 = initial); edge ``e`` fires product move
+    ``moves[e]`` (named ``move_ids[moves[e]]``, costing
+    ``move_costs[moves[e]]``) from node ``tails[e]`` to node ``heads[e]``."""
 
     nodes: tuple[Marking, ...]
-    edges: tuple[RGEdge, ...]
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    moves: tuple[int, ...]
+    move_ids: tuple[str, ...]
+    move_costs: tuple[Fraction, ...]
     final_index: int | None
     stats: RGStats
     initial_index: int = 0
+
+    @property
+    def edges(self) -> "EdgeView":
+        return EdgeView(self)
+
+
+class EdgeView(Sequence):
+    """The edges of a graph as :class:`RGEdge` values, made on access.
+
+    Its length is that of the arrays; a slice is a tuple; it equals any
+    sequence of the same edges.
+    """
+
+    __slots__ = ("_rg",)
+    __hash__ = None
+
+    def __init__(self, rg: ReachabilityGraph) -> None:
+        self._rg = rg
+
+    def __len__(self) -> int:
+        return len(self._rg.tails)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        rg = self._rg
+        m = rg.moves[i]
+        return RGEdge(rg.tails[i], rg.move_ids[m], rg.heads[i], rg.move_costs[m])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"EdgeView({list(self)!r})"
 
 
 def build_reachability_graph(
@@ -90,72 +157,110 @@ def build_reachability_graph(
     """
     if limits is None:
         limits = default_limits(sp)
-    net = sp.net
-    init = net.initial_marking
-    if any(v > limits.token_cap for v in init):
+    if any(v > limits.token_cap for v in sp.net.initial_marking):
         raise InvalidLimitsError(
             f"initial marking exceeds token_cap={limits.token_cap}"
         )
-    final = net.final_marking
-    costs = [m.cost for m in sp.moves]
-    trans_ids = net.transitions
-    cap = limits.token_cap
+    proc = sp.process_net
+    memo = successor_memo(proc, limits.token_cap)
+    table, expand, markings = memo.table, memo.expand, memo.markings
+    n = len(sp.trace_labels)
+    stride = n + 1  # node key: process marking id * stride + trace position
+    model0 = len(sp.moves) - len(proc.transitions) - n
+    log0 = len(sp.moves) - n
+    sync_at = [dict(pairs) for pairs in sp.sync_moves_at]
+    width = len(sp.net.places) - sp.num_process_places
+    trace_part: list[Marking | None] = [None] * stride
+    final_key = memo.ids[proc.final_marking] * stride + n
+    max_depth, max_nodes, max_edges = limits.max_depth, limits.max_nodes, limits.max_edges
 
-    nodes: list[Marking] = [init]
+    nodes: list[Marking] = [sp.net.initial_marking]
+    keys: list[int] = [0]  # the initial marking has id 0
     depth: list[int] = [0]
-    index: dict[Marking, int] = {init: 0}
-    edges: list[RGEdge] = []
-    stats = RGStats()
-    final_index = 0 if init == final else None
+    index: dict[int, int] = {0: 0}
+    tails: list[int] = []
+    heads: list[int] = []
+    moves: list[int] = []
+    expanded = self_loops = cap_prunes = 0
+    truncated = False
+    final_index = 0 if final_key == 0 else None
 
     queue: deque[int] = deque([0])
-    halted = False
-    while queue and not halted:
-        cur_idx = queue.popleft()
-        cur = nodes[cur_idx]
-        d = depth[cur_idx]
-        stats.depth_reached = max(stats.depth_reached, d)
-        if d >= limits.max_depth:
+    while queue:
+        cur = queue.popleft()
+        key = keys[cur]
+        pid, pos = divmod(key, stride)
+        d = depth[cur]
+        row = table[pid]
+        if row is None:
+            row = expand(pid)
+        if d >= max_depth:
             # Depth limit: this node stays unexpanded; only counts as
             # truncation if something was actually enabled here.
-            if next(successors(net, cur, cap), None) is not None:
-                stats.truncated = True
+            truncated = truncated or bool(row) or pos < n
             continue
-        stats.nodes_expanded += 1
-        for j, succ in successors(net, cur, cap):
-            if succ is None:
-                stats.cap_prunes += 1
+        expanded += 1
+        if pos < n:
+            sync, nxt = sync_at[pos], pos + 1
+            succs = [(sync[j], s * stride + nxt) for j, s in row if j in sync]
+            succs += [(model0 + j, s * stride + pos) for j, s in row]
+            succs.append((log0 + pos, key + 1))
+        else:
+            succs = [(model0 + j, s * stride + pos) for j, s in row]
+        # Counts are taken as the loop meets each successor, so that a halt
+        # leaves them as a full product search would.
+        for move, succ in succs:
+            if succ < 0:  # the process successor is CAPPED (negative)
+                cap_prunes += 1
                 continue
-            if succ == cur:
-                stats.edges_pruned_self_loops += 1
+            if succ == key:
+                self_loops += 1
                 continue
             head = index.get(succ)
             if head is None:
                 # A new node and its discovering edge are added atomically;
                 # hitting either budget halts before adding, so results
                 # under smaller limits are prefixes of larger-limit runs.
-                if len(nodes) >= limits.max_nodes or len(edges) >= limits.max_edges:
-                    stats.truncated = True
-                    halted = True
+                if len(nodes) >= max_nodes or len(tails) >= max_edges:
+                    truncated = True
+                    queue.clear()
                     break
                 head = len(nodes)
-                nodes.append(succ)
+                spid, spos = divmod(succ, stride)
+                trace_marks = trace_part[spos]
+                if trace_marks is None:
+                    trace_marks = trace_part[spos] = tuple(
+                        int(i == sp.trace_places[spos]) for i in range(width)
+                    )
+                nodes.append(markings[spid] + trace_marks)
+                keys.append(succ)
                 depth.append(d + 1)
                 index[succ] = head
-                stats.depth_reached = max(stats.depth_reached, d + 1)
-                if succ == final:
+                if succ == final_key:
                     final_index = head
                 queue.append(head)
-            else:
-                if len(edges) >= limits.max_edges:
-                    stats.truncated = True
-                    halted = True
-                    break
-            edges.append(RGEdge(cur_idx, trans_ids[j], head, costs[j]))
+            elif len(tails) >= max_edges:
+                truncated = True
+                queue.clear()
+                break
+            tails.append(cur)
+            heads.append(head)
+            moves.append(move)
 
+    stats = RGStats(
+        nodes_expanded=expanded,
+        edges_pruned_self_loops=self_loops,
+        cap_prunes=cap_prunes,
+        depth_reached=depth[-1],  # discovery order is breadth-first
+        truncated=truncated,
+    )
     return ReachabilityGraph(
         nodes=tuple(nodes),
-        edges=tuple(edges),
+        tails=tuple(tails),
+        heads=tuple(heads),
+        moves=tuple(moves),
+        move_ids=sp.net.transitions,
+        move_costs=tuple(m.cost for m in sp.moves),
         final_index=final_index,
         stats=stats,
     )
@@ -183,10 +288,10 @@ class NodeArcIncidence:
 def node_arc_incidence(rg: ReachabilityGraph) -> NodeArcIncidence:
     """One column per edge, +1 at the tail row and -1 at the head row."""
     entries: list[tuple[int, int, int]] = []
-    for c, e in enumerate(rg.edges):
-        entries.append((e.tail, c, 1))
-        entries.append((e.head, c, -1))
-    return NodeArcIncidence(rows=len(rg.nodes), cols=len(rg.edges), entries=tuple(entries))
+    for c, (t, h) in enumerate(zip(rg.tails, rg.heads)):
+        entries.append((t, c, 1))
+        entries.append((h, c, -1))
+    return NodeArcIncidence(rows=len(rg.nodes), cols=len(rg.tails), entries=tuple(entries))
 
 
 def edge_endpoints(b: NodeArcIncidence) -> tuple[list[int], list[int]]:

@@ -46,6 +46,7 @@ class HybridResult:
     product_us: int
     stats: RunStats  # of the engine that produced the outcome
     fell_back_to_astar: bool = False
+    discarded: RunStats | None = None  # the flow run whose graph was cut short
 
 
 def token_replay_fitness(net: PetriNet, event_log: EventLog) -> float:
@@ -158,11 +159,12 @@ def hybrid_align(
     sp = product_for_trace(net, trace, cost)
     product_us = (time.perf_counter_ns() - t0) // 1000
 
-    fell_back = False
+    discarded = None
     if method is Method.LP:
         alignment, stats = lp_align(sp, limits(sp) if callable(limits) else limits)
-        fell_back = stats.outcome is SolveStatus.TRUNCATED_GRAPH
-    if method is Method.ASTAR or fell_back:
+        if stats.outcome is SolveStatus.TRUNCATED_GRAPH:
+            discarded = stats
+    if method is Method.ASTAR or discarded is not None:
         alignment, stats = astar_align(sp, search)
     return HybridResult(
         alignment=alignment,
@@ -170,5 +172,6 @@ def hybrid_align(
         selection_inputs=(length, float(fitness), float(expected)),
         product_us=product_us,
         stats=stats,
-        fell_back_to_astar=fell_back,
+        fell_back_to_astar=discarded is not None,
+        discarded=discarded,
     )

@@ -21,7 +21,7 @@ from fractions import Fraction
 import xml.etree.ElementTree as ET
 
 from .errors import InvalidInputError
-from .petri import TAU, Marking, PetriNet, is_path_net, trace_model_order
+from .petri import TAU, Marking, PetriNet, firing_data, is_path_net, trace_model_order
 
 #: Placeholder for "no move on this side" in a move's label pair.
 GAP = ">>"
@@ -78,6 +78,11 @@ class SynchronousProduct:
     model moves (process order), then log moves (trace order).  Markings
     of ``net`` are the concatenation of a process-net marking and a
     trace-net marking (``num_process_places`` is the split point).
+
+    ``sync_moves_at[pos]`` lists ``(process transition index, move index)``
+    for the synchronous moves at trace position ``pos`` (0-based), in
+    process order; ``trace_places[pos]`` is the trace-net place that holds
+    the token after ``pos`` events (``pos`` in ``0..n``).
     """
 
     net: PetriNet
@@ -85,6 +90,8 @@ class SynchronousProduct:
     num_process_places: int
     process_net: PetriNet
     trace_labels: tuple[str, ...]
+    sync_moves_at: tuple[tuple[tuple[int, int], ...], ...]
+    trace_places: tuple[int, ...]
 
     @property
     def initial_marking(self) -> Marking:
@@ -171,7 +178,8 @@ def build_sync_product(
 
     # Synchronous moves: full label-match cross product, ordered by
     # process transition then trace position.
-    for t in sn.transitions:
+    sync_moves_at: list[list[tuple[int, int]]] = [[] for _ in trace_order]
+    for j, t in enumerate(sn.transitions):
         lbl = sn.label(t)
         if lbl is TAU:
             continue
@@ -179,6 +187,7 @@ def build_sync_product(
             if trace_labels[pos] != lbl:
                 continue
             tt = trans_map[t_trace]
+            sync_moves_at[pos].append((j, len(moves)))
             add_move(
                 SyncMove(
                     move_id=f"({t},{tt})",
@@ -235,6 +244,9 @@ def build_sync_product(
         num_process_places=len(sn.places),
         process_net=sn,
         trace_labels=trace_labels,
+        sync_moves_at=tuple(map(tuple, sync_moves_at)),
+        trace_places=(tn.initial_marking.index(1),)
+        + tuple(firing_data(tn)[1][tn.transition_index[t]][0][0] for t in trace_order),
     )
 
 

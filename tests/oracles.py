@@ -2,14 +2,26 @@
 
 Deliberately primitive: shortest paths by Bellman-Ford relaxation to a
 fixpoint (no heaps, no tie-breaking, no shared code with the kernels
-under test) and brute-force replay enumeration.
+under test), brute-force replay enumeration, and a breadth-first search
+that fires every product transition at every full product marking.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
+from typing import NamedTuple
 
-from flowalign.reachability import ReachabilityGraph
+from flowalign.errors import InvalidLimitsError
+from flowalign.petri import Marking, successors
+from flowalign.reachability import (
+    ExplorationLimits,
+    ReachabilityGraph,
+    RGEdge,
+    RGStats,
+    default_limits,
+)
+from flowalign.sync_product import SynchronousProduct
 
 
 def bellman_ford_from(rg: ReachabilityGraph, source: int) -> list[Fraction | None]:
@@ -55,3 +67,88 @@ def oracle_shortest_cost(rg: ReachabilityGraph) -> Fraction | None:
     if rg.final_index is None:
         return None
     return bellman_ford_from(rg, rg.initial_index)[rg.final_index]
+
+
+class ReferenceGraph(NamedTuple):
+    nodes: tuple[Marking, ...]
+    edges: tuple[RGEdge, ...]
+    final_index: int | None
+    stats: RGStats
+
+
+def reference_reachability_graph(
+    sp: SynchronousProduct, limits: ExplorationLimits | None = None
+) -> ReferenceGraph:
+    """The graph as a BFS over full product markings builds it: every
+    product transition is fired at every node, with no per-model memo."""
+    if limits is None:
+        limits = default_limits(sp)
+    net = sp.net
+    init = net.initial_marking
+    if any(v > limits.token_cap for v in init):
+        raise InvalidLimitsError(
+            f"initial marking exceeds token_cap={limits.token_cap}"
+        )
+    final = net.final_marking
+    costs = [m.cost for m in sp.moves]
+    trans_ids = net.transitions
+    cap = limits.token_cap
+
+    nodes: list[Marking] = [init]
+    depth: list[int] = [0]
+    index: dict[Marking, int] = {init: 0}
+    edges: list[RGEdge] = []
+    stats = RGStats()
+    final_index = 0 if init == final else None
+
+    queue: deque[int] = deque([0])
+    halted = False
+    while queue and not halted:
+        cur_idx = queue.popleft()
+        cur = nodes[cur_idx]
+        d = depth[cur_idx]
+        stats.depth_reached = max(stats.depth_reached, d)
+        if d >= limits.max_depth:
+            # Depth limit: this node stays unexpanded; only counts as
+            # truncation if something was actually enabled here.
+            if next(successors(net, cur, cap), None) is not None:
+                stats.truncated = True
+            continue
+        stats.nodes_expanded += 1
+        for j, succ in successors(net, cur, cap):
+            if succ is None:
+                stats.cap_prunes += 1
+                continue
+            if succ == cur:
+                stats.edges_pruned_self_loops += 1
+                continue
+            head = index.get(succ)
+            if head is None:
+                # A new node and its discovering edge are added atomically;
+                # hitting either budget halts before adding, so results
+                # under smaller limits are prefixes of larger-limit runs.
+                if len(nodes) >= limits.max_nodes or len(edges) >= limits.max_edges:
+                    stats.truncated = True
+                    halted = True
+                    break
+                head = len(nodes)
+                nodes.append(succ)
+                depth.append(d + 1)
+                index[succ] = head
+                stats.depth_reached = max(stats.depth_reached, d + 1)
+                if succ == final:
+                    final_index = head
+                queue.append(head)
+            else:
+                if len(edges) >= limits.max_edges:
+                    stats.truncated = True
+                    halted = True
+                    break
+            edges.append(RGEdge(cur_idx, trans_ids[j], head, costs[j]))
+
+    return ReferenceGraph(
+        nodes=tuple(nodes),
+        edges=tuple(edges),
+        final_index=final_index,
+        stats=stats,
+    )

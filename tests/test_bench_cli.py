@@ -265,7 +265,7 @@ class TestHybridLimits:
         cfg = RunConfig(method="hybrid", max_nodes=5)
         rec = run_instance(fig_acyclic, self.LONG, cfg, fitness=0.0)
         assert rec.method_chosen == "lp"
-        assert rec.lp_outcome == ""  # the capped graph fell back to search
+        assert rec.lp_outcome == "truncated_graph"  # the capped graph fell back to search
         assert rec.astar_outcome == "optimal"
 
     def test_default_limits_unchanged(self, fig_acyclic):
@@ -280,6 +280,14 @@ class TestHybridLimits:
         out = capsys.readouterr().out
         assert "hybrid chose lp" in out
         assert "[fell back to astar]" in out
+
+    def test_cli_align_fallback_prints_the_flow_line(self, toy_files, capsys):
+        model, _ = toy_files
+        trace = ",".join(self.LONG.activities)
+        assert main(["align", str(model), "--trace", trace, "--max-nodes", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("lp: outcome truncated_graph  rg 5 nodes / ")
+        assert lines[2].startswith("astar: cost ")
 
 
 class TestBatchFailures:
@@ -354,5 +362,22 @@ class TestHybridRowCells:
     def test_fallback_row_reports_the_search(self, fig_acyclic):
         cfg = RunConfig(method="hybrid", max_nodes=5)
         rec = run_instance(fig_acyclic, TestHybridLimits.LONG, cfg, fitness=0.0)
-        assert rec.lp_outcome == "" and rec.rg_nodes is None
+        lp = run_instance(fig_acyclic, TestHybridLimits.LONG, RunConfig(method="lp", max_nodes=5))
+        assert rec.lp_outcome == "truncated_graph" and rec.rg_nodes == lp.rg_nodes == 5
         assert rec.astar_outcome == "optimal" and rec.astar_expansions > 0
+
+    def test_fallback_row_keeps_the_discarded_build(self, fig_acyclic):
+        cfg = RunConfig(method="hybrid", max_nodes=5)
+        rec = run_instance(fig_acyclic, TestHybridLimits.LONG, cfg, fitness=0.0)
+        both = run_instance(fig_acyclic, TestHybridLimits.LONG, RunConfig(method="both", max_nodes=5))
+        assert self.cells(rec) == self.cells(both)
+        assert None not in (rec.rg_build_time_us, rec.lp_solve_time_us, rec.lp_total_time_us)
+        assert rec.lp_total_time_us >= rec.rg_build_time_us + rec.lp_solve_time_us
+
+    def test_summary_counts_a_fallback_as_under_both(self, fig_acyclic):
+        counts = lambda s: (s.instances, s.both_optimal, s.agreement, s.lp_wins, s.timeouts)
+        rows = {}
+        for method in ("hybrid", "both"):
+            cfg = RunConfig(method=method, max_nodes=5)
+            rows[method] = run_instance(fig_acyclic, TestHybridLimits.LONG, cfg, fitness=0.0)
+        assert counts(summarize([rows["hybrid"]])) == counts(summarize([rows["both"]])) == (1, 0, 0, 0, 1)

@@ -121,10 +121,10 @@ class TestSolveMinCostUnitFlow:
 
     def test_negative_cost_rejected(self, toy_rg):
         fp = assemble_flow_problem(toy_rg)
-        bad = type(fp)(
-            incidence=fp.incidence,
-            costs=(Fraction(-1),) + fp.costs[1:],
-            balance=fp.balance,
+        costs = tuple(e.cost for e in toy_rg.edges)
+        bad = FlowProblem.from_incidence(
+            incidence=node_arc_incidence(toy_rg),
+            costs=(Fraction(-1),) + costs[1:],
             source=fp.source,
             sink=fp.sink,
         )
@@ -137,10 +137,10 @@ class TestSolveMinCostUnitFlow:
             3, 2, ((0, 0, 1), (1, 0, -1), (2, 0, 1), (1, 1, 1), (2, 1, -1), (0, 1, 5))
         )
         assert not check_tu_column_structure(bad)
-        fp = FlowProblem(
-            incidence=bad, costs=(Fraction(1), Fraction(1)), balance=(1, 0, -1), source=0, sink=2
-        )
         with pytest.raises(InvalidInputError):
+            fp = FlowProblem.from_incidence(
+                incidence=bad, costs=(Fraction(1), Fraction(1)), source=0, sink=2
+            )
             solve_min_cost_unit_flow(fp)
 
     def test_solution_is_zero_one_ints(self, toy_rg):
