@@ -8,7 +8,7 @@ are integer cell vectors with one shared positive denominator, so a pivot
 costs integer multiply-adds plus a single gcd reduction per row.  The cost
 scale is divided out only when the optimal value leaves the solver.
 
-There are two ways in:
+There are three ways in:
 
 - **Cold.**  A two-phase primal simplex with Bland's rule (smallest
   eligible index enters, ratio ties broken by the smallest basic index),
@@ -22,6 +22,17 @@ There are two ways in:
   new LP infeasible.  A basis that is singular or not dual feasible for
   the given data is ignored and the solve runs cold, so a warm start can
   change the work done but never the answer.
+- **Warm from a cached factorization.**  A :class:`BasisCache` keeps a
+  few dual-feasible tableaux of one ``A`` and ``c`` (recent optima and
+  re-factored warm starts), keyed by their basis as a set.  A tableau's
+  ``B^-1 [A | E]`` and its reduced costs do not depend on ``b``, and
+  block E holds ``B^-1`` times the row scales, so a warm start from a
+  cached basis copies that tableau and recomputes only the rhs column and
+  the objective cell, in O(m^2) and without a pivot.
+  The tableau of a basis is unique up to the order and scaling of its
+  rows, and Bland's rules above pick the leaving and entering variables
+  by column index, never by row, so the dual simplex then takes the
+  pivots it takes after a re-factorization and ends at the same optimum.
 
 Rows of ``A`` that are combinations of the other rows are dropped from
 the tableau.  Every tableau carries the row operations applied so far (a
@@ -37,10 +48,14 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import OrderedDict
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, InvalidInputError
+
+#: Most tableaux one :class:`BasisCache` keeps.
+BASIS_CACHE_SIZE = 5
 
 
 class Unbounded(InternalInvariantError):
@@ -143,6 +158,28 @@ class _Tableau:
                 obj = [v - f * cell if cell else v for v, cell in zip(obj, self.rows[i])]
         self.obj = obj
         self.obj_den = _normalize(obj, den)
+
+    def copy(self) -> "_Tableau":
+        tab = _Tableau([row[:] for row in self.rows], self.basis[:], self.scales)
+        tab.dens = self.dens[:]
+        tab.dependent = self.dependent
+        tab.obj = self.obj[:]
+        tab.obj_den = self.obj_den
+        return tab
+
+    def set_rhs(self, b: Sequence[int], n: int) -> None:
+        """Recompute the rhs column and the objective cell for integer ``b``.
+
+        Row i is the combination ``E[i][k] * scales[k]`` of the original
+        rows, and the objective row the combination ``obj[n + k] *
+        scales[k]`` of them, so both new cells are those weights times b.
+        """
+        scaled = [s * v for s, v in zip(self.scales, b)]
+        for i, row in enumerate(self.rows):
+            row[-1] = sum(map(operator.mul, row[n:-1], scaled))
+            self.dens[i] = _normalize(row, self.dens[i])
+        self.obj[-1] = sum(map(operator.mul, self.obj[n:-1], scaled))
+        self.obj_den = _normalize(self.obj, self.obj_den)
 
     def consistent(self, b: Sequence[int | Fraction]) -> bool:
         """Does ``b`` obey every combination of rows that vanishes on ``A``?"""
@@ -296,12 +333,63 @@ def _refactor(a, b, n: int, costs: list[int], basis: Sequence[int]) -> _Tableau 
     return tab
 
 
-def _warm(a, b, n: int, costs: list[int], basis: Sequence[int]) -> _Tableau | bool:
+class BasisCache:
+    """Dual-feasible tableaux of one ``a`` and ``c``, keyed by basis as a set.
+
+    Made for the objects ``a`` and ``c`` and passed to
+    :func:`solve_min_eq` with exactly those objects.  It keeps at most
+    :data:`BASIS_CACHE_SIZE` tableaux in least-recently-used order: the
+    tableau a warm start re-factors, and a cached one it starts from, go
+    to the recent end, since a basis asked for once tends to be asked for
+    again (in A*, a parent's basis seeds each of its children); a new
+    optimum goes to the other end and stays only if a warm start asks for
+    its basis before the next optimum arrives.  Entries are never mutated:
+    a hit returns a copy.  Only integer right-hand sides use the cache: for
+    them every row's scale is the one its row of ``a`` alone gives (negated
+    in a cold tableau whose rhs was negative), so block E turns any integer
+    ``b`` into integer cells.
+    """
+
+    def __init__(self, a: Sequence[Sequence[int | Fraction]], c: Sequence[int | Fraction]):
+        self.a = a
+        self.c = c
+        self._tableaux: OrderedDict[tuple[int, ...], _Tableau] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._tableaux)
+
+    def get(self, basis: Sequence[int]) -> _Tableau | None:
+        key = tuple(sorted(basis))
+        tab = self._tableaux.get(key)
+        if tab is None:
+            return None
+        self._tableaux.move_to_end(key)
+        return tab.copy()
+
+    def put(self, tab: _Tableau, recent: bool) -> None:
+        key = tuple(sorted(tab.basis))
+        if key in self._tableaux:
+            return
+        if len(self._tableaux) == BASIS_CACHE_SIZE:
+            self._tableaux.popitem(last=False)
+        self._tableaux[key] = tab
+        self._tableaux.move_to_end(key, last=recent)
+
+
+def _warm(
+    a, b, n: int, costs: list[int], basis: Sequence[int], cache: BasisCache | None
+) -> _Tableau | bool:
     """Dual simplex from ``basis``: the optimal tableau, False when the LP
     is infeasible, True when ``basis`` cannot seed it."""
-    tab = _refactor(a, b, n, costs, basis)
-    if tab is None:
-        return True
+    tab = cache.get(basis) if cache is not None else None
+    if tab is not None:
+        tab.set_rhs(b, n)
+    else:
+        tab = _refactor(a, b, n, costs, basis)
+        if tab is None:
+            return True
+        if cache is not None:
+            cache.put(tab.copy(), recent=True)
     return tab.consistent(b) and tab.run_dual(n) and tab
 
 
@@ -310,20 +398,31 @@ def solve_min_eq(
     b: Sequence[int | Fraction],
     c: Sequence[int | Fraction],
     basis: Sequence[int] | None = None,
+    cache: BasisCache | None = None,
 ) -> Optimum | None:
     """Minimize ``c.x`` subject to ``a x = b`` and ``x >= 0``.
 
     Returns ``(optimal value, x)`` as an :class:`Optimum`, or ``None``
     when infeasible.  ``basis``, the ``Optimum.basis`` of an earlier
     solve with the same ``a`` and ``c``, warm-starts the dual simplex.
+    ``cache``, a :class:`BasisCache` made for these ``a`` and ``c``,
+    keeps the optimal tableau and seeds later warm starts from the bases
+    it holds; it changes the work done, never the answer.
     """
+    if cache is not None:
+        if cache.a is not a or cache.c is not c:
+            raise InvalidInputError("BasisCache used with another a or c than it was made for")
+        if not set(map(type, b)) <= {int}:
+            cache = None
     n = len(c)
     if len(a) == 0:
         return Optimum(Fraction(0), [Fraction(0)] * n, ())
     costs, scale = integers(c)
-    tab = True if basis is None else _warm(a, b, n, costs, basis)
+    tab = True if basis is None else _warm(a, b, n, costs, basis, cache)
     if tab is True:
         tab = _cold(a, b, n, costs)
     if not tab:
         return None
+    if cache is not None:
+        cache.put(tab, recent=False)
     return tab.optimum(n, scale)

@@ -13,19 +13,23 @@ import random
 import weakref
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_SEED, build_corpus_models
-from flowalign import astar
+from flowalign import astar, simplex
 from flowalign.astar import (
     MarkingEquation,
     SearchConfig,
     SearchOutcome,
     astar_align,
+    incidence_rows,
     marking_equation_heuristic,
 )
+from flowalign.errors import InvalidInputError
 from flowalign.flow import SolveStatus, lp_align
 from flowalign.generator import (
     alphabet_of,
@@ -34,9 +38,9 @@ from flowalign.generator import (
     playout,
     random_block,
 )
-from flowalign.petri import PetriNet, Trace, firing_data
+from flowalign.petri import PetriNet, Trace, firing_data, incidence_matrices
 from flowalign.reachability import build_reachability_graph
-from flowalign.simplex import Optimum, solve_min_eq
+from flowalign.simplex import BASIS_CACHE_SIZE, BasisCache, Optimum, solve_min_eq
 from flowalign.sync_product import product_for_trace
 from oracles import oracle_shortest_cost
 
@@ -174,6 +178,82 @@ def test_solve_min_eq_warm_start_matches_cold(lp):
         assert all(sum(r[j] * x[j] for j in range(len(x))) == v for r, v in zip(a, b2))
 
 
+@st.composite
+def lp_chains(draw):
+    """An LP and a run of right-hand sides: feasible ones (some negative, so
+    a cold tableau negates rows), perturbed ones that may be infeasible,
+    and for each later solve the earlier solve whose basis seeds it."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    cell = st.sampled_from([-2, -1, 0, 0, 1, 2, Fraction(1, 2)])
+    a = [[draw(cell) for _ in range(n)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        a[-1] = [x - y for x, y in zip(a[0], a[1])]  # a dependent row
+    c = [draw(st.sampled_from([0, 1, 3, Fraction(1, 10**6)])) for _ in range(n)]
+    bs = []
+    for _ in range(draw(st.integers(2, 12))):
+        x0 = [draw(st.integers(0, 3)) for _ in range(n)]
+        b = [sum(r[j] * x0[j] for j in range(n)) for r in a]
+        if bs and draw(st.booleans()):
+            b = [v + draw(st.integers(-2, 2)) for v in b]
+        if not all(isinstance(v, int) or v.denominator == 1 for v in b):
+            b = [2 * v for v in b]
+        bs.append([int(v) for v in b])
+    seeds = [draw(st.integers(0, i - 1)) for i in range(1, len(bs))]
+    return a, c, bs, seeds
+
+
+def solve_chain(a, c, bs, seeds, cache=None):
+    """Solve bs[0] cold, then each later b warm from the basis of the
+    earlier solve ``seeds`` names (cold when that one was infeasible)."""
+    results = [solve_min_eq(a, bs[0], c, cache=cache)]
+    for b, k in zip(bs[1:], seeds):
+        seed = results[k]
+        basis = None if seed is None else seed.basis
+        results.append(solve_min_eq(a, b, c, basis, cache=cache))
+        assert cache is None or len(cache) <= simplex.BASIS_CACHE_SIZE
+    return results
+
+
+@pytest.mark.parametrize("size", [1, BASIS_CACHE_SIZE])
+@given(lp_chains())
+@settings(max_examples=200, deadline=None)
+def test_basis_cache_changes_no_answer(size, chain):
+    """Also with room for one tableau, so that most warm starts miss."""
+    a, c, bs, seeds = chain
+    plain = solve_chain(a, c, bs, seeds)
+    with mock.patch.object(simplex, "BASIS_CACHE_SIZE", size):
+        cached = solve_chain(a, c, bs, seeds, BasisCache(a, c))
+    for p, q in zip(plain, cached):
+        assert (p is None) == (q is None)
+        if p is not None:
+            assert (q[0], q[1], sorted(q.basis)) == (p[0], p[1], sorted(p.basis))
+
+
+def test_basis_cache_seeds_a_warm_start_without_refactoring(monkeypatch):
+    a, c = [[1, 1, 0, -1], [0, 1, 1, 0], [1, 0, -1, 2]], [3, 1, 4, 2]
+    first = solve_min_eq(a, [2, 3, -1], c)
+    refactors = []
+    real_refactor = simplex._refactor
+    monkeypatch.setattr(simplex, "_refactor", lambda *args: refactors.append(1) or real_refactor(*args))
+    cache = BasisCache(a, c)
+    assert solve_min_eq(a, [2, 3, -1], c, cache=cache) == first
+    for b in ([4, 1, 5], [1, 1, 1], [0, 5, -5]):
+        cached = solve_min_eq(a, b, c, first.basis, cache=cache)
+        assert cached == solve_min_eq(a, b, c)
+    assert refactors == []
+
+    # A rational rhs may need other row scales: it neither reads nor fills the cache.
+    half = [Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2)]
+    assert solve_min_eq(a, half, c, first.basis, cache=cache) == solve_min_eq(a, half, c)
+    assert len(refactors) == 1
+
+    with pytest.raises(InvalidInputError):
+        solve_min_eq([row[:] for row in a], [1, 1, 1], c, first.basis, cache=cache)
+    with pytest.raises(InvalidInputError):
+        solve_min_eq(a, [1, 1, 1], list(c), first.basis, cache=cache)
+
+
 def test_unusable_basis_falls_back_to_cold():
     a, b, c = [[1, 1, 0], [0, 1, 1]], [2, 3], [3, 1, 4]
     value = solve_min_eq(a, b, c)[0]
@@ -232,6 +312,46 @@ def test_every_solve_goes_through_solve_min_eq(monkeypatch):
     alignment, stats = astar_align(sp)
     assert stats.heuristic_calls == len(calls)
     assert stats.heuristic_reuses > 0
+
+
+def test_basis_cache_spares_most_refactorizations(monkeypatch):
+    """The search of the first edit cycle with the most solves (m06, 7
+    edits: 271 solves from 13 distinct warm-start bases) re-factors on
+    fewer than one warm start in ten, and its cache stays within bound."""
+    refactors = []
+    real_refactor = simplex._refactor
+    monkeypatch.setattr(simplex, "_refactor", lambda *args: refactors.append(1) or real_refactor(*args))
+    warm, sizes = [], []
+
+    def watching(a, b, c, basis=None, cache=None):
+        warm.append(basis is not None)
+        result = solve_min_eq(a, b, c, basis, cache=cache)
+        sizes.append(len(cache))
+        return result
+
+    monkeypatch.setattr(astar, "solve_min_eq", watching)
+    _, sp = next(case for case in first_edit_cycle({"m06"}) if case[0].endswith("k7"))
+    alignment, stats = astar_align(sp)
+    assert stats.outcome is SearchOutcome.OPTIMAL
+    assert stats.heuristic_calls == len(warm) == 271
+    assert 0 < 10 * len(refactors) < sum(warm)
+    assert max(sizes) == BASIS_CACHE_SIZE
+
+
+def test_incidence_rows_equal_the_dense_incidence():
+    products = [sp for _, sp in first_edit_cycle({m for m, _, _ in build_corpus_models()})][::9]
+    assert len(products) == 12
+    net = PetriNet.build(
+        ["p0", "p1", "p2"],
+        ["t", "u"],
+        [("p0", "t"), ("p0", "t"), ("t", "p1", 3), ("t", "p2", 0), ("p1", "u", 2), ("u", "p1"), ("u", "p2")],
+        {"t": "a", "u": None},
+        {"p0": 2},
+        {"p2": 1},
+    )
+    for candidate in [sp.net for sp in products] + [net, product_for_trace(net, Trace("t", ("a",))).net]:
+        assert incidence_rows(candidate) == incidence_matrices(candidate).incidence.tolist()
+    assert incidence_rows(net) == [[-2, 0], [3, -1], [0, 1]]
 
 
 def test_aligned_product_is_not_kept_alive():
