@@ -1,11 +1,12 @@
 """Best-first optimal alignment over the synchronous product's state space.
 
-The search expands markings directly (no pre-built reachability graph),
-ordered by f = g + h with ties broken by larger g, then FIFO.  The
-marking-equation heuristic is the exact optimum of the continuous
-state-equation relaxation ``min c.x s.t. I x = m_f - m, x >= 0``; it is
-admissible but not assumed consistent, so entries are reopened whenever a
-strictly better g arrives, which preserves optimality.  g, h, and all
+The search expands the int-keyed states of ``sync_product.product_space``
+directly (no pre-built reachability graph), ordered by f = g + h with
+ties broken by larger g, then FIFO.  The marking-equation heuristic is
+the exact optimum of the continuous state-equation relaxation
+``min c.x s.t. I x = m_f - m, x >= 0``; it is admissible but not assumed
+consistent, so entries are reopened whenever a strictly better g
+arrives, which preserves optimality.  g, h, and all
 costs are exact: the move costs are multiplied by ``scale``, the lcm of
 their denominators, so g is an integer and h an integer or a rational in
 the same units, and scaling by a positive constant keeps every comparison
@@ -45,15 +46,16 @@ import heapq
 import itertools
 import math
 import time
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import InvalidInputError
 from .flow import Alignment, Method, RunStats
-from .petri import Marking, PetriNet, firing_data, successors
+from .petri import Marking, PetriNet, firing_data
 from .simplex import BasisCache, integers, solve_min_eq
-from .sync_product import SynchronousProduct
+from .sync_product import SynchronousProduct, cost_vector, product_space
 
 
 class Heuristic(Enum):
@@ -83,7 +85,7 @@ class SearchConfig:
 
 def scaled_costs(sp: SynchronousProduct) -> tuple[list[int], int]:
     """Move costs times ``scale``, the lcm of their denominators, and ``scale``."""
-    return integers([m.cost for m in sp.moves])
+    return integers(cost_vector(sp))
 
 
 def incidence_rows(net: PetriNet) -> list[list[int]]:
@@ -108,21 +110,24 @@ class MarkingEquation:
     integral, else a ``Fraction``; ``math.inf`` for a dead end) and
     remembers it in ``values``.  For every marking with a finite value it
     also keeps the sparse optimal x and the optimal basis, which the reuse
-    rule and the warm start of m's successors draw on.
+    rule and the warm start of m's successors draw on.  ``m`` is any key
+    that ``marking`` maps to the product marking (by default ``tuple``:
+    the key is the marking).
     """
 
-    def __init__(self, sp: SynchronousProduct):
-        self.final = sp.net.final_marking
+    def __init__(self, sp: SynchronousProduct, marking: Callable[[Hashable], Marking] = tuple):
+        self.final = sp.final_marking
+        self.marking = marking
         self.rows = incidence_rows(sp.net)
         self.costs, self.scale = scaled_costs(sp)
         self.tableaux = BasisCache(self.rows, self.costs)
-        self.values: dict[Marking, int | Fraction | float] = {}
-        self._optima: dict[Marking, tuple[dict[int, Fraction], tuple[int, ...]]] = {}
+        self.values: dict[Hashable, int | Fraction | float] = {}
+        self._optima: dict[Hashable, tuple[dict[int, Fraction], tuple[int, ...]]] = {}
         self.solves = 0  # simplex calls, cold or warm-started
         self.reuses = 0  # values taken from the parent's solution
 
     def __call__(
-        self, m: Marking, via: tuple[Marking, int] | None = None
+        self, m: Hashable, via: tuple[Hashable, int] | None = None
     ) -> int | Fraction | float:
         """h(m); ``via = (parent, move)`` says how m was reached."""
         val = self.values.get(m)
@@ -144,7 +149,7 @@ class MarkingEquation:
                 self.values[m] = val
                 return val
         self.solves += 1
-        rhs = [f - v for f, v in zip(self.final, m)]
+        rhs = [f - v for f, v in zip(self.final, self.marking(m))]
         result = solve_min_eq(self.rows, rhs, self.costs, basis, cache=self.tableaux)
         if result is None:
             val = math.inf
@@ -163,7 +168,7 @@ def marking_equation_heuristic(sp: SynchronousProduct, m: Marking) -> Fraction |
     the final marking (the state is a dead end).  Always a lower bound on
     the true remaining alignment cost.  Each call is a cold solve.
     """
-    final = sp.net.final_marking
+    final = sp.final_marking
     if len(m) != len(final):
         raise InvalidInputError("marking does not index the product's places")
     if m == final:
@@ -176,37 +181,35 @@ def marking_equation_heuristic(sp: SynchronousProduct, m: Marking) -> Fraction |
 def astar_align(
     sp: SynchronousProduct, cfg: SearchConfig = SearchConfig()
 ) -> tuple[Alignment | None, RunStats]:
-    """A* over product markings; optimal when it completes.
+    """A* over product states; optimal when it completes.
 
     Outcomes TIMEOUT and EXHAUSTED are reported in the stats, never
-    raised.  Successors come from ``petri.successors``, the loop
-    reachability-graph construction uses: self-loops are skipped and
-    successors exceeding the per-place token cap are pruned, so both
-    methods search the same capped space.
+    raised.  States and successors come from ``product_space``, as in the
+    reachability-graph build: self-loops are skipped and successors
+    exceeding the per-place token cap are pruned, so both methods search
+    the same capped space.
     """
     stats = RunStats(Method.ASTAR, SearchOutcome.EXHAUSTED)
     t0 = time.perf_counter_ns()
     deadline = t0 + cfg.timeout * 1e9
-    net = sp.net
-    start = net.initial_marking
-    goal = net.final_marking
+    successors, marking, goal = product_space(sp, cfg.token_cap)
+    start = 0  # the initial state's key
     moves = sp.moves
-    cap = cfg.token_cap
 
     # g, h and f are in units of 1/scale (see the module docstring).
     # Exact heuristic values are computed lazily: a successor is queued
     # under the derived admissible bound max(0, h(parent) - move cost) and
     # only gets its own value when it is about to be expanded.
-    parent: dict[Marking, tuple[Marking, int]] = {}
+    parent: dict[int, tuple[int, int]] = {}
     if cfg.heuristic is Heuristic.MARKING_EQUATION:
-        heuristic = MarkingEquation(sp)
+        heuristic = MarkingEquation(sp, marking)
         costs, h_exact = heuristic.costs, heuristic.values
     else:
         heuristic = None
         costs, h_exact = scaled_costs(sp)[0], {}
 
-    def h(marking: Marking) -> int | Fraction | float:
-        return heuristic(marking, parent.get(marking)) if heuristic is not None else 0
+    def h(key: int) -> int | Fraction | float:
+        return heuristic(key, parent.get(key)) if heuristic is not None else 0
 
     def finish(outcome: SearchOutcome, alignment: Alignment | None = None):
         if heuristic is not None:
@@ -221,7 +224,7 @@ def astar_align(
         return finish(SearchOutcome.EXHAUSTED)
 
     counter = itertools.count()
-    best_g: dict[Marking, int] = {start: 0}
+    best_g: dict[int, int] = {start: 0}
     heap: list = [(h0, 0, next(counter), start)]
     while heap:
         stats.queue_peak = max(stats.queue_peak, len(heap))
@@ -249,8 +252,8 @@ def astar_align(
         if stats.expansions >= cfg.max_expansions:
             return finish(SearchOutcome.EXHAUSTED)
         stats.expansions += 1
-        for j, succ in successors(net, cur, cap):
-            if succ is None or succ == cur:
+        for j, succ in successors(cur):
+            if succ < 0 or succ == cur:
                 continue
             ng = g + costs[j]
             old = best_g.get(succ)

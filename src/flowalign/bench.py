@@ -47,9 +47,15 @@ class RunConfig:
             raise InvalidInputError(f"unknown method {self.method!r}")
         if self.timeout_s <= 0 or self.parallel < 1:
             raise InvalidInputError("timeout must be > 0 and parallelism >= 1")
+        # Every method rejects the same limits, whether or not it builds a graph.
+        self._limits(0 if self.max_depth is None else self.max_depth)
 
     def limits_for(self, sp) -> ExplorationLimits:
-        depth = self.max_depth if self.max_depth is not None else default_limits(sp).max_depth
+        return self._limits(
+            self.max_depth if self.max_depth is not None else default_limits(sp).max_depth
+        )
+
+    def _limits(self, depth: int) -> ExplorationLimits:
         return ExplorationLimits(
             max_depth=depth,
             max_nodes=self.max_nodes,

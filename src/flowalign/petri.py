@@ -7,16 +7,17 @@ safe to share between threads; every operation here is a pure function.
 A net also keeps caches of derived data: its firing data and incidence
 matrices, and one :class:`SuccessorMemo` per token cap.  The memo numbers
 the markings reached from the initial marking in discovery order and keeps
-each one's successors once they have been read through :func:`successors`,
-so that reachability graphs of the same model against many traces fire
-each model transition once per marking, not once per graph node.  Its size
-is bounded by the model's state space under the cap, not by the length or
-number of the traces aligned against it.  A memo fills under its own
-lock: a thread that misses re-checks under the lock before it numbers a
-marking or reads its successors, so concurrent builds see one numbering,
-and a filled entry never changes, so reads take no lock.  The memos are
-left out of pickles and copies, so a net sent to a worker process starts
-without them.
+each one's successors once they have been read through :func:`successors`.
+Both engines explore product states composed from it
+(``sync_product.product_space``), so aligning a model against many traces
+fires each model transition once per marking, not once per product state.
+Its size is bounded by the model's state space under the cap, not by the
+length or number of the traces aligned against it.  A memo fills under
+its own lock: a thread that misses re-checks under the lock before it
+numbers a marking or reads its successors, so concurrent builds see one
+numbering, and a filled entry never changes, so reads take no lock.  The
+memos are left out of pickles and copies, so a net sent to a worker
+process starts without them.
 """
 
 from __future__ import annotations
@@ -217,8 +218,8 @@ def successors(
     """``(j, m')`` for every transition j enabled at ``m``, in canonical order.
 
     ``m'`` is the marking firing j produces, or ``None`` when it would put
-    more than ``cap`` tokens on a place.  This is the successor loop that
-    reachability-graph construction and A* share; it does not check ``m``.
+    more than ``cap`` tokens on a place.  :meth:`SuccessorMemo.expand`
+    reads the engines' successors through it; it does not check ``m``.
     """
     pre, post = firing_data(net)
     for j, consume in enumerate(pre):
@@ -370,49 +371,35 @@ def build_trace_model(trace: Trace) -> PetriNet:
     )
 
 
-def is_path_net(net: PetriNet) -> bool:
-    """True iff the net is a trace model: a simple place-transition chain."""
+def trace_chain(net: PetriNet) -> tuple[list[int], list[int]] | None:
+    """The transition and place indices of a trace model in chain order, or
+    ``None`` unless the net is a trace model: a simple place-transition
+    chain from its one initially marked place to its one finally marked
+    place, with unit arcs."""
     n = len(net.transitions)
     if len(net.places) != n + 1:
-        return False
+        return None
     if sum(net.initial_marking) != 1 or sum(net.final_marking) != 1:
-        return False
+        return None
     pre, post = firing_data(net)
     outs: dict[int, list[int]] = {i: [] for i in range(len(net.places))}
     for j in range(n):
         if len(pre[j]) != 1 or len(post[j]) != 1:
-            return False
+            return None
         (pi, wi), (_, wo) = pre[j][0], post[j][0]
         if wi != 1 or wo != 1:
-            return False
+            return None
         outs[pi].append(j)
     # Walk the chain from the initially marked place.
-    cur = net.initial_marking.index(1)
-    seen_places = {cur}
+    transitions, places = [], [net.initial_marking.index(1)]
     for _ in range(n):
-        if len(outs[cur]) != 1:
-            return False
-        j = outs[cur][0]
-        cur = post[j][0][0]
-        if cur in seen_places:
-            return False
-        seen_places.add(cur)
-    return net.final_marking[cur] == 1 and len(seen_places) == n + 1
-
-
-def trace_model_order(net: PetriNet) -> tuple[str, ...]:
-    """Transitions of a path net in chain order (position 1..n)."""
-    pre, post = firing_data(net)
-    outs: dict[int, int] = {}
-    for j in range(len(net.transitions)):
-        outs[pre[j][0][0]] = j
-    cur = net.initial_marking.index(1)
-    order = []
-    for _ in range(len(net.transitions)):
-        j = outs[cur]
-        order.append(net.transitions[j])
-        cur = post[j][0][0]
-    return tuple(order)
+        if len(outs[places[-1]]) != 1:
+            return None
+        transitions.append(outs[places[-1]][0])
+        places.append(post[transitions[-1]][0][0])
+    if len(set(places)) != n + 1 or net.final_marking[places[-1]] != 1:
+        return None
+    return transitions, places
 
 
 def validate_workflow_net(net: PetriNet) -> list[str]:

@@ -1,25 +1,9 @@
 """Bounded breadth-first reachability graphs and their node-arc incidence.
 
-The graph of a synchronous product is composed from the process model's
-successors.  A product marking is a process marking plus the position of
-the one token on the trace path, so a node is a pair ``(m, pos)``.  The
-successors of each process marking ``m`` are read once per model and token
-cap from the model's :class:`~flowalign.petri.SuccessorMemo`, and the
-successors of ``(m, pos)`` are, in the product's canonical transition
-order:
-
-1. the synchronous move of each process transition ``j`` enabled at ``m``
-   whose label equals the event at ``pos``, to ``(m_j, pos + 1)``, in
-   ascending ``j``;
-2. the model move of every ``j`` enabled at ``m``, to ``(m_j, pos)``, in
-   ascending ``j``;
-3. the log move at ``pos``, to ``(m, pos + 1)``, unless the trace is done.
-
-A product successor exceeds the token cap exactly when its process
-successor does, because a trace place holds at most one token.  A model
-move with ``m_j == m`` is a self-loop.  This is the order in which firing
-every product transition at the full product marking meets them, so the
-node and edge order is that of a breadth-first search over the product.
+The graph of a synchronous product is a breadth-first search over its
+state space as :func:`~flowalign.sync_product.product_space` composes it,
+so nodes are keyed by ints and each process marking's successors are
+read once per model and token cap, however many traces are aligned.
 
 Exploration is deterministic: layers are processed in discovery order, so
 two builds of the same product under the same limits yield identical node
@@ -44,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, InvalidLimitsError
-from .petri import Marking, successor_memo
-from .sync_product import MoveKind, SynchronousProduct
+from .petri import Marking
+from .sync_product import SynchronousProduct, cost_vector, product_space
 
 
 @dataclass(frozen=True)
@@ -72,8 +56,7 @@ class ExplorationLimits:
 def default_limits(sp: SynchronousProduct) -> ExplorationLimits:
     """Depth covers the all-deviation alignment (full model run plus one
     log move per event) with slack; other limits are generous caps."""
-    n_model = sum(1 for m in sp.moves if m.kind in (MoveKind.MODEL, MoveKind.MODEL_TAU))
-    n_log = sum(1 for m in sp.moves if m.kind is MoveKind.LOG)
+    n_model, n_log = len(sp.process_net.transitions), len(sp.trace_labels)
     return ExplorationLimits(max_depth=2 * (n_model + n_log) + 10)
 
 
@@ -157,25 +140,14 @@ def build_reachability_graph(
     """
     if limits is None:
         limits = default_limits(sp)
-    if any(v > limits.token_cap for v in sp.net.initial_marking):
+    if any(v > limits.token_cap for v in sp.initial_marking):
         raise InvalidLimitsError(
             f"initial marking exceeds token_cap={limits.token_cap}"
         )
-    proc = sp.process_net
-    memo = successor_memo(proc, limits.token_cap)
-    table, expand, markings = memo.table, memo.expand, memo.markings
-    n = len(sp.trace_labels)
-    stride = n + 1  # node key: process marking id * stride + trace position
-    model0 = len(sp.moves) - len(proc.transitions) - n
-    log0 = len(sp.moves) - n
-    sync_at = [dict(pairs) for pairs in sp.sync_moves_at]
-    width = len(sp.net.places) - sp.num_process_places
-    trace_part: list[Marking | None] = [None] * stride
-    final_key = memo.ids[proc.final_marking] * stride + n
+    successors, marking, final_key = product_space(sp, limits.token_cap)
     max_depth, max_nodes, max_edges = limits.max_depth, limits.max_nodes, limits.max_edges
 
-    nodes: list[Marking] = [sp.net.initial_marking]
-    keys: list[int] = [0]  # the initial marking has id 0
+    keys: list[int] = [0]  # node i's product state; the initial state has key 0
     depth: list[int] = [0]
     index: dict[int, int] = {0: 0}
     tails: list[int] = []
@@ -189,28 +161,18 @@ def build_reachability_graph(
     while queue:
         cur = queue.popleft()
         key = keys[cur]
-        pid, pos = divmod(key, stride)
         d = depth[cur]
-        row = table[pid]
-        if row is None:
-            row = expand(pid)
+        succs = successors(key)
         if d >= max_depth:
             # Depth limit: this node stays unexpanded; only counts as
             # truncation if something was actually enabled here.
-            truncated = truncated or bool(row) or pos < n
+            truncated = truncated or bool(succs)
             continue
         expanded += 1
-        if pos < n:
-            sync, nxt = sync_at[pos], pos + 1
-            succs = [(sync[j], s * stride + nxt) for j, s in row if j in sync]
-            succs += [(model0 + j, s * stride + pos) for j, s in row]
-            succs.append((log0 + pos, key + 1))
-        else:
-            succs = [(model0 + j, s * stride + pos) for j, s in row]
         # Counts are taken as the loop meets each successor, so that a halt
         # leaves them as a full product search would.
         for move, succ in succs:
-            if succ < 0:  # the process successor is CAPPED (negative)
+            if succ < 0:  # capped
                 cap_prunes += 1
                 continue
             if succ == key:
@@ -221,18 +183,11 @@ def build_reachability_graph(
                 # A new node and its discovering edge are added atomically;
                 # hitting either budget halts before adding, so results
                 # under smaller limits are prefixes of larger-limit runs.
-                if len(nodes) >= max_nodes or len(tails) >= max_edges:
+                if len(keys) >= max_nodes or len(tails) >= max_edges:
                     truncated = True
                     queue.clear()
                     break
-                head = len(nodes)
-                spid, spos = divmod(succ, stride)
-                trace_marks = trace_part[spos]
-                if trace_marks is None:
-                    trace_marks = trace_part[spos] = tuple(
-                        int(i == sp.trace_places[spos]) for i in range(width)
-                    )
-                nodes.append(markings[spid] + trace_marks)
+                head = len(keys)
                 keys.append(succ)
                 depth.append(d + 1)
                 index[succ] = head
@@ -255,12 +210,12 @@ def build_reachability_graph(
         truncated=truncated,
     )
     return ReachabilityGraph(
-        nodes=tuple(nodes),
+        nodes=tuple(map(marking, keys)),
         tails=tuple(tails),
         heads=tuple(heads),
         moves=tuple(moves),
-        move_ids=sp.net.transitions,
-        move_costs=tuple(m.cost for m in sp.moves),
+        move_ids=tuple(m.move_id for m in sp.moves),
+        move_costs=cost_vector(sp),
         final_index=final_index,
         stats=stats,
     )

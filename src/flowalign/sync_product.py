@@ -14,6 +14,7 @@ and the number of silent moves is recoverable from the fractional part.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -21,7 +22,7 @@ from fractions import Fraction
 import xml.etree.ElementTree as ET
 
 from .errors import InvalidInputError
-from .petri import TAU, Marking, PetriNet, firing_data, is_path_net, trace_model_order
+from .petri import TAU, Marking, PetriNet, successor_memo, trace_chain
 
 #: Placeholder for "no move on this side" in a move's label pair.
 GAP = ">>"
@@ -71,13 +72,12 @@ class CostConfig:
 
 @dataclass(frozen=True)
 class SynchronousProduct:
-    """Merged net over the union of process and (renamed) trace places.
+    """The product of a process net and a (renamed) trace net.
 
-    ``net.transitions`` and ``moves`` share one canonical order: all
-    synchronous moves (by process transition, then trace position), then
-    model moves (process order), then log moves (trace order).  Markings
-    of ``net`` are the concatenation of a process-net marking and a
-    trace-net marking (``num_process_places`` is the split point).
+    ``moves`` is in one canonical order: all synchronous moves (by process
+    transition, then trace position), then model moves (process order),
+    then log moves (trace order).  A product marking is the concatenation
+    of a process-net marking and a trace-net marking.
 
     ``sync_moves_at[pos]`` lists ``(process transition index, move index)``
     for the synchronous moves at trace position ``pos`` (0-based), in
@@ -85,28 +85,54 @@ class SynchronousProduct:
     the token after ``pos`` events (``pos`` in ``0..n``).
     """
 
-    net: PetriNet
     moves: tuple[SyncMove, ...]
-    num_process_places: int
     process_net: PetriNet
+    trace_net: PetriNet
     trace_labels: tuple[str, ...]
     sync_moves_at: tuple[tuple[tuple[int, int], ...], ...]
     trace_places: tuple[int, ...]
 
     @property
     def initial_marking(self) -> Marking:
-        return self.net.initial_marking
+        return self.process_net.initial_marking + self.trace_net.initial_marking
 
     @property
     def final_marking(self) -> Marking:
-        return self.net.final_marking
+        return self.process_net.final_marking + self.trace_net.final_marking
 
     @functools.cached_property
-    def move_by_id(self) -> dict[str, SyncMove]:
-        return {m.move_id: m for m in self.moves}
-
-    def move(self, move_id: str) -> SyncMove:
-        return self.move_by_id[move_id]
+    def net(self) -> PetriNet:
+        """The product as a Petri net, built on first access: the process
+        places, then the renamed trace places; one transition per move, named
+        by ``move_id``, with the arcs of its process transition, then of its
+        trace transition.  The engines' state space does not read it."""
+        sn, tn = self.process_net, self.trace_net
+        place_map, trans_map = _trace_renaming(sn, tn)
+        into: dict[str, list[tuple[str, int]]] = {}
+        out: dict[str, list[tuple[str, int]]] = {}
+        # Process ids keep their names (empty maps); trace ids are renamed.
+        for net, places, trans in ((sn, {}, {}), (tn, place_map, trans_map)):
+            for src, tgt, w in net.arcs:
+                if src in net.transition_index:
+                    out.setdefault(trans.get(src, src), []).append((places.get(tgt, tgt), w))
+                else:
+                    into.setdefault(trans.get(tgt, tgt), []).append((places.get(src, src), w))
+        arcs: list[tuple[str, str, int]] = []
+        for move in self.moves:
+            for t in (move.process_transition, move.trace_transition):
+                if t is not None:
+                    arcs += [(p, move.move_id, w) for p, w in into.get(t, ())]
+                    arcs += [(move.move_id, p, w) for p, w in out.get(t, ())]
+        return PetriNet(
+            places=sn.places + tuple(place_map[p] for p in tn.places),
+            transitions=tuple(m.move_id for m in self.moves),
+            arcs=tuple(arcs),
+            labels=tuple(
+                m.label_pair[1] if m.kind is MoveKind.LOG else m.label_pair[0] for m in self.moves
+            ),
+            initial_marking=self.initial_marking,
+            final_marking=self.final_marking,
+        )
 
     def counts(self) -> dict[MoveKind, int]:
         out = {kind: 0 for kind in MoveKind}
@@ -115,12 +141,18 @@ class SynchronousProduct:
         return out
 
 
-def _prime(ids: tuple[str, ...], taken: set[str]) -> dict[str, str]:
-    """Rename trace-side ids by appending primes until disjoint from ``taken``."""
-    suffix = "'"
-    while any((i + suffix) in taken for i in ids):
-        suffix += "'"
-    return {i: i + suffix for i in ids}
+def _trace_renaming(sn: PetriNet, tn: PetriNet) -> tuple[dict[str, str], dict[str, str]]:
+    """The product's names for the trace net's places, then transitions:
+    each group gets the fewest primes that keep it clear of the ids taken."""
+    taken = set(sn.places) | set(sn.transitions)
+    renamed = []
+    for ids in (tn.places, tn.transitions):
+        suffix = "'"
+        while any((i + suffix) in taken for i in ids):
+            suffix += "'"
+        renamed.append({i: i + suffix for i in ids})
+        taken |= set(renamed[-1].values())
+    return renamed[0], renamed[1]
 
 
 def build_sync_product(
@@ -130,51 +162,17 @@ def build_sync_product(
 
     ``tn`` must be a path net (as produced by
     :func:`~flowalign.petri.build_trace_model`); its node ids are renamed
-    with a prime suffix so the id spaces stay disjoint.
+    with a prime suffix so the id spaces stay disjoint.  The product's
+    Petri net is built only when :attr:`SynchronousProduct.net` is read.
     """
-    if not is_path_net(tn):
+    chain = trace_chain(tn)
+    if chain is None:
         raise InvalidInputError("trace-side net is not a path net (not a trace model)")
 
-    taken = set(sn.places) | set(sn.transitions)
-    place_map = _prime(tn.places, taken)
-    trans_map = _prime(tn.transitions, taken | {place_map[p] for p in tn.places})
-
-    trace_order = trace_model_order(tn)  # chain order, positions 1..n
+    trans_map = _trace_renaming(sn, tn)[1]
+    trace_order = [tn.transitions[j] for j in chain[0]]  # positions 1..n
     trace_labels = tuple(tn.label(t) for t in trace_order)
-
-    sn_arcs_in: dict[str, list[tuple[str, int]]] = {t: [] for t in sn.transitions}
-    sn_arcs_out: dict[str, list[tuple[str, int]]] = {t: [] for t in sn.transitions}
-    for src, tgt, w in sn.arcs:
-        if tgt in sn_arcs_in:
-            sn_arcs_in[tgt].append((src, w))
-        else:
-            sn_arcs_out[src].append((tgt, w))
-    tn_arcs_in: dict[str, list[tuple[str, int]]] = {t: [] for t in tn.transitions}
-    tn_arcs_out: dict[str, list[tuple[str, int]]] = {t: [] for t in tn.transitions}
-    for src, tgt, w in tn.arcs:
-        if tgt in tn_arcs_in:
-            tn_arcs_in[tgt].append((place_map[src], w))
-        else:
-            tn_arcs_out[src].append((place_map[tgt], w))
-
-    unprime = {v: k for k, v in trans_map.items()}
     moves: list[SyncMove] = []
-    arcs: list[tuple[str, str, int]] = []
-    labels: list[str | None] = []
-
-    def add_move(move: SyncMove) -> None:
-        moves.append(move)
-        if move.process_transition is not None:
-            for p, w in sn_arcs_in[move.process_transition]:
-                arcs.append((p, move.move_id, w))
-            for p, w in sn_arcs_out[move.process_transition]:
-                arcs.append((move.move_id, p, w))
-        if move.trace_transition is not None:
-            orig = unprime[move.trace_transition]
-            for p, w in tn_arcs_in[orig]:
-                arcs.append((p, move.move_id, w))
-            for p, w in tn_arcs_out[orig]:
-                arcs.append((move.move_id, p, w))
 
     # Synchronous moves: full label-match cross product, ordered by
     # process transition then trace position.
@@ -188,7 +186,7 @@ def build_sync_product(
                 continue
             tt = trans_map[t_trace]
             sync_moves_at[pos].append((j, len(moves)))
-            add_move(
+            moves.append(
                 SyncMove(
                     move_id=f"({t},{tt})",
                     kind=MoveKind.SYNC,
@@ -198,12 +196,11 @@ def build_sync_product(
                     cost=Fraction(0),
                 )
             )
-            labels.append(lbl)
 
     for t in sn.transitions:
         lbl = sn.label(t)
         silent = lbl is TAU
-        add_move(
+        moves.append(
             SyncMove(
                 move_id=f"({t},{GAP})",
                 kind=MoveKind.MODEL_TAU if silent else MoveKind.MODEL,
@@ -213,11 +210,10 @@ def build_sync_product(
                 cost=cost.tau_cost if silent else cost.deviation_cost,
             )
         )
-        labels.append(lbl)
 
     for pos, t_trace in enumerate(trace_order):
         tt = trans_map[t_trace]
-        add_move(
+        moves.append(
             SyncMove(
                 move_id=f"({GAP},{tt})",
                 kind=MoveKind.LOG,
@@ -227,26 +223,14 @@ def build_sync_product(
                 cost=cost.deviation_cost,
             )
         )
-        labels.append(trace_labels[pos])
 
-    places = sn.places + tuple(place_map[p] for p in tn.places)
-    net = PetriNet(
-        places=places,
-        transitions=tuple(m.move_id for m in moves),
-        arcs=tuple(arcs),
-        labels=tuple(labels),
-        initial_marking=sn.initial_marking + tn.initial_marking,
-        final_marking=sn.final_marking + tn.final_marking,
-    )
     return SynchronousProduct(
-        net=net,
         moves=tuple(moves),
-        num_process_places=len(sn.places),
         process_net=sn,
+        trace_net=tn,
         trace_labels=trace_labels,
         sync_moves_at=tuple(map(tuple, sync_moves_at)),
-        trace_places=(tn.initial_marking.index(1),)
-        + tuple(firing_data(tn)[1][tn.transition_index[t]][0][0] for t in trace_order),
+        trace_places=tuple(chain[1]),
     )
 
 
@@ -257,6 +241,69 @@ def product_for_trace(
     from .petri import build_trace_model
 
     return build_sync_product(sn, build_trace_model(trace), cost)
+
+
+def product_space(
+    sp: SynchronousProduct, cap: int
+) -> tuple[Callable[[int], list[tuple[int, int]]], Callable[[int], Marking], int]:
+    """The product's state space under token cap ``cap``, over int keys:
+    ``(successors, marking, final key)``.
+
+    A product marking is a process marking plus the position ``pos`` of
+    the one token on the trace path.  Its key is ``pid * (n + 1) + pos``,
+    where ``pid`` numbers the process marking in the model's
+    :class:`~flowalign.petri.SuccessorMemo` and ``n`` is the trace length,
+    so the initial marking's key is 0; ``marking(key)`` is the full
+    product marking.  ``successors(key)`` lists ``(move index, successor
+    key)`` in the product's canonical move order, which is the order in
+    which firing every move of :attr:`SynchronousProduct.net` meets them:
+
+    1. the synchronous move of each process transition ``j`` enabled at
+       ``pid`` whose label is the event at ``pos``, to ``(pid_j, pos + 1)``,
+       in ascending ``j``;
+    2. the model move of every ``j`` enabled at ``pid``, to ``(pid_j, pos)``,
+       in ascending ``j``;
+    3. the log move at ``pos``, to ``(pid, pos + 1)``, unless the trace is
+       done.
+
+    A negative successor key means that the move would put more than
+    ``cap`` tokens on a place, which happens exactly when the process
+    successor does, because a trace place holds at most one token.  A
+    successor key equal to ``key`` is a self-loop.
+    """
+    proc = sp.process_net
+    memo = successor_memo(proc, cap)
+    table, expand, markings = memo.table, memo.expand, memo.markings
+    n = len(sp.trace_labels)
+    stride = n + 1
+    model0 = len(sp.moves) - len(proc.transitions) - n
+    log0 = len(sp.moves) - n
+    sync_at = [dict(pairs) for pairs in sp.sync_moves_at]
+    trace_places, width = sp.trace_places, len(sp.trace_net.places)
+    trace_part: list[Marking | None] = [None] * stride
+
+    # Closures over locals: both engines call these once per state.
+    def successors(key: int) -> list[tuple[int, int]]:
+        pid, pos = divmod(key, stride)
+        row = table[pid]
+        if row is None:
+            row = expand(pid)
+        if pos == n:
+            return [(model0 + j, s * stride + pos) for j, s in row]
+        sync, nxt = sync_at[pos], pos + 1
+        succs = [(sync[j], s * stride + nxt) for j, s in row if j in sync]
+        succs += [(model0 + j, s * stride + pos) for j, s in row]
+        succs.append((log0 + pos, key + 1))
+        return succs
+
+    def marking(key: int) -> Marking:
+        pid, pos = divmod(key, stride)
+        part = trace_part[pos]
+        if part is None:
+            part = trace_part[pos] = tuple(int(i == trace_places[pos]) for i in range(width))
+        return markings[pid] + part
+
+    return successors, marking, memo.ids[proc.final_marking] * stride + n
 
 
 def cost_vector(sp: SynchronousProduct) -> tuple[Fraction, ...]:

@@ -74,6 +74,7 @@ class ReferenceGraph(NamedTuple):
     edges: tuple[RGEdge, ...]
     final_index: int | None
     stats: RGStats
+    initial_index = 0  # not a field: the search starts at node 0
 
 
 def reference_reachability_graph(

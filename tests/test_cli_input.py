@@ -96,3 +96,19 @@ def test_fuzzed_xes_gives_an_exit_code(log):
 def test_fuzzed_csv_gives_an_exit_code(log):
     with tempfile.TemporaryDirectory() as tmp:
         assert run_on(Path(tmp), VALID_PNML, (".csv", log)) in EXIT_CODES
+
+
+@pytest.mark.parametrize("flag", [("--max-nodes", "0"), ("--max-edges", "0"), ("--max-depth", "-1")])
+@pytest.mark.parametrize("command", ["align", "conformance"])
+@pytest.mark.parametrize("method", ["astar", "lp", "hybrid", "both"])
+def test_invalid_limit_flags_exit_2_under_every_method(method, command, flag, tmp_path, capsys):
+    model = tmp_path / "model.pnml"
+    model.write_bytes(VALID_PNML)
+    if command == "align":
+        inputs = [str(model), "--trace", "a,b,c,e"]
+    else:
+        log = tmp_path / "log.xes"
+        log.write_bytes(VALID_XES)
+        inputs = [str(model), str(log), "--out", str(tmp_path / "records.csv")]
+    assert main([command, *inputs, "--method", method, *flag]) == EXIT_PARSE
+    assert "error:" in capsys.readouterr().err

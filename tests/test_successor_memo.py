@@ -1,16 +1,18 @@
-"""The reachability graph composed from a per-model successor memo.
+"""The product state space composed from a per-model successor memo.
 
-``build_reachability_graph`` reads each process marking's successors from
-the model's memo; ``oracles.reference_reachability_graph`` fires every
-product transition at every full product marking.  They must agree on
-every node, edge and count, under any limits.
+``sync_product.product_space`` composes each product state's successors
+from the model's memo, and both engines explore it: the reachability graph
+build and A*.  ``petri.successors`` on the product net and
+``oracles.reference_reachability_graph`` fire every product transition at
+every full product marking.  They must agree on every successor, node,
+edge, count and optimal cost, under any limits.
 """
 
 import functools
 import os
 import pickle
 import sys
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -19,11 +21,12 @@ from hypothesis import strategies as st
 
 from conftest import build_corpus_models
 from flowalign import reachability
+from flowalign.astar import Heuristic, SearchConfig, SearchOutcome, astar_align
 from flowalign.errors import InvalidLimitsError
-from flowalign.petri import PetriNet, Trace, successor_memo
-from flowalign.reachability import ExplorationLimits, build_reachability_graph
-from flowalign.sync_product import build_sync_product, product_for_trace
-from oracles import reference_reachability_graph
+from flowalign.petri import PetriNet, Trace, successor_memo, successors
+from flowalign.reachability import ExplorationLimits, build_reachability_graph, default_limits
+from flowalign.sync_product import build_sync_product, product_for_trace, product_space
+from oracles import oracle_shortest_cost, reference_reachability_graph
 from test_heuristic_lp import first_edit_cycle
 
 LABELS = ("a", "b", "c", None)
@@ -110,6 +113,66 @@ def test_build_matches_reference_bfs():
 
     check()
     assert all(seen[k] for k in ("cap_prunes", "self_loops", "halts", "halts_after_self_loops")), seen
+
+
+def reachable_keys(step) -> list[int]:
+    keys, queue = {0: None}, deque([0])
+    while queue:
+        for _, succ in step(queue.popleft()):
+            if succ >= 0 and succ not in keys:
+                keys[succ] = None
+                queue.append(succ)
+    return list(keys)
+
+
+def test_space_successors_equal_product_firing():
+    seen = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(products, st.integers(1, 3))
+    def check(sp, cap):
+        step, marking, final = product_space(sp, cap)
+        keys = reachable_keys(step)
+        assert marking(0) == sp.initial_marking
+        assert marking(final) == sp.final_marking
+        assert len({marking(k) for k in keys}) == len(keys)
+        for key in keys:
+            composed = step(key)
+            fired = list(successors(sp.net, marking(key), cap))
+            assert [(j, None if k < 0 else marking(k)) for j, k in composed] == fired
+            seen["cap_prunes"] += any(k < 0 for _, k in composed)
+            seen["self_loops"] += any(k == key for _, k in composed)
+
+    check()
+    assert seen["cap_prunes"] and seen["self_loops"], seen
+
+
+def test_astar_cost_equals_the_reference_graph_oracle():
+    seen = Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(products, st.integers(1, 3), st.sampled_from(Heuristic))
+    def check(sp, cap, heuristic):
+        limits = ExplorationLimits(max_depth=default_limits(sp).max_depth, token_cap=cap)
+        try:
+            ref = reference_reachability_graph(sp, limits)
+        except InvalidLimitsError:
+            return
+        if ref.stats.truncated:
+            return
+        alignment, stats = astar_align(sp, SearchConfig(heuristic=heuristic, token_cap=cap))
+        if ref.final_index is None:
+            assert alignment is None and stats.outcome is SearchOutcome.EXHAUSTED
+            seen["unreachable"] += 1
+        else:
+            assert stats.outcome is SearchOutcome.OPTIMAL
+            assert alignment.total_cost == oracle_shortest_cost(ref)
+            seen["optimal", heuristic] += 1
+            seen["cap_prunes"] += ref.stats.cap_prunes > 0
+
+    check()
+    assert seen["unreachable"] and seen["cap_prunes"], seen
+    assert all(seen["optimal", h] for h in Heuristic), seen
 
 
 def test_trace_places_out_of_chain_order(fig_acyclic):

@@ -1,11 +1,14 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from conftest import INSURANCE_TRACE
 from flowalign.errors import InvalidInputError
+from flowalign.flow import SolveStatus, lp_align
 from flowalign.model_io import parse_pnml
 from flowalign.petri import PetriNet, Trace, build_trace_model
+from flowalign.reachability import build_reachability_graph
 from flowalign.sync_product import (
     GAP,
     CostConfig,
@@ -45,7 +48,7 @@ class TestBuildSyncProduct:
         assert counts[MoveKind.MODEL] == 5
 
     def test_markings_are_component_concatenation(self, fig_acyclic, toy_product):
-        n = toy_product.num_process_places
+        n = len(toy_product.process_net.places)
         assert toy_product.initial_marking[:n] == fig_acyclic.initial_marking
         assert toy_product.initial_marking[n:] == (1, 0, 0, 0)
         assert toy_product.final_marking[:n] == fig_acyclic.final_marking
@@ -95,6 +98,20 @@ class TestBuildSyncProduct:
         )
         sp = product_for_trace(net, Trace("t", ("a", "b", "a")))
         assert sp.counts()[MoveKind.SYNC] == 2 * 2 + 1 * 1
+
+    def test_net_is_built_only_when_read(self, insurance):
+        sp = product_for_trace(insurance, INSURANCE_TRACE)
+        assert "net" not in vars(sp)
+        build_reachability_graph(sp)
+        assert "net" not in vars(sp)
+        assert lp_align(sp)[1].outcome is SolveStatus.OPTIMAL
+        assert "net" not in vars(sp)
+        net = sp.net
+        assert vars(sp)["net"] is net and sp.net is net
+        assert net.transitions == tuple(m.move_id for m in sp.moves)
+        assert (net.initial_marking, net.final_marking) == (sp.initial_marking, sp.final_marking)
+        clone = pickle.loads(pickle.dumps(sp))
+        assert clone == sp and clone.net == net
 
     def test_move_invariants(self, insurance):
         sp = product_for_trace(insurance, INSURANCE_TRACE)
