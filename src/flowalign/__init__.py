@@ -90,7 +90,6 @@ from .sync_product import (
     MoveKind,
     SynchronousProduct,
     SyncMove,
-    build_sync_product,
     cost_vector,
     product_for_trace,
 )

@@ -14,11 +14,13 @@ and tie.  Epsilon-cost silent moves enter g and h exactly as they do in the
 flow formulation, so both methods optimize the identical objective.
 
 How h is computed.  The relaxation's data are built once per search: the
-integer incidence rows and the scaled integer move costs, so the simplex
-sees integers only.  A marking's h is solved lazily, when it is about to
-be expanded, and every marking with a finite h keeps its sparse optimal
-``x`` and the column indices of its optimal basis, nothing more.  When
-marking m was reached from its parent p by move t:
+integer incidence rows (``sync_product.incidence_rows``, composed from the
+model's firing data and the trace path, so no product net is built) and
+the scaled integer move costs, so the simplex sees integers only.  A
+marking's h is solved lazily, when it is about to be expanded, and every
+marking with a finite h keeps its sparse optimal ``x`` and the column
+indices of its optimal basis, nothing more.  When marking m was reached
+from its parent p by move t:
 
 - **Reuse.**  If ``x_p[t] >= 1`` then ``h(m) = h(p) - c(t)`` with vector
   ``x_p - e_t``, and nothing is solved.  ``x_p - e_t`` is feasible for m,
@@ -53,9 +55,9 @@ from fractions import Fraction
 
 from .errors import InvalidInputError
 from .flow import Alignment, Method, RunStats
-from .petri import Marking, PetriNet, firing_data
+from .petri import Marking
 from .simplex import BasisCache, integers, solve_min_eq
-from .sync_product import SynchronousProduct, cost_vector, product_space
+from .sync_product import SynchronousProduct, cost_vector, incidence_rows, product_space
 
 
 class Heuristic(Enum):
@@ -88,19 +90,6 @@ def scaled_costs(sp: SynchronousProduct) -> tuple[list[int], int]:
     return integers(cost_vector(sp))
 
 
-def incidence_rows(net: PetriNet) -> list[list[int]]:
-    """The net's incidence matrix (post minus pre) as integer rows, one per
-    place, read from its sparse firing data."""
-    pre, post = firing_data(net)
-    rows = [[0] * len(pre) for _ in net.places]
-    for j, (consume, produce) in enumerate(zip(pre, post)):
-        for i, w in consume:
-            rows[i][j] -= w
-        for i, w in produce:
-            rows[i][j] += w
-    return rows
-
-
 class MarkingEquation:
     """Exact marking-equation values for markings of one product.
 
@@ -118,7 +107,7 @@ class MarkingEquation:
     def __init__(self, sp: SynchronousProduct, marking: Callable[[Hashable], Marking] = tuple):
         self.final = sp.final_marking
         self.marking = marking
-        self.rows = incidence_rows(sp.net)
+        self.rows = incidence_rows(sp)
         self.costs, self.scale = scaled_costs(sp)
         self.tableaux = BasisCache(self.rows, self.costs)
         self.values: dict[Hashable, int | Fraction | float] = {}

@@ -23,7 +23,7 @@ from .astar import Heuristic, SearchConfig, SearchOutcome, astar_align
 from .errors import InvalidInputError
 from .flow import Alignment, Method, RunStats, SolveStatus, lp_align
 from .model_io import EventLog, parse_pnml, parse_xes, read_csv_log
-from .petri import PetriNet, Trace
+from .petri import PetriNet, Trace, successor_memo
 from .reachability import ExplorationLimits, default_limits
 from .selector import SelectionThresholds, hybrid_align, token_replay_fitness
 from .sync_product import CostConfig, product_for_trace
@@ -218,7 +218,9 @@ def _instance_task(args):
 def run_conformance(
     net: PetriNet, event_log: EventLog, cfg: RunConfig, model_id: str = "model"
 ) -> list[BenchmarkRecord]:
-    """One record per trace, in log order."""
+    """One record per trace, in log order.  A token cap below the model's
+    initial marking raises :class:`InvalidLimitsError` before any trace runs."""
+    successor_memo(net, cfg.token_cap)
     fitness = token_replay_fitness(net, event_log) if cfg.method == "hybrid" else 1.0
     tasks = [
         (i, net, trace, cfg, model_id, fitness)

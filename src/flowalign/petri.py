@@ -10,7 +10,8 @@ the markings reached from the initial marking in discovery order and keeps
 each one's successors once they have been read through :func:`successors`.
 Both engines explore product states composed from it
 (``sync_product.product_space``), so aligning a model against many traces
-fires each model transition once per marking, not once per product state.
+fires each model transition once per marking, not once per product state,
+and both reject a cap below the initial marking, which the memo refuses.
 Its size is bounded by the model's state space under the cap, not by the
 length or number of the traces aligned against it.  A memo fills under
 its own lock: a thread that misses re-checks under the lock before it
@@ -18,6 +19,10 @@ numbers a marking or reads its successors, so concurrent builds see one
 numbering, and a filled entry never changes, so reads take no lock.  The
 memos are left out of pickles and copies, so a net sent to a worker
 process starts without them.
+
+The trace model of an ``n``-event trace is a path net whose ids
+(:func:`trace_ids`) sort in positional order.  Synchronous products do not
+build it: ``sync_product`` composes the trace side from the path itself.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import InvalidInputError, NotEnabledError
+from .errors import InvalidInputError, InvalidLimitsError, NotEnabledError
 
 #: Label of a silent transition.  Parsers map absent/invisible activity
 #: names to this value; it is never a user-supplied string.
@@ -250,10 +255,13 @@ class SuccessorMemo:
     until :meth:`expand` fills it with ``((j, i'), ...)``, one pair per
     transition ``j`` enabled at marking ``i`` in canonical order, where
     ``i'`` is the successor's id or :data:`CAPPED`.  The net's initial and
-    final markings get ids 0 and 1 (one id if they are equal).
+    final markings get ids 0 and 1 (one id if they are equal).  A cap
+    below the initial marking raises :class:`InvalidLimitsError`.
     """
 
     def __init__(self, net: PetriNet, cap: int) -> None:
+        if any(v > cap for v in net.initial_marking):
+            raise InvalidLimitsError(f"initial marking exceeds token_cap={cap}")
         self._net = weakref.ref(net)  # the net holds the memo
         self.cap = cap
         self.markings: list[Marking] = []
@@ -337,69 +345,28 @@ def fire(net: PetriNet, m: Marking, t: str) -> Marking:
     return tuple(out)
 
 
-def _positional_id(prefix: str, index: int, count: int) -> str:
-    # Zero-pad so lexicographic id order equals positional order.
-    width = len(str(count)) if count > 9 else 1
-    return f"{prefix}{index:0{width}d}"
+def trace_ids(n: int) -> tuple[list[str], list[str]]:
+    """The place ids ``p0..pn`` and transition ids ``t1..tn`` of the trace
+    model of an ``n``-event trace, zero-padded so that their sorted order
+    is their positional order."""
+    width = len(str(n))
+    return [f"p{i:0{width}d}" for i in range(n + 1)], [f"t{i:0{width}d}" for i in range(1, n + 1)]
 
 
 def build_trace_model(trace: Trace) -> PetriNet:
     """Linear Petri net encoding one trace.
 
-    For an ``n``-event trace: places ``p0..pn``, transitions ``t1..tn``
-    (zero-padded for n >= 10 so the canonical order is positional),
-    transition ``ti`` consumes ``p(i-1)`` and produces ``pi`` and is
-    labeled with the i-th activity.  Initial marking ``[p0]``, final
-    marking ``[pn]``.
+    For an ``n``-event trace: places ``p0..pn`` and transitions ``t1..tn``
+    (see :func:`trace_ids`); transition ``ti`` consumes ``p(i-1)`` and
+    produces ``pi`` and is labeled with the i-th activity.  Initial
+    marking ``[p0]``, final marking ``[pn]``.
     """
     n = len(trace.activities)
-    places = [_positional_id("p", i, n) for i in range(n + 1)]
-    transitions = [_positional_id("t", i, n) for i in range(1, n + 1)]
-    arcs: list[tuple[str, str]] = []
-    labels: dict[str, str | None] = {}
-    for i in range(1, n + 1):
-        arcs.append((places[i - 1], transitions[i - 1]))
-        arcs.append((transitions[i - 1], places[i]))
-        labels[transitions[i - 1]] = trace.activities[i - 1]
-    return PetriNet.build(
-        places=places,
-        transitions=transitions,
-        arcs=arcs,
-        labels=labels,
-        initial={places[0]: 1},
-        final={places[n]: 1},
-    )
-
-
-def trace_chain(net: PetriNet) -> tuple[list[int], list[int]] | None:
-    """The transition and place indices of a trace model in chain order, or
-    ``None`` unless the net is a trace model: a simple place-transition
-    chain from its one initially marked place to its one finally marked
-    place, with unit arcs."""
-    n = len(net.transitions)
-    if len(net.places) != n + 1:
-        return None
-    if sum(net.initial_marking) != 1 or sum(net.final_marking) != 1:
-        return None
-    pre, post = firing_data(net)
-    outs: dict[int, list[int]] = {i: [] for i in range(len(net.places))}
-    for j in range(n):
-        if len(pre[j]) != 1 or len(post[j]) != 1:
-            return None
-        (pi, wi), (_, wo) = pre[j][0], post[j][0]
-        if wi != 1 or wo != 1:
-            return None
-        outs[pi].append(j)
-    # Walk the chain from the initially marked place.
-    transitions, places = [], [net.initial_marking.index(1)]
-    for _ in range(n):
-        if len(outs[places[-1]]) != 1:
-            return None
-        transitions.append(outs[places[-1]][0])
-        places.append(post[transitions[-1]][0][0])
-    if len(set(places)) != n + 1 or net.final_marking[places[-1]] != 1:
-        return None
-    return transitions, places
+    places, transitions = trace_ids(n)
+    arcs = [(places[i], t) for i, t in enumerate(transitions)]
+    arcs += [(t, places[i + 1]) for i, t in enumerate(transitions)]
+    labels = dict(zip(transitions, trace.activities))
+    return PetriNet.build(places, transitions, arcs, labels, {places[0]: 1}, {places[n]: 1})
 
 
 def validate_workflow_net(net: PetriNet) -> list[str]:

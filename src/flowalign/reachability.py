@@ -140,10 +140,6 @@ def build_reachability_graph(
     """
     if limits is None:
         limits = default_limits(sp)
-    if any(v > limits.token_cap for v in sp.initial_marking):
-        raise InvalidLimitsError(
-            f"initial marking exceeds token_cap={limits.token_cap}"
-        )
     successors, marking, final_key = product_space(sp, limits.token_cap)
     max_depth, max_nodes, max_edges = limits.max_depth, limits.max_nodes, limits.max_edges
 

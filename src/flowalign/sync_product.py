@@ -1,4 +1,10 @@
-"""Synchronous product of a process model and a trace model, with move costs.
+"""Synchronous product of a process model and one trace, with move costs.
+
+The trace side of a product is always the trace model of its activities:
+the path net of :func:`~flowalign.petri.build_trace_model`, whose place
+``pos`` holds the token after ``pos`` events.  A product is therefore
+fully given by the process net, the activity sequence and the costs, and
+:func:`product_for_trace` builds it from those, without a trace net.
 
 The product's transitions are *moves*: synchronous moves pair a process
 transition with a trace position carrying the same activity label, model
@@ -6,6 +12,13 @@ moves replay a process transition against a gap, and log moves consume a
 trace position against a gap.  Costs follow the standard scheme:
 synchronous moves are free, silent model moves cost a tiny epsilon, and
 every visible deviation costs ``deviation_cost``.
+
+The engines read a product through two compositions of the process net's
+data with the trace path: :func:`product_space` (states and successors,
+from the model's successor memo) and :func:`incidence_rows` (the marking
+equation's rows, from the model's firing data).  The product as a Petri
+net, :attr:`SynchronousProduct.net`, is an export view built on first
+read (MILP matrices, PNML export).
 
 Costs are exact rationals so that total alignment costs compare exactly
 and the number of silent moves is recoverable from the fractional part.
@@ -22,7 +35,7 @@ from fractions import Fraction
 import xml.etree.ElementTree as ET
 
 from .errors import InvalidInputError
-from .petri import TAU, Marking, PetriNet, successor_memo, trace_chain
+from .petri import TAU, Marking, PetriNet, Trace, firing_data, successor_memo, trace_ids
 
 #: Placeholder for "no move on this side" in a move's label pair.
 GAP = ">>"
@@ -72,51 +85,50 @@ class CostConfig:
 
 @dataclass(frozen=True)
 class SynchronousProduct:
-    """The product of a process net and a (renamed) trace net.
+    """The product of a process net and the trace model of one trace.
 
     ``moves`` is in one canonical order: all synchronous moves (by process
     transition, then trace position), then model moves (process order),
-    then log moves (trace order).  A product marking is the concatenation
-    of a process-net marking and a trace-net marking.
+    then log moves (trace order).  A product marking is a process-net
+    marking followed by one entry per trace position ``0..n``, with the
+    one trace token at the number of events consumed so far.
 
     ``sync_moves_at[pos]`` lists ``(process transition index, move index)``
     for the synchronous moves at trace position ``pos`` (0-based), in
-    process order; ``trace_places[pos]`` is the trace-net place that holds
-    the token after ``pos`` events (``pos`` in ``0..n``).
+    process order.
     """
 
     moves: tuple[SyncMove, ...]
     process_net: PetriNet
-    trace_net: PetriNet
     trace_labels: tuple[str, ...]
     sync_moves_at: tuple[tuple[tuple[int, int], ...], ...]
-    trace_places: tuple[int, ...]
 
     @property
     def initial_marking(self) -> Marking:
-        return self.process_net.initial_marking + self.trace_net.initial_marking
+        return self.process_net.initial_marking + _one_hot(0, len(self.trace_labels))
 
     @property
     def final_marking(self) -> Marking:
-        return self.process_net.final_marking + self.trace_net.final_marking
+        n = len(self.trace_labels)
+        return self.process_net.final_marking + _one_hot(n, n)
 
     @functools.cached_property
     def net(self) -> PetriNet:
         """The product as a Petri net, built on first access: the process
-        places, then the renamed trace places; one transition per move, named
-        by ``move_id``, with the arcs of its process transition, then of its
-        trace transition.  The engines' state space does not read it."""
-        sn, tn = self.process_net, self.trace_net
-        place_map, trans_map = _trace_renaming(sn, tn)
-        into: dict[str, list[tuple[str, int]]] = {}
-        out: dict[str, list[tuple[str, int]]] = {}
-        # Process ids keep their names (empty maps); trace ids are renamed.
-        for net, places, trans in ((sn, {}, {}), (tn, place_map, trans_map)):
-            for src, tgt, w in net.arcs:
-                if src in net.transition_index:
-                    out.setdefault(trans.get(src, src), []).append((places.get(tgt, tgt), w))
-                else:
-                    into.setdefault(trans.get(tgt, tgt), []).append((places.get(src, src), w))
+        places, then the renamed places of the trace model
+        (:func:`~flowalign.petri.build_trace_model`); one transition per
+        move, named by ``move_id``, with the arcs of its process transition,
+        then of its trace transition.  The engines do not read it."""
+        sn = self.process_net
+        places, trans = _trace_renaming(sn, len(self.trace_labels))
+        # The trace transition of event pos + 1 moves the token from place pos to pos + 1.
+        into = {t: [(places[pos], 1)] for pos, t in enumerate(trans)}
+        out = {t: [(places[pos + 1], 1)] for pos, t in enumerate(trans)}
+        for src, tgt, w in sn.arcs:
+            if src in sn.transition_index:
+                out.setdefault(src, []).append((tgt, w))
+            else:
+                into.setdefault(tgt, []).append((src, w))
         arcs: list[tuple[str, str, int]] = []
         for move in self.moves:
             for t in (move.process_transition, move.trace_transition):
@@ -124,7 +136,7 @@ class SynchronousProduct:
                     arcs += [(p, move.move_id, w) for p, w in into.get(t, ())]
                     arcs += [(move.move_id, p, w) for p, w in out.get(t, ())]
         return PetriNet(
-            places=sn.places + tuple(place_map[p] for p in tn.places),
+            places=sn.places + tuple(places),
             transitions=tuple(m.move_id for m in self.moves),
             arcs=tuple(arcs),
             labels=tuple(
@@ -141,106 +153,66 @@ class SynchronousProduct:
         return out
 
 
-def _trace_renaming(sn: PetriNet, tn: PetriNet) -> tuple[dict[str, str], dict[str, str]]:
-    """The product's names for the trace net's places, then transitions:
-    each group gets the fewest primes that keep it clear of the ids taken."""
+def _one_hot(pos: int, n: int) -> Marking:
+    """The trace part of a product marking with ``pos`` of ``n`` events consumed."""
+    return (0,) * pos + (1,) + (0,) * (n - pos)
+
+
+def _trace_renaming(sn: PetriNet, n: int) -> tuple[list[str], list[str]]:
+    """The product's names for the place ids, then the transition ids, of
+    an ``n``-event trace model, in positional order: each group gets the
+    fewest primes that keep it clear of the ids taken."""
     taken = set(sn.places) | set(sn.transitions)
     renamed = []
-    for ids in (tn.places, tn.transitions):
+    for ids in trace_ids(n):
         suffix = "'"
         while any((i + suffix) in taken for i in ids):
             suffix += "'"
-        renamed.append({i: i + suffix for i in ids})
-        taken |= set(renamed[-1].values())
+        renamed.append([i + suffix for i in ids])
+        taken.update(renamed[-1])
     return renamed[0], renamed[1]
 
 
-def build_sync_product(
-    sn: PetriNet, tn: PetriNet, cost: CostConfig = CostConfig()
+def product_for_trace(
+    sn: PetriNet, trace: Trace, cost: CostConfig = CostConfig()
 ) -> SynchronousProduct:
-    """Construct the synchronous product of process model ``sn`` and trace model ``tn``.
+    """The synchronous product of process model ``sn`` and the trace model
+    of ``trace``, built from its activities.
 
-    ``tn`` must be a path net (as produced by
-    :func:`~flowalign.petri.build_trace_model`); its node ids are renamed
-    with a prime suffix so the id spaces stay disjoint.  The product's
-    Petri net is built only when :attr:`SynchronousProduct.net` is read.
+    The trace model's ids are renamed with a prime suffix so the id spaces
+    stay disjoint.  The product's Petri net is built only when
+    :attr:`SynchronousProduct.net` is read.
     """
-    chain = trace_chain(tn)
-    if chain is None:
-        raise InvalidInputError("trace-side net is not a path net (not a trace model)")
-
-    trans_map = _trace_renaming(sn, tn)[1]
-    trace_order = [tn.transitions[j] for j in chain[0]]  # positions 1..n
-    trace_labels = tuple(tn.label(t) for t in trace_order)
+    trace_labels = tuple(trace.activities)
+    trace_moves = _trace_renaming(sn, len(trace_labels))[1]  # events 1..n
     moves: list[SyncMove] = []
 
     # Synchronous moves: full label-match cross product, ordered by
     # process transition then trace position.
-    sync_moves_at: list[list[tuple[int, int]]] = [[] for _ in trace_order]
-    for j, t in enumerate(sn.transitions):
-        lbl = sn.label(t)
+    sync_moves_at: list[list[tuple[int, int]]] = [[] for _ in trace_labels]
+    for j, (t, lbl) in enumerate(zip(sn.transitions, sn.labels)):
         if lbl is TAU:
             continue
-        for pos, t_trace in enumerate(trace_order):
+        for pos, tt in enumerate(trace_moves):
             if trace_labels[pos] != lbl:
                 continue
-            tt = trans_map[t_trace]
             sync_moves_at[pos].append((j, len(moves)))
-            moves.append(
-                SyncMove(
-                    move_id=f"({t},{tt})",
-                    kind=MoveKind.SYNC,
-                    process_transition=t,
-                    trace_transition=tt,
-                    label_pair=(lbl, lbl),
-                    cost=Fraction(0),
-                )
-            )
+            moves.append(SyncMove(f"({t},{tt})", MoveKind.SYNC, t, tt, (lbl, lbl), Fraction(0)))
 
-    for t in sn.transitions:
-        lbl = sn.label(t)
-        silent = lbl is TAU
-        moves.append(
-            SyncMove(
-                move_id=f"({t},{GAP})",
-                kind=MoveKind.MODEL_TAU if silent else MoveKind.MODEL,
-                process_transition=t,
-                trace_transition=None,
-                label_pair=(lbl, GAP),
-                cost=cost.tau_cost if silent else cost.deviation_cost,
-            )
-        )
+    for t, lbl in zip(sn.transitions, sn.labels):
+        kind = MoveKind.MODEL_TAU if lbl is TAU else MoveKind.MODEL
+        c = cost.tau_cost if lbl is TAU else cost.deviation_cost
+        moves.append(SyncMove(f"({t},{GAP})", kind, t, None, (lbl, GAP), c))
 
-    for pos, t_trace in enumerate(trace_order):
-        tt = trans_map[t_trace]
-        moves.append(
-            SyncMove(
-                move_id=f"({GAP},{tt})",
-                kind=MoveKind.LOG,
-                process_transition=None,
-                trace_transition=tt,
-                label_pair=(GAP, trace_labels[pos]),
-                cost=cost.deviation_cost,
-            )
-        )
+    for tt, lbl in zip(trace_moves, trace_labels):
+        moves.append(SyncMove(f"({GAP},{tt})", MoveKind.LOG, None, tt, (GAP, lbl), cost.deviation_cost))
 
     return SynchronousProduct(
         moves=tuple(moves),
         process_net=sn,
-        trace_net=tn,
         trace_labels=trace_labels,
         sync_moves_at=tuple(map(tuple, sync_moves_at)),
-        trace_places=tuple(chain[1]),
     )
-
-
-def product_for_trace(
-    sn: PetriNet, trace, cost: CostConfig = CostConfig()
-) -> SynchronousProduct:
-    """Convenience: build the trace model for ``trace`` and take the product."""
-    from .petri import build_trace_model
-
-    return build_sync_product(sn, build_trace_model(trace), cost)
 
 
 def product_space(
@@ -269,17 +241,17 @@ def product_space(
     A negative successor key means that the move would put more than
     ``cap`` tokens on a place, which happens exactly when the process
     successor does, because a trace place holds at most one token.  A
-    successor key equal to ``key`` is a self-loop.
+    successor key equal to ``key`` is a self-loop.  Both engines explore
+    this space, so both reject, with :class:`InvalidLimitsError` from the
+    model's memo, an initial marking that already exceeds ``cap``.
     """
     proc = sp.process_net
     memo = successor_memo(proc, cap)
     table, expand, markings = memo.table, memo.expand, memo.markings
     n = len(sp.trace_labels)
     stride = n + 1
-    model0 = len(sp.moves) - len(proc.transitions) - n
-    log0 = len(sp.moves) - n
+    model0, log0 = _move_offsets(sp)
     sync_at = [dict(pairs) for pairs in sp.sync_moves_at]
-    trace_places, width = sp.trace_places, len(sp.trace_net.places)
     trace_part: list[Marking | None] = [None] * stride
 
     # Closures over locals: both engines call these once per state.
@@ -300,10 +272,43 @@ def product_space(
         pid, pos = divmod(key, stride)
         part = trace_part[pos]
         if part is None:
-            part = trace_part[pos] = tuple(int(i == trace_places[pos]) for i in range(width))
+            part = trace_part[pos] = _one_hot(pos, n)
         return markings[pid] + part
 
     return successors, marking, memo.ids[proc.final_marking] * stride + n
+
+
+def _move_offsets(sp: SynchronousProduct) -> tuple[int, int]:
+    """The indices of the first model move and of the first log move."""
+    log0 = len(sp.moves) - len(sp.trace_labels)
+    return log0 - len(sp.process_net.transitions), log0
+
+
+def incidence_rows(sp: SynchronousProduct) -> list[list[int]]:
+    """The incidence matrix of :attr:`SynchronousProduct.net` (post minus
+    pre) as integer rows, one per product place: the marking equation's
+    rows.  Composed like :func:`product_space`: a move's column is its
+    process transition's column of the model's firing data plus, for a
+    move that consumes event ``pos``, -1 at trace position ``pos`` and +1
+    at ``pos + 1``."""
+    pre, post = firing_data(sp.process_net)
+    width, n = len(sp.process_net.places), len(sp.trace_labels)
+    model0, log0 = _move_offsets(sp)
+    # (move index, process transition or None, event position or None)
+    columns = [(k, j, pos) for pos, pairs in enumerate(sp.sync_moves_at) for j, k in pairs]
+    columns += [(model0 + j, j, None) for j in range(len(pre))]
+    columns += [(log0 + pos, None, pos) for pos in range(n)]
+    rows = [[0] * len(sp.moves) for _ in range(width + n + 1)]
+    for k, j, pos in columns:
+        if j is not None:
+            for i, w in pre[j]:
+                rows[i][k] -= w
+            for i, w in post[j]:
+                rows[i][k] += w
+        if pos is not None:
+            rows[width + pos][k] -= 1
+            rows[width + pos + 1][k] += 1
+    return rows
 
 
 def cost_vector(sp: SynchronousProduct) -> tuple[Fraction, ...]:

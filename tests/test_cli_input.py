@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_fig_acyclic
 from flowalign.cli import EXIT_PARSE, main
 from flowalign.model_io import EventLog, serialize_pnml, serialize_xes
-from flowalign.petri import Trace
+from flowalign.petri import PetriNet, Trace
 
 VALID_PNML = serialize_pnml(make_fig_acyclic())
 VALID_XES = serialize_xes(
@@ -98,17 +98,38 @@ def test_fuzzed_csv_gives_an_exit_code(log):
         assert run_on(Path(tmp), VALID_PNML, (".csv", log)) in EXIT_CODES
 
 
+def command_inputs(command: str, tmp_path: Path, model: bytes) -> list[str]:
+    """Arguments of ``command`` on ``model`` and the valid trace or log."""
+    model_path = tmp_path / "corpus" / "model.pnml"
+    model_path.parent.mkdir()
+    model_path.write_bytes(model)
+    if command == "align":
+        return [str(model_path), "--trace", "a,b,c,e"]
+    log = tmp_path / "corpus" / "log.xes"
+    log.write_bytes(VALID_XES)
+    if command == "bench":
+        return [str(model_path.parent), "--out", str(tmp_path / "records.csv")]
+    return [str(model_path), str(log), "--out", str(tmp_path / "records.csv")]
+
+
 @pytest.mark.parametrize("flag", [("--max-nodes", "0"), ("--max-edges", "0"), ("--max-depth", "-1")])
 @pytest.mark.parametrize("command", ["align", "conformance"])
 @pytest.mark.parametrize("method", ["astar", "lp", "hybrid", "both"])
 def test_invalid_limit_flags_exit_2_under_every_method(method, command, flag, tmp_path, capsys):
-    model = tmp_path / "model.pnml"
-    model.write_bytes(VALID_PNML)
-    if command == "align":
-        inputs = [str(model), "--trace", "a,b,c,e"]
-    else:
-        log = tmp_path / "log.xes"
-        log.write_bytes(VALID_XES)
-        inputs = [str(model), str(log), "--out", str(tmp_path / "records.csv")]
+    inputs = command_inputs(command, tmp_path, VALID_PNML)
     assert main([command, *inputs, "--method", method, *flag]) == EXIT_PARSE
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["align", "conformance", "bench"])
+@pytest.mark.parametrize("method", ["astar", "lp", "hybrid", "both"])
+def test_token_cap_below_the_initial_marking_exits_2_under_every_method(
+    method, command, tmp_path, capsys
+):
+    # Two tokens start on one place, so a cap of 1 is invalid before any
+    # move; under it, the final marking would also be out of reach.
+    twice = PetriNet.build(["p0", "p1"], ["t"], [("p0", "t"), ("t", "p1")], {"t": "a"}, {"p0": 2}, {"p1": 2})
+    inputs = command_inputs(command, tmp_path, serialize_pnml(twice))
+    assert main([command, *inputs, "--method", method, "--token-cap", "1"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "token_cap=1" in err

@@ -26,7 +26,6 @@ from flowalign.astar import (
     SearchConfig,
     SearchOutcome,
     astar_align,
-    incidence_rows,
     marking_equation_heuristic,
 )
 from flowalign.errors import InvalidInputError
@@ -41,7 +40,7 @@ from flowalign.generator import (
 from flowalign.petri import PetriNet, Trace, firing_data, incidence_matrices
 from flowalign.reachability import build_reachability_graph
 from flowalign.simplex import BASIS_CACHE_SIZE, BasisCache, Optimum, solve_min_eq
-from flowalign.sync_product import product_for_trace
+from flowalign.sync_product import incidence_rows, product_for_trace
 from oracles import oracle_shortest_cost
 
 GOLDEN = Path(__file__).parent / "data" / "astar_first_edit_cycle.json"
@@ -349,9 +348,13 @@ def test_incidence_rows_equal_the_dense_incidence():
         {"p0": 2},
         {"p2": 1},
     )
-    for candidate in [sp.net for sp in products] + [net, product_for_trace(net, Trace("t", ("a",))).net]:
-        assert incidence_rows(candidate) == incidence_matrices(candidate).incidence.tolist()
-    assert incidence_rows(net) == [[-2, 0], [3, -1], [0, 1]]
+    products += [product_for_trace(net, Trace("t", acts)) for acts in ((), ("a",), ("a", "b", "a"))]
+    for sp in products:
+        assert incidence_rows(sp) == incidence_matrices(sp.net).incidence.tolist()
+    # Moves (t,t1'), (t,>>), (u,>>), (>>,t1'); places p0..p2, then p0', p1'.
+    assert incidence_rows(products[13]) == [
+        [-2, -2, 0, 0], [3, 3, -1, 0], [0, 0, 1, 0], [-1, 0, 0, -1], [1, 0, 0, 1]
+    ]
 
 
 def test_aligned_product_is_not_kept_alive():

@@ -5,7 +5,9 @@ from the model's memo, and both engines explore it: the reachability graph
 build and A*.  ``petri.successors`` on the product net and
 ``oracles.reference_reachability_graph`` fire every product transition at
 every full product marking.  They must agree on every successor, node,
-edge, count and optimal cost, under any limits.
+edge, count and optimal cost, under any limits.  The marking equation's
+rows are composed the same way and must equal the product net's
+incidence matrix.
 """
 
 import functools
@@ -23,9 +25,9 @@ from conftest import build_corpus_models
 from flowalign import reachability
 from flowalign.astar import Heuristic, SearchConfig, SearchOutcome, astar_align
 from flowalign.errors import InvalidLimitsError
-from flowalign.petri import PetriNet, Trace, successor_memo, successors
+from flowalign.petri import PetriNet, Trace, incidence_matrices, successor_memo, successors
 from flowalign.reachability import ExplorationLimits, build_reachability_graph, default_limits
-from flowalign.sync_product import build_sync_product, product_for_trace, product_space
+from flowalign.sync_product import incidence_rows, product_for_trace, product_space
 from oracles import oracle_shortest_cost, reference_reachability_graph
 from test_heuristic_lp import first_edit_cycle
 
@@ -131,6 +133,13 @@ def test_space_successors_equal_product_firing():
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(products, st.integers(1, 3))
     def check(sp, cap):
+        assert incidence_rows(sp) == incidence_matrices(sp.net).incidence.tolist()
+        seen["empty_traces"] += not sp.trace_labels
+        if any(v > cap for v in sp.initial_marking):
+            with pytest.raises(InvalidLimitsError):
+                product_space(sp, cap)
+            seen["over_cap"] += 1
+            return
         step, marking, final = product_space(sp, cap)
         keys = reachable_keys(step)
         assert marking(0) == sp.initial_marking
@@ -144,7 +153,7 @@ def test_space_successors_equal_product_firing():
             seen["self_loops"] += any(k == key for _, k in composed)
 
     check()
-    assert seen["cap_prunes"] and seen["self_loops"], seen
+    assert all(seen[k] for k in ("cap_prunes", "self_loops", "empty_traces", "over_cap")), seen
 
 
 def test_astar_cost_equals_the_reference_graph_oracle():
@@ -173,24 +182,6 @@ def test_astar_cost_equals_the_reference_graph_oracle():
     check()
     assert seen["unreachable"] and seen["cap_prunes"], seen
     assert all(seen["optimal", h] for h in Heuristic), seen
-
-
-def test_trace_places_out_of_chain_order(fig_acyclic):
-    # A trace net whose place ids do not sort in chain order.
-    chain = ["z", "m", "a", "q"]
-    tn = PetriNet.build(
-        chain,
-        ["t1", "t2", "t3"],
-        [(chain[i], f"t{i + 1}") for i in range(3)] + [(f"t{i + 1}", chain[i + 1]) for i in range(3)],
-        {"t1": "a", "t2": "c", "t3": "e"},
-        {"z": 1},
-        {"q": 1},
-    )
-    sp = build_sync_product(fig_acyclic, tn)
-    assert sp.trace_places == (3, 1, 0, 2)
-    rg, ref = build_reachability_graph(sp), reference_reachability_graph(sp)
-    assert (rg.nodes, rg.edges, rg.final_index, rg.stats) == tuple(ref)
-    assert rg.final_index is not None
 
 
 def growing_net() -> PetriNet:

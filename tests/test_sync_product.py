@@ -1,9 +1,11 @@
+import math
 import pickle
 from fractions import Fraction
 
 import pytest
 
 from conftest import INSURANCE_TRACE
+from flowalign.astar import SearchOutcome, astar_align, marking_equation_heuristic
 from flowalign.errors import InvalidInputError
 from flowalign.flow import SolveStatus, lp_align
 from flowalign.model_io import parse_pnml
@@ -13,7 +15,6 @@ from flowalign.sync_product import (
     GAP,
     CostConfig,
     MoveKind,
-    build_sync_product,
     cost_vector,
     product_for_trace,
     product_to_pnml,
@@ -53,10 +54,6 @@ class TestBuildSyncProduct:
         assert toy_product.initial_marking[n:] == (1, 0, 0, 0)
         assert toy_product.final_marking[:n] == fig_acyclic.final_marking
         assert toy_product.final_marking[n:] == (0, 0, 0, 1)
-
-    def test_non_path_net_rejected(self, fig_acyclic):
-        with pytest.raises(InvalidInputError, match="path"):
-            build_sync_product(fig_acyclic, fig_acyclic)
 
     def test_id_collision_resolved_by_priming(self, fig_acyclic):
         sp = product_for_trace(fig_acyclic, Trace("t", ("a", "b", "e")))
@@ -105,6 +102,8 @@ class TestBuildSyncProduct:
         build_reachability_graph(sp)
         assert "net" not in vars(sp)
         assert lp_align(sp)[1].outcome is SolveStatus.OPTIMAL
+        assert astar_align(sp)[1].outcome is SearchOutcome.OPTIMAL
+        assert 0 < marking_equation_heuristic(sp, sp.initial_marking) < math.inf
         assert "net" not in vars(sp)
         net = sp.net
         assert vars(sp)["net"] is net and sp.net is net
