@@ -53,7 +53,7 @@ problem = assemble_flow_problem(graph)
 solution = solve_min_cost_unit_flow(problem)
 print(f"\nflow objective: {solution.objective} ({solution.status.value})")
 print("integral at tolerance 0:", verify_integrality(solution))
-print("edges carrying flow:", [i for i, x in enumerate(solution.x) if x == 1])
+print("edges carrying flow:", list(solution.path))
 
 alignment = extract_alignment(graph, product, solution)
 print("\nalignment:", [(m.kind.value, m.label_pair) for m in alignment.moves])

@@ -1,7 +1,9 @@
 """Best-first optimal alignment over the synchronous product's state space.
 
-The search expands the int-keyed states of ``sync_product.product_space``
-directly (no pre-built reachability graph), ordered by f = g + h with
+The search grows its own ``sync_product.ProductGraph`` as it goes: it
+expands each node it pops (no pre-built reachability graph, no budgets),
+so its successors come from the same code and in the same canonical order
+as the reachability graph's edges.  Nodes are ordered by f = g + h with
 ties broken by larger g, then FIFO.  The marking-equation heuristic is
 the exact optimum of the continuous state-equation relaxation
 ``min c.x s.t. I x = m_f - m, x >= 0``; it is admissible but not assumed
@@ -57,7 +59,7 @@ from .errors import InvalidInputError
 from .flow import Alignment, Method, RunStats
 from .petri import Marking
 from .simplex import BasisCache, integers, solve_min_eq
-from .sync_product import SynchronousProduct, cost_vector, incidence_rows, product_space
+from .sync_product import ProductGraph, SynchronousProduct, cost_vector, incidence_rows
 
 
 class Heuristic(Enum):
@@ -173,16 +175,18 @@ def astar_align(
     """A* over product states; optimal when it completes.
 
     Outcomes TIMEOUT and EXHAUSTED are reported in the stats, never
-    raised.  States and successors come from ``product_space``, as in the
-    reachability-graph build: self-loops are skipped and successors
+    raised.  States and successors come from a
+    :class:`~flowalign.sync_product.ProductGraph` without budgets, as in
+    the reachability-graph build: self-loops are skipped and successors
     exceeding the per-place token cap are pruned, so both methods search
     the same capped space.
     """
     stats = RunStats(Method.ASTAR, SearchOutcome.EXHAUSTED)
     t0 = time.perf_counter_ns()
     deadline = t0 + cfg.timeout * 1e9
-    successors, marking, goal = product_space(sp, cfg.token_cap)
-    start = 0  # the initial state's key
+    graph = ProductGraph(sp, cfg.token_cap)
+    heads, edge_moves = graph.heads, graph.moves
+    start = 0  # the initial state's node
     moves = sp.moves
 
     # g, h and f are in units of 1/scale (see the module docstring).
@@ -191,14 +195,14 @@ def astar_align(
     # only gets its own value when it is about to be expanded.
     parent: dict[int, tuple[int, int]] = {}
     if cfg.heuristic is Heuristic.MARKING_EQUATION:
-        heuristic = MarkingEquation(sp, marking)
+        heuristic = MarkingEquation(sp, graph.marking)
         costs, h_exact = heuristic.costs, heuristic.values
     else:
         heuristic = None
         costs, h_exact = scaled_costs(sp)[0], {}
 
-    def h(key: int) -> int | Fraction | float:
-        return heuristic(key, parent.get(key)) if heuristic is not None else 0
+    def h(node: int) -> int | Fraction | float:
+        return heuristic(node, parent.get(node)) if heuristic is not None else 0
 
     def finish(outcome: SearchOutcome, alignment: Alignment | None = None):
         if heuristic is not None:
@@ -214,6 +218,7 @@ def astar_align(
 
     counter = itertools.count()
     best_g: dict[int, int] = {start: 0}
+    out_edges: dict[int, range] = {}  # a reopened node is expanded once
     heap: list = [(h0, 0, next(counter), start)]
     while heap:
         stats.queue_peak = max(stats.queue_peak, len(heap))
@@ -223,7 +228,7 @@ def astar_align(
         g = -neg_g
         if g > best_g.get(cur, math.inf):
             continue
-        if cur == goal:
+        if cur == graph.final_index:
             moves_seq = []
             node = cur
             while node != start:
@@ -241,9 +246,13 @@ def astar_align(
         if stats.expansions >= cfg.max_expansions:
             return finish(SearchOutcome.EXHAUSTED)
         stats.expansions += 1
-        for j, succ in successors(cur):
-            if succ < 0 or succ == cur:
-                continue
+        edges = out_edges.get(cur)
+        if edges is None:
+            first = len(heads)
+            graph.expand(cur, cur + 1)
+            edges = out_edges[cur] = range(first, len(heads))
+        for e in edges:
+            j, succ = edge_moves[e], heads[e]
             ng = g + costs[j]
             old = best_g.get(succ)
             if old is not None and ng >= old:

@@ -47,10 +47,15 @@ EXIT_INVARIANT = 5
 
 
 def _fraction(text: str) -> Fraction:
+    """An exact rational (``3/2``) or decimal (``1e-6``); anything that is
+    not a finite number is a usage error."""
     try:
-        return Fraction(text)
-    except ValueError:
-        return Fraction(Decimal(text))
+        try:
+            return Fraction(text)
+        except ValueError:
+            return Fraction(Decimal(text))
+    except (ArithmeticError, ValueError):
+        raise argparse.ArgumentTypeError(f"not a finite rational number: {text!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -128,9 +128,24 @@ class FlowProblem:
 
 @dataclass(frozen=True)
 class FlowSolution:
-    x: tuple[int, ...]
+    """A solve's outcome over a problem of ``num_edges`` edges.
+
+    ``path`` lists the edges of the chosen source-to-sink path in order:
+    empty when the source is the sink or when no path exists.
+    """
+
+    path: tuple[int, ...]
     objective: Fraction | None
     status: SolveStatus
+    num_edges: int
+
+    @property
+    def x(self) -> tuple[int, ...]:
+        """The flow on every edge: 1 on the path, 0 elsewhere."""
+        x = [0] * self.num_edges
+        for e in self.path:
+            x[e] = 1
+        return tuple(x)
 
 
 @dataclass(frozen=True)
@@ -210,9 +225,9 @@ def assemble_flow_problem(rg: ReachabilityGraph) -> FlowProblem:
 def solve_min_cost_unit_flow(fp: FlowProblem) -> FlowSolution:
     """Exact label-setting solve; the optimum is an integral extreme point.
 
-    The returned ``x`` is 0/1 per edge, the chosen edges form one simple
-    source-to-sink path, and the objective is certified against the
-    distance labels before returning.
+    The returned ``path`` is one simple source-to-sink path (so ``x`` is
+    0/1 per edge), and the objective is certified against the distance
+    labels before returning.
     """
     n_nodes, tails, heads, scale = fp.num_nodes, fp.tails, fp.heads, fp.scale
     n_edges = len(tails)
@@ -221,7 +236,7 @@ def solve_min_cost_unit_flow(fp: FlowProblem) -> FlowSolution:
         raise InvalidInputError("edge costs must be nonnegative")
     costs = [move_costs[m] for m in fp.moves]
     if fp.source == fp.sink:
-        return FlowSolution(x=(0,) * n_edges, objective=Fraction(0), status=SolveStatus.OPTIMAL)
+        return FlowSolution((), Fraction(0), SolveStatus.OPTIMAL, n_edges)
 
     into: list[list[int]] = [[] for _ in range(n_nodes)]
     for e, h in enumerate(heads):
@@ -251,7 +266,7 @@ def solve_min_cost_unit_flow(fp: FlowProblem) -> FlowSolution:
                 step[t] = e
 
     if dist[fp.source] is None:
-        return FlowSolution(x=(0,) * n_edges, objective=None, status=SolveStatus.INFEASIBLE)
+        return FlowSolution((), None, SolveStatus.INFEASIBLE, n_edges)
 
     # Following step[] from the source gives the lexicographically smallest
     # optimal path under edge index order.
@@ -264,10 +279,7 @@ def solve_min_cost_unit_flow(fp: FlowProblem) -> FlowSolution:
         cur = heads[step[cur]]
 
     _certify(fp, dist, chosen, tails, heads, costs)
-    x = [0] * n_edges
-    for e in chosen:
-        x[e] = 1
-    return FlowSolution(x=tuple(x), objective=Fraction(dist[fp.source], scale), status=SolveStatus.OPTIMAL)
+    return FlowSolution(tuple(chosen), Fraction(dist[fp.source], scale), SolveStatus.OPTIMAL, n_edges)
 
 
 def _certify(fp, dist, chosen, tails, heads, costs) -> None:
@@ -295,28 +307,26 @@ def verify_integrality(sol: FlowSolution, tol: Fraction = Fraction(0)) -> bool:
 def extract_alignment(
     rg: ReachabilityGraph, sp: SynchronousProduct, sol: FlowSolution
 ) -> Alignment:
-    """Order the chosen edges into a path and map them to moves."""
+    """Walk the solution's path and map its edges to moves.
+
+    Raises :class:`InternalInvariantError` unless the path leaves each node
+    at most once and runs edge to edge from the initial to the final node,
+    and its moves cost the objective.
+    """
     if sol.status is not SolveStatus.OPTIMAL:
         raise InvalidInputError("extract_alignment expects an OPTIMAL solution")
-    if not set(sol.x) <= {0, 1}:
-        raise InternalInvariantError("flow solution is not integral")
-    chosen = [i for i, v in enumerate(sol.x) if v == 1]
-    by_tail: dict[int, int] = {}
-    for i in chosen:
-        tail = rg.tails[i]
-        if tail in by_tail:
-            raise InternalInvariantError(f"two chosen edges leave node {tail}")
-        by_tail[tail] = i
-
     moves: list[SyncMove] = []
+    left: set[int] = set()
     cur = rg.initial_index
-    for _ in range(len(chosen)):
-        if cur not in by_tail:
+    for e in sol.path:
+        if cur in left:
+            raise InternalInvariantError(f"two chosen edges leave node {cur}")
+        if rg.tails[e] != cur:
             raise InternalInvariantError("chosen edges do not form a single path")
-        i = by_tail.pop(cur)
-        moves.append(sp.moves[rg.moves[i]])
-        cur = rg.heads[i]
-    if by_tail or cur != rg.final_index:
+        left.add(cur)
+        moves.append(sp.moves[rg.moves[e]])
+        cur = rg.heads[e]
+    if cur != rg.final_index:
         raise InternalInvariantError("chosen edges do not form an initial-to-final path")
 
     alignment = Alignment.from_moves(tuple(moves), Method.LP)

@@ -8,8 +8,8 @@ A net also keeps caches of derived data: its firing data and incidence
 matrices, and one :class:`SuccessorMemo` per token cap.  The memo numbers
 the markings reached from the initial marking in discovery order and keeps
 each one's successors once they have been read through :func:`successors`.
-Both engines explore product states composed from it
-(``sync_product.product_space``), so aligning a model against many traces
+Both engines grow a product graph composed from it
+(``sync_product.ProductGraph``), so aligning a model against many traces
 fires each model transition once per marking, not once per product state,
 and both reject a cap below the initial marking, which the memo refuses.
 Its size is bounded by the model's state space under the cap, not by the
@@ -17,8 +17,9 @@ length or number of the traces aligned against it.  A memo fills under
 its own lock: a thread that misses re-checks under the lock before it
 numbers a marking or reads its successors, so concurrent builds see one
 numbering, and a filled entry never changes, so reads take no lock.  The
-memos are left out of pickles and copies, so a net sent to a worker
-process starts without them.
+memos, and the model moves that ``sync_product`` keeps on the net, are
+left out of pickles and copies, so a net sent to a worker process starts
+without them.
 
 The trace model of an ``n``-event trace is a path net whose ids
 (:func:`trace_ids`) sort in positional order.  Synchronous products do not
@@ -45,6 +46,10 @@ TAU = None
 Marking = tuple[int, ...]
 
 Arc = tuple[str, str, int]  # (source id, target id, weight)
+
+#: Caches kept in a net's ``__dict__`` that its pickles and copies leave
+#: out: the successor memos, and the model moves ``sync_product`` builds.
+_UNPICKLED_CACHES = ("_successor_memos", "_model_moves")
 
 #: Per transition, its sparse ``(place index, weight)`` arcs.
 ArcSets = tuple[tuple[tuple[int, int], ...], ...]
@@ -167,7 +172,8 @@ class PetriNet:
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("_successor_memos", None)
+        for cache in _UNPICKLED_CACHES:
+            state.pop(cache, None)
         return state
 
     @property

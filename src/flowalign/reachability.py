@@ -1,9 +1,13 @@
 """Bounded breadth-first reachability graphs and their node-arc incidence.
 
-The graph of a synchronous product is a breadth-first search over its
-state space as :func:`~flowalign.sync_product.product_space` composes it,
-so nodes are keyed by ints and each process marking's successors are
-read once per model and token cap, however many traces are aligned.
+The graph of a synchronous product is a breadth-first search over a
+:class:`~flowalign.sync_product.ProductGraph`: this module only orders
+the expansions and applies the depth limit, while the product graph
+composes each node's successors, numbers new nodes, applies the node and
+edge budgets and counts what it prunes.  Nodes are numbered in discovery
+order, so the queue is node order and needs no container of its own, and
+each process marking's successors are read once per model and token cap,
+however many traces are aligned.
 
 Exploration is deterministic: layers are processed in discovery order, so
 two builds of the same product under the same limits yield identical node
@@ -12,14 +16,15 @@ counted; they cannot lie on a minimum-cost path under nonnegative costs.
 Per-place token counts are capped to guarantee termination on unbounded
 nets; capped branches are counted, not errors.
 
-The graph stores its edges as three int tuples (tail, head, product move
-index); :attr:`ReachabilityGraph.edges` presents them as :class:`RGEdge`
-values.
+The graph stores its nodes as int keys and its edges as three int
+sequences (tail, head, product move index).
+:attr:`ReachabilityGraph.nodes` presents the nodes as product markings
+and :attr:`ReachabilityGraph.edges` the edges as :class:`RGEdge` values,
+each made only when read.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +34,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidLimitsError
 from .petri import Marking
-from .sync_product import SynchronousProduct, cost_vector, product_space
+from .sync_product import ProductGraph, SynchronousProduct, cost_vector
 
 
 @dataclass(frozen=True)
@@ -82,10 +87,10 @@ class ReachabilityGraph:
     ``moves[e]`` (named ``move_ids[moves[e]]``, costing
     ``move_costs[moves[e]]``) from node ``tails[e]`` to node ``heads[e]``."""
 
-    nodes: tuple[Marking, ...]
-    tails: tuple[int, ...]
-    heads: tuple[int, ...]
-    moves: tuple[int, ...]
+    nodes: "NodeView"
+    tails: Sequence[int]
+    heads: Sequence[int]
+    moves: Sequence[int]
     move_ids: tuple[str, ...]
     move_costs: tuple[Fraction, ...]
     final_index: int | None
@@ -97,28 +102,20 @@ class ReachabilityGraph:
         return EdgeView(self)
 
 
-class EdgeView(Sequence):
-    """The edges of a graph as :class:`RGEdge` values, made on access.
+class _View(Sequence):
+    """A sequence whose items are made on access: a slice is a tuple, and
+    it equals any sequence of equal items."""
 
-    Its length is that of the arrays; a slice is a tuple; it equals any
-    sequence of the same edges.
-    """
-
-    __slots__ = ("_rg",)
+    __slots__ = ("_of",)
     __hash__ = None
 
-    def __init__(self, rg: ReachabilityGraph) -> None:
-        self._rg = rg
-
-    def __len__(self) -> int:
-        return len(self._rg.tails)
+    def __init__(self, of) -> None:
+        self._of = of
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[k] for k in range(*i.indices(len(self))))
-        rg = self._rg
-        m = rg.moves[i]
-        return RGEdge(rg.tails[i], rg.move_ids[m], rg.heads[i], rg.move_costs[m])
+        return self._item(i)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence) or isinstance(other, str):
@@ -126,7 +123,35 @@ class EdgeView(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __repr__(self) -> str:
-        return f"EdgeView({list(self)!r})"
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class NodeView(_View):
+    """The nodes of a grown :class:`~flowalign.sync_product.ProductGraph` as
+    product markings; its length is the graph's node count."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self._of.keys)
+
+    def _item(self, i: int) -> Marking:
+        return self._of.marking(i)
+
+
+class EdgeView(_View):
+    """The edges of a graph as :class:`RGEdge` values; its length is that of
+    the edge arrays."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self._of.tails)
+
+    def _item(self, i: int) -> RGEdge:
+        rg = self._of
+        m = rg.moves[i]
+        return RGEdge(rg.tails[i], rg.move_ids[m], rg.heads[i], rg.move_costs[m])
 
 
 def build_reachability_graph(
@@ -140,79 +165,40 @@ def build_reachability_graph(
     """
     if limits is None:
         limits = default_limits(sp)
-    successors, marking, final_key = product_space(sp, limits.token_cap)
-    max_depth, max_nodes, max_edges = limits.max_depth, limits.max_nodes, limits.max_edges
-
-    keys: list[int] = [0]  # node i's product state; the initial state has key 0
-    depth: list[int] = [0]
-    index: dict[int, int] = {0: 0}
-    tails: list[int] = []
-    heads: list[int] = []
-    moves: list[int] = []
-    expanded = self_loops = cap_prunes = 0
-    truncated = False
-    final_index = 0 if final_key == 0 else None
-
-    queue: deque[int] = deque([0])
-    while queue:
-        cur = queue.popleft()
-        key = keys[cur]
-        d = depth[cur]
-        succs = successors(key)
-        if d >= max_depth:
-            # Depth limit: this node stays unexpanded; only counts as
-            # truncation if something was actually enabled here.
-            truncated = truncated or bool(succs)
-            continue
-        expanded += 1
-        # Counts are taken as the loop meets each successor, so that a halt
-        # leaves them as a full product search would.
-        for move, succ in succs:
-            if succ < 0:  # capped
-                cap_prunes += 1
-                continue
-            if succ == key:
-                self_loops += 1
-                continue
-            head = index.get(succ)
-            if head is None:
-                # A new node and its discovering edge are added atomically;
-                # hitting either budget halts before adding, so results
-                # under smaller limits are prefixes of larger-limit runs.
-                if len(keys) >= max_nodes or len(tails) >= max_edges:
-                    truncated = True
-                    queue.clear()
-                    break
-                head = len(keys)
-                keys.append(succ)
-                depth.append(d + 1)
-                index[succ] = head
-                if succ == final_key:
-                    final_index = head
-                queue.append(head)
-            elif len(tails) >= max_edges:
-                truncated = True
-                queue.clear()
-                break
-            tails.append(cur)
-            heads.append(head)
-            moves.append(move)
+    graph = ProductGraph(sp, limits.token_cap, limits.max_nodes, limits.max_edges)
+    keys = graph.keys
+    # Nodes are numbered in discovery order, so the queue is node order and
+    # each BFS layer is a run of nodes: at the loop head, nodes [layer,
+    # len(keys)) are at depth ``depth``, and ``reached`` is the last one's.
+    layer = depth = reached = expanded = 0
+    while depth < limits.max_depth and layer < len(keys):
+        end = len(keys)
+        expanded += graph.expand(layer, end)
+        if len(keys) > end:
+            reached = depth + 1
+        if graph.truncated:
+            break
+        layer, depth = end, depth + 1
+    else:
+        # Depth limit: the last layer stays unexpanded; it only counts as
+        # truncation if something was actually enabled there.
+        graph.truncated = any(graph.has_moves(v) for v in range(layer, len(keys)))
 
     stats = RGStats(
         nodes_expanded=expanded,
-        edges_pruned_self_loops=self_loops,
-        cap_prunes=cap_prunes,
-        depth_reached=depth[-1],  # discovery order is breadth-first
-        truncated=truncated,
+        edges_pruned_self_loops=graph.self_loops,
+        cap_prunes=graph.cap_prunes,
+        depth_reached=reached,
+        truncated=graph.truncated,
     )
     return ReachabilityGraph(
-        nodes=tuple(map(marking, keys)),
-        tails=tuple(tails),
-        heads=tuple(heads),
-        moves=tuple(moves),
+        nodes=NodeView(graph),
+        tails=graph.tails,
+        heads=graph.heads,
+        moves=graph.moves,
         move_ids=tuple(m.move_id for m in sp.moves),
         move_costs=cost_vector(sp),
-        final_index=final_index,
+        final_index=graph.final_index,
         stats=stats,
     )
 

@@ -14,11 +14,15 @@ synchronous moves are free, silent model moves cost a tiny epsilon, and
 every visible deviation costs ``deviation_cost``.
 
 The engines read a product through two compositions of the process net's
-data with the trace path: :func:`product_space` (states and successors,
-from the model's successor memo) and :func:`incidence_rows` (the marking
-equation's rows, from the model's firing data).  The product as a Petri
-net, :attr:`SynchronousProduct.net`, is an export view built on first
-read (MILP matrices, PNML export).
+data with the trace path: :class:`ProductGraph` (states and successors,
+from the model's successor memo, grown lazily into an int-keyed graph
+that the reachability build and A* both expand) and
+:func:`incidence_rows` (the marking equation's rows, from the model's
+firing data).  The model moves depend only on the process net and the
+costs, so each net keeps them per :class:`CostConfig` and every product
+of that net shares them.  The product as a Petri net,
+:attr:`SynchronousProduct.net`, is an export view built on first read
+(MILP matrices, PNML export).
 
 Costs are exact rationals so that total alignment costs compare exactly
 and the number of silent moves is recoverable from the fractional part.
@@ -27,7 +31,7 @@ and the number of silent moves is recoverable from the fractional part.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -41,6 +45,8 @@ from .petri import TAU, Marking, PetriNet, Trace, firing_data, successor_memo, t
 GAP = ">>"
 
 DEFAULT_EPSILON = Fraction(1, 10**6)
+
+_ZERO = Fraction(0)  # the cost of every synchronous move
 
 
 class MoveKind(Enum):
@@ -173,6 +179,22 @@ def _trace_renaming(sn: PetriNet, n: int) -> tuple[list[str], list[str]]:
     return renamed[0], renamed[1]
 
 
+def _model_moves(sn: PetriNet, cost: CostConfig) -> tuple[SyncMove, ...]:
+    """The model moves of every product of ``sn`` under ``cost``, in process
+    order: built once and kept on the net beside its successor memos, and
+    likewise left out of its pickles."""
+    cache = sn.__dict__.setdefault("_model_moves", {})
+    moves = cache.get(cost)
+    if moves is None:
+        made = []
+        for t, lbl in zip(sn.transitions, sn.labels):
+            kind = MoveKind.MODEL_TAU if lbl is TAU else MoveKind.MODEL
+            c = cost.tau_cost if lbl is TAU else cost.deviation_cost
+            made.append(SyncMove(f"({t},{GAP})", kind, t, None, (lbl, GAP), c))
+        moves = cache.setdefault(cost, tuple(made))
+    return moves
+
+
 def product_for_trace(
     sn: PetriNet, trace: Trace, cost: CostConfig = CostConfig()
 ) -> SynchronousProduct:
@@ -197,12 +219,9 @@ def product_for_trace(
             if trace_labels[pos] != lbl:
                 continue
             sync_moves_at[pos].append((j, len(moves)))
-            moves.append(SyncMove(f"({t},{tt})", MoveKind.SYNC, t, tt, (lbl, lbl), Fraction(0)))
+            moves.append(SyncMove(f"({t},{tt})", MoveKind.SYNC, t, tt, (lbl, lbl), _ZERO))
 
-    for t, lbl in zip(sn.transitions, sn.labels):
-        kind = MoveKind.MODEL_TAU if lbl is TAU else MoveKind.MODEL
-        c = cost.tau_cost if lbl is TAU else cost.deviation_cost
-        moves.append(SyncMove(f"({t},{GAP})", kind, t, None, (lbl, GAP), c))
+    moves += _model_moves(sn, cost)
 
     for tt, lbl in zip(trace_moves, trace_labels):
         moves.append(SyncMove(f"({GAP},{tt})", MoveKind.LOG, None, tt, (GAP, lbl), cost.deviation_cost))
@@ -215,20 +234,23 @@ def product_for_trace(
     )
 
 
-def product_space(
-    sp: SynchronousProduct, cap: int
-) -> tuple[Callable[[int], list[tuple[int, int]]], Callable[[int], Marking], int]:
-    """The product's state space under token cap ``cap``, over int keys:
-    ``(successors, marking, final key)``.
+class ProductGraph:
+    """The product's state space under token cap ``cap``, grown on demand
+    as an int-keyed graph.
 
-    A product marking is a process marking plus the position ``pos`` of
-    the one token on the trace path.  Its key is ``pid * (n + 1) + pos``,
-    where ``pid`` numbers the process marking in the model's
+    A product state is a process marking plus the position ``pos`` of the
+    one token on the trace path.  Its key is ``pid * (n + 1) + pos``, where
+    ``pid`` numbers the process marking in the model's
     :class:`~flowalign.petri.SuccessorMemo` and ``n`` is the trace length,
-    so the initial marking's key is 0; ``marking(key)`` is the full
-    product marking.  ``successors(key)`` lists ``(move index, successor
-    key)`` in the product's canonical move order, which is the order in
-    which firing every move of :attr:`SynchronousProduct.net` meets them:
+    so the initial state's key is 0.  Node ``i`` is state ``keys[i]``,
+    numbered in the order expansions discover it; node 0 is the initial
+    state and ``final_index`` the final state's node once it is found.
+    :meth:`marking` makes a node's product marking when it is read.
+
+    :meth:`expand` expands a run of nodes in order.  It appends each one's
+    out-edges to ``tails``, ``heads`` and ``moves`` in the product's
+    canonical move order, which is the order in which firing every move of
+    :attr:`SynchronousProduct.net` meets them:
 
     1. the synchronous move of each process transition ``j`` enabled at
        ``pid`` whose label is the event at ``pos``, to ``(pid_j, pos + 1)``,
@@ -238,44 +260,139 @@ def product_space(
     3. the log move at ``pos``, to ``(pid, pos + 1)``, unless the trace is
        done.
 
-    A negative successor key means that the move would put more than
-    ``cap`` tokens on a place, which happens exactly when the process
-    successor does, because a trace place holds at most one token.  A
-    successor key equal to ``key`` is a self-loop.  Both engines explore
-    this space, so both reject, with :class:`InvalidLimitsError` from the
-    model's memo, an initial marking that already exceeds ``cap``.
+    A move that would put more than ``cap`` tokens on a place (exactly when
+    its process successor does, because a trace place holds at most one
+    token) counts in ``cap_prunes``, and a move back to the node itself in
+    ``self_loops``; neither becomes an edge.  A new node is added only
+    with its discovering edge.  An edge past ``max_edges``, or a node past
+    ``max_nodes``, stops the expansion before it and sets ``truncated``;
+    the graph and its counts are then those a full search has at that
+    point, so a graph grown under smaller budgets is a prefix of one grown
+    under larger budgets.
+
+    Both engines grow one: the reachability graph build expands it one
+    breadth-first layer at a time, A* one popped node at a time.  Both
+    therefore reject, with :class:`InvalidLimitsError` from the model's
+    memo, an initial marking that already exceeds ``cap``.
     """
-    proc = sp.process_net
-    memo = successor_memo(proc, cap)
-    table, expand, markings = memo.table, memo.expand, memo.markings
-    n = len(sp.trace_labels)
-    stride = n + 1
-    model0, log0 = _move_offsets(sp)
-    sync_at = [dict(pairs) for pairs in sp.sync_moves_at]
-    trace_part: list[Marking | None] = [None] * stride
 
-    # Closures over locals: both engines call these once per state.
-    def successors(key: int) -> list[tuple[int, int]]:
-        pid, pos = divmod(key, stride)
-        row = table[pid]
-        if row is None:
-            row = expand(pid)
-        if pos == n:
-            return [(model0 + j, s * stride + pos) for j, s in row]
-        sync, nxt = sync_at[pos], pos + 1
-        succs = [(sync[j], s * stride + nxt) for j, s in row if j in sync]
-        succs += [(model0 + j, s * stride + pos) for j, s in row]
-        succs.append((log0 + pos, key + 1))
-        return succs
+    def __init__(
+        self,
+        sp: SynchronousProduct,
+        cap: int,
+        max_nodes: int = sys.maxsize,
+        max_edges: int = sys.maxsize,
+    ) -> None:
+        proc = sp.process_net
+        self._memo = memo = successor_memo(proc, cap)
+        n = len(sp.trace_labels)
+        self._n, self._stride = n, n + 1
+        self._max_nodes, self._max_edges = max_nodes, max_edges
+        self.keys: list[int] = [0]
+        self._index: dict[int, int] = {0: 0}
+        self.tails: list[int] = []
+        self.heads: list[int] = []
+        self.moves: list[int] = []
+        self.cap_prunes = self.self_loops = 0
+        self.truncated = False
+        self._final_key = memo.ids[proc.final_marking] * self._stride + n
+        self.final_index = 0 if self._final_key == 0 else None
 
-    def marking(key: int) -> Marking:
-        pid, pos = divmod(key, stride)
-        part = trace_part[pos]
+        # Move tables indexed by process transition j, None where j makes no
+        # such move: the synchronous moves at each position, the model
+        # moves, and the log move at each position (read at j = 0).
+        width = len(proc.transitions)
+        model0, log0 = _move_offsets(sp)
+        self._sync_of: list[list[int | None]] = []
+        for pairs in sp.sync_moves_at:
+            sync = [None] * width
+            for j, k in pairs:
+                sync[j] = k
+            self._sync_of.append(sync)
+        self._model_of = range(model0, model0 + width)
+        self._log_of = [(k,) for k in range(log0, log0 + n)]
+        self._trace_part: list[Marking | None] = [None] * self._stride
+
+    def expand(self, first: int, stop: int) -> int:
+        """Expand nodes ``first`` to ``stop - 1`` in order, appending their
+        out-edges; returns how many were expanded, the one a budget halted
+        included."""
+        keys, index, tails, heads, moves = self.keys, self._index, self.tails, self.heads, self.moves
+        memo = self._memo
+        table = memo.table
+        stride, n, final_key = self._stride, self._n, self._final_key
+        sync_of, model_of, log_of = self._sync_of, self._model_of, self._log_of
+        max_nodes, max_edges = self._max_nodes, self._max_edges
+        cap_prunes = self_loops = 0
+        halted = False
+        for node in range(first, stop):
+            key = keys[node]
+            pid, pos = divmod(key, stride)
+            row = table[pid]
+            if row is None:
+                row = memo.expand(pid)
+            # One phase per move kind, in canonical order: its move table, the
+            # (j, process successor id) pairs it reads, and the trace position
+            # its moves lead to.
+            if pos < n:
+                phases = (
+                    (sync_of[pos], row, pos + 1),
+                    (model_of, row, pos),
+                    (log_of[pos], ((0, pid),), pos + 1),
+                )
+            else:
+                phases = ((model_of, row, pos),)
+            for move_of, pairs, at in phases:
+                for j, s in pairs:
+                    move = move_of[j]
+                    if move is None:
+                        continue
+                    if s < 0:
+                        cap_prunes += 1
+                        continue
+                    succ = s * stride + at
+                    if succ == key:
+                        self_loops += 1
+                        continue
+                    head = index.get(succ)
+                    if head is None:
+                        if len(keys) >= max_nodes or len(tails) >= max_edges:
+                            halted = True
+                            break
+                        head = len(keys)
+                        keys.append(succ)
+                        index[succ] = head
+                        if succ == final_key:
+                            self.final_index = head
+                    elif len(tails) >= max_edges:
+                        halted = True
+                        break
+                    tails.append(node)
+                    heads.append(head)
+                    moves.append(move)
+                if halted:
+                    break
+            if halted:
+                self.truncated = True
+                stop = node + 1
+                break
+        self.cap_prunes += cap_prunes
+        self.self_loops += self_loops
+        return stop - first
+
+    def has_moves(self, node: int) -> bool:
+        """Whether any move is enabled at ``node``, capped ones and
+        self-loops included; reads no edges."""
+        pid, pos = divmod(self.keys[node], self._stride)
+        return pos < self._n or bool(self._memo.expand(pid))
+
+    def marking(self, node: int) -> Marking:
+        """The full product marking of ``node``."""
+        pid, pos = divmod(self.keys[node], self._stride)
+        part = self._trace_part[pos]
         if part is None:
-            part = trace_part[pos] = _one_hot(pos, n)
-        return markings[pid] + part
-
-    return successors, marking, memo.ids[proc.final_marking] * stride + n
+            part = self._trace_part[pos] = _one_hot(pos, self._n)
+        return self._memo.markings[pid] + part
 
 
 def _move_offsets(sp: SynchronousProduct) -> tuple[int, int]:
@@ -287,7 +404,7 @@ def _move_offsets(sp: SynchronousProduct) -> tuple[int, int]:
 def incidence_rows(sp: SynchronousProduct) -> list[list[int]]:
     """The incidence matrix of :attr:`SynchronousProduct.net` (post minus
     pre) as integer rows, one per product place: the marking equation's
-    rows.  Composed like :func:`product_space`: a move's column is its
+    rows.  Composed like :class:`ProductGraph`'s edges: a move's column is its
     process transition's column of the model's firing data plus, for a
     move that consumes event ``pos``, -1 at trace position ``pos`` and +1
     at ``pos + 1``."""

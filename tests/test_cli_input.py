@@ -121,6 +121,17 @@ def test_invalid_limit_flags_exit_2_under_every_method(method, command, flag, tm
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "inf", "1/0", ""])
+@pytest.mark.parametrize("flag", ["--epsilon", "--deviation-cost", "--dev-threshold"])
+def test_malformed_rational_flags_exit_2(flag, value, tmp_path, capsys):
+    inputs = command_inputs("align", tmp_path, VALID_PNML)
+    with pytest.raises(SystemExit) as exc:
+        main(["align", *inputs, flag, value])
+    assert exc.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "not a finite rational number" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["align", "conformance", "bench"])
 @pytest.mark.parametrize("method", ["astar", "lp", "hybrid", "both"])
 def test_token_cap_below_the_initial_marking_exits_2_under_every_method(

@@ -1,20 +1,22 @@
 import itertools
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import INSURANCE_TRACE
 from flowalign.errors import (
+    InternalInvariantError,
     InvalidInputError,
     UnreachableFinalError,
 )
 from flowalign.flow import (
     FlowProblem,
-    FlowSolution,
     SolveStatus,
     assemble_flow_problem,
     build_milp_matrices,
@@ -167,7 +169,9 @@ class TestVerifyIntegrality:
         assert verify_integrality(sol, Fraction(0))
 
     def test_fractional_vector_fails(self):
-        sol = FlowSolution(
+        # The solver returns paths, whose flow is 0/1 by construction, so
+        # the fractional point is written out by hand.
+        sol = SimpleNamespace(
             x=(Fraction(1, 2), Fraction(1, 2)), objective=Fraction(1), status=SolveStatus.OPTIMAL
         )
         assert not verify_integrality(sol, Fraction(0))
@@ -195,6 +199,39 @@ class TestExtractAlignment:
         }
         assert seq in optima
         assert alignment.total_cost == sol.objective == 1
+
+    def test_path_carries_the_flow(self, toy_rg):
+        sol = solve_min_cost_unit_flow(assemble_flow_problem(toy_rg))
+        assert sol.num_edges == len(toy_rg.edges)
+        assert [e for e, v in enumerate(sol.x) if v] == sorted(sol.path)
+        assert [toy_rg.tails[e] for e in sol.path[1:]] == [toy_rg.heads[e] for e in sol.path[:-1]]
+
+    def test_broken_paths_are_rejected(self, toy_product, toy_rg):
+        sol = solve_min_cost_unit_flow(assemble_flow_problem(toy_rg))
+        broken = {
+            "single path": replace(sol, path=sol.path[1:]),
+            "initial-to-final": replace(sol, path=sol.path[:-1]),
+            "disagrees": replace(sol, objective=sol.objective + 1),
+        }
+        for message, bad in broken.items():
+            with pytest.raises(InternalInvariantError, match=message):
+                extract_alignment(toy_rg, toy_product, bad)
+
+    def test_path_through_a_node_twice_is_rejected(self, fig_cyclic):
+        sp = product_for_trace(fig_cyclic, Trace("t", ("a", "c", "b", "d", "b", "e")))
+        rg = build_reachability_graph(sp)
+        sol = solve_min_cost_unit_flow(assemble_flow_problem(rg))
+        out = {}
+        for e, t in enumerate(rg.tails):
+            out.setdefault(t, []).append(e)
+        for k, e in enumerate(sol.path):
+            cycle = _cycle_through(rg, out, rg.tails[e])
+            if cycle:
+                looped = replace(sol, path=sol.path[:k] + cycle + sol.path[k:])
+                with pytest.raises(InternalInvariantError, match="two chosen edges leave"):
+                    extract_alignment(rg, sp, looped)
+                return
+        pytest.fail("no cycle on the optimal path")
 
     def test_zero_cost_alignment_projects_to_trace(self, fig_acyclic):
         trace = Trace("fit", ("a", "c", "b", "e"))
@@ -227,6 +264,24 @@ class TestExtractAlignment:
         d = alignment_to_dict(alignment)
         assert d["total_cost"] == "1"
         assert len(d["moves"]) == 4
+
+
+def _cycle_through(rg, out, node) -> tuple[int, ...]:
+    """The edges of a shortest cycle through ``node``, or ``()``."""
+    into = {node: None}
+    queue = [node]
+    for v in queue:
+        for e in out.get(v, ()):
+            h = rg.heads[e]
+            if h == node:
+                cycle = [e]
+                while into[rg.tails[cycle[-1]]] is not None:
+                    cycle.append(into[rg.tails[cycle[-1]]])
+                return tuple(reversed(cycle))
+            if h not in into:
+                into[h] = e
+                queue.append(h)
+    return ()
 
 
 class TestMilpMatrices:

@@ -1,7 +1,7 @@
 """The product state space composed from a per-model successor memo.
 
-``sync_product.product_space`` composes each product state's successors
-from the model's memo, and both engines explore it: the reachability graph
+``sync_product.ProductGraph`` composes each product state's successors
+from the model's memo, and both engines grow one: the reachability graph
 build and A*.  ``petri.successors`` on the product net and
 ``oracles.reference_reachability_graph`` fire every product transition at
 every full product marking.  They must agree on every successor, node,
@@ -14,7 +14,7 @@ import functools
 import os
 import pickle
 import sys
-from collections import Counter, deque
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -22,12 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_corpus_models
-from flowalign import reachability
+from flowalign import reachability, sync_product
 from flowalign.astar import Heuristic, SearchConfig, SearchOutcome, astar_align
+from flowalign.flow import lp_align
 from flowalign.errors import InvalidLimitsError
 from flowalign.petri import PetriNet, Trace, incidence_matrices, successor_memo, successors
 from flowalign.reachability import ExplorationLimits, build_reachability_graph, default_limits
-from flowalign.sync_product import incidence_rows, product_for_trace, product_space
+from flowalign.sync_product import ProductGraph, incidence_rows, product_for_trace
 from oracles import oracle_shortest_cost, reference_reachability_graph
 from test_heuristic_lp import first_edit_cycle
 
@@ -117,16 +118,6 @@ def test_build_matches_reference_bfs():
     assert all(seen[k] for k in ("cap_prunes", "self_loops", "halts", "halts_after_self_loops")), seen
 
 
-def reachable_keys(step) -> list[int]:
-    keys, queue = {0: None}, deque([0])
-    while queue:
-        for _, succ in step(queue.popleft()):
-            if succ >= 0 and succ not in keys:
-                keys[succ] = None
-                queue.append(succ)
-    return list(keys)
-
-
 def test_space_successors_equal_product_firing():
     seen = Counter()
 
@@ -137,20 +128,35 @@ def test_space_successors_equal_product_firing():
         seen["empty_traces"] += not sp.trace_labels
         if any(v > cap for v in sp.initial_marking):
             with pytest.raises(InvalidLimitsError):
-                product_space(sp, cap)
+                ProductGraph(sp, cap)
             seen["over_cap"] += 1
             return
-        step, marking, final = product_space(sp, cap)
-        keys = reachable_keys(step)
-        assert marking(0) == sp.initial_marking
-        assert marking(final) == sp.final_marking
-        assert len({marking(k) for k in keys}) == len(keys)
-        for key in keys:
-            composed = step(key)
-            fired = list(successors(sp.net, marking(key), cap))
-            assert [(j, None if k < 0 else marking(k)) for j, k in composed] == fired
-            seen["cap_prunes"] += any(k < 0 for _, k in composed)
-            seen["self_loops"] += any(k == key for _, k in composed)
+        graph = ProductGraph(sp, cap)
+        node = 0
+        while node < len(graph.keys):
+            marking = graph.marking(node)
+            first, caps, loops = len(graph.tails), graph.cap_prunes, graph.self_loops
+            assert graph.expand(node, node + 1) == 1
+            edges = range(first, len(graph.tails))
+            fired = list(successors(sp.net, marking, cap))
+            # Every move fired at the full marking is an edge, in the same
+            # order, unless it is capped or a self-loop, which are counted.
+            assert all(graph.tails[e] == node for e in edges)
+            assert [(graph.moves[e], graph.marking(graph.heads[e])) for e in edges] == [
+                (j, m) for j, m in fired if m is not None and m != marking
+            ]
+            assert graph.cap_prunes - caps == sum(m is None for _, m in fired)
+            assert graph.self_loops - loops == sum(m == marking for _, m in fired)
+            seen["cap_prunes"] += graph.cap_prunes > caps
+            seen["self_loops"] += graph.self_loops > loops
+            node += 1
+        markings = [graph.marking(i) for i in range(len(graph.keys))]
+        assert markings[0] == sp.initial_marking
+        assert len(set(markings)) == len(markings)
+        if sp.final_marking in markings:
+            assert graph.final_index == markings.index(sp.final_marking)
+        else:
+            assert graph.final_index is None
 
     check()
     assert all(seen[k] for k in ("cap_prunes", "self_loops", "empty_traces", "over_cap")), seen
@@ -268,3 +274,36 @@ class TestEdgeView:
         monkeypatch.setattr(reachability, "RGEdge", lambda *a: made.append(a))
         assert len(toy_rg.edges) == 50
         assert made == []
+
+
+class TestNodeView:
+    def test_sequence_behaviour(self, toy_product, toy_rg):
+        nodes = toy_rg.nodes
+        as_tuple = tuple(nodes)
+        assert len(nodes) == len(as_tuple) == 24
+        assert nodes == as_tuple and as_tuple == nodes
+        assert nodes[:7] == as_tuple[:7] and isinstance(nodes[:7], tuple)
+        assert nodes[-1] == as_tuple[-1]
+        assert [nodes[i] for i in range(len(nodes))] == list(as_tuple)
+        assert nodes != as_tuple[:-1]
+        assert nodes[toy_rg.initial_index] == toy_product.initial_marking
+        assert nodes[toy_rg.final_index] == toy_product.final_marking
+        with pytest.raises(IndexError):
+            nodes[24]
+
+    def test_len_builds_no_markings(self, toy_product, monkeypatch):
+        made = []
+        monkeypatch.setattr(sync_product, "_one_hot", lambda *a: made.append(a))
+        assert len(build_reachability_graph(toy_product).nodes) == 24
+        assert made == []
+
+
+def test_lp_align_builds_no_node_marking(monkeypatch):
+    products = [sp for _, sp in first_edit_cycle({"m00", "m05"})]
+    made = []
+    one_hot = sync_product._one_hot
+    monkeypatch.setattr(sync_product, "_one_hot", lambda *a: made.append(a) or one_hot(*a))
+    for sp in products:
+        alignment, stats = lp_align(sp)
+        assert alignment is not None and stats.rg_nodes > 1
+    assert made == []

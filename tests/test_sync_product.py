@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,23 @@ class TestBuildSyncProduct:
                 assert m.process_transition is None
                 assert m.label_pair[0] == GAP
                 assert m.cost == 1
+
+    def test_model_moves_are_built_once_per_cost_config(self, insurance):
+        def model_moves(sp):
+            return [m for m in sp.moves if m.kind in (MoveKind.MODEL, MoveKind.MODEL_TAU)]
+
+        one = product_for_trace(insurance, INSURANCE_TRACE)
+        two = product_for_trace(insurance, Trace("other", ("a",)))
+        assert all(a is b for a, b in zip(model_moves(one), model_moves(two), strict=True))
+        priced = product_for_trace(insurance, INSURANCE_TRACE, CostConfig(deviation_cost=Fraction(2)))
+        expected = [replace(m, cost=2) if m.kind is MoveKind.MODEL else m for m in model_moves(one)]
+        assert model_moves(priced) == expected
+        syncs = [m for m in one.moves + two.moves if m.kind is MoveKind.SYNC]
+        assert len(syncs) > 1 and len({id(m.cost) for m in syncs}) == 1
+        assert "_model_moves" in vars(insurance)
+        clone = pickle.loads(pickle.dumps(insurance))
+        assert "_model_moves" not in vars(clone) and clone == insurance
+        assert product_for_trace(clone, INSURANCE_TRACE) == one
 
 
 class TestCostVector:
