@@ -125,7 +125,8 @@ def _engine_runs(cfg: RunConfig, net, trace: Trace):
 
 def _engine_line(alignment, stats: RunStats) -> str:
     if stats.method is Method.ASTAR:
-        work = f"expansions {stats.expansions}  time {stats.solve_us} us"
+        work = (f"expansions {stats.expansions}  solves {stats.heuristic_calls}  "
+                f"pivots {stats.heuristic_pivots}  time {stats.solve_us} us")
     else:
         work = (f"rg {stats.rg_nodes} nodes / {stats.rg_edges} edges  "
                 f"build {stats.rg_build_us} us  solve {stats.solve_us} us")

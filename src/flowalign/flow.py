@@ -81,6 +81,7 @@ class RunStats:
     expansions: int = 0
     heuristic_calls: int = 0  # simplex solves, cold or warm-started
     heuristic_reuses: int = 0  # h values taken from the parent's solution
+    heuristic_pivots: int = 0  # primal and dual simplex pivots of those solves
     queue_peak: int = 0
 
 

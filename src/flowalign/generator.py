@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InvalidSpecError
+from .errors import InvalidInputError, InvalidSpecError
 from .model_io import EventLog, NoiseSpec, inject_noise, serialize_pnml, serialize_xes
 from .petri import TAU, PetriNet, Trace
 
@@ -419,6 +419,8 @@ def generate_corpus(
 ) -> dict[str, Path]:
     """Write ``model.pnml``, ``clean.xes``, and (if noise does anything)
     ``noisy.xes`` under ``out_dir``; reproducible from ``seed``."""
+    if n_traces < 0:
+        raise InvalidInputError(f"trace count must be >= 0, got {n_traces}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     net = block_to_net(block)

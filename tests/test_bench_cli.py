@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from flowalign import bench
+from flowalign.astar import astar_align
 from flowalign.bench import (
     CSV_COLUMNS,
     RunConfig,
@@ -18,6 +19,7 @@ from flowalign.cli import main
 from flowalign.errors import InternalInvariantError
 from flowalign.model_io import EventLog, serialize_pnml, serialize_xes
 from flowalign.petri import Trace
+from flowalign.sync_product import product_for_trace
 
 
 @pytest.fixture()
@@ -162,6 +164,14 @@ class TestCliAlign:
         data = json.loads(out_file.read_text())
         assert data["total_cost"] == "1"
         assert [m["kind"] for m in data["moves"]].count("sync") == 3
+
+    def test_astar_line_reports_solves_and_pivots(self, toy_files, fig_acyclic, capsys):
+        model, _ = toy_files
+        assert main(["align", str(model), "--trace", "a,c,x,e", "--method", "astar"]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("astar: "))
+        _, stats = astar_align(product_for_trace(fig_acyclic, Trace("t", ("a", "c", "x", "e"))))
+        assert stats.heuristic_pivots > 0
+        assert f"  solves {stats.heuristic_calls}  pivots {stats.heuristic_pivots}  " in line
 
     def test_missing_model_is_parse_error(self, tmp_path, capsys):
         code = main(["align", str(tmp_path / "absent.pnml"), "--trace", "a"])

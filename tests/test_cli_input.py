@@ -144,3 +144,11 @@ def test_token_cap_below_the_initial_marking_exits_2_under_every_method(
     assert main([command, *inputs, "--method", method, "--token-cap", "1"]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "token_cap=1" in err
+
+
+def test_negative_trace_count_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["gen", "--spec", "seq(a, b)", "--traces", "-1", "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()

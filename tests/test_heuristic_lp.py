@@ -253,6 +253,61 @@ def test_basis_cache_seeds_a_warm_start_without_refactoring(monkeypatch):
         solve_min_eq(a, [1, 1, 1], list(c), first.basis, cache=cache)
 
 
+def counting(monkeypatch, method):
+    """Record every call of ``simplex._Tableau.<method>``."""
+    calls = []
+    real = getattr(simplex._Tableau, method)
+    monkeypatch.setattr(simplex._Tableau, method, lambda self, *args: calls.append(args) or real(self, *args))
+    return calls
+
+
+def same_optimum(p, q):
+    return (p is None) == (q is None) and (
+        p is None or (p[0], p[1], sorted(p.basis)) == (q[0], q[1], sorted(q.basis))
+    )
+
+
+def test_cached_basis_that_stays_optimal_is_neither_copied_nor_pivoted(monkeypatch):
+    a, c = [[1, 1, 0, -1], [0, 1, 1, 0], [1, 0, -1, 2]], [3, 1, 4, 2]
+    cache = BasisCache(a, c)
+    first = solve_min_eq(a, [2, 3, -1], c, cache=cache)
+    bs = ([4, 6, -2], [0, 5, -5], [2, 3, -1])
+    cold_pivots = cache.pivots
+    copies, pivots = counting(monkeypatch, "copy"), counting(monkeypatch, "pivot")
+    warm = [solve_min_eq(a, b, c, first.basis, cache=cache) for b in bs]
+    assert copies == pivots == [] and cache.pivots == cold_pivots and len(cache) == 1
+    for b, got in zip(bs, warm):
+        assert same_optimum(got, solve_min_eq(a, b, c))
+        assert got.basis == first.basis  # in the cached tableau's row order
+
+    # A b whose basic values go negative still runs the dual simplex on a copy.
+    for b in ([4, 1, 5], [3, 0, 0]):
+        del copies[:]
+        before = cache.pivots
+        got = solve_min_eq(a, b, c, first.basis, cache=cache)
+        assert len(copies) == 1 and cache.pivots > before
+        assert same_optimum(got, solve_min_eq(a, b, c))
+    assert got is None  # [3, 0, 0] is infeasible
+
+
+def test_inconsistent_rhs_on_a_cached_basis_is_infeasible(monkeypatch):
+    a, c = [[1, 1, 0], [0, 1, 1], [1, 2, 1]], [1, 2, 3]  # row 3 = row 1 + row 2
+    cache = BasisCache(a, c)
+    first = solve_min_eq(a, [1, 1, 2], c, cache=cache)
+    copies = counting(monkeypatch, "copy")
+    assert solve_min_eq(a, [1, 1, 3], c, first.basis, cache=cache) is None
+    assert solve_min_eq(a, [1, 1, 3], c) is None
+    assert copies == []
+
+
+def test_optimum_x_is_int_where_integral():
+    value, x = solve_min_eq([[2, 1]], [1], [1, 3])
+    assert (value, x) == (Fraction(1, 2), [Fraction(1, 2), 0])
+    assert type(x[0]) is Fraction and type(x[1]) is int
+    _, x = solve_min_eq([[1, 1]], [2], [1, 3])
+    assert x == [2, 0] and all(type(v) is int for v in x)
+
+
 def test_unusable_basis_falls_back_to_cold():
     a, b, c = [[1, 1, 0], [0, 1, 1]], [2, 3], [3, 1, 4]
     value = solve_min_eq(a, b, c)[0]
@@ -315,8 +370,9 @@ def test_every_solve_goes_through_solve_min_eq(monkeypatch):
 
 def test_basis_cache_spares_most_refactorizations(monkeypatch):
     """The search of the first edit cycle with the most solves (m06, 7
-    edits: 271 solves from 13 distinct warm-start bases) re-factors on
-    fewer than one warm start in ten, and its cache stays within bound."""
+    edits: 271 solves, 270 of them warm from 13 distinct bases) re-factors
+    on fewer than one warm start in ten (5 times), and its cache stays
+    within bound."""
     refactors = []
     real_refactor = simplex._refactor
     monkeypatch.setattr(simplex, "_refactor", lambda *args: refactors.append(1) or real_refactor(*args))
@@ -335,6 +391,18 @@ def test_basis_cache_spares_most_refactorizations(monkeypatch):
     assert stats.heuristic_calls == len(warm) == 271
     assert 0 < 10 * len(refactors) < sum(warm)
     assert max(sizes) == BASIS_CACHE_SIZE
+
+
+def test_first_edit_cycle_solver_work():
+    """The heuristic's work summed over the 108 searches of the corpus's
+    first edit cycle: simplex calls, values reused from a parent, and
+    primal and dual simplex pivots (re-factorizations not counted).  A
+    faster warm start may change none of them."""
+    runs = [astar_align(sp)[1] for _, sp in first_edit_cycle({m for m, _, _ in build_corpus_models()})]
+    assert len(runs) == 108 and all(s.outcome is SearchOutcome.OPTIMAL for s in runs)
+    assert sum(s.heuristic_calls for s in runs) == 1977
+    assert sum(s.heuristic_reuses for s in runs) == 987
+    assert sum(s.heuristic_pivots for s in runs) == 3469
 
 
 def test_incidence_rows_equal_the_dense_incidence():
