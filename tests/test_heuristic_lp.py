@@ -214,11 +214,12 @@ def solve_chain(a, c, bs, seeds, cache=None):
     return results
 
 
-@pytest.mark.parametrize("size", [1, BASIS_CACHE_SIZE])
+@pytest.mark.parametrize("size", [1, 5, BASIS_CACHE_SIZE])
 @given(lp_chains())
 @settings(max_examples=200, deadline=None)
 def test_basis_cache_changes_no_answer(size, chain):
-    """Also with room for one tableau, so that most warm starts miss."""
+    """Also with room for one or five tableaux, so that warm starts miss
+    and tableaux are evicted."""
     a, c, bs, seeds = chain
     plain = solve_chain(a, c, bs, seeds)
     with mock.patch.object(simplex, "BASIS_CACHE_SIZE", size):
