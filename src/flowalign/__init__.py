@@ -40,10 +40,10 @@ from .flow import (
     assemble_flow_problem,
     build_milp_matrices,
     extract_alignment,
-    find_non_tu_witness,
     lp_align,
     move_table,
     solve_min_cost_unit_flow,
+    tu_certificate,
     verify_integrality,
 )
 from .model_io import (

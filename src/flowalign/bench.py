@@ -330,8 +330,11 @@ def bucket_report(records: list[BenchmarkRecord]) -> str:
 
 
 def scan_corpus(corpus_dir: str | Path) -> list[tuple[Path, Path]]:
-    """(model, log) pairs: every ``*.xes``/``*.csv`` beside each ``*.pnml``."""
+    """(model, log) pairs: every ``*.xes``/``*.csv`` beside each ``*.pnml``;
+    raises NotADirectoryError unless ``corpus_dir`` is a directory."""
     root = Path(corpus_dir)
+    if not root.is_dir():
+        raise NotADirectoryError(f"corpus {str(root)!r} is not an existing directory")
     pairs: list[tuple[Path, Path]] = []
     for model_path in sorted(root.rglob("*.pnml")):
         for log_path in sorted(model_path.parent.glob("*.xes")) + sorted(

@@ -21,16 +21,19 @@ equals the drop in label, so among equal-cost optima the
 lexicographically smallest path under edge index order is returned and
 goldens are deterministic.  Optimality is re-certified from the labels.
 
-This module also builds (never solves) the step-indexed MILP matrices of
-the direct synchronous-product formulation, whose combined constraint
-matrix is in general *not* totally unimodular; ``find_non_tu_witness``
-searches it for a square submatrix with |det| >= 2.
+The total unimodularity that makes this work is decided exactly:
+``tu_certificate`` checks a sparse {0, ±1} matrix with at most two
+nonzeros per column by the Heller-Tompkins row-class test, returning the
+classes or an odd cycle with |det| = 2.  This module also builds (never
+solves) the step-indexed MILP matrices of the direct synchronous-product
+formulation, whose combined constraint matrix is in general *not* totally
+unimodular; ``MilpMatrices.witness`` constructs a 2x2 submatrix with
+|det| >= 2 that proves it.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -406,7 +409,9 @@ def alignment_to_dict(alignment: Alignment) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Step-indexed MILP on the synchronous product (built for structural
+# Total unimodularity: decided exactly for {0, ±1} matrices with at most
+# two nonzeros per column, and disproved by construction for the
+# step-indexed MILP on the synchronous product (built for structural
 # contrast; deliberately never solved).
 # ---------------------------------------------------------------------------
 
@@ -438,6 +443,29 @@ class MilpMatrices:
 
     def combined_matrix(self) -> np.ndarray:
         return np.vstack([self.a_eq, self.a_ub])
+
+    def witness(self) -> TuWitness | None:
+        """A 2x2 submatrix of ``combined_matrix()`` with |det| >= 2, constructed.
+
+        Take the lowest place p whose step-1 incidence has a positive and a
+        negative entry, and the first such moves j and l.  The balance row
+        of p and the step-1 one-move row (``num_places``) meet their step-1
+        columns in [[u, v], [1, 1]] with u > 0 > v, up to column order, so
+        the determinant, computed here by ``_det_int``, has magnitude
+        u - v >= 2.  Returns None when no place has both signs.
+        """
+        n_p, n_t = self.num_places, self.num_transitions
+        for p in range(n_p):
+            step1 = self.a_eq[p, :n_t]
+            pos, neg = np.flatnonzero(step1 > 0), np.flatnonzero(step1 < 0)
+            if pos.size and neg.size:
+                rows = (p, n_p)
+                cols = tuple(sorted((int(pos[0]), int(neg[0]))))
+                det = _det_int([[int(self.a_eq[r, c]) for c in cols] for r in rows])
+                if abs(det) < 2:
+                    raise InternalInvariantError(f"MILP witness on rows {rows} has determinant {det}")
+                return TuWitness(rows, cols, det)
+        return None
 
 
 def build_milp_matrices(sp: SynchronousProduct, n: int) -> MilpMatrices:
@@ -486,6 +514,9 @@ def build_milp_matrices(sp: SynchronousProduct, n: int) -> MilpMatrices:
 
 
 class TuWitness(NamedTuple):
+    """A square submatrix, by sorted row and column indices, whose
+    determinant has magnitude >= 2: proof that a matrix is not TU."""
+
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     determinant: int
@@ -511,122 +542,80 @@ def _det_int(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-# Cap on temporary array size during scans; it also bounds the time one
-# block takes, and so how far a scan can run past its deadline.
-_BLOCK_CELLS = 1_000_000
+def tu_certificate(b: NodeArcIncidence) -> tuple[int, ...] | TuWitness:
+    """Decide total unimodularity of a sparse {0, ±1} matrix with at most
+    two nonzeros per column: the row classes, or an odd-cycle witness.
 
+    By Heller and Tompkins (1956) such a matrix is TU iff its rows split
+    into two classes so that a same-sign column has its two nonzeros in
+    different classes and an opposite-sign column in the same one
+    (Schrijver, *Theory of Linear and Integer Programming*, ch. 19).  A
+    parity BFS over the rows, O(nnz), returns every row's class (0 or 1)
+    or, on a conflict, the odd cycle it closed, whose determinant
+    ``_det_int`` computes from the entries.  The witness is a tuple too:
+    tell the verdicts apart with ``isinstance(result, TuWitness)``.
 
-def _scan_order2(a: np.ndarray, deadline: float) -> TuWitness | None:
-    rows, cols = a.shape
-    cb = min(cols, 512)
-    rb = max(1, _BLOCK_CELLS // (cb * cb))
-    for i in range(rows - 1):
-        ai = a[i]
-        for j0 in range(i + 1, rows, rb):
-            rest = a[j0 : min(j0 + rb, rows)]
-            for c1 in range(0, cols, cb):
-                b1 = ai[c1 : c1 + cb]
-                r1 = rest[:, c1 : c1 + cb]
-                for c2 in range(c1, cols, cb):
-                    if time.monotonic() > deadline:
-                        return None
-                    b2 = ai[c2 : c2 + cb]
-                    r2 = rest[:, c2 : c2 + cb]
-                    # det[(j, k, l)] = a[i,k]*a[j,l] - a[i,l]*a[j,k]
-                    d = b1[None, :, None] * r2[:, None, :] - b2[None, None, :] * r1[:, :, None]
-                    hit = np.argwhere(np.abs(d) >= 2)
-                    if hit.size:
-                        j_off, k_off, l_off = (int(v) for v in hit[0])
-                        j = j0 + j_off
-                        k, l = c1 + k_off, c2 + l_off
-                        if k > l:
-                            k, l = l, k
-                        det = int(a[i, k]) * int(a[j, l]) - int(a[i, l]) * int(a[j, k])
-                        return TuWitness((i, j), (k, l), det)
-    return None
-
-
-def _col_triple_blocks(cols: int, block: int = 200_000):
-    """Column triples ``j < k < l`` in lexicographic order, as arrays of
-    about ``block`` rows: every leading pair (j, k) contributes its run of
-    l values, which a few vectorized operations expand."""
-    pairs: list[tuple[int, int]] = []
-    size = 0
-    for j, k in itertools.combinations(range(cols - 1), 2):
-        pairs.append((j, k))
-        size += cols - 1 - k
-        if size >= block:
-            yield _expand_pairs(pairs, cols)
-            pairs, size = [], 0
-    if pairs:
-        yield _expand_pairs(pairs, cols)
-
-
-def _expand_pairs(pairs: list[tuple[int, int]], cols: int) -> np.ndarray:
-    jk = np.array(pairs, dtype=np.int64)
-    runs = cols - 1 - jk[:, 1]
-    lead = np.repeat(jk, runs, axis=0)
-    run_start = np.repeat(np.cumsum(runs) - runs, runs)
-    last = lead[:, 1] + 1 + np.arange(len(lead)) - run_start
-    return np.column_stack([lead, last])
-
-
-def _scan_order3(a: np.ndarray, deadline: float) -> TuWitness | None:
-    rows, cols = a.shape
-    for block in _col_triple_blocks(cols):
-        for rt in itertools.combinations(range(rows), 3):
-            if time.monotonic() > deadline:
-                return None
-            s0, s1, s2 = a[rt[0]][block], a[rt[1]][block], a[rt[2]][block]
-            det = (
-                s0[:, 0] * (s1[:, 1] * s2[:, 2] - s1[:, 2] * s2[:, 1])
-                - s0[:, 1] * (s1[:, 0] * s2[:, 2] - s1[:, 2] * s2[:, 0])
-                + s0[:, 2] * (s1[:, 0] * s2[:, 1] - s1[:, 1] * s2[:, 0])
-            )
-            hit = np.nonzero(np.abs(det) >= 2)[0]
-            if hit.size:
-                t = block[int(hit[0])]
-                return TuWitness(rt, tuple(int(v) for v in t), int(det[int(hit[0])]))
-    return None
-
-
-def find_non_tu_witness(
-    matrix: np.ndarray,
-    order_limit: int = 3,
-    budget_s: float = 10.0,
-    seed: int = 0,
-) -> TuWitness | None:
-    """Search square submatrices for a determinant of magnitude >= 2.
-
-    Orders 2 and 3 are enumerated exhaustively in deterministic index
-    order (vectorized in memory-bounded blocks, stopping at the budget);
-    higher orders up to ``order_limit`` are sampled randomly for the
-    remaining budget.  A witness proves the matrix is not totally
-    unimodular; an empty result proves nothing.
+    Raises :class:`InvalidInputError` for a value other than ±1, an index
+    out of bounds, a repeated ``(row, col)`` or a column with more than two
+    nonzeros; :class:`InternalInvariantError` if the cycle's determinant is
+    not ±2.
     """
-    if order_limit < 2:
-        raise InvalidInputError("order_limit must be >= 2")
-    a = np.asarray(matrix, dtype=np.int64)
-    rows, cols = a.shape
-    deadline = time.monotonic() + budget_s
+    ends: list[list[tuple[int, int]]] = [[] for _ in range(b.cols)]
+    for r, c, v in b.entries:
+        if v not in (1, -1) or not (0 <= r < b.rows and 0 <= c < b.cols):
+            raise InvalidInputError(f"entry ({r}, {c}, {v}) is not a ±1 inside the {b.rows}x{b.cols} matrix")
+        col = ends[c]
+        if len(col) == 2 or (col and col[0][0] == r):
+            raise InvalidInputError(f"column {c} repeats row {r} or has more than two nonzeros")
+        col.append((r, v))
+    adjacent: list[list[int]] = [[] for _ in range(b.rows)]
+    for c, col in enumerate(ends):
+        if len(col) == 2:
+            adjacent[col[0][0]].append(c)
+            adjacent[col[1][0]].append(c)
 
-    if rows >= 2 and cols >= 2:
-        w = _scan_order2(a, deadline)
-        if w is not None:
-            return w
-    if order_limit >= 3 and rows >= 3 and cols >= 3:
-        w = _scan_order3(a, deadline)
-        if w is not None:
-            return w
+    # side[r]: the row's class; parent[r] and via[r]: the row and column
+    # that reached it in the BFS forest (-1 at a root).
+    side, parent, via = [-1] * b.rows, [-1] * b.rows, [-1] * b.rows
+    for root in range(b.rows):
+        if side[root] != -1:
+            continue
+        side[root] = 0
+        queue = [root]
+        for u in queue:
+            for c in adjacent[u]:
+                (r0, v0), (r1, v1) = ends[c]
+                w = r1 if u == r0 else r0
+                want = side[u] ^ (v0 == v1)
+                if side[w] == -1:
+                    side[w], parent[w], via[w] = want, u, c
+                    queue.append(w)
+                elif side[w] != want:
+                    return _odd_cycle(u, w, c, ends, parent, via)
+    return tuple(side)
 
-    rng = np.random.RandomState(seed)
-    for order in range(4, order_limit + 1):
-        if rows < order or cols < order:
-            break
-        while time.monotonic() <= deadline:
-            r = sorted(rng.choice(rows, size=order, replace=False).tolist())
-            c = sorted(rng.choice(cols, size=order, replace=False).tolist())
-            det = _det_int([[int(a[i, j]) for j in c] for i in r])
-            if abs(det) >= 2:
-                return TuWitness(tuple(r), tuple(c), det)
-    return None
+
+def _odd_cycle(u: int, w: int, closing: int, ends, parent: list[int], via: list[int]) -> TuWitness:
+    """The cycle that ``closing`` makes with the BFS tree paths from ``u``
+    and ``w`` up to their lowest common ancestor ``top``."""
+    u_path = [u]
+    while parent[u_path[-1]] != -1:
+        u_path.append(parent[u_path[-1]])
+    depth_of = {r: i for i, r in enumerate(u_path)}
+    w_path = [w]
+    while w_path[-1] not in depth_of:
+        w_path.append(parent[w_path[-1]])
+    top = w_path.pop()
+    cycle = u_path[: depth_of[top] + 1] + w_path
+    rows = tuple(sorted(cycle))
+    cols = tuple(sorted([via[r] for r in cycle if r != top] + [closing]))
+
+    row_at = {r: i for i, r in enumerate(rows)}
+    sub = [[0] * len(cols) for _ in rows]
+    for j, c in enumerate(cols):
+        for r, v in ends[c]:
+            sub[row_at[r]][j] = v
+    det = _det_int(sub)
+    if abs(det) != 2:
+        raise InternalInvariantError(f"odd cycle on rows {rows} has determinant {det}, not ±2")
+    return TuWitness(rows, cols, det)

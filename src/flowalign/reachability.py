@@ -205,10 +205,10 @@ def build_reachability_graph(
 
 @dataclass(frozen=True, eq=False)
 class NodeArcIncidence:
-    """Sparse node-arc incidence: +1 at an edge's tail row, -1 at its head.
+    """A matrix as sparse {0, ±1} triplets ``(row, col, value)``.
 
-    Every column holds exactly one +1 and one -1, which makes the matrix
-    totally unimodular (it is the incidence matrix of a directed graph).
+    A graph's node-arc incidence has one +1 (the edge's tail row) and one
+    -1 (its head row) per column, which makes it totally unimodular.
     """
 
     rows: int

@@ -2,20 +2,26 @@
 
 Deliberately primitive: shortest paths by Bellman-Ford relaxation to a
 fixpoint (no heaps, no tie-breaking, no shared code with the kernels
-under test), brute-force replay enumeration, and a breadth-first search
-that fires every product transition at every full product marking.
+under test), brute-force replay enumeration, a breadth-first search
+that fires every product transition at every full product marking, total
+unimodularity by enumerating every square minor, a column-by-column check
+of a row-class certificate, and determinants by exact ``Fraction``
+elimination.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
 from flowalign.errors import InvalidLimitsError
+from flowalign.flow import _det_int
 from flowalign.petri import Marking, successors
 from flowalign.reachability import (
     ExplorationLimits,
+    NodeArcIncidence,
     ReachabilityGraph,
     RGEdge,
     RGStats,
@@ -153,3 +159,53 @@ def reference_reachability_graph(
         final_index=final_index,
         stats=stats,
     )
+
+
+def brute_force_tu(matrix: list[list[int]]) -> bool:
+    """True iff every square submatrix has determinant 0, 1 or -1."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    for k in range(1, min(m, n) + 1):
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                if abs(_det_int([[matrix[i][j] for j in cols] for i in rows])) > 1:
+                    return False
+    return True
+
+
+def row_classes_hold(b: NodeArcIncidence, classes: tuple[int, ...]) -> bool:
+    """True iff ``classes`` gives each row 0 or 1, and every column with
+    two nonzeros has them in different classes when their signs agree and
+    in the same class when they differ."""
+    if len(classes) != b.rows or any(k not in (0, 1) for k in classes):
+        return False
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for r, c, v in b.entries:
+        columns.setdefault(c, []).append((r, v))
+    for entries in columns.values():
+        if len(entries) == 2:
+            (r0, v0), (r1, v1) = entries
+            if (classes[r0] != classes[r1]) != (v0 == v1):
+                return False
+    return True
+
+
+def fraction_det(matrix: list[list[int]]) -> Fraction:
+    """Determinant by Gaussian elimination over ``Fraction``, swapping in
+    the first row with a nonzero pivot."""
+    a = [[Fraction(v) for v in row] for row in matrix]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return det

@@ -242,6 +242,17 @@ class TestCliConformanceAndBench:
         code = main(["bench", str(tmp_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("name", ["missing", "model.pnml"])
+    def test_bench_on_a_path_that_is_not_a_directory_exits_2(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        if path.suffix:
+            path.write_text("")
+        code = main(["bench", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+        assert captured.out == ""
+
     def test_inspect_reports_structure(self, toy_files, capsys):
         model, _ = toy_files
         code = main(["inspect", str(model), "--trace", "a,b,e"])

@@ -1,6 +1,5 @@
-import itertools
 import json
-import time
+import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import INSURANCE_TRACE
 from flowalign.errors import (
@@ -21,12 +22,13 @@ from flowalign.flow import (
     assemble_flow_problem,
     build_milp_matrices,
     extract_alignment,
-    find_non_tu_witness,
+    TuWitness,
+    _det_int,
     lp_align,
     move_table,
-    _col_triple_blocks,
     alignment_to_dict,
     solve_min_cost_unit_flow,
+    tu_certificate,
     verify_integrality,
 )
 from flowalign.petri import PetriNet, Trace, fire
@@ -38,7 +40,7 @@ from flowalign.reachability import (
     node_arc_incidence,
 )
 from flowalign.sync_product import MoveKind, product_for_trace
-from oracles import oracle_shortest_cost
+from oracles import brute_force_tu, fraction_det, oracle_shortest_cost, row_classes_hold
 from test_heuristic_lp import first_edit_cycle
 
 EPS = Fraction(1, 10**6)
@@ -322,50 +324,171 @@ class TestMilpMatrices:
             build_milp_matrices(toy_product, 0)
 
 
+def _triplets(matrix: list[list[int]]) -> NodeArcIncidence:
+    entries = tuple(
+        (i, j, v) for i, row in enumerate(matrix) for j, v in enumerate(row) if v
+    )
+    return NodeArcIncidence(len(matrix), len(matrix[0]), entries)
+
+
+def _assert_cycle_witness(b: NodeArcIncidence, w: TuWitness) -> None:
+    """``w`` picks a square cycle submatrix whose determinant is ±2."""
+    assert isinstance(w, TuWitness)
+    assert list(w.rows) == sorted(set(w.rows)) and list(w.cols) == sorted(set(w.cols))
+    assert len(w.rows) == len(w.cols) >= 2
+    sub = b.to_dense()[np.ix_(w.rows, w.cols)]
+    # Two nonzeros in every row and column, all on one connected cycle.
+    assert (np.count_nonzero(sub, axis=0) == 2).all()
+    assert (np.count_nonzero(sub, axis=1) == 2).all()
+    reached, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for j in np.flatnonzero(sub[i]):
+            for k in np.flatnonzero(sub[:, j]):
+                if int(k) not in reached:
+                    reached.add(int(k))
+                    frontier.append(int(k))
+    assert len(reached) == len(w.rows)
+    assert abs(w.determinant) == 2
+    assert _det_int(sub.tolist()) == w.determinant
+    assert round(float(np.linalg.det(sub))) == w.determinant
+
+
 class TestFindNonTuWitness:
+    """The certificate's verdicts, and the MILP's constructed witness."""
+
     def test_milp_combined_matrix_has_witness(self, toy_product):
         mm = build_milp_matrices(toy_product, 6)
-        w = find_non_tu_witness(mm.combined_matrix(), order_limit=3, budget_s=10.0)
-        assert w is not None
-        assert abs(w.determinant) >= 2
+        w = mm.witness()
+        assert w == ((1, 10), (0, 1), 2)
         sub = mm.combined_matrix()[np.ix_(w.rows, w.cols)]
-        assert abs(round(float(np.linalg.det(sub)))) == abs(w.determinant)
+        assert round(float(np.linalg.det(sub))) == w.determinant
+        assert _det_int(sub.tolist()) == w.determinant
+
+    def test_milp_without_a_place_of_both_signs_has_no_witness(self):
+        net = PetriNet.build(
+            ["p1", "p2"], ["t1"], [("p1", "t1"), ("t1", "p2")], {"t1": "a"}, {"p1": 1}, {"p2": 1}
+        )
+        mm = build_milp_matrices(product_for_trace(net, Trace("e", ())), 2)
+        assert mm.witness() is None
 
     def test_identity_has_no_witness(self):
-        assert find_non_tu_witness(np.eye(2, dtype=np.int64), 2, 5.0) is None
+        b = _triplets([[1, 0], [0, 1]])
+        classes = tu_certificate(b)
+        assert not isinstance(classes, TuWitness)
+        assert row_classes_hold(b, classes)
 
     def test_rg_incidence_has_no_witness(self, toy_rg):
-        dense = node_arc_incidence(toy_rg).to_dense()
-        assert find_non_tu_witness(dense, order_limit=3, budget_s=30.0) is None
-
-    def test_scan_honours_its_budget(self, fig_acyclic):
-        sp = product_for_trace(fig_acyclic, Trace("t", ("a", "b", "c", "d", "e", "a")))
-        dense = node_arc_incidence(build_reachability_graph(sp)).to_dense()
-        assert dense.shape == (42, 93)  # a full scan takes over a minute
-        t0 = time.monotonic()
-        assert find_non_tu_witness(dense, order_limit=3, budget_s=0.05) is None
-        assert time.monotonic() - t0 < 0.05 + 0.1
-
-    def test_column_triples_in_lexicographic_order(self):
-        for cols in (3, 4, 17, 93):
-            got = np.concatenate(list(_col_triple_blocks(cols, block=500)))
-            assert got.tolist() == [list(t) for t in itertools.combinations(range(cols), 3)]
+        b = node_arc_incidence(toy_rg)
+        classes = tu_certificate(b)
+        assert classes == (0,) * len(toy_rg.nodes)
+        assert row_classes_hold(b, classes)
 
     def test_known_bad_matrix(self):
-        m = np.array([[1, 1], [-1, 1]], dtype=np.int64)
-        w = find_non_tu_witness(m, 2, 5.0)
-        assert w is not None and abs(w.determinant) == 2
+        b = _triplets([[1, 1], [-1, 1]])
+        w = tu_certificate(b)
+        _assert_cycle_witness(b, w)
+        assert w == ((0, 1), (0, 1), 2)
 
-    def test_order4_witness_found_by_sampling(self):
+    def test_order4_witness_is_the_full_matrix(self):
         # Sign-flipped 4-cycle: every proper submatrix is fine, but the
-        # full 4x4 determinant is 2, so only order-4 sampling can find it.
-        m = np.array(
-            [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [-1, 0, 0, 1]], dtype=np.int64
-        )
-        assert find_non_tu_witness(m, 3, 5.0) is None
-        w = find_non_tu_witness(m, 4, 5.0)
-        assert w is not None
-        assert abs(w.determinant) == 2
+        # full 4x4 determinant is 2.
+        b = _triplets([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [-1, 0, 0, 1]])
+        w = tu_certificate(b)
+        _assert_cycle_witness(b, w)
+        assert w.rows == w.cols == (0, 1, 2, 3)
+
+    def test_witness_is_the_odd_cycle_only(self):
+        # A triangle of same-sign columns, plus a pendant row and a column
+        # with one nonzero that the cycle does not use.
+        b = _triplets([[1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 1, 1, 0, 0], [0, 0, 0, -1, 1]])
+        w = tu_certificate(b)
+        _assert_cycle_witness(b, w)
+        assert (w.rows, w.cols) == ((0, 1, 2), (0, 1, 2))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            ((0, 0, 2),),  # a value other than ±1
+            ((0, 0, 0),),
+            ((0, 0, 1), (1, 0, 1), (2, 0, -1)),  # three nonzeros in a column
+            ((0, 0, 1), (0, 0, -1)),  # a repeated (row, col)
+            ((3, 0, 1),),  # indices out of bounds
+            ((0, 2, 1),),
+            ((-1, 0, 1),),
+        ],
+    )
+    def test_malformed_input_is_rejected(self, entries):
+        with pytest.raises(InvalidInputError):
+            tu_certificate(NodeArcIncidence(3, 2, entries))
+
+
+@st.composite
+def _two_per_column(draw) -> NodeArcIncidence:
+    """Any {0, ±1} matrix up to 5x6 with at most two nonzeros per column."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entries = []
+    for c in range(cols):
+        for r in draw(st.lists(st.integers(0, rows - 1), max_size=2, unique=True)):
+            entries.append((r, c, draw(st.sampled_from((1, -1)))))
+    return NodeArcIncidence(rows, cols, tuple(entries))
+
+
+@st.composite
+def _odd_cycle_inside(draw) -> NodeArcIncidence:
+    """A cycle over k rows with an odd number of same-sign columns (so not
+    TU), relabelled and padded with random columns."""
+    k = draw(st.integers(2, 5))
+    rows = draw(st.integers(k, 5))
+    perm = draw(st.permutations(range(rows)))
+    columns = []
+    for i in range(k - 1):
+        columns.append(((i, draw(st.sampled_from((1, -1)))), (i + 1, draw(st.sampled_from((1, -1))))))
+    same = sum(v0 == v1 for (_, v0), (_, v1) in columns)
+    first = draw(st.sampled_from((1, -1)))
+    # The closing column fixes the parity: odd count of same-sign columns.
+    columns.append(((k - 1, first), (0, first if same % 2 == 0 else -first)))
+    for _ in range(draw(st.integers(0, 6 - k))):
+        pair = draw(st.lists(st.integers(0, rows - 1), max_size=2, unique=True))
+        columns.append(tuple((r, draw(st.sampled_from((1, -1)))) for r in pair))
+    order = draw(st.permutations(range(len(columns))))
+    entries = tuple(
+        (perm[r], c, v) for c, j in enumerate(order) for r, v in columns[j]
+    )
+    return NodeArcIncidence(rows, len(columns), entries)
+
+
+def test_certificate_agrees_with_brute_force():
+    verdicts = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(_two_per_column(), _odd_cycle_inside()))
+    def check(b):
+        tu = brute_force_tu(b.to_dense().tolist())
+        got = tu_certificate(b)
+        if isinstance(got, TuWitness):
+            _assert_cycle_witness(b, got)
+        else:
+            assert row_classes_hold(b, got)
+        assert tu is not isinstance(got, TuWitness)
+        verdicts.add(tu)
+
+    check()
+    assert verdicts == {True, False}
+
+
+def test_det_int_matches_fraction_elimination():
+    rng = random.Random(20250811)
+    cases = [[[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[0, 2], [0, 3]], [[5]]]
+    for n in range(1, 7):
+        for _ in range(300):
+            # Mostly zeros, so pivots often vanish and need a row swap.
+            cases.append([[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)])
+    swaps = 0
+    for m in cases:
+        assert _det_int(m) == fraction_det(m), m
+        swaps += m[0][0] == 0 and any(row[0] for row in m)
+    assert swaps > 100
 
 
 class TestAlignmentInvariants:
