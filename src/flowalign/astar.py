@@ -1,49 +1,47 @@
 """Best-first optimal alignment over the synchronous product's state space.
 
-The search grows its own ``sync_product.ProductGraph`` as it goes: it
-expands each node it pops (no pre-built reachability graph, no budgets),
-so its successors come from the same code and in the same canonical order
-as the reachability graph's edges.  Nodes are ordered by f = g + h with
-ties broken by larger g, then FIFO.  The marking-equation heuristic is
-the exact optimum of the continuous state-equation relaxation
-``min c.x s.t. I x = m_f - m, x >= 0``; it is admissible but not assumed
-consistent, so entries are reopened whenever a strictly better g
-arrives, which preserves optimality.  g, h, and all
-costs are exact: the move costs are multiplied by ``scale``, the lcm of
-their denominators, so g is an integer and h an integer or a rational in
-the same units, and scaling by a positive constant keeps every comparison
-and tie.  Epsilon-cost silent moves enter g and h exactly as they do in the
-flow formulation, so both methods optimize the identical objective.
+The search grows its own ``sync_product.ProductGraph``, expanding each
+node it pops, so its successors come in the reachability graph's order.
+Nodes are ordered by f = g + h, ties broken by larger g, then FIFO.  The
+heuristic is the exact optimum of the product's continuous state equation
+``min c.x s.t. I x = m_f - m, x >= 0``: admissible, not assumed
+consistent, so an entry is reopened when a strictly better g arrives.
+Costs, epsilon-cost silent moves included, are exact and multiplied by
+``scale``, the one cost scale of the model and cost config: g is an int,
+h an int or a rational, and every comparison and tie is kept.
 
-How h is computed.  The relaxation's data are built once per search: the
-integer incidence rows (``sync_product.incidence_rows``, composed from the
-model's firing data and the trace path, so no product net is built) and
-the scaled integer move costs, so the simplex sees integers only.  A
-marking's h is solved lazily, when it is about to be expanded, and every
-marking with a finite h keeps its sparse optimal ``x`` and the column
-indices of its optimal basis, nothing more.  When marking m was reached
-from its parent p by move t:
+The relaxation is posed on the model (``sync_product.Relaxation``).  At
+product state (m, pos) the trace rows force each event before ``pos`` to
+carry no move and each later one exactly one unit, split between its log
+and synchronous moves.  Events with one label are interchangeable:
+summing each label's moves solves the model LP with rhs ``m_f - m`` over
+the places and each model label's count in ``sigma[pos:]``, at the same
+cost, and spreading each label's sums evenly over its events (a
+transportation argument) turns a model solution back into a product one.
+An event whose label the model lacks can only be a log move: it adds the
+deviation cost to h.  So the optima are equal at every product state.
 
-- **Reuse.**  If ``x_p[t] >= 1`` then ``h(m) = h(p) - c(t)`` with vector
-  ``x_p - e_t``, and nothing is solved.  ``x_p - e_t`` is feasible for m,
-  so h(m) <= h(p) - c(t); any y feasible for m gives y + e_t feasible for
-  p, so h(p) <= h(m) + c(t).
-- **Warm start.**  Otherwise the simplex starts from p's optimal basis:
-  only the right-hand side changed, so that basis is still dual feasible
-  and a dual simplex from that basis finishes the solve.  The search keeps
-  the tableaux of recent bases (a ``simplex.BasisCache`` of at most
-  ``simplex.BASIS_CACHE_SIZE``, dropped with the search); when p's basis
-  is among them, only ``B^-1 b`` and the objective are computed from the
-  cached tableau, otherwise the tableau is re-factored on that basis.  If
-  p's basis is still primal feasible for m it is optimal, and h(m) is
-  read off without a pivot or a copy; else the dual simplex runs on a
-  copy.  Few bases seed many solves: on the corpus's first edit cycle,
-  1,869 warm starts come from 165 distinct bases; 5 of those warm starts
-  re-factor, and 950 are read off a cached tableau.
+How h is computed.  A search maps each move t to its column ``col(t)``
+(sync ``(j, pos)`` to ``y_j``, model ``j`` to ``x_j``, log at ``pos`` to
+``s`` of its label).  A marking's h is solved lazily, when it is about to
+be expanded; a finite one keeps only its sparse optimal x and basis.
+When marking m was reached from its parent p by move t:
 
-Only the start marking is solved cold.  Either way h is the exact optimum,
-so heap keys, expansion order and the returned alignment do not depend on
-how it was obtained.
+- **Reuse.**  If ``x_p[col(t)] >= 1`` then ``h(m) = h(p) - c(t)``:
+  ``x_p - e_col(t)`` is feasible for m, and any y feasible for m gives
+  ``y + e_col(t)`` feasible for p.  A log move whose label the model
+  lacks changes no rhs and always reuses.
+- **Warm start.**  Otherwise the dual simplex starts from p's basis,
+  still dual feasible since only the rhs changed.  Each search has its
+  own ``simplex.BasisCache``, which starts holding the model's seed: the
+  optimum at rhs ``(m_f - m_0, 0)``, solved once per model and cost
+  config, from whose basis the start marking warm-starts (cold if that
+  LP is infeasible).  From a cached basis only ``B^-1 b`` and the
+  objective are computed, with no pivot or copy while it stays primal
+  feasible; a basis not cached is re-factored.
+
+Either way h is the exact optimum, so the expansion order and alignment
+do not depend on how it was obtained, nor on which searches ran before.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ from .errors import InvalidInputError
 from .flow import Alignment, Method, RunStats
 from .petri import Marking
 from .simplex import BasisCache, integers, solve_min_eq
-from .sync_product import ProductGraph, SynchronousProduct, cost_vector, incidence_rows
+from .sync_product import ProductGraph, SynchronousProduct, cost_vector, model_relaxation
 
 
 class Heuristic(Enum):
@@ -89,66 +87,85 @@ class SearchConfig:
             raise InvalidInputError("max_expansions and token_cap must be >= 1")
 
 
-def scaled_costs(sp: SynchronousProduct) -> tuple[list[int], int]:
-    """Move costs times ``scale``, the lcm of their denominators, and ``scale``."""
-    return integers(cost_vector(sp))
+def _split(sp: SynchronousProduct, m: Marking) -> tuple[Marking, int]:
+    """The process marking and trace position of product marking ``m``."""
+    width = len(sp.process_net.places)
+    trace = m[width:]
+    if len(m) != len(sp.final_marking) or sorted(trace) != [0] * (len(trace) - 1) + [1]:
+        raise InvalidInputError("marking does not index the product's places with one trace token")
+    return m[:width], trace.index(1)
 
 
 class MarkingEquation:
     """Exact marking-equation values for markings of one product.
 
-    Built once per search: the integer incidence rows, the scaled integer
-    move costs and a cache of simplex tableaux, which also counts the
-    simplex pivots.
-    ``self(m, via)`` returns h(m) in those units (an ``int`` when
-    integral, else a ``Fraction``; ``math.inf`` for a dead end) and
-    remembers it in ``values``.  For every marking with a finite value it
-    also keeps the sparse optimal x and the optimal basis, which the reuse
-    rule and the warm start of m's successors draw on.  ``m`` is any key
-    that ``marking`` maps to the product marking (by default ``tuple``:
-    the key is the marking).
+    Built per search on the model's shared relaxation: each move's column
+    and scaled cost, each trace suffix's label counts and constant, and a
+    tableau cache seeded with the model's, which counts the pivots.
+    ``self(m, via)`` puts h(m) in units of 1/``scale`` (an ``int`` when
+    integral, else a ``Fraction``; ``math.inf`` for a dead end) into
+    ``values`` and keeps a finite one's sparse optimal x and basis for the
+    reuse rule and warm starts.  ``state`` maps a key to its process
+    marking and trace position (by default the key is the product marking).
     """
 
-    def __init__(self, sp: SynchronousProduct, marking: Callable[[Hashable], Marking] = tuple):
-        self.final = sp.final_marking
-        self.marking = marking
-        self.rows = incidence_rows(sp)
-        self.costs, self.scale = scaled_costs(sp)
-        self.tableaux = BasisCache(self.rows, self.costs)
+    def __init__(self, sp: SynchronousProduct, state: Callable[[Hashable], tuple[Marking, int]] | None = None):
+        self.relaxation = relax = model_relaxation(sp.process_net, sp.cost)
+        self.final, self.scale = sp.process_net.final_marking, relax.scale
+        self.state = state or (lambda m: _split(sp, m))
+        self.columns = relax.columns(sp)
+        self.costs = [relax.deviation if c is None else relax.costs[c] for c in self.columns]
+        self.suffixes = [([0] * len(relax.labels), 0)]  # (label counts, constant) of sigma[pos:], pos = n down
+        for a in reversed(sp.trace_labels):
+            counts, outside = self.suffixes[-1]
+            k = relax.labels.get(a)
+            if k is None:
+                outside += relax.deviation
+            else:
+                counts = counts[:k] + [counts[k] + 1] + counts[k + 1 :]
+            self.suffixes.append((counts, outside))
+        self.suffixes.reverse()
+        self.tableaux = BasisCache(relax.rows, relax.costs, relax.seed)
         self.values: dict[Hashable, int | Fraction | float] = {}
         self._optima: dict[Hashable, tuple[dict[int, Fraction], tuple[int, ...]]] = {}
-        self.solves = 0  # simplex calls, cold or warm-started
+        self.solves = 0  # simplex calls, all warm-started unless the model has no seed
         self.reuses = 0  # values taken from the parent's solution
 
-    def __call__(
-        self, m: Hashable, via: tuple[Hashable, int] | None = None
-    ) -> int | Fraction | float:
+    def rhs(self, m: Hashable) -> tuple[list[int], int]:
+        """The relaxation's right-hand side at ``m``, and h's constant part."""
+        marking, pos = self.state(m)
+        counts, outside = self.suffixes[pos]
+        return [f - v for f, v in zip(self.final, marking)] + counts, outside
+
+    def __call__(self, m: Hashable, via: tuple[Hashable, int] | None = None) -> int | Fraction | float:
         """h(m); ``via = (parent, move)`` says how m was reached."""
         val = self.values.get(m)
         if val is not None:
             return val
-        basis = None
+        basis = self.relaxation.seed_basis
         optimum = self._optima.get(via[0]) if via is not None else None
         if optimum is not None:
             x, basis = optimum
-            t = via[1]
-            if x.get(t, 0) >= 1:
+            t = self.columns[via[1]]
+            if t is None or x.get(t, 0) >= 1:
                 self.reuses += 1
-                x = dict(x)
-                x[t] -= 1
-                if not x[t]:
-                    del x[t]
+                if t is not None:
+                    x = dict(x)
+                    x[t] -= 1
+                    if not x[t]:
+                        del x[t]
                 self._optima[m] = (x, basis)
-                val = self.values[via[0]] - self.costs[t]
+                val = self.values[via[0]] - self.costs[via[1]]
                 self.values[m] = val
                 return val
         self.solves += 1
-        rhs = [f - v for f, v in zip(self.final, self.marking(m))]
-        result = solve_min_eq(self.rows, rhs, self.costs, basis, cache=self.tableaux)
+        rhs, outside = self.rhs(m)
+        result = solve_min_eq(self.relaxation.rows, rhs, self.relaxation.costs, basis, cache=self.tableaux)
         if result is None:
             val = math.inf
         else:
             value, x = result
+            value += outside
             val = value.numerator if value.denominator == 1 else value
             self._optima[m] = ({j: x[j] for j in result.basis if x[j]}, result.basis)
         self.values[m] = val
@@ -158,14 +175,12 @@ class MarkingEquation:
 def marking_equation_heuristic(sp: SynchronousProduct, m: Marking) -> Fraction | float:
     """Optimal value of the state-equation relaxation from ``m`` to m_f.
 
-    Returns ``math.inf`` when even the continuous relaxation cannot reach
-    the final marking (the state is a dead end).  Always a lower bound on
-    the true remaining alignment cost.  Each call is a cold solve.
+    ``math.inf`` when even the relaxation cannot reach m_f (a dead end);
+    always a lower bound on the remaining alignment cost.  Raises
+    :class:`InvalidInputError` unless ``m`` indexes the product's places
+    with exactly one token on the trace part.
     """
-    final = sp.final_marking
-    if len(m) != len(final):
-        raise InvalidInputError("marking does not index the product's places")
-    if m == final:
+    if m == sp.final_marking:
         return Fraction(0)
     relaxation = MarkingEquation(sp)
     h = relaxation(m)
@@ -178,11 +193,9 @@ def astar_align(
     """A* over product states; optimal when it completes.
 
     Outcomes TIMEOUT and EXHAUSTED are reported in the stats, never
-    raised.  States and successors come from a
-    :class:`~flowalign.sync_product.ProductGraph` without budgets, as in
-    the reachability-graph build: self-loops are skipped and successors
-    exceeding the per-place token cap are pruned, so both methods search
-    the same capped space.
+    raised.  Its :class:`~flowalign.sync_product.ProductGraph` has no
+    budgets but skips self-loops and prunes moves over the token cap, so
+    both methods search the same capped space.
     """
     stats = RunStats(Method.ASTAR, SearchOutcome.EXHAUSTED)
     t0 = time.perf_counter_ns()
@@ -198,11 +211,11 @@ def astar_align(
     # only gets its own value when it is about to be expanded.
     parent: dict[int, tuple[int, int]] = {}
     if cfg.heuristic is Heuristic.MARKING_EQUATION:
-        heuristic = MarkingEquation(sp, graph.marking)
+        heuristic = MarkingEquation(sp, graph.state)
         costs, h_exact = heuristic.costs, heuristic.values
     else:
         heuristic = None
-        costs, h_exact = scaled_costs(sp)[0], {}
+        costs, h_exact = integers(cost_vector(sp))[0], {}
 
     def h(node: int) -> int | Fraction | float:
         return heuristic(node, parent.get(node)) if heuristic is not None else 0

@@ -539,7 +539,7 @@ def _det_int(m: list[list[int]]) -> int:
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1] if n else 1  # the empty matrix's determinant is 1
 
 
 def tu_certificate(b: NodeArcIncidence) -> tuple[int, ...] | TuWitness:

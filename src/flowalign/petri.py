@@ -17,9 +17,9 @@ length or number of the traces aligned against it.  A memo fills under
 its own lock: a thread that misses re-checks under the lock before it
 numbers a marking or reads its successors, so concurrent builds see one
 numbering, and a filled entry never changes, so reads take no lock.  The
-memos, and the model moves that ``sync_product`` keeps on the net, are
-left out of pickles and copies, so a net sent to a worker process starts
-without them.
+memos, and the model moves and marking-equation relaxations that
+``sync_product`` keeps on the net, are left out of pickles and copies, so
+a net sent to a worker process starts without them.
 
 The trace model of an ``n``-event trace is a path net whose ids
 (:func:`trace_ids`) sort in positional order.  Synchronous products do not
@@ -48,8 +48,8 @@ Marking = tuple[int, ...]
 Arc = tuple[str, str, int]  # (source id, target id, weight)
 
 #: Caches kept in a net's ``__dict__`` that its pickles and copies leave
-#: out: the successor memos, and the model moves ``sync_product`` builds.
-_UNPICKLED_CACHES = ("_successor_memos", "_model_moves")
+#: out: the successor memos, and ``sync_product``'s moves and relaxations.
+_UNPICKLED_CACHES = ("_successor_memos", "_model_moves", "_relaxations")
 
 #: Per transition, its sparse ``(place index, weight)`` arcs.
 ArcSets = tuple[tuple[tuple[int, int], ...], ...]

@@ -22,25 +22,16 @@ There are three ways in:
   new LP infeasible.  A basis that is singular or not dual feasible for
   the given data is ignored and the solve runs cold, so a warm start can
   change the work done but never the answer.
-- **Warm from a cached factorization.**  A :class:`BasisCache` keeps a
-  few dual-feasible tableaux of one ``A`` and ``c`` (recent optima and
-  re-factored warm starts, :data:`BASIS_CACHE_SIZE` at most), keyed by
-  their basis as a set.  A tableau's
-  ``B^-1 [A | E]`` and its reduced costs do not depend on ``b``, and
-  block E holds ``B^-1`` times the row scales, so a warm start from a
-  cached basis needs only ``B^-1 b`` and the objective cell: for the k
-  nonzeros of ``b`` that is O(m k) multiply-adds, read from the cached
-  tableau without writing to it.  When every basic value is nonnegative
-  the cached basis is still optimal and the answer is read off with no
-  pivot and no copy; otherwise a copy takes the new rhs column and the
-  dual simplex runs on it.  Its other cells are kept as they are, not
-  re-reduced by their gcd: the ratio tests compare values within one row,
-  so a row scaled by a positive factor gives the same pivots, and
-  ``pivot`` reduces every row it touches.
-  The tableau of a basis is unique up to the order and scaling of its
-  rows, and Bland's rules above pick the leaving and entering variables
-  by column index, never by row, so the dual simplex then takes the
-  pivots it takes after a re-factorization and ends at the same optimum.
+- **Warm from a cached factorization.**  A tableau's ``B^-1 [A | E]``
+  and reduced costs do not depend on ``b``, and block E holds ``B^-1``
+  times the row scales, so from a basis a :class:`BasisCache` holds only
+  ``B^-1 b`` and the objective cell are computed, O(m k) for the k
+  nonzeros of ``b``.  If every basic value is nonnegative the answer is
+  read off with no pivot and no copy; else the dual simplex runs on a
+  copy given the new rhs column.  Its other cells keep their scale, but
+  the ratio tests compare values within one row, and Bland's rules pick
+  by column index, never by row, so it takes the pivots a
+  re-factorization would and ends at the same optimum.
 
 Rows of ``A`` that are combinations of the other rows are dropped from
 the tableau.  Every tableau carries the row operations applied so far (a
@@ -380,22 +371,20 @@ class BasisCache:
     row's scale is the one its row of ``a`` alone gives (negated in a cold
     tableau whose rhs was negative), so block E turns any integer ``b``
     into integer cells.  ``pivots`` counts the primal and dual simplex
-    pivots of every solve made with the cache.
+    pivots of every solve made with the cache.  A new cache starts with the
+    tableaux of ``seed``, a cache of the same ``a`` and ``c``, if given.
 
-    Why 16: an A* search keeps returning to a small set of bases, and the
-    cache should hold that working set.  On the corpus's first edit cycle
-    1,869 warm starts come from 165 bases in 108 searches; with room for
-    5 tableaux they re-factor 35 times, with room for 16 only 5 times,
-    all in the one search that asks for 13 bases, for about 0.3 MB more
-    peak memory.
+    Why 16: an A* search keeps returning to a few bases.  On the corpus's
+    first edit cycle (108 seeded searches) no warm start re-factors with
+    room for 16 tableaux; with room for 5, 20 do.
     """
 
-    def __init__(self, a: Sequence[Sequence[int | Fraction]], c: Sequence[int | Fraction]):
+    def __init__(self, a: Sequence[Sequence[int | Fraction]], c: Sequence[int | Fraction], seed=None):
         self.a = a
         self.c = c
         self.costs, self.scale = integers(c)
         self.pivots = 0
-        self._tableaux: OrderedDict[tuple[int, ...], _Tableau] = OrderedDict()
+        self._tableaux = OrderedDict() if seed is None else seed._tableaux.copy()
 
     def __len__(self) -> int:
         return len(self._tableaux)

@@ -13,16 +13,12 @@ trace position against a gap.  Costs follow the standard scheme:
 synchronous moves are free, silent model moves cost a tiny epsilon, and
 every visible deviation costs ``deviation_cost``.
 
-The engines read a product through two compositions of the process net's
-data with the trace path: :class:`ProductGraph` (states and successors,
-from the model's successor memo, grown lazily into an int-keyed graph
-that the reachability build and A* both expand) and
-:func:`incidence_rows` (the marking equation's rows, from the model's
-firing data).  The model moves depend only on the process net and the
-costs, so each net keeps them per :class:`CostConfig` and every product
-of that net shares them.  The product as a Petri net,
-:attr:`SynchronousProduct.net`, is an export view built on first read
-(MILP matrices, PNML export).
+Both engines expand a :class:`ProductGraph`, composed from the model's
+successor memo and the trace path.  The model moves and A*'s
+:class:`Relaxation` depend only on the net and the costs, so each net
+keeps them per :class:`CostConfig` for all its products.  The product
+Petri net, :attr:`SynchronousProduct.net`, is an export view built on
+first read (MILP matrices, PNML export).
 
 Costs are exact rationals so that total alignment costs compare exactly
 and the number of silent moves is recoverable from the fractional part.
@@ -39,7 +35,8 @@ from fractions import Fraction
 import xml.etree.ElementTree as ET
 
 from .errors import InvalidInputError
-from .petri import TAU, Marking, PetriNet, Trace, firing_data, successor_memo, trace_ids
+from .petri import TAU, Marking, PetriNet, Trace, incidence_matrices, successor_memo, trace_ids
+from .simplex import BasisCache, integers, solve_min_eq
 
 #: Placeholder for "no move on this side" in a move's label pair.
 GAP = ">>"
@@ -101,13 +98,14 @@ class SynchronousProduct:
 
     ``sync_moves_at[pos]`` lists ``(process transition index, move index)``
     for the synchronous moves at trace position ``pos`` (0-based), in
-    process order.
+    process order.  ``cost`` is the config the moves are priced under.
     """
 
     moves: tuple[SyncMove, ...]
     process_net: PetriNet
     trace_labels: tuple[str, ...]
     sync_moves_at: tuple[tuple[tuple[int, int], ...], ...]
+    cost: CostConfig = CostConfig()
 
     @property
     def initial_marking(self) -> Marking:
@@ -231,7 +229,68 @@ def product_for_trace(
         process_net=sn,
         trace_labels=trace_labels,
         sync_moves_at=tuple(map(tuple, sync_moves_at)),
+        cost=cost,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class Relaxation:
+    """A*'s marking equation for all products of one net under one
+    :class:`CostConfig`, posed on the model (``astar`` says why it is exact).
+
+    Rows: one per place, then one per visible label (numbered by ``labels``).
+    Columns: ``x_j`` per transition (its incidence column, cost ``c_j``),
+    ``y_j`` per visible transition (``sync_columns[j]``: that column plus 1
+    in its label's row, cost 0), ``s_a`` per label (1 in row ``a``, cost
+    ``deviation``), all scaled by ``scale``.  ``seed`` holds the optimal
+    tableau at rhs ``(m_f - m_0, 0)``, of basis ``seed_basis``; both are
+    None when that LP is infeasible.  Nothing here changes once built.
+    """
+
+    rows: list[list[int]]
+    costs: list[int]
+    scale: int
+    deviation: int
+    labels: dict[str, int]
+    sync_columns: dict[int, int]
+    seed: BasisCache | None
+    seed_basis: tuple[int, ...] | None
+
+    def columns(self, sp: SynchronousProduct) -> list[int | None]:
+        """Each move's column: sync ``(j, pos)`` is ``y_j``, model ``j`` is
+        ``x_j``, a log move ``s`` of its label, or None if the model has none."""
+        model0, log0 = _move_offsets(sp)
+        cols: list[int | None] = [None] * model0 + list(range(log0 - model0))
+        for pairs in sp.sync_moves_at:
+            for j, k in pairs:
+                cols[k] = self.sync_columns[j]
+        s0 = len(self.costs) - len(self.labels)
+        return cols + [s0 + self.labels[a] if a in self.labels else None for a in sp.trace_labels]
+
+
+def model_relaxation(sn: PetriNet, cost: CostConfig) -> Relaxation:
+    """The :class:`Relaxation` of ``sn`` under ``cost``, built and seeded
+    once and kept on the net beside its model moves."""
+    cache = sn.__dict__.setdefault("_relaxations", {})
+    if cost in cache:
+        return cache[cost]
+    visible = [j for j, lbl in enumerate(sn.labels) if lbl is not TAU]
+    labels = {a: k for k, a in enumerate(dict.fromkeys(sn.labels[j] for j in visible))}
+    t, zeros = len(sn.transitions), [0] * len(labels)
+    rows = [row + [row[j] for j in visible] + zeros for row in incidence_matrices(sn).incidence.tolist()]
+    for a, k in labels.items():
+        rows.append([0] * t + [int(sn.labels[j] == a) for j in visible] + zeros[:k] + [1] + zeros[k + 1:])
+    d = cost.deviation_cost  # the extra last cost prices a log move of a label the model lacks
+    prices = [cost.tau_cost if a is TAU else d for a in sn.labels] + [0] * len(visible)
+    costs, scale = integers(prices + [d] * (len(labels) + 1))
+    seed = BasisCache(rows, costs[:-1])
+    rhs = [f - v for f, v in zip(sn.final_marking, sn.initial_marking)] + zeros
+    optimum = solve_min_eq(rows, rhs, seed.c, cache=seed)
+    sync_columns = {j: t + c for c, j in enumerate(visible)}
+    made = Relaxation(
+        rows, seed.c, scale, costs[-1], labels, sync_columns, optimum and seed, optimum and optimum.basis
+    )
+    return cache.setdefault(cost, made)
 
 
 class ProductGraph:
@@ -268,12 +327,9 @@ class ProductGraph:
     ``max_nodes``, stops the expansion before it and sets ``truncated``;
     the graph and its counts are then those a full search has at that
     point, so a graph grown under smaller budgets is a prefix of one grown
-    under larger budgets.
-
-    Both engines grow one: the reachability graph build expands it one
-    breadth-first layer at a time, A* one popped node at a time.  Both
-    therefore reject, with :class:`InvalidLimitsError` from the model's
-    memo, an initial marking that already exceeds ``cap``.
+    under larger budgets.  The reachability build expands it a layer at a
+    time, A* a node at a time; both reject, with the memo's
+    :class:`InvalidLimitsError`, an initial marking over ``cap``.
     """
 
     def __init__(
@@ -311,7 +367,6 @@ class ProductGraph:
             self._sync_of.append(sync)
         self._model_of = range(model0, model0 + width)
         self._log_of = [(k,) for k in range(log0, log0 + n)]
-        self._trace_part: list[Marking | None] = [None] * self._stride
 
     def expand(self, first: int, stop: int) -> int:
         """Expand nodes ``first`` to ``stop - 1`` in order, appending their
@@ -386,46 +441,21 @@ class ProductGraph:
         pid, pos = divmod(self.keys[node], self._stride)
         return pos < self._n or bool(self._memo.expand(pid))
 
+    def state(self, node: int) -> tuple[Marking, int]:
+        """The process marking and the trace position of ``node``."""
+        pid, pos = divmod(self.keys[node], self._stride)
+        return self._memo.markings[pid], pos
+
     def marking(self, node: int) -> Marking:
         """The full product marking of ``node``."""
-        pid, pos = divmod(self.keys[node], self._stride)
-        part = self._trace_part[pos]
-        if part is None:
-            part = self._trace_part[pos] = _one_hot(pos, self._n)
-        return self._memo.markings[pid] + part
+        marking, pos = self.state(node)
+        return marking + _one_hot(pos, self._n)
 
 
 def _move_offsets(sp: SynchronousProduct) -> tuple[int, int]:
     """The indices of the first model move and of the first log move."""
     log0 = len(sp.moves) - len(sp.trace_labels)
     return log0 - len(sp.process_net.transitions), log0
-
-
-def incidence_rows(sp: SynchronousProduct) -> list[list[int]]:
-    """The incidence matrix of :attr:`SynchronousProduct.net` (post minus
-    pre) as integer rows, one per product place: the marking equation's
-    rows.  Composed like :class:`ProductGraph`'s edges: a move's column is its
-    process transition's column of the model's firing data plus, for a
-    move that consumes event ``pos``, -1 at trace position ``pos`` and +1
-    at ``pos + 1``."""
-    pre, post = firing_data(sp.process_net)
-    width, n = len(sp.process_net.places), len(sp.trace_labels)
-    model0, log0 = _move_offsets(sp)
-    # (move index, process transition or None, event position or None)
-    columns = [(k, j, pos) for pos, pairs in enumerate(sp.sync_moves_at) for j, k in pairs]
-    columns += [(model0 + j, j, None) for j in range(len(pre))]
-    columns += [(log0 + pos, None, pos) for pos in range(n)]
-    rows = [[0] * len(sp.moves) for _ in range(width + n + 1)]
-    for k, j, pos in columns:
-        if j is not None:
-            for i, w in pre[j]:
-                rows[i][k] -= w
-            for i, w in post[j]:
-                rows[i][k] += w
-        if pos is not None:
-            rows[width + pos][k] -= 1
-            rows[width + pos + 1][k] += 1
-    return rows
 
 
 def cost_vector(sp: SynchronousProduct) -> tuple[Fraction, ...]:

@@ -3,7 +3,9 @@
 Deliberately primitive: shortest paths by Bellman-Ford relaxation to a
 fixpoint (no heaps, no tie-breaking, no shared code with the kernels
 under test), brute-force replay enumeration, a breadth-first search
-that fires every product transition at every full product marking, total
+that fires every product transition at every full product marking, the
+marking equation posed on the whole product (one row per product place,
+one column per move), total
 unimodularity by enumerating every square minor, a column-by-column check
 of a row-class certificate, and determinants by exact ``Fraction``
 elimination.
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 from flowalign.errors import InvalidLimitsError
 from flowalign.flow import _det_int
-from flowalign.petri import Marking, successors
+from flowalign.petri import Marking, firing_data, successors
 from flowalign.reachability import (
     ExplorationLimits,
     NodeArcIncidence,
@@ -27,7 +29,8 @@ from flowalign.reachability import (
     RGStats,
     default_limits,
 )
-from flowalign.sync_product import SynchronousProduct
+from flowalign.simplex import solve_min_eq
+from flowalign.sync_product import SynchronousProduct, _move_offsets, cost_vector
 
 
 def bellman_ford_from(rg: ReachabilityGraph, source: int) -> list[Fraction | None]:
@@ -159,6 +162,42 @@ def reference_reachability_graph(
         final_index=final_index,
         stats=stats,
     )
+
+
+def incidence_rows(sp: SynchronousProduct) -> list[list[int]]:
+    """The incidence matrix of :attr:`SynchronousProduct.net` (post minus
+    pre) as integer rows, one per product place: the product marking
+    equation's rows.  Composed from the model's firing data and the trace
+    path: a move's column is its process transition's column plus, for a
+    move that consumes event ``pos``, -1 at trace position ``pos`` and +1
+    at ``pos + 1``."""
+    pre, post = firing_data(sp.process_net)
+    width, n = len(sp.process_net.places), len(sp.trace_labels)
+    model0, log0 = _move_offsets(sp)
+    # (move index, process transition or None, event position or None)
+    columns = [(k, j, pos) for pos, pairs in enumerate(sp.sync_moves_at) for j, k in pairs]
+    columns += [(model0 + j, j, None) for j in range(len(pre))]
+    columns += [(log0 + pos, None, pos) for pos in range(n)]
+    rows = [[0] * len(sp.moves) for _ in range(width + n + 1)]
+    for k, j, pos in columns:
+        if j is not None:
+            for i, w in pre[j]:
+                rows[i][k] -= w
+            for i, w in post[j]:
+                rows[i][k] += w
+        if pos is not None:
+            rows[width + pos][k] -= 1
+            rows[width + pos + 1][k] += 1
+    return rows
+
+
+def product_marking_equation(sp: SynchronousProduct, m: Marking) -> Fraction | float:
+    """The optimum of ``min c.x s.t. I x = m_f - m, x >= 0`` over the
+    product's moves, cold, in the product's own costs; ``inf`` when
+    infeasible."""
+    rhs = [f - v for f, v in zip(sp.final_marking, m)]
+    result = solve_min_eq(incidence_rows(sp), rhs, cost_vector(sp))
+    return float("inf") if result is None else result[0]
 
 
 def brute_force_tu(matrix: list[list[int]]) -> bool:

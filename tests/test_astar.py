@@ -82,12 +82,23 @@ class TestMarkingEquationHeuristic:
         assert 0 <= h0 <= 1  # true optimum is 1
 
     def test_infeasible_relaxation_is_inf(self, toy_product):
-        dead = (0,) * len(toy_product.net.places)
-        assert marking_equation_heuristic(toy_product, dead) == math.inf
+        # No process token, the trace token at any position.
+        width, n = len(toy_product.process_net.places), len(toy_product.trace_labels)
+        for pos in range(n + 1):
+            dead = (0,) * width + tuple(int(i == pos) for i in range(n + 1))
+            assert marking_equation_heuristic(toy_product, dead) == math.inf
 
     def test_dimension_checked(self, toy_product):
         with pytest.raises(InvalidInputError):
             marking_equation_heuristic(toy_product, (1, 0))
+
+    def test_trace_part_must_hold_exactly_one_token(self, toy_product):
+        width = len(toy_product.process_net.places)
+        model = toy_product.initial_marking[:width]
+        assert marking_equation_heuristic(toy_product, model + (0, 1, 0, 0)) < math.inf
+        for trace in ((0, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (2, -1, 0, 0), (1, 0, 0, 1)):
+            with pytest.raises(InvalidInputError):
+                marking_equation_heuristic(toy_product, model + trace)
 
     def test_admissible_along_optimal_path(self, fig_cyclic):
         sp = product_for_trace(fig_cyclic, Trace("t", ("a", "c", "b", "d", "b", "e")))

@@ -491,6 +491,10 @@ def test_det_int_matches_fraction_elimination():
     assert swaps > 100
 
 
+def test_det_int_of_the_empty_matrix_is_one():
+    assert _det_int([]) == 1 == fraction_det([])
+
+
 class TestAlignmentInvariants:
     def test_cost_decomposition_with_taus(self, insurance):
         trace = Trace("t", ("a", "d", "a", "e", "f"))

@@ -9,8 +9,12 @@ return exactly what it did when every value was solved cold.
 import gc
 import json
 import math
+import pickle
 import random
+import sys
+import threading
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -37,23 +41,26 @@ from flowalign.generator import (
     playout,
     random_block,
 )
-from flowalign.petri import PetriNet, Trace, firing_data, incidence_matrices
+from flowalign.petri import TAU, PetriNet, Trace, firing_data, incidence_matrices
 from flowalign.reachability import build_reachability_graph
 from flowalign.simplex import BASIS_CACHE_SIZE, BasisCache, Optimum, solve_min_eq
-from flowalign.sync_product import incidence_rows, product_for_trace
-from oracles import oracle_shortest_cost
+from flowalign.sync_product import CostConfig, product_for_trace
+from oracles import incidence_rows, oracle_shortest_cost, product_marking_equation
 
 GOLDEN = Path(__file__).parent / "data" / "astar_first_edit_cycle.json"
 
 
-def random_block_product(rng: random.Random):
+def random_block_product(rng: random.Random, cost=CostConfig(), outside: tuple[str, ...] = ()):
+    """``outside`` adds labels the model lacks to the edits' alphabet."""
     block = random_block(rng, rng.randint(2, 6))
-    acts = apply_random_edits(playout(block, rng), rng.randint(0, 3), alphabet_of(block), rng)
-    return product_for_trace(block_to_net(block), Trace("t", acts))
+    acts = apply_random_edits(playout(block, rng), rng.randint(0, 3), alphabet_of(block) + outside, rng)
+    return product_for_trace(block_to_net(block), Trace("t", acts), cost)
 
 
-def random_net_product(rng: random.Random):
-    """A small unstructured net, so the final marking is often out of reach."""
+def random_net_product(rng: random.Random, cost=CostConfig(), outside: tuple[str, ...] = ()):
+    """A small unstructured net, so the final marking is often out of reach;
+    its labels repeat, some are silent, and its trace draws from a, b and
+    ``outside``."""
     places = [f"p{i}" for i in range(rng.randint(2, 4))]
     transitions = [f"t{i}" for i in range(rng.randint(1, 4))]
     arcs = []
@@ -71,8 +78,8 @@ def random_net_product(rng: random.Random):
         {places[0]: 1},
         {places[-1]: 1},
     )
-    acts = tuple(rng.choice("ab") for _ in range(rng.randint(0, 3)))
-    return product_for_trace(net, Trace("t", acts))
+    acts = tuple(rng.choice(("a", "b") + outside) for _ in range(rng.randint(0, 3)))
+    return product_for_trace(net, Trace("t", acts), cost)
 
 
 def enabled_moves(sp, m, cap=8):
@@ -123,10 +130,50 @@ def test_reuse_and_warm_start_equal_cold_solve(rng, block_model):
     assert h.solves + h.reuses == 2
 
     # The warm start alone, also where the reuse rule answered above.
-    rhs = [f - v for f, v in zip(sp.net.final_marking, child)]
-    parent = solve_min_eq(h.rows, [f - v for f, v in zip(sp.net.final_marking, m)], h.costs)
-    warm = solve_min_eq(h.rows, rhs, h.costs, basis=parent.basis)
-    assert (math.inf if warm is None else Fraction(warm[0], h.scale)) == cold
+    rows, costs = h.relaxation.rows, h.relaxation.costs
+    (b, _), (b_child, outside) = h.rhs(m), h.rhs(child)
+    parent = solve_min_eq(rows, b, costs)
+    warm = solve_min_eq(rows, b_child, costs, basis=parent.basis)
+    assert (math.inf if warm is None else Fraction(warm[0] + outside, h.scale)) == cold
+
+
+def test_model_relaxation_equals_the_product_marking_equation():
+    """h, solved warm from the model's seed or taken by A*'s reuse rule or
+    warm start from a parent's optimum, equals the product marking
+    equation solved cold on the oracle's rows, at a random-walk marking and
+    all its successors, under the default costs and under tau 1/7 and
+    deviation 3/2."""
+    seen = Counter()
+    priced = CostConfig(tau_cost=Fraction(1, 7), deviation_cost=Fraction(3, 2))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False), st.booleans(), st.sampled_from([CostConfig(), priced]))
+    def check(rng, block_model, cost):
+        sp = (random_block_product if block_model else random_net_product)(rng, cost, ("z",))
+        edge = random_edge(sp, rng)
+        if edge is None:
+            return
+        m = edge[0]
+        h = MarkingEquation(sp)
+        for key, via in [(m, None)] + [(child, (m, j)) for j, child in enabled_moves(sp, m)]:
+            value = exact(h(key, via), h.scale)
+            assert value == product_marking_equation(sp, key) == marking_equation_heuristic(sp, key)
+            seen["dead_ends"] += value == math.inf
+            seen["outside_log_moves"] += via is not None and h.columns[via[1]] is None and h.values[m] < math.inf
+        labels = [a for a in sp.process_net.labels if a is not TAU]
+        seen["empty_traces"] += not sp.trace_labels
+        seen["outside_events"] += "z" in sp.trace_labels
+        seen["duplicate_labels"] += len(set(labels)) < len(labels)
+        seen["silent_transitions"] += TAU in sp.process_net.labels
+        seen["priced"] += cost == priced
+        seen["reuses"] += h.reuses
+        seen["warm_starts"] += h.solves - 1
+
+    check()
+    assert all(seen[k] for k in (
+        "dead_ends", "empty_traces", "outside_events", "outside_log_moves", "duplicate_labels",
+        "silent_transitions", "priced", "reuses", "warm_starts",
+    )), seen
 
 
 def test_warm_start_detects_dead_end():
@@ -254,6 +301,14 @@ def test_basis_cache_seeds_a_warm_start_without_refactoring(monkeypatch):
         solve_min_eq(a, [1, 1, 1], list(c), first.basis, cache=cache)
 
 
+def counting_calls(monkeypatch, module, name):
+    """Record the arguments of every call of ``module.<name>``."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    return calls
+
+
 def counting(monkeypatch, method):
     """Record every call of ``simplex._Tableau.<method>``."""
     calls = []
@@ -371,9 +426,8 @@ def test_every_solve_goes_through_solve_min_eq(monkeypatch):
 
 def test_basis_cache_spares_most_refactorizations(monkeypatch):
     """The search of the first edit cycle with the most solves (m06, 7
-    edits: 271 solves, 270 of them warm from 13 distinct bases) re-factors
-    on fewer than one warm start in ten (5 times), and its cache stays
-    within bound."""
+    edits: 265 solves, every one warm, the first from the model's seed)
+    re-factors on no warm start, and its cache fills to its bound."""
     refactors = []
     real_refactor = simplex._refactor
     monkeypatch.setattr(simplex, "_refactor", lambda *args: refactors.append(1) or real_refactor(*args))
@@ -389,21 +443,81 @@ def test_basis_cache_spares_most_refactorizations(monkeypatch):
     _, sp = next(case for case in first_edit_cycle({"m06"}) if case[0].endswith("k7"))
     alignment, stats = astar_align(sp)
     assert stats.outcome is SearchOutcome.OPTIMAL
-    assert stats.heuristic_calls == len(warm) == 271
-    assert 0 < 10 * len(refactors) < sum(warm)
+    assert stats.heuristic_calls == len(warm) == sum(warm) == 265
+    assert refactors == []
     assert max(sizes) == BASIS_CACHE_SIZE
 
 
 def test_first_edit_cycle_solver_work():
     """The heuristic's work summed over the 108 searches of the corpus's
     first edit cycle: simplex calls, values reused from a parent, and
-    primal and dual simplex pivots (re-factorizations not counted).  A
-    faster warm start may change none of them."""
+    primal and dual simplex pivots (re-factorizations and the models'
+    seed solves not counted).  A faster warm start may change none of
+    them."""
     runs = [astar_align(sp)[1] for _, sp in first_edit_cycle({m for m, _, _ in build_corpus_models()})]
     assert len(runs) == 108 and all(s.outcome is SearchOutcome.OPTIMAL for s in runs)
-    assert sum(s.heuristic_calls for s in runs) == 1977
-    assert sum(s.heuristic_reuses for s in runs) == 987
-    assert sum(s.heuristic_pivots for s in runs) == 3469
+    assert sum(s.heuristic_calls for s in runs) == 1971
+    assert sum(s.heuristic_reuses for s in runs) == 993
+    assert sum(s.heuristic_pivots for s in runs) == 1553
+
+
+def fresh_first_edit_cycle():
+    """The first edit cycle's 108 products, on unpickled copies of the
+    corpus nets: nets that hold no relaxation yet."""
+    nets, products = {}, []
+    for case, sp in first_edit_cycle({m for m, _, _ in build_corpus_models()}):
+        net = nets.setdefault(case.split("-")[0], pickle.loads(pickle.dumps(sp.process_net)))
+        assert "_relaxations" not in vars(net)
+        products.append((case, product_for_trace(net, Trace(case, sp.trace_labels))))
+    return products
+
+
+def test_one_cold_solve_per_model(monkeypatch):
+    """Each of the 12 models solves its seed cold once; all 1,971 of the
+    searches' own solves are warm starts."""
+    colds, solves = counting_calls(monkeypatch, simplex, "_cold"), counting_calls(monkeypatch, astar, "solve_min_eq")
+    products = fresh_first_edit_cycle()
+    runs = [astar_align(sp)[1] for _, sp in products]
+    assert len(colds) == len({sp.process_net for _, sp in products}) == 12
+    assert len(solves) == sum(s.heuristic_calls for s in runs) == 1971
+    assert all(args[3] is not None for args in solves)  # every search solve has a basis
+
+
+def test_search_counters_do_not_depend_on_other_searches():
+    """Per-search solves, reuses and pivots are the same whichever
+    searches of the model ran before, also with two threads searching on
+    one net at once; every search of a net shares its one relaxation, and
+    a pickled net drops it."""
+
+    def counters(products):
+        return {case: astar_align(sp)[1] for case, sp in products}
+
+    def work(stats):
+        return {case: (s.heuristic_calls, s.heuristic_reuses, s.heuristic_pivots) for case, s in stats.items()}
+
+    forward = work(counters(fresh_first_edit_cycle()))
+    assert work(counters(fresh_first_edit_cycle()[::-1])) == forward
+
+    products = fresh_first_edit_cycle()
+    results: list[dict] = [{}, {}]
+    threads = [
+        threading.Thread(target=lambda k=k: results[k].update(counters(products[:: 1 - 2 * k])))
+        for k in (0, 1)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert work(results[0]) == work(results[1]) == forward
+    for net in {sp.process_net for _, sp in products}:
+        assert len(vars(net)["_relaxations"]) == 1
+        assert "_relaxations" not in vars(pickle.loads(pickle.dumps(net)))
 
 
 def test_incidence_rows_equal_the_dense_incidence():

@@ -28,8 +28,8 @@ from flowalign.flow import lp_align
 from flowalign.errors import InvalidLimitsError
 from flowalign.petri import PetriNet, Trace, incidence_matrices, successor_memo, successors
 from flowalign.reachability import ExplorationLimits, build_reachability_graph, default_limits
-from flowalign.sync_product import ProductGraph, incidence_rows, product_for_trace
-from oracles import oracle_shortest_cost, reference_reachability_graph
+from flowalign.sync_product import ProductGraph, product_for_trace
+from oracles import incidence_rows, oracle_shortest_cost, reference_reachability_graph
 from test_heuristic_lp import first_edit_cycle
 
 LABELS = ("a", "b", "c", None)
