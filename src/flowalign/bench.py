@@ -246,15 +246,14 @@ class Summary:
     mean_lp_us: float = 0.0
 
     def render(self) -> str:
-        agree_rate = (
-            f"{100.0 * self.agreement / self.both_optimal:.1f}%" if self.both_optimal else "n/a"
-        )
-        win_rate = 100.0 * self.lp_wins / self.both_optimal if self.both_optimal else 0.0
+        def rate(count: int) -> str:  # a share of the rows with both costs
+            return f"{100.0 * count / self.both_optimal:.1f}%" if self.both_optimal else "n/a"
+
         return (
             f"instances: {self.instances}\n"
             f"both optimal: {self.both_optimal}\n"
-            f"cost agreement: {agree_rate}\n"
-            f"lp win rate: {win_rate:.1f}%\n"
+            f"cost agreement: {rate(self.agreement)}\n"
+            f"lp win rate: {rate(self.lp_wins)}\n"
             f"mean astar time: {self.mean_astar_us:.0f} us\n"
             f"mean lp time: {self.mean_lp_us:.0f} us\n"
             f"timeouts: {self.timeouts}\n"

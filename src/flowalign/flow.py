@@ -26,9 +26,10 @@ The total unimodularity that makes this work is decided exactly:
 nonzeros per column by the Heller-Tompkins row-class test, returning the
 classes or an odd cycle with |det| = 2.  This module also builds (never
 solves) the step-indexed MILP matrices of the direct synchronous-product
-formulation, whose combined constraint matrix is in general *not* totally
-unimodular; ``MilpMatrices.witness`` constructs a 2x2 submatrix with
-|det| >= 2 that proves it.
+formulation, as int row tuples, whose combined constraint matrix is in
+general *not* totally unimodular; ``MilpMatrices.witness`` constructs a
+2x2 submatrix with |det| >= 2 that proves it.  Everything here is exact
+integer or ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -41,14 +42,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import (
     InternalInvariantError,
     InvalidInputError,
     UnreachableFinalError,
 )
-from .petri import incidence_matrices
+from .petri import IntMatrix, incidence_matrices
 from .reachability import NodeArcIncidence, ReachabilityGraph, edge_endpoints
 from .simplex import integers
 from .sync_product import GAP, MoveKind, SyncMove, SynchronousProduct
@@ -425,24 +424,26 @@ class MilpMatrices:
     indicators ``z_k``.  Equalities: final-marking balance (|P| rows)
     then one-move-or-terminated (n rows).  Inequalities: prefix
     nonnegativity (n*|P| rows, as ``A x <= b``) then termination
-    monotonicity (n-1 rows).
+    monotonicity (n-1 rows).  Each matrix is a tuple of int row tuples
+    and each right-hand side a tuple of ints.
     """
 
     horizon: int
     num_places: int
     num_transitions: int
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
+    a_eq: IntMatrix
+    b_eq: tuple[int, ...]
+    a_ub: IntMatrix
+    b_ub: tuple[int, ...]
     objective: tuple[Fraction, ...]
 
     @property
     def num_vars(self) -> int:
         return self.horizon * self.num_transitions + self.horizon
 
-    def combined_matrix(self) -> np.ndarray:
-        return np.vstack([self.a_eq, self.a_ub])
+    def combined_matrix(self) -> IntMatrix:
+        """The rows of ``a_eq`` followed by those of ``a_ub``."""
+        return self.a_eq + self.a_ub
 
     def witness(self) -> TuWitness | None:
         """A 2x2 submatrix of ``combined_matrix()`` with |det| >= 2, constructed.
@@ -456,12 +457,12 @@ class MilpMatrices:
         """
         n_p, n_t = self.num_places, self.num_transitions
         for p in range(n_p):
-            step1 = self.a_eq[p, :n_t]
-            pos, neg = np.flatnonzero(step1 > 0), np.flatnonzero(step1 < 0)
-            if pos.size and neg.size:
-                rows = (p, n_p)
-                cols = tuple(sorted((int(pos[0]), int(neg[0]))))
-                det = _det_int([[int(self.a_eq[r, c]) for c in cols] for r in rows])
+            step1 = self.a_eq[p][:n_t]
+            pos = next((j for j, v in enumerate(step1) if v > 0), None)
+            neg = next((j for j, v in enumerate(step1) if v < 0), None)
+            if pos is not None and neg is not None:
+                rows, cols = (p, n_p), tuple(sorted((pos, neg)))
+                det = _det_int([[self.a_eq[r][c] for c in cols] for r in rows])
                 if abs(det) < 2:
                     raise InternalInvariantError(f"MILP witness on rows {rows} has determinant {det}")
                 return TuWitness(rows, cols, det)
@@ -472,42 +473,42 @@ def build_milp_matrices(sp: SynchronousProduct, n: int) -> MilpMatrices:
     if n < 1:
         raise InvalidInputError("horizon must be >= 1")
     inc = incidence_matrices(sp.net).incidence
-    n_p, n_t = inc.shape
+    n_p, n_t = len(sp.net.places), len(sp.net.transitions)
     n_vars = n * n_t + n
     z0 = n * n_t  # first z column
+    m_i, m_f = sp.net.initial_marking, sp.net.final_marking
 
-    a_eq = np.zeros((n_p + n, n_vars), dtype=np.int64)
-    b_eq = np.zeros(n_p + n, dtype=np.int64)
+    # Balance rows repeat a place's incidence row once per step; row k of
+    # the one-move block is 1 on step k's columns and on z_k.
+    a_eq = [row * n + (0,) * n for row in inc]
     for k in range(n):
-        a_eq[:n_p, k * n_t : (k + 1) * n_t] = inc
-    m_i = np.array(sp.net.initial_marking, dtype=np.int64)
-    m_f = np.array(sp.net.final_marking, dtype=np.int64)
-    b_eq[:n_p] = m_f - m_i
-    for k in range(n):
-        a_eq[n_p + k, k * n_t : (k + 1) * n_t] = 1
-        a_eq[n_p + k, z0 + k] = 1
-        b_eq[n_p + k] = 1
+        row = [0] * n_vars
+        row[k * n_t : (k + 1) * n_t] = [1] * n_t
+        row[z0 + k] = 1
+        a_eq.append(tuple(row))
+    b_eq = tuple(f - i for f, i in zip(m_f, m_i)) + (1,) * n
 
-    a_ub = np.zeros((n * n_p + (n - 1), n_vars), dtype=np.int64)
-    b_ub = np.zeros(n * n_p + (n - 1), dtype=np.int64)
-    for k in range(n):
-        # prefix row block k: m_i + I * sum_{step<=k} x >= 0, normalized
-        # to -I-copies <= m_i, so each block stacks k+1 copies of -I.
-        for step in range(k + 1):
-            a_ub[k * n_p : (k + 1) * n_p, step * n_t : (step + 1) * n_t] = -inc
-        b_ub[k * n_p : (k + 1) * n_p] = m_i
+    # Prefix row block k: m_i + I * sum_{step<=k} x >= 0, normalized to
+    # -I-copies <= m_i, so each block stacks k+1 copies of -I.
+    a_ub = [
+        tuple(-v for v in row) * (k + 1) + (0,) * (n_vars - (k + 1) * n_t)
+        for k in range(n)
+        for row in inc
+    ]
     for k in range(n - 1):
-        a_ub[n * n_p + k, z0 + k] = 1
-        a_ub[n * n_p + k, z0 + k + 1] = -1
+        row = [0] * n_vars
+        row[z0 + k], row[z0 + k + 1] = 1, -1
+        a_ub.append(tuple(row))
+    b_ub = m_i * n + (0,) * (n - 1)
 
     objective = tuple(m.cost for m in sp.moves) * n + (Fraction(0),) * n
     return MilpMatrices(
         horizon=n,
         num_places=n_p,
         num_transitions=n_t,
-        a_eq=a_eq,
+        a_eq=tuple(a_eq),
         b_eq=b_eq,
-        a_ub=a_ub,
+        a_ub=tuple(a_ub),
         b_ub=b_ub,
         objective=objective,
     )

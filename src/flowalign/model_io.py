@@ -263,11 +263,14 @@ def parse_xes(source: bytes | str | Path | IO[bytes], source_name: str = "") -> 
 
     One :class:`Trace` per ``<trace>``, in file order; the activity is the
     event's ``concept:name`` string attribute.  Events lacking it are
-    skipped and counted in ``EventLog.skipped_events``.
+    skipped and counted in ``EventLog.skipped_events``.  A document whose
+    root is not ``<log>`` raises :class:`ModelParseError`.
     """
     if not source_name and isinstance(source, (str, Path)):
         source_name = str(source)
     root = _parse_xml(_read_bytes(source), "XES")
+    if _local(root.tag) != "log":
+        raise ModelParseError(f"XES root element is <{_local(root.tag)}>, not <log>")
     traces: list[Trace] = []
     skipped = 0
     index = 0

@@ -4,10 +4,10 @@ A marking is a plain tuple of token counts, one entry per place in the
 net's canonical place order.  Nets are immutable after construction and
 safe to share between threads; every operation here is a pure function.
 
-A net also keeps caches of derived data: its firing data and incidence
-matrices, and one :class:`SuccessorMemo` per token cap.  The memo numbers
-the markings reached from the initial marking in discovery order and keeps
-each one's successors once they have been read through :func:`successors`.
+A net also keeps caches of derived data: its firing data and one
+:class:`SuccessorMemo` per token cap.  The memo numbers the markings
+reached from the initial marking in discovery order and keeps each one's
+successors once they have been read through :func:`successors`.
 Both engines grow a product graph composed from it
 (``sync_product.ProductGraph``), so aligning a model against many traces
 fires each model transition once per marking, not once per product state,
@@ -16,10 +16,10 @@ Its size is bounded by the model's state space under the cap, not by the
 length or number of the traces aligned against it.  A memo fills under
 its own lock: a thread that misses re-checks under the lock before it
 numbers a marking or reads its successors, so concurrent builds see one
-numbering, and a filled entry never changes, so reads take no lock.  The
-memos, and the model moves and marking-equation relaxations that
-``sync_product`` keeps on the net, are left out of pickles and copies, so
-a net sent to a worker process starts without them.
+numbering, and a filled entry never changes, so reads take no lock.  A
+pickle or copy of a net carries its six fields only, so a net sent to a
+worker process starts without any cache: neither these nor the model
+moves and marking-equation relaxations that ``sync_product`` keeps on it.
 
 The trace model of an ``n``-event trace is a path net whose ids
 (:func:`trace_ids`) sort in positional order.  Synchronous products do not
@@ -32,10 +32,8 @@ import functools
 import threading
 import weakref
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping
-
-import numpy as np
 
 from .errors import InvalidInputError, InvalidLimitsError, NotEnabledError
 
@@ -46,10 +44,6 @@ TAU = None
 Marking = tuple[int, ...]
 
 Arc = tuple[str, str, int]  # (source id, target id, weight)
-
-#: Caches kept in a net's ``__dict__`` that its pickles and copies leave
-#: out: the successor memos, and ``sync_product``'s moves and relaxations.
-_UNPICKLED_CACHES = ("_successor_memos", "_model_moves", "_relaxations")
 
 #: Per transition, its sparse ``(place index, weight)`` arcs.
 ArcSets = tuple[tuple[tuple[int, int], ...], ...]
@@ -157,24 +151,9 @@ class PetriNet:
             for side in (pre, post)
         )
 
-    @functools.cached_property
-    def _incidence(self) -> "IncidenceTriple":
-        w_minus = np.zeros((len(self.places), len(self.transitions)), dtype=np.int64)
-        w_plus = np.zeros_like(w_minus)
-        for m, sets in zip((w_minus, w_plus), self._firing_data):
-            for j, arcs in enumerate(sets):
-                for i, w in arcs:
-                    m[i, j] = w
-        inc = w_plus - w_minus
-        for m in (w_minus, w_plus, inc):
-            m.setflags(write=False)
-        return IncidenceTriple(w_minus=w_minus, w_plus=w_plus, incidence=inc)
-
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        for cache in _UNPICKLED_CACHES:
-            state.pop(cache, None)
-        return state
+        # The fields only: every cache in ``__dict__`` is rebuilt on use.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def labeling(self) -> dict[str, str | None]:
@@ -184,17 +163,23 @@ class PetriNet:
         return self.labels[self.transition_index[transition]]
 
 
+#: An integer matrix as a tuple of its rows.
+IntMatrix = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class IncidenceTriple:
     """Backward, forward, and net incidence matrices of a net.
 
     All three are ``|P| x |T|`` integer matrices in the net's canonical
-    orders; ``incidence == w_plus - w_minus`` entrywise.
+    orders, each a tuple of ``|P|`` int row tuples (row ``i`` is place
+    ``i``, entry ``j`` transition ``j``); ``incidence == w_plus - w_minus``
+    entrywise.
     """
 
-    w_minus: np.ndarray
-    w_plus: np.ndarray
-    incidence: np.ndarray
+    w_minus: IntMatrix
+    w_plus: IntMatrix
+    incidence: IntMatrix
 
 
 @dataclass(frozen=True)
@@ -209,8 +194,22 @@ class Trace:
 
 
 def incidence_matrices(net: PetriNet) -> IncidenceTriple:
-    """Backward/forward/net incidence matrices, deterministic per net."""
-    return net._incidence
+    """Backward/forward/net incidence matrices, deterministic per net.
+
+    Built from :func:`firing_data` on each call; the engines read the
+    sparse sets, and ``sync_product.model_relaxation`` reads these once
+    per net and cost config.
+    """
+    w_minus, w_plus = ([[0] * len(net.transitions) for _ in net.places] for _ in range(2))
+    for matrix, sets in zip((w_minus, w_plus), firing_data(net)):
+        for j, arcs in enumerate(sets):
+            for i, w in arcs:
+                matrix[i][j] = w
+    return IncidenceTriple(
+        w_minus=tuple(map(tuple, w_minus)),
+        w_plus=tuple(map(tuple, w_plus)),
+        incidence=tuple(tuple(p - m for m, p in zip(rm, rp)) for rm, rp in zip(w_minus, w_plus)),
+    )
 
 
 def firing_data(net: PetriNet) -> tuple[ArcSets, ArcSets]:

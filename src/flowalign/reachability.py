@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import InvalidInputError, InvalidLimitsError
 from .petri import Marking
 from .sync_product import ProductGraph, SynchronousProduct, cost_vector
@@ -214,12 +212,6 @@ class NodeArcIncidence:
     rows: int
     cols: int
     entries: tuple[tuple[int, int, int], ...]
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for r, c, v in self.entries:
-            out[r, c] += v
-        return out
 
 
 def node_arc_incidence(rg: ReachabilityGraph) -> NodeArcIncidence:

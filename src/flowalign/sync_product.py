@@ -277,7 +277,7 @@ def model_relaxation(sn: PetriNet, cost: CostConfig) -> Relaxation:
     visible = [j for j, lbl in enumerate(sn.labels) if lbl is not TAU]
     labels = {a: k for k, a in enumerate(dict.fromkeys(sn.labels[j] for j in visible))}
     t, zeros = len(sn.transitions), [0] * len(labels)
-    rows = [row + [row[j] for j in visible] + zeros for row in incidence_matrices(sn).incidence.tolist()]
+    rows = [[*row, *(row[j] for j in visible), *zeros] for row in incidence_matrices(sn).incidence]
     for a, k in labels.items():
         rows.append([0] * t + [int(sn.labels[j] == a) for j in visible] + zeros[:k] + [1] + zeros[k + 1:])
     d = cost.deviation_cost  # the extra last cost prices a log move of a label the model lacks

@@ -7,8 +7,8 @@ that fires every product transition at every full product marking, the
 marking equation posed on the whole product (one row per product place,
 one column per move), total
 unimodularity by enumerating every square minor, a column-by-column check
-of a row-class certificate, and determinants by exact ``Fraction``
-elimination.
+of a row-class certificate, determinants by exact ``Fraction``
+elimination, and sparse triplets written out as dense rows.
 """
 
 from __future__ import annotations
@@ -198,6 +198,15 @@ def product_marking_equation(sp: SynchronousProduct, m: Marking) -> Fraction | f
     rhs = [f - v for f, v in zip(sp.final_marking, m)]
     result = solve_min_eq(incidence_rows(sp), rhs, cost_vector(sp))
     return float("inf") if result is None else result[0]
+
+
+def dense(b: NodeArcIncidence) -> list[list[int]]:
+    """The ``b.rows x b.cols`` matrix of ``b``'s triplets, as int rows;
+    repeated ``(row, col)`` entries add up."""
+    out = [[0] * b.cols for _ in range(b.rows)]
+    for r, c, v in b.entries:
+        out[r][c] += v
+    return out
 
 
 def brute_force_tu(matrix: list[list[int]]) -> bool:

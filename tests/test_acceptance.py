@@ -41,7 +41,7 @@ from flowalign.reachability import (
 from flowalign.selector import SelectionThresholds, select_method
 from flowalign.flow import Method
 from flowalign.sync_product import MoveKind, product_for_trace
-from oracles import bellman_ford_to, oracle_shortest_cost, row_classes_hold
+from oracles import bellman_ford_to, dense, oracle_shortest_cost, row_classes_hold
 from supplement_fixture import EDGES, STATES, load_matrix, state_marking
 
 EPS = Fraction(1, 10**6)
@@ -121,7 +121,7 @@ def test_criterion_4_tu_column_structure(corpus, toy_product, toy_rg):
     # The toy graph must reproduce the published 24x50 fixture up to the
     # documented row/column permutation and the mirrored sign convention
     # (the fixture marks tails with -1; this package marks them with +1).
-    b_ours = node_arc_incidence(toy_rg).to_dense()
+    b_ours = np.array(dense(node_arc_incidence(toy_rg)))
     supp = load_matrix()
     node_of = {marking: i for i, marking in enumerate(toy_rg.nodes)}
     places = toy_product.net.places
@@ -189,7 +189,7 @@ def test_criterion_7_non_tu_contrast(corpus, toy_product, toy_rg):
     elapsed = time.monotonic() - t0
     assert witness == ((1, 10), (0, 1), 2)
     assert elapsed < 10.0
-    sub = mm.combined_matrix()[np.ix_(witness.rows, witness.cols)]
+    sub = np.array(mm.combined_matrix())[np.ix_(witness.rows, witness.cols)]
     assert round(float(np.linalg.det(sub))) == witness.determinant
     assert _det_int(sub.tolist()) == witness.determinant
 
@@ -209,7 +209,7 @@ def test_criterion_7_non_tu_contrast(corpus, toy_product, toy_rg):
         milp = build_milp_matrices(inst.sp, 2)
         w = milp.witness()
         assert w is not None, inst.trace.case_id
-        sub = milp.combined_matrix()[np.ix_(w.rows, w.cols)]
+        sub = np.array(milp.combined_matrix())[np.ix_(w.rows, w.cols)]
         assert abs(w.determinant) == 2 and _det_int(sub.tolist()) == w.determinant, inst.trace.case_id
     report(
         7,

@@ -318,6 +318,21 @@ class TestBatchFailures:
         assert "both optimal: 0" in text
         assert "cost agreement: n/a" in text
 
+    @pytest.mark.parametrize(
+        "method, traces", [("astar", 1), ("lp", 1), ("hybrid", 0), ("both", 0)]
+    )
+    def test_win_rate_is_na_when_nothing_compared(self, fig_acyclic, method, traces):
+        log = EventLog((Trace("c1", ("a", "b", "e")),) * traces)
+        text = summarize(run_conformance(fig_acyclic, log, RunConfig(method=method))).render()
+        assert "both optimal: 0" in text
+        assert "lp win rate: n/a" in text
+
+    def test_win_rate_is_a_percentage_when_compared(self, fig_acyclic):
+        log = EventLog((Trace("c1", ("a", "b", "e")),))
+        text = summarize(run_conformance(fig_acyclic, log, RunConfig(method="both"))).render()
+        assert "both optimal: 1" in text
+        assert re.search(r"^lp win rate: \d+\.\d%$", text, re.M)
+
     def test_conformance_error_row_exits_5(self, toy_files, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise InternalInvariantError("broken engine")

@@ -52,6 +52,8 @@ MALFORMED = {
     # found by the fuzz tests below
     "xml-unknown-encoding": (VALID_PNML.replace(b"utf-8", b"utf-9", 1), None),
     "csv-carriage-return-in-field": (VALID_PNML, (".csv", b"c\rse_id,activity,order\n")),
+    "xes-that-is-a-pnml": (VALID_PNML, (".xes", VALID_PNML)),
+    "xes-root-not-log": (VALID_PNML, (".xes", b"<foo/>")),
 }
 
 

@@ -40,7 +40,7 @@ from flowalign.reachability import (
     node_arc_incidence,
 )
 from flowalign.sync_product import MoveKind, product_for_trace
-from oracles import brute_force_tu, fraction_det, oracle_shortest_cost, row_classes_hold
+from oracles import brute_force_tu, dense, fraction_det, oracle_shortest_cost, row_classes_hold
 from test_heuristic_lp import first_edit_cycle
 
 EPS = Fraction(1, 10**6)
@@ -289,29 +289,29 @@ def _cycle_through(rg, out, node) -> tuple[int, ...]:
 class TestMilpMatrices:
     def test_toy_dimensions(self, toy_product):
         mm = build_milp_matrices(toy_product, 6)
-        assert mm.a_eq.shape == (10 + 6, 72)
-        assert mm.a_ub.shape == (60 + 5, 72)
+        assert np.array(mm.a_eq).shape == (10 + 6, 72)
+        assert np.array(mm.a_ub).shape == (60 + 5, 72)
         assert mm.num_vars == 6 * 11 + 6 == 72
 
     def test_horizon_one_has_no_monotonicity_rows(self, toy_product):
         mm = build_milp_matrices(toy_product, 1)
-        assert mm.a_ub.shape[0] == 10  # prefix rows only
+        assert np.array(mm.a_ub).shape[0] == 10  # prefix rows only
 
     def test_insurance_dimensions(self, insurance):
         sp = product_for_trace(insurance, INSURANCE_TRACE)
         mm = build_milp_matrices(sp, 7)
-        assert mm.a_eq.shape[0] == 18 + 7
-        assert mm.a_ub.shape[0] == 126 + 6
+        assert np.array(mm.a_eq).shape[0] == 18 + 7
+        assert np.array(mm.a_ub).shape[0] == 126 + 6
         assert mm.num_vars == 7 * 20 + 7 == 147
 
     def test_prefix_block_stacks_incidence_copies(self, toy_product):
         from flowalign.petri import incidence_matrices
 
         mm = build_milp_matrices(toy_product, 3)
-        inc = incidence_matrices(toy_product.net).incidence
+        inc = np.array(incidence_matrices(toy_product.net).incidence)
         n_p, n_t = inc.shape
         for k in range(3):
-            block = mm.a_ub[k * n_p : (k + 1) * n_p]
+            block = np.array(mm.a_ub)[k * n_p : (k + 1) * n_p]
             for step in range(3):
                 sub = block[:, step * n_t : (step + 1) * n_t]
                 if step <= k:
@@ -336,7 +336,7 @@ def _assert_cycle_witness(b: NodeArcIncidence, w: TuWitness) -> None:
     assert isinstance(w, TuWitness)
     assert list(w.rows) == sorted(set(w.rows)) and list(w.cols) == sorted(set(w.cols))
     assert len(w.rows) == len(w.cols) >= 2
-    sub = b.to_dense()[np.ix_(w.rows, w.cols)]
+    sub = np.array(dense(b))[np.ix_(w.rows, w.cols)]
     # Two nonzeros in every row and column, all on one connected cycle.
     assert (np.count_nonzero(sub, axis=0) == 2).all()
     assert (np.count_nonzero(sub, axis=1) == 2).all()
@@ -361,7 +361,7 @@ class TestFindNonTuWitness:
         mm = build_milp_matrices(toy_product, 6)
         w = mm.witness()
         assert w == ((1, 10), (0, 1), 2)
-        sub = mm.combined_matrix()[np.ix_(w.rows, w.cols)]
+        sub = np.array(mm.combined_matrix())[np.ix_(w.rows, w.cols)]
         assert round(float(np.linalg.det(sub))) == w.determinant
         assert _det_int(sub.tolist()) == w.determinant
 
@@ -464,7 +464,7 @@ def test_certificate_agrees_with_brute_force():
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.one_of(_two_per_column(), _odd_cycle_inside()))
     def check(b):
-        tu = brute_force_tu(b.to_dense().tolist())
+        tu = brute_force_tu(dense(b))
         got = tu_certificate(b)
         if isinstance(got, TuWitness):
             _assert_cycle_witness(b, got)

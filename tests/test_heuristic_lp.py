@@ -533,7 +533,7 @@ def test_incidence_rows_equal_the_dense_incidence():
     )
     products += [product_for_trace(net, Trace("t", acts)) for acts in ((), ("a",), ("a", "b", "a"))]
     for sp in products:
-        assert incidence_rows(sp) == incidence_matrices(sp.net).incidence.tolist()
+        assert incidence_rows(sp) == [list(row) for row in incidence_matrices(sp.net).incidence]
     # Moves (t,t1'), (t,>>), (u,>>), (>>,t1'); places p0..p2, then p0', p1'.
     assert incidence_rows(products[13]) == [
         [-2, -2, 0, 0], [3, 3, -1, 0], [0, 0, 1, 0], [-1, 0, 0, -1], [1, 0, 0, 1]

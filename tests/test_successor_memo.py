@@ -10,6 +10,8 @@ rows are composed the same way and must equal the product net's
 incidence matrix.
 """
 
+import copy
+import dataclasses
 import functools
 import os
 import pickle
@@ -124,7 +126,7 @@ def test_space_successors_equal_product_firing():
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(products, st.integers(1, 3))
     def check(sp, cap):
-        assert incidence_rows(sp) == incidence_matrices(sp.net).incidence.tolist()
+        assert incidence_rows(sp) == [list(row) for row in incidence_matrices(sp.net).incidence]
         seen["empty_traces"] += not sp.trace_labels
         if any(v > cap for v in sp.initial_marking):
             with pytest.raises(InvalidLimitsError):
@@ -214,11 +216,19 @@ class TestMemoSharing:
         net = growing_net()
         graph_of(net, ("a", "a", "c"), 3)
         assert successor_memo(net, 3).table[0] is not None
+        trace = Trace("g", ("a", "c"))
+        aligned = [lp_align(product_for_trace(net, trace))[0], astar_align(product_for_trace(net, trace))[0]]
+        assert None not in aligned
+        caches = {"_successor_memos", "_model_moves", "_relaxations", "_firing_data"}
+        assert caches | {"place_index", "transition_index"} <= net.__dict__.keys()
+        fields = {f.name for f in dataclasses.fields(PetriNet)}
         clone = pickle.loads(pickle.dumps(net))
-        assert "_successor_memos" not in clone.__dict__
+        assert clone.__dict__.keys() == copy.copy(net).__dict__.keys() == fields
         assert "_successor_memos" in net.__dict__
         assert clone == net
         assert graph_of(clone, ("a", "a", "c"), 3) == graph_of(growing_net(), ("a", "a", "c"), 3)
+        sp = product_for_trace(clone, trace)
+        assert [lp_align(sp)[0], astar_align(sp)[0]] == aligned
 
     def test_memo_is_keyed_by_cap(self):
         net = growing_net()
