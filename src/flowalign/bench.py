@@ -12,7 +12,6 @@ a serial run (timing columns and ``lp_win`` aside).
 from __future__ import annotations
 
 import csv
-import io
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -130,12 +129,6 @@ def write_csv(records: list[BenchmarkRecord], out) -> None:
         writer.writerow([_cell(getattr(r, col)) for col in CSV_COLUMNS])
 
 
-def records_to_csv_text(records: list[BenchmarkRecord]) -> str:
-    buf = io.StringIO()
-    write_csv(records, buf)
-    return buf.getvalue()
-
-
 def _record_run(
     rec: BenchmarkRecord, product_us: int, alignment: Alignment | None, stats: RunStats
 ) -> None:
@@ -242,20 +235,22 @@ class Summary:
     agreement: int = 0
     lp_wins: int = 0
     timeouts: int = 0
-    mean_astar_us: float = 0.0
-    mean_lp_us: float = 0.0
+    mean_astar_us: float | None = None  # None when no row has that engine's time
+    mean_lp_us: float | None = None
 
     def render(self) -> str:
         def rate(count: int) -> str:  # a share of the rows with both costs
             return f"{100.0 * count / self.both_optimal:.1f}%" if self.both_optimal else "n/a"
+
+        mean = lambda us: "n/a" if us is None else f"{us:.0f} us"
 
         return (
             f"instances: {self.instances}\n"
             f"both optimal: {self.both_optimal}\n"
             f"cost agreement: {rate(self.agreement)}\n"
             f"lp win rate: {rate(self.lp_wins)}\n"
-            f"mean astar time: {self.mean_astar_us:.0f} us\n"
-            f"mean lp time: {self.mean_lp_us:.0f} us\n"
+            f"mean astar time: {mean(self.mean_astar_us)}\n"
+            f"mean lp time: {mean(self.mean_lp_us)}\n"
             f"timeouts: {self.timeouts}\n"
         )
 
@@ -282,8 +277,8 @@ def summarize(records: list[BenchmarkRecord]) -> Summary:
             s.lp_wins += 1 if r.lp_win else 0
         if "timeout" in (r.astar_outcome or "") or "truncated" in (r.lp_outcome or ""):
             s.timeouts += 1
-    s.mean_astar_us = sum(astar_times) / len(astar_times) if astar_times else 0.0
-    s.mean_lp_us = sum(lp_times) / len(lp_times) if lp_times else 0.0
+    s.mean_astar_us = sum(astar_times) / len(astar_times) if astar_times else None
+    s.mean_lp_us = sum(lp_times) / len(lp_times) if lp_times else None
     return s
 
 

@@ -40,10 +40,11 @@ class SemanticError(ModelParseError):
 
 
 class UnreachableFinalError(FlowAlignError):
-    """The final marking is absent from a constructed reachability graph.
+    """A constructed reachability graph cannot price the alignment.
 
     ``reason`` distinguishes a graph cut short by resource limits
-    (``"truncated"``), one that lost branches to the per-place token cap
+    (``"truncated"``, whether or not it reached the final marking), one
+    without the final marking that lost branches to the per-place token cap
     (``"token_cap"``), and one where the final marking is genuinely
     unreachable (``"unreachable"``).
     """

@@ -8,18 +8,24 @@ exactly one +1 and one -1 the constraint matrix is totally unimodular,
 so with an integral balance vector every basic optimum is integral and
 selects a single initial-to-final path.
 
-The kernel here is a label-setting shortest path (valid since all move
-costs are nonnegative and exactly one unit flows), run on integers scaled
-by the lcm of the cost denominators; the scale is divided out only when
-the objective leaves the solver.  It reads the graph's per-edge int
-arrays (tail, head, move) and one scaled cost per move; a problem given
-as an explicit incidence matrix (``FlowProblem.from_incidence``) is
-parsed into the same arrays.  One Dijkstra over the reversed edges
-labels every node with its distance to the final node.  A walk from the
-initial node then takes, at each step, the lowest-index edge whose cost
-equals the drop in label, so among equal-cost optima the
-lexicographically smallest path under edge index order is returned and
-goldens are deterministic.  Optimality is re-certified from the labels.
+The explicit kernel is a label-setting shortest path (valid since all
+move costs are nonnegative and one unit flows) on integers scaled by the
+lcm of the cost denominators, divided out only when the objective leaves.
+It reads the graph's per-edge int arrays (tail, head, move), into which
+``FlowProblem.from_incidence`` parses an explicit incidence matrix.  One
+Dijkstra over the reversed edges labels every node with its distance to
+the final node; a walk from the initial node takes, at each step, the
+lowest-index edge whose cost equals the drop in label, so among equal-cost
+optima the lexicographically smallest path under edge index order is
+returned and goldens are deterministic.  The labels are re-certified.
+
+``lp_align`` solves the same LP without building the graph.  A product's
+graph is the model's reachability graph copied once per trace position
+and joined by synchronous and log moves, so its size follows from
+per-model counts (``layered_graph``), and ``solve_layered`` computes the
+same labels one trace position at a time and walks the same path.  The
+graph is built only when the counts cannot rule out that a limit binds,
+and a graph that a limit cut short is never priced.
 
 The total unimodularity that makes this work is decided exactly:
 ``tu_certificate`` checks a sparse {0, ±1} matrix with at most two
@@ -35,6 +41,8 @@ integer or ``Fraction`` arithmetic.
 from __future__ import annotations
 
 import heapq
+import math
+import operator
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -42,15 +50,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import (
-    InternalInvariantError,
-    InvalidInputError,
-    UnreachableFinalError,
-)
-from .petri import IntMatrix, incidence_matrices
-from .reachability import NodeArcIncidence, ReachabilityGraph, edge_endpoints
+from .errors import InternalInvariantError, InvalidInputError, UnreachableFinalError
+from .petri import TAU, IntMatrix, PetriNet, SuccessorMemo, incidence_matrices, successor_memo
+from .reachability import ExplorationLimits, NodeArcIncidence, ReachabilityGraph, edge_endpoints
 from .simplex import integers
-from .sync_product import GAP, MoveKind, SyncMove, SynchronousProduct
+from .sync_product import GAP, CostConfig, MoveKind, SyncMove, SynchronousProduct, _move_offsets
 
 
 class Method(Enum):
@@ -70,8 +74,8 @@ class RunStats:
 
     ``outcome`` is a :class:`SolveStatus` for the flow engine and an
     ``astar.SearchOutcome`` for A*.  ``solve_us`` is the search for A*, and
-    assemble + solve + extract for the flow engine, whose graph build is
-    ``rg_build_us``.  Counts the engine does not produce stay 0.
+    the flow engine's solve and walk, after ``rg_build_us`` of counting (or
+    building) its graph.  Counts the engine does not produce stay 0.
     """
 
     method: Method
@@ -119,14 +123,6 @@ class FlowProblem:
             raise InvalidInputError(f"{len(costs)} costs for {incidence.cols} columns")
         move_costs, scale = integers(costs)
         return cls(incidence.rows, tails, heads, range(incidence.cols), move_costs, scale, source, sink)
-
-    @property
-    def balance(self) -> tuple[int, ...]:
-        """+1 at the source, -1 at the sink, 0 elsewhere (all 0 if they coincide)."""
-        balance = [0] * self.num_nodes
-        if self.source != self.sink:
-            balance[self.source], balance[self.sink] = 1, -1
-        return tuple(balance)
 
 
 @dataclass(frozen=True)
@@ -194,16 +190,14 @@ class Alignment:
 def assemble_flow_problem(rg: ReachabilityGraph) -> FlowProblem:
     """Balance +1 at the initial node, -1 at the final node, 0 elsewhere.
 
-    Raises :class:`UnreachableFinalError` when the graph has no final
-    node, distinguishing truncation and token-cap pruning from genuine
-    unreachability.
+    Raises :class:`UnreachableFinalError` when a limit cut the graph short,
+    whether or not it reached the final marking (a cut graph may lack
+    every optimal path), and when the graph has no final node,
+    distinguishing token-cap pruning from genuine unreachability.
     """
+    if rg.stats.truncated:
+        raise UnreachableFinalError("truncated", "a limit cut the graph short, so it proves no optimum")
     if rg.final_index is None:
-        if rg.stats.truncated:
-            raise UnreachableFinalError(
-                "truncated",
-                "final marking not reached: graph construction hit a resource limit",
-            )
         if rg.stats.cap_prunes:
             raise UnreachableFinalError(
                 "token_cap",
@@ -338,37 +332,211 @@ def extract_alignment(
     return alignment
 
 
-def lp_align(
-    sp: SynchronousProduct, limits=None
-) -> tuple[Alignment | None, RunStats]:
-    """Product -> bounded reachability graph -> flow solve -> alignment.
+_INF = math.inf  # the label of a node that cannot reach the final node
 
-    Returns ``(None, stats)`` with outcome ``TRUNCATED_GRAPH`` when the
-    graph was cut short before reaching the final marking (a timeout-like
-    outcome, not a cost), and ``INFEASIBLE`` when the final marking is
-    genuinely unreachable.
+
+class ModelGraph:
+    """The model's reachability graph under one token cap and cost config,
+    kept on the memo.  Ids and ``rows`` are the memo's.  ``into[v]`` lists
+    ``(u, c)`` per model move from ``u`` to ``v`` at scaled cost ``c``, bar
+    self-loops and capped moves, and ``edges`` holds them as flat tail,
+    head and cost arrays; ``sync[a]`` lists ``(u, s)`` per uncapped move of
+    a transition labelled ``a``.  ``to_final``, the last layer of every
+    trace, is each marking's model-only distance to ``final``."""
+
+    def __init__(self, net: PetriNet, memo: SuccessorMemo, depths: list[int], cost: CostConfig) -> None:
+        (tau, self.log_cost), self.scale = integers([cost.tau_cost, cost.deviation_cost])
+        self.costs = [tau if lbl is TAU else self.log_cost for lbl in net.labels]
+        self.rows, self.reachable, self.eccentricity = memo.table, memo.reachable, max(depths)
+        final = memo.ids[net.final_marking]
+        self.final = final if depths[final] >= 0 else None
+        self.into: list[list[tuple[int, int]]] = [[] for _ in depths]
+        self.edges: tuple[list[int], list[int], list[int]] = ([], [], [])
+        self.sync: dict[str, list[tuple[int, int]]] = {}
+        self.capped = False  # whether the token cap pruned a move
+        for u, d in enumerate(depths):
+            for j, s in self.rows[u] if d >= 0 else ():
+                self.capped |= s < 0
+                if s >= 0 and net.labels[j] is not TAU:
+                    self.sync.setdefault(net.labels[j], []).append((u, s))
+                if s >= 0 and s != u:
+                    self.into[s].append((u, self.costs[j]))
+                    for ends, v in zip(self.edges, (u, s, self.costs[j])):
+                        ends.append(v)
+        self.to_final = [_INF] * len(depths)
+        if self.final is not None:
+            self.to_final[self.final] = 0
+            _settle(self.to_final, self.into, (self.final,))
+
+
+class LayeredGraph(NamedTuple):
+    """The reachability graph of ``sp`` as its model's graph and trace: node
+    ``(u, pos)`` per reachable model marking ``u`` and trace position ``pos``."""
+
+    sp: SynchronousProduct
+    model: ModelGraph
+    nodes: int
+    edges: int
+
+
+def layered_graph(sp: SynchronousProduct, limits: ExplorationLimits) -> LayeredGraph | None:
+    """The graph ``build_reachability_graph(sp, limits)`` builds, counted
+    but not built, or None when a limit may bind.
+
+    Each reachable model marking is reachable at each trace position, so
+    the full graph has |R|(n + 1) nodes; its edges are the model moves at
+    each position, each event's synchronous moves and a log move per node
+    and event.  Over ``max_nodes`` nodes (where the memo stops expanding)
+    or ``max_edges`` edges the build is cut short; within them, and with
+    the model's BFS eccentricity plus n below ``max_depth``, it is not.
     """
-    from .reachability import build_reachability_graph
+    net, n = sp.process_net, len(sp.trace_labels)
+    memo = successor_memo(net, limits.token_cap)
+    depths = memo.depths(limits.max_nodes)
+    if depths is None:
+        return None
+    model = memo.priced.get(sp.cost) or memo.priced.setdefault(
+        sp.cost, ModelGraph(net, memo, depths, sp.cost)
+    )
+    nodes = model.reachable * (n + 1)
+    edges = (n + 1) * len(model.edges[0]) + n * model.reachable
+    edges += sum(len(model.sync.get(a, ())) for a in sp.trace_labels)
+    if nodes > limits.max_nodes or edges > limits.max_edges or model.eccentricity + n >= limits.max_depth:
+        return None
+    return LayeredGraph(sp, model, nodes, edges)
 
+
+def _settle(dist: list, into: list[list[tuple[int, int]]], sources) -> list:
+    """Lower ``dist`` in place to the cheapest way on through model moves:
+    one Dijkstra over the reversed moves from all ``sources`` at once, which
+    must be the only heads ``v`` with some ``dist[u] > c + dist[v]``."""
+    heap = [(dist[v], v) for v in set(sources)]
+    heapq.heapify(heap)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for u, c in into[v]:
+            if d + c < dist[u]:
+                dist[u] = d + c
+                heapq.heappush(heap, (d + c, u))
+    return dist
+
+
+def solve_layered(graph: LayeredGraph) -> Alignment | None:
+    """Solve the flow LP on ``graph`` one trace position at a time; None
+    when the final node is unreachable.
+
+    Layer ``pos`` holds the integer distance of each node ``(u, pos)`` to
+    the final node.  Layer n is the model's ``to_final``; layer pos is
+    seeded from layer pos + 1 through event pos's log and synchronous
+    moves, then settled.  The walk from ``(m_0, 0)`` takes the first tight
+    move in canonical order: the built graph's lowest-index tight edge, as
+    a node's out-edges are contiguous and in that order.  The labels are
+    certified on every edge, as :func:`_certify` does.
+    """
+    sp, model = graph.sp, graph.model
+    if model.final is None:
+        return None
+    trace = sp.trace_labels
+    layers = [model.to_final]
+    for a in reversed(trace):
+        # Log moves keep the next layer's labels consistent, so only the
+        # nodes that a synchronous move lowers are sources.
+        nxt, lowered = layers[-1], []
+        here = [d + model.log_cost for d in nxt]
+        for u, s in model.sync.get(a, ()):
+            if nxt[s] < here[u]:
+                here[u] = nxt[s]
+                lowered.append(u)
+        layers.append(_settle(here, model.into, lowered))
+    layers.reverse()
+    path, spent, u, pos = [], 0, 0, 0
+    while u != model.final or pos < len(trace):
+        d = layers[pos][u]
+        step = next((m for m in _moves_out(sp, model, u, pos) if m[1] + layers[m[3]][m[2]] == d), None)
+        if step is None or len(path) > graph.nodes:
+            raise InternalInvariantError(f"label walk stuck at model marking {u}, position {pos}")
+        k, c, u, pos = step
+        path.append(k)
+        spent += c
+    _certify_layers(model, trace, layers)
+    alignment = Alignment.from_moves(tuple(sp.moves[k] for k in path), Method.LP)
+    if spent != layers[0][0] or alignment.total_cost != Fraction(spent, model.scale):
+        raise InternalInvariantError("path cost disagrees with distance label")
+    return alignment
+
+
+def _moves_out(sp: SynchronousProduct, model: ModelGraph, u: int, pos: int):
+    """``(product move, scaled cost, head marking, head position)`` of each
+    edge out of node ``(u, pos)``, in canonical order."""
+    (model0, log0), at_event = _move_offsets(sp), pos < len(sp.trace_labels)
+    sync_move = dict(sp.sync_moves_at[pos]) if at_event else {}
+    yield from ((sync_move[j], 0, s, pos + 1) for j, s in model.rows[u] if s >= 0 and j in sync_move)
+    yield from ((model0 + j, model.costs[j], s, pos) for j, s in model.rows[u] if s >= 0 and s != u)
+    if at_event:
+        yield log0 + pos, model.log_cost, u, pos + 1
+
+
+def _certify_layers(model: ModelGraph, trace: tuple[str, ...], layers: list[list]) -> None:
+    # dist(tail) <= cost + dist(head) on every edge; the walk took only tight moves.
+    if layers[-1][model.final] != 0:
+        raise InternalInvariantError("sink distance is nonzero")
+    tails, heads, costs = model.edges
+    for pos, here in enumerate(layers):
+        at = here.__getitem__
+        if any(map(operator.gt, map(at, tails), map(operator.add, costs, map(at, heads)))):
+            raise InternalInvariantError(f"distance label violated by a model move at position {pos}")
+        if pos < len(trace):
+            nxt = layers[pos + 1]
+            if any(d > model.log_cost + dn for d, dn in zip(here, nxt)) or any(
+                here[u] > nxt[s] for u, s in model.sync.get(trace[pos], ())
+            ):
+                raise InternalInvariantError(f"distance label violated by event {pos}")
+
+
+def lp_align(
+    sp: SynchronousProduct, limits: ExplorationLimits | None = None
+) -> tuple[Alignment | None, RunStats]:
+    """Product -> reachability graph -> flow solve -> alignment.
+
+    The graph is solved layer by layer, unbuilt, when its counts show that
+    no limit binds; otherwise it is built and, unless a limit cut it short,
+    solved edge by edge.  Returns ``(None, stats)`` with ``TRUNCATED_GRAPH``
+    when a limit cut the graph short, even after it reached the final
+    marking, or the token cap pruned every way there (a timeout-like
+    outcome, not a cost), and ``INFEASIBLE`` when the final is unreachable.
+    """
+    from .reachability import build_reachability_graph, default_limits
+
+    limits = limits or default_limits(sp)
     stats = RunStats(Method.LP, SolveStatus.INFEASIBLE)
-    t0 = time.perf_counter_ns()
-    rg = build_reachability_graph(sp, limits)
-    t1 = time.perf_counter_ns()
-    stats.rg_build_us = (t1 - t0) // 1000
-    stats.rg_nodes = len(rg.nodes)
-    stats.rg_edges = len(rg.edges)
-
     alignment = None
-    try:
-        fp = assemble_flow_problem(rg)
-    except UnreachableFinalError as exc:
-        if exc.reason in ("truncated", "token_cap"):
+    t0 = time.perf_counter_ns()
+    graph = layered_graph(sp, limits)
+    if graph is not None:
+        t1 = time.perf_counter_ns()
+        stats.rg_nodes, stats.rg_edges = graph.nodes, graph.edges
+        alignment = solve_layered(graph)
+        if alignment is not None:
+            stats.outcome = SolveStatus.OPTIMAL
+        elif graph.model.capped:
             stats.outcome = SolveStatus.TRUNCATED_GRAPH
     else:
-        sol = solve_min_cost_unit_flow(fp)
-        stats.outcome = sol.status
-        if sol.status is SolveStatus.OPTIMAL:
-            alignment = extract_alignment(rg, sp, sol)
+        rg = build_reachability_graph(sp, limits)
+        t1 = time.perf_counter_ns()
+        stats.rg_nodes, stats.rg_edges = len(rg.nodes), len(rg.edges)
+        try:
+            fp = assemble_flow_problem(rg)
+        except UnreachableFinalError as exc:
+            if exc.reason in ("truncated", "token_cap"):
+                stats.outcome = SolveStatus.TRUNCATED_GRAPH
+        else:
+            sol = solve_min_cost_unit_flow(fp)
+            stats.outcome = sol.status
+            if sol.status is SolveStatus.OPTIMAL:
+                alignment = extract_alignment(rg, sp, sol)
+    stats.rg_build_us = (t1 - t0) // 1000
     stats.solve_us = (time.perf_counter_ns() - t1) // 1000
     return alignment, stats
 

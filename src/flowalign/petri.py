@@ -273,6 +273,9 @@ class SuccessorMemo:
         self.ids: dict[Marking, int] = {}
         self.table: list[tuple[tuple[int, int], ...] | None] = []
         self._lock = threading.Lock()
+        self._depths: list[int] | None = None
+        self.reachable = 0  # the count of reachable markings, once known
+        self.priced: dict = {}  # ``flow.ModelGraph`` per cost config
         for m in (net.initial_marking, net.final_marking):
             self._number(m)
 
@@ -299,6 +302,23 @@ class SuccessorMemo:
                     )
                     self.table[i] = row
         return row
+
+    def depths(self, limit: int) -> list[int] | None:
+        """Every id's breadth-first depth from the initial marking, with each
+        reachable marking expanded (-1: an unreachable final marking); None,
+        with the expansion stopped, once more than ``limit`` are reachable."""
+        if self._depths is None:
+            depth, order = {0: 0}, [0]
+            for i in order:
+                if len(order) > limit:
+                    return None
+                for _, s in self.expand(i):
+                    if s >= 0 and s not in depth:
+                        depth[s] = depth[i] + 1
+                        order.append(s)
+            self.reachable = len(order)
+            self._depths = [depth.get(i, -1) for i in range(len(self.markings))]
+        return self._depths if self.reachable <= limit else None
 
 
 def successor_memo(net: PetriNet, cap: int) -> SuccessorMemo:

@@ -248,15 +248,3 @@ def check_tu_column_structure(b: NodeArcIncidence) -> bool:
     except InvalidInputError:
         return False
     return True
-
-
-def edge_list_text(rg: ReachabilityGraph) -> str:
-    """Edge list as ``tail head transition cost`` lines, for fixture diffing."""
-    lines = [f"{e.tail}\t{e.head}\t{e.transition}\t{e.cost}" for e in rg.edges]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def incidence_triplet_text(b: NodeArcIncidence) -> str:
-    """Sparse triplets as ``row col value`` lines."""
-    lines = [f"{r}\t{c}\t{v}" for r, c, v in b.entries]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import xml.etree.ElementTree as ET
-
 from .errors import InvalidInputError
 from .petri import TAU, Marking, PetriNet, Trace, incidence_matrices, successor_memo, trace_ids
 from .simplex import BasisCache, integers, solve_min_eq
@@ -461,24 +459,3 @@ def _move_offsets(sp: SynchronousProduct) -> tuple[int, int]:
 def cost_vector(sp: SynchronousProduct) -> tuple[Fraction, ...]:
     """Move costs in the product's canonical transition order."""
     return tuple(m.cost for m in sp.moves)
-
-
-def product_to_pnml(sp: SynchronousProduct) -> bytes:
-    """Debug serialization: the product net as PNML with per-move cost annotations."""
-    from .model_io import serialize_pnml
-
-    root = ET.fromstring(serialize_pnml(sp.net, net_id="sync-product"))
-    by_id = {}
-    for elem in root.iter():
-        if elem.tag == "transition":
-            by_id[elem.get("id")] = elem
-    for move in sp.moves:
-        ET.SubElement(
-            by_id[move.move_id],
-            "toolspecific",
-            tool="flowalign",
-            version="1",
-            cost=str(move.cost),
-            kind=move.kind.value,
-        )
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)

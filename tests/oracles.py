@@ -8,18 +8,23 @@ marking equation posed on the whole product (one row per product place,
 one column per move), total
 unimodularity by enumerating every square minor, a column-by-column check
 of a row-class certificate, determinants by exact ``Fraction``
-elimination, and sparse triplets written out as dense rows.
+elimination, and sparse triplets written out as dense rows.  Also the
+text and PNML dumps that fixtures diff against.
 """
 
 from __future__ import annotations
 
+import io
+import xml.etree.ElementTree as ET
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
+from flowalign.bench import write_csv
 from flowalign.errors import InvalidLimitsError
-from flowalign.flow import _det_int
+from flowalign.flow import FlowProblem, _det_int
+from flowalign.model_io import serialize_pnml
 from flowalign.petri import Marking, firing_data, successors
 from flowalign.reachability import (
     ExplorationLimits,
@@ -257,3 +262,47 @@ def fraction_det(matrix: list[list[int]]) -> Fraction:
             for j in range(k, n):
                 a[i][j] -= f * a[k][j]
     return det
+
+
+def edge_list_text(rg: ReachabilityGraph) -> str:
+    """Edge list as ``tail head transition cost`` lines, for fixture diffing."""
+    lines = [f"{e.tail}\t{e.head}\t{e.transition}\t{e.cost}" for e in rg.edges]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def incidence_triplet_text(b: NodeArcIncidence) -> str:
+    """Sparse triplets as ``row col value`` lines."""
+    lines = [f"{r}\t{c}\t{v}" for r, c, v in b.entries]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def records_to_csv_text(records: list) -> str:
+    """The benchmark CSV of ``records`` as one string."""
+    buf = io.StringIO()
+    write_csv(records, buf)
+    return buf.getvalue()
+
+
+def product_to_pnml(sp: SynchronousProduct) -> bytes:
+    """Debug serialization: the product net as PNML with per-move cost annotations."""
+    root = ET.fromstring(serialize_pnml(sp.net, net_id="sync-product"))
+    by_id = {elem.get("id"): elem for elem in root.iter() if elem.tag == "transition"}
+    for move in sp.moves:
+        ET.SubElement(
+            by_id[move.move_id],
+            "toolspecific",
+            tool="flowalign",
+            version="1",
+            cost=str(move.cost),
+            kind=move.kind.value,
+        )
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+
+
+def balance(fp: FlowProblem) -> tuple[int, ...]:
+    """The flow LP's right-hand side: +1 at the source, -1 at the sink, 0
+    elsewhere (all 0 if they coincide)."""
+    b = [0] * fp.num_nodes
+    if fp.source != fp.sink:
+        b[fp.source], b[fp.sink] = 1, -1
+    return tuple(b)

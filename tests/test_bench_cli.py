@@ -10,7 +10,6 @@ from flowalign.bench import (
     CSV_COLUMNS,
     RunConfig,
     bucket_report,
-    records_to_csv_text,
     run_conformance,
     run_instance,
     summarize,
@@ -20,6 +19,7 @@ from flowalign.errors import InternalInvariantError
 from flowalign.model_io import EventLog, serialize_pnml, serialize_xes
 from flowalign.petri import Trace
 from flowalign.sync_product import product_for_trace
+from oracles import records_to_csv_text
 
 
 @pytest.fixture()
@@ -312,6 +312,13 @@ class TestHybridLimits:
 
 
 class TestBatchFailures:
+    @pytest.mark.parametrize("method, ran, idle", [("astar", "astar", "lp"), ("lp", "lp", "astar")])
+    def test_mean_time_is_na_for_an_engine_that_did_not_run(self, fig_acyclic, method, ran, idle):
+        log = EventLog((Trace("c1", ("a", "b", "e")),))
+        text = summarize(run_conformance(fig_acyclic, log, RunConfig(method=method))).render()
+        assert f"mean {idle} time: n/a\n" in text
+        assert re.search(rf"mean {ran} time: \d+ us\n", text)
+
     def test_agreement_is_na_when_nothing_compared(self, fig_acyclic):
         log = EventLog((Trace("c1", ("a", "b", "e")),))
         text = summarize(run_conformance(fig_acyclic, log, RunConfig(method="astar"))).render()

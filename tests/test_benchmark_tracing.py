@@ -31,7 +31,21 @@ def test_every_traced_attribute_exists(layers):
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
 
 
-def test_traced_counts_match_the_rows(layers, fig_acyclic):
+def _observe_layered(tr, args, graph):
+    # None: a limit may bind, and lp_align builds the graph, which the
+    # build_reachability_graph observer counts.
+    if graph is not None:
+        tr.counts["reachability.nodes"] += graph.nodes
+        tr.counts["reachability.edges"] += graph.edges
+
+
+def test_traced_counts_match_the_rows(layers, fig_acyclic, monkeypatch):
+    # The layered flow path's entry points, which layers.py does not wrap yet.
+    monkeypatch.setattr(layers, "TARGETS", layers.TARGETS + (
+        ("reachability", "flowalign.flow", "layered_graph"),
+        ("flow", "flowalign.flow", "solve_layered"),
+    ))
+    monkeypatch.setitem(layers.OBSERVERS, "layered_graph", _observe_layered)
     long_trace = Trace("long", ("a",) * 21)  # routed to flow when fitness is 0
     log = EventLog((Trace("c1", ("a", "b", "e")), Trace("c2", ("a", "x", "e")), long_trace))
     tracer = layers.Tracer()
@@ -51,6 +65,8 @@ def test_traced_counts_match_the_rows(layers, fig_acyclic):
     routed = tracer.counts["selector.routed_flow"] + tracer.counts["selector.routed_search"]
     assert routed == len(cases) + 2
     assert tracer.counts["selector.routed_flow"] >= 1
-    # lp_align must reach the solver through the attribute the tracer wraps.
+    # lp_align must reach a solver through an attribute the tracer wraps.
     flow_rows = sum(1 for r in rows if r.lp_outcome)
-    assert tracer.calls["flow", "solve_min_cost_unit_flow"] == flow_rows > 0
+    solves = tracer.calls["flow", "solve_min_cost_unit_flow"] + tracer.calls["flow", "solve_layered"]
+    assert solves == flow_rows > 0
+    assert tracer.calls["flow", "solve_layered"] > 0

@@ -40,7 +40,7 @@ from flowalign.reachability import (
     node_arc_incidence,
 )
 from flowalign.sync_product import MoveKind, product_for_trace
-from oracles import brute_force_tu, dense, fraction_det, oracle_shortest_cost, row_classes_hold
+from oracles import balance, brute_force_tu, dense, fraction_det, oracle_shortest_cost, row_classes_hold
 from test_heuristic_lp import first_edit_cycle
 
 EPS = Fraction(1, 10**6)
@@ -50,9 +50,9 @@ GOLDEN = Path(__file__).parent / "data" / "flow_first_edit_cycle.json"
 class TestAssembleFlowProblem:
     def test_balance_endpoints(self, toy_rg):
         fp = assemble_flow_problem(toy_rg)
-        assert fp.balance[toy_rg.initial_index] == 1
-        assert fp.balance[toy_rg.final_index] == -1
-        assert sum(abs(v) for v in fp.balance) == 2
+        assert balance(fp)[toy_rg.initial_index] == 1
+        assert balance(fp)[toy_rg.final_index] == -1
+        assert sum(abs(v) for v in balance(fp)) == 2
         # initial node is [p1, p0']; final node is [p6, p3']
         assert toy_rg.nodes[toy_rg.initial_index] == (1, 0, 0, 0, 0, 0, 1, 0, 0, 0)
         assert toy_rg.nodes[toy_rg.final_index] == (0, 0, 0, 0, 0, 1, 0, 0, 0, 1)
@@ -63,7 +63,7 @@ class TestAssembleFlowProblem:
         sp = product_for_trace(net, Trace("e", ()))
         rg = build_reachability_graph(sp)
         fp = assemble_flow_problem(rg)
-        assert all(v == 0 for v in fp.balance)
+        assert all(v == 0 for v in balance(fp))
         sol = solve_min_cost_unit_flow(fp)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == 0

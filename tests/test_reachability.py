@@ -11,11 +11,10 @@ from flowalign.reachability import (
     build_reachability_graph,
     check_tu_column_structure,
     default_limits,
-    edge_list_text,
-    incidence_triplet_text,
     node_arc_incidence,
 )
 from flowalign.sync_product import product_for_trace
+from oracles import edge_list_text, incidence_triplet_text
 
 
 class TestBuildReachabilityGraph:

@@ -217,7 +217,9 @@ class TestMemoSharing:
         graph_of(net, ("a", "a", "c"), 3)
         assert successor_memo(net, 3).table[0] is not None
         trace = Trace("g", ("a", "c"))
-        aligned = [lp_align(product_for_trace(net, trace))[0], astar_align(product_for_trace(net, trace))[0]]
+        # The default max_depth (20 here) cuts this product short, so no cost.
+        deep = ExplorationLimits(max_depth=40)
+        aligned = [lp_align(product_for_trace(net, trace), deep)[0], astar_align(product_for_trace(net, trace))[0]]
         assert None not in aligned
         caches = {"_successor_memos", "_model_moves", "_relaxations", "_firing_data"}
         assert caches | {"place_index", "transition_index"} <= net.__dict__.keys()
@@ -228,7 +230,7 @@ class TestMemoSharing:
         assert clone == net
         assert graph_of(clone, ("a", "a", "c"), 3) == graph_of(growing_net(), ("a", "a", "c"), 3)
         sp = product_for_trace(clone, trace)
-        assert [lp_align(sp)[0], astar_align(sp)[0]] == aligned
+        assert [lp_align(sp, deep)[0], astar_align(sp)[0]] == aligned
 
     def test_memo_is_keyed_by_cap(self):
         net = growing_net()

@@ -12,13 +12,13 @@ from flowalign.flow import SolveStatus, lp_align
 from flowalign.model_io import parse_pnml
 from flowalign.petri import PetriNet, Trace, build_trace_model
 from flowalign.reachability import build_reachability_graph
+from oracles import product_to_pnml
 from flowalign.sync_product import (
     GAP,
     CostConfig,
     MoveKind,
     cost_vector,
     product_for_trace,
-    product_to_pnml,
 )
 
 EPS = Fraction(1, 10**6)
