@@ -17,7 +17,6 @@ from .astar import (
 )
 from .errors import (
     FlowAlignError,
-    InfeasibleError,
     InternalInvariantError,
     InvalidInputError,
     InvalidLimitsError,
@@ -74,7 +73,6 @@ from .reachability import (
     ReachabilityGraph,
     build_reachability_graph,
     check_tu_column_structure,
-    default_limits,
     node_arc_incidence,
 )
 from .selector import (

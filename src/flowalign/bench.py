@@ -23,7 +23,7 @@ from .errors import InvalidInputError
 from .flow import Alignment, Method, RunStats, SolveStatus, lp_align
 from .model_io import EventLog, parse_pnml, parse_xes, read_csv_log
 from .petri import PetriNet, Trace, successor_memo
-from .reachability import ExplorationLimits, default_limits
+from .reachability import ExplorationLimits
 from .selector import SelectionThresholds, hybrid_align, token_replay_fitness
 from .sync_product import CostConfig, product_for_trace
 
@@ -32,7 +32,6 @@ from .sync_product import CostConfig, product_for_trace
 class RunConfig:
     method: str = "both"  # astar | lp | hybrid | both
     cost: CostConfig = CostConfig()
-    max_depth: int | None = None  # None: per-instance default
     max_nodes: int = 2_000_000
     max_edges: int = 8_000_000
     token_cap: int = 8
@@ -47,19 +46,12 @@ class RunConfig:
         if self.timeout_s <= 0 or self.parallel < 1:
             raise InvalidInputError("timeout must be > 0 and parallelism >= 1")
         # Every method rejects the same limits, whether or not it builds a graph.
-        self._limits(0 if self.max_depth is None else self.max_depth)
+        self.limits
 
-    def limits_for(self, sp) -> ExplorationLimits:
-        return self._limits(
-            self.max_depth if self.max_depth is not None else default_limits(sp).max_depth
-        )
-
-    def _limits(self, depth: int) -> ExplorationLimits:
+    @property
+    def limits(self) -> ExplorationLimits:
         return ExplorationLimits(
-            max_depth=depth,
-            max_nodes=self.max_nodes,
-            max_edges=self.max_edges,
-            token_cap=self.token_cap,
+            max_nodes=self.max_nodes, max_edges=self.max_edges, token_cap=self.token_cap
         )
 
     def search_config(self) -> SearchConfig:
@@ -166,7 +158,7 @@ def run_instance(
             trace,
             fitness,
             cfg.thresholds,
-            limits=cfg.limits_for,
+            limits=cfg.limits,
             search=cfg.search_config(),
             cost=cfg.cost,
         )
@@ -182,7 +174,7 @@ def run_instance(
     if cfg.method in ("astar", "both"):
         _record_run(rec, product_us, *astar_align(sp, cfg.search_config()))
     if cfg.method in ("lp", "both"):
-        _record_run(rec, product_us, *lp_align(sp, cfg.limits_for(sp)))
+        _record_run(rec, product_us, *lp_align(sp, cfg.limits))
 
     if (
         rec.astar_outcome == SearchOutcome.OPTIMAL.value

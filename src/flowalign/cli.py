@@ -25,11 +25,9 @@ from .bench import (
 )
 from .errors import (
     FlowAlignError,
-    InfeasibleError,
     InternalInvariantError,
     InvalidInputError,
     ModelParseError,
-    UnreachableFinalError,
 )
 from .flow import Method, RunStats, SolveStatus, alignment_to_dict, lp_align, move_table
 from .generator import alphabet_of, generate_corpus, parse_block_spec
@@ -63,7 +61,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 10**6),
                    help="cost of a silent model move (exact rational or decimal)")
     p.add_argument("--deviation-cost", type=_fraction, default=Fraction(1))
-    p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--max-nodes", type=int, default=2_000_000)
     p.add_argument("--max-edges", type=int, default=8_000_000)
     p.add_argument("--token-cap", type=int, default=8)
@@ -80,7 +77,6 @@ def _run_config(args, default_method: str) -> RunConfig:
     return RunConfig(
         method=args.method or default_method,
         cost=CostConfig(tau_cost=args.epsilon, deviation_cost=args.deviation_cost),
-        max_depth=args.max_depth,
         max_nodes=args.max_nodes,
         max_edges=args.max_edges,
         token_cap=args.token_cap,
@@ -106,7 +102,7 @@ def _engine_runs(cfg: RunConfig, net, trace: Trace):
     """``(alignment, RunStats)`` of each engine ``cfg.method`` runs, in order."""
     if cfg.method == "hybrid":
         fitness = token_replay_fitness(net, EventLog((trace,)))
-        result = hybrid_align(net, trace, fitness, cfg.thresholds, limits=cfg.limits_for,
+        result = hybrid_align(net, trace, fitness, cfg.thresholds, limits=cfg.limits,
                               search=cfg.search_config(), cost=cfg.cost)
         print(f"hybrid chose {result.method_chosen.value} "
               f"(L={result.selection_inputs[0]}, F={result.selection_inputs[1]:.3f}, "
@@ -120,7 +116,7 @@ def _engine_runs(cfg: RunConfig, net, trace: Trace):
     if cfg.method in ("astar", "both"):
         yield astar_align(sp, cfg.search_config())
     if cfg.method in ("lp", "both"):
-        yield lp_align(sp, cfg.limits_for(sp))
+        yield lp_align(sp, cfg.limits)
 
 
 def _engine_line(alignment, stats: RunStats) -> str:
@@ -226,7 +222,7 @@ def cmd_inspect(args) -> int:
         f"product moves: sync={counts[MoveKind.SYNC]} model={counts[MoveKind.MODEL]} "
         f"tau={counts[MoveKind.MODEL_TAU]} log={counts[MoveKind.LOG]} total={len(sp.moves)}"
     )
-    rg = build_reachability_graph(sp, cfg.limits_for(sp))
+    rg = build_reachability_graph(sp, cfg.limits)
     flags = []
     if rg.stats.truncated:
         flags.append("truncated")
@@ -289,12 +285,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ModelParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except UnreachableFinalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT if exc.reason in ("truncated", "token_cap") else EXIT_INFEASIBLE
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except InternalInvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

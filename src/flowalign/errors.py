@@ -54,9 +54,5 @@ class UnreachableFinalError(FlowAlignError):
         super().__init__(message)
 
 
-class InfeasibleError(FlowAlignError):
-    """No initial-to-final path exists in the flow problem."""
-
-
 class InternalInvariantError(FlowAlignError):
     """A contract the implementation guarantees was observed broken."""

@@ -24,8 +24,8 @@ graph is the model's reachability graph copied once per trace position
 and joined by synchronous and log moves, so its size follows from
 per-model counts (``layered_graph``), and ``solve_layered`` computes the
 same labels one trace position at a time and walks the same path.  The
-graph is built only when the counts cannot rule out that a limit binds,
-and a graph that a limit cut short is never priced.
+counts decide the node and edge budgets exactly, so a graph that a budget
+would cut short is refused unbuilt and never priced.
 
 The total unimodularity that makes this work is decided exactly:
 ``tu_certificate`` checks a sparse {0, ±1} matrix with at most two
@@ -74,8 +74,9 @@ class RunStats:
 
     ``outcome`` is a :class:`SolveStatus` for the flow engine and an
     ``astar.SearchOutcome`` for A*.  ``solve_us`` is the search for A*, and
-    the flow engine's solve and walk, after ``rg_build_us`` of counting (or
-    building) its graph.  Counts the engine does not produce stay 0.
+    the flow engine's solve and walk, after ``rg_build_us`` of counting its
+    graph.  ``rg_nodes`` and ``rg_edges`` are the full graph's, also when a
+    budget refused it.  Counts the engine does not produce stay 0.
     """
 
     method: Method
@@ -344,18 +345,18 @@ class ModelGraph:
     a transition labelled ``a``.  ``to_final``, the last layer of every
     trace, is each marking's model-only distance to ``final``."""
 
-    def __init__(self, net: PetriNet, memo: SuccessorMemo, depths: list[int], cost: CostConfig) -> None:
+    def __init__(self, net: PetriNet, memo: SuccessorMemo, reached: list[bool], cost: CostConfig) -> None:
         (tau, self.log_cost), self.scale = integers([cost.tau_cost, cost.deviation_cost])
         self.costs = [tau if lbl is TAU else self.log_cost for lbl in net.labels]
-        self.rows, self.reachable, self.eccentricity = memo.table, memo.reachable, max(depths)
+        self.rows, self.reachable = memo.table, memo.reachable
         final = memo.ids[net.final_marking]
-        self.final = final if depths[final] >= 0 else None
-        self.into: list[list[tuple[int, int]]] = [[] for _ in depths]
+        self.final = final if reached[final] else None
+        self.into: list[list[tuple[int, int]]] = [[] for _ in reached]
         self.edges: tuple[list[int], list[int], list[int]] = ([], [], [])
         self.sync: dict[str, list[tuple[int, int]]] = {}
         self.capped = False  # whether the token cap pruned a move
-        for u, d in enumerate(depths):
-            for j, s in self.rows[u] if d >= 0 else ():
+        for u, r in enumerate(reached):
+            for j, s in self.rows[u] if r else ():
                 self.capped |= s < 0
                 if s >= 0 and net.labels[j] is not TAU:
                     self.sync.setdefault(net.labels[j], []).append((u, s))
@@ -363,7 +364,7 @@ class ModelGraph:
                     self.into[s].append((u, self.costs[j]))
                     for ends, v in zip(self.edges, (u, s, self.costs[j])):
                         ends.append(v)
-        self.to_final = [_INF] * len(depths)
+        self.to_final = [_INF] * len(reached)
         if self.final is not None:
             self.to_final[self.final] = 0
             _settle(self.to_final, self.into, (self.final,))
@@ -380,29 +381,27 @@ class LayeredGraph(NamedTuple):
 
 
 def layered_graph(sp: SynchronousProduct, limits: ExplorationLimits) -> LayeredGraph | None:
-    """The graph ``build_reachability_graph(sp, limits)`` builds, counted
-    but not built, or None when a limit may bind.
+    """The graph that ``build_reachability_graph`` builds without budgets,
+    counted but not built; None when the model alone has more than
+    ``max_nodes`` reachable markings (the memo stops expanding there).
 
     Each reachable model marking is reachable at each trace position, so
-    the full graph has |R|(n + 1) nodes; its edges are the model moves at
-    each position, each event's synchronous moves and a log move per node
-    and event.  Over ``max_nodes`` nodes (where the memo stops expanding)
-    or ``max_edges`` edges the build is cut short; within them, and with
-    the model's BFS eccentricity plus n below ``max_depth``, it is not.
+    the graph has |R|(n + 1) nodes; its edges are the model moves at each
+    position, each event's synchronous moves and a log move per node and
+    event.  A build under ``limits`` is cut short exactly when the counts
+    exceed ``max_nodes`` or ``max_edges``.
     """
     net, n = sp.process_net, len(sp.trace_labels)
     memo = successor_memo(net, limits.token_cap)
-    depths = memo.depths(limits.max_nodes)
-    if depths is None:
+    reached = memo.reached(limits.max_nodes)
+    if reached is None:
         return None
     model = memo.priced.get(sp.cost) or memo.priced.setdefault(
-        sp.cost, ModelGraph(net, memo, depths, sp.cost)
+        sp.cost, ModelGraph(net, memo, reached, sp.cost)
     )
     nodes = model.reachable * (n + 1)
     edges = (n + 1) * len(model.edges[0]) + n * model.reachable
     edges += sum(len(model.sync.get(a, ())) for a in sp.trace_labels)
-    if nodes > limits.max_nodes or edges > limits.max_edges or model.eccentricity + n >= limits.max_depth:
-        return None
     return LayeredGraph(sp, model, nodes, edges)
 
 
@@ -498,44 +497,30 @@ def _certify_layers(model: ModelGraph, trace: tuple[str, ...], layers: list[list
 def lp_align(
     sp: SynchronousProduct, limits: ExplorationLimits | None = None
 ) -> tuple[Alignment | None, RunStats]:
-    """Product -> reachability graph -> flow solve -> alignment.
+    """Product -> counted reachability graph -> layered flow solve ->
+    alignment.
 
-    The graph is solved layer by layer, unbuilt, when its counts show that
-    no limit binds; otherwise it is built and, unless a limit cut it short,
-    solved edge by edge.  Returns ``(None, stats)`` with ``TRUNCATED_GRAPH``
-    when a limit cut the graph short, even after it reached the final
-    marking, or the token cap pruned every way there (a timeout-like
-    outcome, not a cost), and ``INFEASIBLE`` when the final is unreachable.
+    Returns ``(None, stats)`` with ``TRUNCATED_GRAPH`` when the graph's
+    counts exceed a budget (then ``rg_nodes`` and ``rg_edges`` are those
+    counts, or 0 when the model alone exceeds ``max_nodes``) or the token
+    cap pruned every way to the final marking (a timeout-like outcome, not
+    a cost), and ``INFEASIBLE`` when the final is unreachable.  ``None``
+    means the default limits.
     """
-    from .reachability import build_reachability_graph, default_limits
-
-    limits = limits or default_limits(sp)
-    stats = RunStats(Method.LP, SolveStatus.INFEASIBLE)
+    limits = limits or ExplorationLimits()
+    stats = RunStats(Method.LP, SolveStatus.TRUNCATED_GRAPH)
     alignment = None
     t0 = time.perf_counter_ns()
     graph = layered_graph(sp, limits)
+    t1 = time.perf_counter_ns()
     if graph is not None:
-        t1 = time.perf_counter_ns()
         stats.rg_nodes, stats.rg_edges = graph.nodes, graph.edges
-        alignment = solve_layered(graph)
-        if alignment is not None:
-            stats.outcome = SolveStatus.OPTIMAL
-        elif graph.model.capped:
-            stats.outcome = SolveStatus.TRUNCATED_GRAPH
-    else:
-        rg = build_reachability_graph(sp, limits)
-        t1 = time.perf_counter_ns()
-        stats.rg_nodes, stats.rg_edges = len(rg.nodes), len(rg.edges)
-        try:
-            fp = assemble_flow_problem(rg)
-        except UnreachableFinalError as exc:
-            if exc.reason in ("truncated", "token_cap"):
-                stats.outcome = SolveStatus.TRUNCATED_GRAPH
-        else:
-            sol = solve_min_cost_unit_flow(fp)
-            stats.outcome = sol.status
-            if sol.status is SolveStatus.OPTIMAL:
-                alignment = extract_alignment(rg, sp, sol)
+        if graph.nodes <= limits.max_nodes and graph.edges <= limits.max_edges:
+            alignment = solve_layered(graph)
+            if alignment is not None:
+                stats.outcome = SolveStatus.OPTIMAL
+            elif not graph.model.capped:
+                stats.outcome = SolveStatus.INFEASIBLE
     stats.rg_build_us = (t1 - t0) // 1000
     stats.solve_us = (time.perf_counter_ns() - t1) // 1000
     return alignment, stats

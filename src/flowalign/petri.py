@@ -273,7 +273,7 @@ class SuccessorMemo:
         self.ids: dict[Marking, int] = {}
         self.table: list[tuple[tuple[int, int], ...] | None] = []
         self._lock = threading.Lock()
-        self._depths: list[int] | None = None
+        self._reached: list[bool] | None = None
         self.reachable = 0  # the count of reachable markings, once known
         self.priced: dict = {}  # ``flow.ModelGraph`` per cost config
         for m in (net.initial_marking, net.final_marking):
@@ -303,22 +303,22 @@ class SuccessorMemo:
                     self.table[i] = row
         return row
 
-    def depths(self, limit: int) -> list[int] | None:
-        """Every id's breadth-first depth from the initial marking, with each
-        reachable marking expanded (-1: an unreachable final marking); None,
-        with the expansion stopped, once more than ``limit`` are reachable."""
-        if self._depths is None:
-            depth, order = {0: 0}, [0]
+    def reached(self, limit: int) -> list[bool] | None:
+        """Whether each id is reachable from the initial marking, with each
+        reachable marking expanded; None, with the expansion stopped, once
+        more than ``limit`` are reachable."""
+        if self._reached is None:
+            order, seen = [0], {0}
             for i in order:
                 if len(order) > limit:
                     return None
                 for _, s in self.expand(i):
-                    if s >= 0 and s not in depth:
-                        depth[s] = depth[i] + 1
+                    if s >= 0 and s not in seen:
+                        seen.add(s)
                         order.append(s)
             self.reachable = len(order)
-            self._depths = [depth.get(i, -1) for i in range(len(self.markings))]
-        return self._depths if self.reachable <= limit else None
+            self._reached = [i in seen for i in range(len(self.markings))]
+        return self._reached if self.reachable <= limit else None
 
 
 def successor_memo(net: PetriNet, cap: int) -> SuccessorMemo:

@@ -1,15 +1,14 @@
 """Bounded breadth-first reachability graphs and their node-arc incidence.
 
 The graph of a synchronous product is a breadth-first search over a
-:class:`~flowalign.sync_product.ProductGraph`: this module only orders
-the expansions and applies the depth limit, while the product graph
-composes each node's successors, numbers new nodes, applies the node and
-edge budgets and counts what it prunes.  Nodes are numbered in discovery
-order, so the queue is node order and needs no container of its own, and
-each process marking's successors are read once per model and token cap,
-however many traces are aligned.
+:class:`~flowalign.sync_product.ProductGraph`, which composes each node's
+successors, numbers new nodes, applies the node and edge budgets and
+counts what it prunes.  Nodes are numbered in discovery order, so the
+queue is node order and needs no container of its own, and each process
+marking's successors are read once per model and token cap, however many
+traces are aligned.
 
-Exploration is deterministic: layers are processed in discovery order, so
+Exploration is deterministic: nodes are expanded in discovery order, so
 two builds of the same product under the same limits yield identical node
 and edge orderings.  Self-loop edges (marking unchanged) are dropped and
 counted; they cannot lie on a minimum-cost path under nonnegative costs.
@@ -37,30 +36,16 @@ from .sync_product import ProductGraph, SynchronousProduct, cost_vector
 
 @dataclass(frozen=True)
 class ExplorationLimits:
-    """Resource bounds for graph construction.
+    """Resource bounds for graph construction; each must be >= 1."""
 
-    ``max_depth`` may be 0 (keep only the initial marking, unexpanded);
-    the other limits must be >= 1.
-    """
-
-    max_depth: int
     max_nodes: int = 2_000_000
     max_edges: int = 8_000_000
     token_cap: int = 8
 
     def __post_init__(self) -> None:
-        if self.max_depth < 0:
-            raise InvalidLimitsError(f"max_depth must be >= 0, got {self.max_depth}")
         for name in ("max_nodes", "max_edges", "token_cap"):
             if getattr(self, name) < 1:
                 raise InvalidLimitsError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-
-def default_limits(sp: SynchronousProduct) -> ExplorationLimits:
-    """Depth covers the all-deviation alignment (full model run plus one
-    log move per event) with slack; other limits are generous caps."""
-    n_model, n_log = len(sp.process_net.transitions), len(sp.trace_labels)
-    return ExplorationLimits(max_depth=2 * (n_model + n_log) + 10)
 
 
 class RGEdge(NamedTuple):
@@ -75,7 +60,6 @@ class RGStats:
     nodes_expanded: int = 0
     edges_pruned_self_loops: int = 0
     cap_prunes: int = 0
-    depth_reached: int = 0
     truncated: bool = False
 
 
@@ -157,36 +141,20 @@ def build_reachability_graph(
 ) -> ReachabilityGraph:
     """BFS from the product's initial marking under ``limits``.
 
-    Stops when the frontier empties or a limit trips (``stats.truncated``
-    is set; tripping a limit is not an error).  ``final_index`` is set iff
-    the final marking was reached.
+    Stops when every node is expanded or a budget trips (``stats.truncated``
+    is set; tripping a budget is not an error).  ``final_index`` is set iff
+    the final marking was reached.  ``None`` means the default limits.
     """
-    if limits is None:
-        limits = default_limits(sp)
+    limits = limits or ExplorationLimits()
     graph = ProductGraph(sp, limits.token_cap, limits.max_nodes, limits.max_edges)
-    keys = graph.keys
-    # Nodes are numbered in discovery order, so the queue is node order and
-    # each BFS layer is a run of nodes: at the loop head, nodes [layer,
-    # len(keys)) are at depth ``depth``, and ``reached`` is the last one's.
-    layer = depth = reached = expanded = 0
-    while depth < limits.max_depth and layer < len(keys):
-        end = len(keys)
-        expanded += graph.expand(layer, end)
-        if len(keys) > end:
-            reached = depth + 1
-        if graph.truncated:
-            break
-        layer, depth = end, depth + 1
-    else:
-        # Depth limit: the last layer stays unexpanded; it only counts as
-        # truncation if something was actually enabled there.
-        graph.truncated = any(graph.has_moves(v) for v in range(layer, len(keys)))
+    expanded = 0
+    while expanded < len(graph.keys) and not graph.truncated:
+        expanded += graph.expand(expanded, len(graph.keys))
 
     stats = RGStats(
         nodes_expanded=expanded,
         edges_pruned_self_loops=graph.self_loops,
         cap_prunes=graph.cap_prunes,
-        depth_reached=reached,
         truncated=graph.truncated,
     )
     return ReachabilityGraph(

@@ -14,7 +14,6 @@ import logging
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .astar import SearchConfig, astar_align
 from .errors import InvalidInputError
@@ -22,7 +21,7 @@ from .flow import Alignment, Method, RunStats, SolveStatus, lp_align
 from .model_io import EventLog
 from .petri import PetriNet, Trace, firing_data
 from .reachability import ExplorationLimits
-from .sync_product import CostConfig, SynchronousProduct, product_for_trace
+from .sync_product import CostConfig, product_for_trace
 
 log = logging.getLogger(__name__)
 
@@ -139,7 +138,7 @@ def hybrid_align(
     trace: Trace,
     fitness: float,
     thresholds: SelectionThresholds = SelectionThresholds(),
-    limits: ExplorationLimits | Callable[[SynchronousProduct], ExplorationLimits] | None = None,
+    limits: ExplorationLimits | None = None,
     search: SearchConfig = SearchConfig(),
     cost: CostConfig = CostConfig(),
 ) -> HybridResult:
@@ -147,9 +146,8 @@ def hybrid_align(
     LP path cannot reach the final marking because the graph was cut
     short by its limits.
 
-    ``limits`` bound the flow path's graph; a callable receives the
-    trace's product and returns them (``RunConfig.limits_for``).  ``None``
-    means ``default_limits`` of the product.
+    ``limits`` bound the flow path's graph; ``None`` means the default
+    limits.
     """
     length = len(trace.activities)
     method = select_method(length, fitness, thresholds)
@@ -161,7 +159,7 @@ def hybrid_align(
 
     discarded = None
     if method is Method.LP:
-        alignment, stats = lp_align(sp, limits(sp) if callable(limits) else limits)
+        alignment, stats = lp_align(sp, limits)
         if stats.outcome is SolveStatus.TRUNCATED_GRAPH:
             discarded = stats
     if method is Method.ASTAR or discarded is not None:

@@ -325,9 +325,9 @@ class ProductGraph:
     ``max_nodes``, stops the expansion before it and sets ``truncated``;
     the graph and its counts are then those a full search has at that
     point, so a graph grown under smaller budgets is a prefix of one grown
-    under larger budgets.  The reachability build expands it a layer at a
-    time, A* a node at a time; both reject, with the memo's
-    :class:`InvalidLimitsError`, an initial marking over ``cap``.
+    under larger budgets.  The reachability build expands every node in
+    discovery order, A* the nodes its search pops; both reject, with the
+    memo's :class:`InvalidLimitsError`, an initial marking over ``cap``.
     """
 
     def __init__(
@@ -432,12 +432,6 @@ class ProductGraph:
         self.cap_prunes += cap_prunes
         self.self_loops += self_loops
         return stop - first
-
-    def has_moves(self, node: int) -> bool:
-        """Whether any move is enabled at ``node``, capped ones and
-        self-loops included; reads no edges."""
-        pid, pos = divmod(self.keys[node], self._stride)
-        return pos < self._n or bool(self._memo.expand(pid))
 
     def state(self, node: int) -> tuple[Marking, int]:
         """The process marking and the trace position of ``node``."""

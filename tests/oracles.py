@@ -32,7 +32,6 @@ from flowalign.reachability import (
     ReachabilityGraph,
     RGEdge,
     RGStats,
-    default_limits,
 )
 from flowalign.simplex import solve_min_eq
 from flowalign.sync_product import SynchronousProduct, _move_offsets, cost_vector
@@ -97,7 +96,7 @@ def reference_reachability_graph(
     """The graph as a BFS over full product markings builds it: every
     product transition is fired at every node, with no per-model memo."""
     if limits is None:
-        limits = default_limits(sp)
+        limits = ExplorationLimits()
     net = sp.net
     init = net.initial_marking
     if any(v > limits.token_cap for v in init):
@@ -110,7 +109,6 @@ def reference_reachability_graph(
     cap = limits.token_cap
 
     nodes: list[Marking] = [init]
-    depth: list[int] = [0]
     index: dict[Marking, int] = {init: 0}
     edges: list[RGEdge] = []
     stats = RGStats()
@@ -121,14 +119,6 @@ def reference_reachability_graph(
     while queue and not halted:
         cur_idx = queue.popleft()
         cur = nodes[cur_idx]
-        d = depth[cur_idx]
-        stats.depth_reached = max(stats.depth_reached, d)
-        if d >= limits.max_depth:
-            # Depth limit: this node stays unexpanded; only counts as
-            # truncation if something was actually enabled here.
-            if next(successors(net, cur, cap), None) is not None:
-                stats.truncated = True
-            continue
         stats.nodes_expanded += 1
         for j, succ in successors(net, cur, cap):
             if succ is None:
@@ -148,9 +138,7 @@ def reference_reachability_graph(
                     break
                 head = len(nodes)
                 nodes.append(succ)
-                depth.append(d + 1)
                 index[succ] = head
-                stats.depth_reached = max(stats.depth_reached, d + 1)
                 if succ == final:
                     final_index = head
                 queue.append(head)

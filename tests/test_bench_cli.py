@@ -1,10 +1,12 @@
+import argparse
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from flowalign import bench
+from flowalign import bench, cli
 from flowalign.astar import astar_align
 from flowalign.bench import (
     CSV_COLUMNS,
@@ -277,6 +279,17 @@ class TestCliConformanceAndBench:
         assert "NOT reached" in out
 
 
+def test_readme_lists_exactly_the_common_flags():
+    """README's "Common flags:" sentence names every long option that
+    ``cli._add_common`` registers, and no other."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"Common flags:(.*?)\.\n", readme, re.DOTALL).group(1)
+    parser = argparse.ArgumentParser(add_help=False)
+    cli._add_common(parser)
+    registered = {opt for action in parser._actions for opt in action.option_strings}
+    assert set(re.findall(r"`(--[a-z-]+)", listed)) == registered
+
+
 class TestHybridLimits:
     LONG = Trace("long", ("a",) * 21)  # routed to flow when fitness is 0
 
@@ -307,7 +320,8 @@ class TestHybridLimits:
         trace = ",".join(self.LONG.activities)
         assert main(["align", str(model), "--trace", trace, "--max-nodes", "5"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[1].startswith("lp: outcome truncated_graph  rg 5 nodes / ")
+        # The model's 6 markings alone exceed the 5-node budget, so nothing is counted.
+        assert lines[1].startswith("lp: outcome truncated_graph  rg 0 nodes / 0 edges  ")
         assert lines[2].startswith("astar: cost ")
 
 
@@ -406,8 +420,14 @@ class TestHybridRowCells:
         cfg = RunConfig(method="hybrid", max_nodes=5)
         rec = run_instance(fig_acyclic, TestHybridLimits.LONG, cfg, fitness=0.0)
         lp = run_instance(fig_acyclic, TestHybridLimits.LONG, RunConfig(method="lp", max_nodes=5))
-        assert rec.lp_outcome == "truncated_graph" and rec.rg_nodes == lp.rg_nodes == 5
+        assert rec.lp_outcome == "truncated_graph" and rec.rg_nodes == lp.rg_nodes == 0
         assert rec.astar_outcome == "optimal" and rec.astar_expansions > 0
+
+    def test_refused_row_counts_the_graph_the_budget_refused(self, fig_acyclic):
+        full = run_instance(fig_acyclic, TestHybridLimits.LONG, RunConfig(method="lp"))
+        cut = run_instance(fig_acyclic, TestHybridLimits.LONG, RunConfig(method="lp", max_nodes=100))
+        assert (full.lp_outcome, cut.lp_outcome) == ("optimal", "truncated_graph")
+        assert (cut.rg_nodes, cut.rg_edges) == (full.rg_nodes, full.rg_edges) == (132, 301)
 
     def test_fallback_row_keeps_the_discarded_build(self, fig_acyclic):
         cfg = RunConfig(method="hybrid", max_nodes=5)

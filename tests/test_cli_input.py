@@ -114,7 +114,7 @@ def command_inputs(command: str, tmp_path: Path, model: bytes) -> list[str]:
     return [str(model_path), str(log), "--out", str(tmp_path / "records.csv")]
 
 
-@pytest.mark.parametrize("flag", [("--max-nodes", "0"), ("--max-edges", "0"), ("--max-depth", "-1")])
+@pytest.mark.parametrize("flag", [("--max-nodes", "0"), ("--max-edges", "0"), ("--token-cap", "0")])
 @pytest.mark.parametrize("command", ["align", "conformance"])
 @pytest.mark.parametrize("method", ["astar", "lp", "hybrid", "both"])
 def test_invalid_limit_flags_exit_2_under_every_method(method, command, flag, tmp_path, capsys):

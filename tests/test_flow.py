@@ -71,7 +71,7 @@ class TestAssembleFlowProblem:
         assert alignment.moves == ()
 
     def test_truncated_graph_is_distinguished(self, toy_product):
-        rg = build_reachability_graph(toy_product, ExplorationLimits(max_depth=1))
+        rg = build_reachability_graph(toy_product, ExplorationLimits(max_nodes=2))
         with pytest.raises(UnreachableFinalError) as err:
             assemble_flow_problem(rg)
         assert err.value.reason == "truncated"

@@ -1,12 +1,12 @@
 """The flow LP solved layer by layer on the model's reachability graph.
 
 ``flow.layered_graph`` counts a product's reachability graph from its
-model and decides from the counts whether a limit can bind;
+model, and the counts decide whether a node or edge budget binds;
 ``flow.solve_layered`` solves the flow LP over it one trace position at a
 time.  The built graph and ``solve_min_cost_unit_flow`` are the oracle:
 same counts, same truncation verdict, same objective and the same move
-sequence.  A graph that a limit cut short is never priced, even when it
-reached the final marking.
+sequence.  ``lp_align`` never builds a graph, and a graph that a budget
+cuts short is never priced, even when it reached the final marking.
 """
 
 import os
@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_corpus_models
-from flowalign import reachability
+from flowalign import flow, reachability
+from flowalign.astar import astar_align
 from flowalign.cli import main
 from flowalign.errors import InvalidLimitsError, UnreachableFinalError
 from flowalign.flow import (
@@ -35,15 +36,14 @@ from flowalign.flow import (
 )
 from flowalign.model_io import serialize_pnml
 from flowalign.petri import TAU, Trace, successor_memo
-from flowalign.reachability import ExplorationLimits, build_reachability_graph, default_limits
+from flowalign.reachability import ExplorationLimits, build_reachability_graph
 from flowalign.selector import SelectionThresholds, hybrid_align
-from flowalign.sync_product import CostConfig, product_for_trace
+from flowalign.sync_product import CostConfig, ProductGraph, product_for_trace
 from oracles import oracle_shortest_cost
 from test_heuristic_lp import first_edit_cycle
-from test_successor_memo import corpus_products, limits, products, small_nets
+from test_successor_memo import corpus_products, growing_net, limits, products, small_nets
 
 ODD_COST = CostConfig(Fraction(1, 7), Fraction(3, 2))
-UNBOUNDED_DEPTH = 10**6  # deeper than any product here, so no depth limit binds
 
 
 @st.composite
@@ -65,7 +65,7 @@ def test_layered_solve_equals_the_explicit_solve():
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(priced_products(), st.integers(1, 3))
     def check(sp, cap):
-        lim = ExplorationLimits(max_depth=UNBOUNDED_DEPTH, token_cap=cap)
+        lim = ExplorationLimits(token_cap=cap)
         try:
             rg = build_reachability_graph(sp, lim)
         except InvalidLimitsError:
@@ -96,56 +96,90 @@ def test_layered_solve_equals_the_explicit_solve():
     assert all(seen[k] for k in wanted + ("silent_moves", "odd_cost")), seen
 
 
-def test_counts_and_truncation_verdict_equal_the_build():
+def unbudgeted_counts(sp, lim):
+    """The node and edge counts that ``lp_align`` reports under ``lim``,
+    from builds: the graph built under ``lim`` unless a budget cut it short;
+    then the graph built without budgets, or (0, 0) when the model alone
+    has more than ``max_nodes`` reachable markings."""
+    lim = lim or ExplorationLimits()
+    rg = build_reachability_graph(sp, lim)
+    if not rg.stats.truncated:
+        return len(rg.nodes), len(rg.edges)
+    full = build_reachability_graph(sp, ExplorationLimits(token_cap=lim.token_cap))
+    assert not full.stats.truncated
+    if len(full.nodes) // (len(sp.trace_labels) + 1) > lim.max_nodes:
+        return 0, 0
+    return len(full.nodes), len(full.edges)
+
+
+def refuse_builds(patch):
+    """Make every way to build or assemble an explicit graph raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a reachability graph")
+
+    patch.setattr(reachability, "build_reachability_graph", refuse)
+    patch.setattr(flow, "assemble_flow_problem", refuse)
+    patch.setattr(ProductGraph, "expand", refuse)
+
+
+def test_counts_and_truncation_verdict_equal_the_build(monkeypatch):
+    """Under any limits ``lp_align`` builds no graph, reports the counts of
+    ``unbudgeted_counts`` and is truncated exactly when the build is cut
+    short or the token cap pruned every way to the final marking."""
     seen = Counter()
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(products, limits.filter(lambda lim: lim is not None))
+    @given(products, limits)
     def check(sp, lim):
         try:
             rg = build_reachability_graph(sp, lim)
         except InvalidLimitsError:
             return
-        alignment, stats = lp_align(sp, lim)
-        assert (stats.rg_nodes, stats.rg_edges) == (len(rg.nodes), len(rg.edges))
+        counts = unbudgeted_counts(sp, lim)
+        with monkeypatch.context() as patch:
+            refuse_builds(patch)
+            alignment, stats = lp_align(sp, lim)
+        assert (stats.rg_nodes, stats.rg_edges) == counts
         capped_away = rg.final_index is None and rg.stats.cap_prunes > 0
         assert (stats.outcome is SolveStatus.TRUNCATED_GRAPH) == (rg.stats.truncated or capped_away)
         if stats.outcome is SolveStatus.OPTIMAL:
             assert alignment.total_cost == oracle_shortest_cost(rg)
-
-        graph = layered_graph(sp, lim)
-        full = layered_graph(sp, ExplorationLimits(max_depth=UNBOUNDED_DEPTH, token_cap=lim.token_cap))
-        if graph is not None:  # no limit can bind
-            assert not rg.stats.truncated
-            assert (graph.nodes, graph.edges) == (full.nodes, full.edges) == (len(rg.nodes), len(rg.edges))
-            seen["impossible"] += 1
-        elif full.nodes > lim.max_nodes or full.edges > lim.max_edges:
-            assert rg.stats.truncated
-            seen["certain"] += 1
-        else:  # only the depth limit may bind, and the build decides
-            seen["undecided", rg.stats.truncated] += 1
+        if not rg.stats.truncated:
+            seen["within budgets"] += 1
+        else:
+            seen["over budget" if counts != (0, 0) else "model over max_nodes"] += 1
 
     check()
-    assert all(seen[k] for k in ("impossible", "certain", ("undecided", True), ("undecided", False))), seen
+    assert all(seen[k] for k in ("within budgets", "over budget", "model over max_nodes")), seen
 
 
 def test_lp_align_builds_no_graph_when_no_limit_binds(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("built a reachability graph")
-
-    monkeypatch.setattr(reachability, "build_reachability_graph", refuse)
+    refuse_builds(monkeypatch)
     for _, sp in first_edit_cycle({"m00", "m05", "m10"}):
         alignment, stats = lp_align(sp)
         assert stats.outcome is SolveStatus.OPTIMAL and alignment is not None
         assert stats.rg_nodes % (len(sp.trace_labels) + 1) == 0  # |R|(n + 1)
 
 
+def test_default_limits_price_a_deep_graph_within_the_budgets():
+    """The token cap, not the model's size, sets how deep an unbounded
+    model's graph goes: 459 nodes at BFS depth up to 25 here.  The default
+    limits bound nodes and edges only, so the graph is priced."""
+    sp = product_for_trace(growing_net(), Trace("g", ("a", "c")))
+    alignment, stats = lp_align(sp)
+    assert stats.outcome is SolveStatus.OPTIMAL and stats.rg_nodes == 459
+    rg = build_reachability_graph(sp)
+    assert alignment.total_cost == astar_align(sp)[0].total_cost == oracle_shortest_cost(rg)
+
+
 # ---------------------------------------------------------------------------
-# A graph that a limit cut short is never priced, even when it reached the
-# final marking: its shortest path need not be the alignment.
+# A graph that a budget cuts short is never priced, even when it reached
+# the final marking: its shortest path need not be the alignment.
 # ---------------------------------------------------------------------------
 
 M10_TRACE = Trace("m10-c000-k0", ("a9", "a11", "a10"))
+M10_CUT = 46  # nodes: one past the final node (index 45) of m10 x M10_TRACE
 
 
 @pytest.fixture(scope="module")
@@ -153,16 +187,15 @@ def m10():
     return next(net for model_id, net, _ in build_corpus_models() if model_id == "m10")
 
 
-def test_depth_limited_graph_that_reached_the_final_is_not_priced(m10):
+def test_node_limited_graph_that_reached_the_final_is_not_priced(m10):
     sp = product_for_trace(m10, M10_TRACE)
-    cut = ExplorationLimits(max_depth=4)
+    cut = ExplorationLimits(max_nodes=M10_CUT)
     rg = build_reachability_graph(sp, cut)
-    assert rg.stats.truncated and rg.final_index is not None
+    assert rg.stats.truncated and rg.final_index == M10_CUT - 1
     assert oracle_shortest_cost(rg) == 3  # the cut graph's price
     assert lp_align(sp)[0].total_cost == Fraction(1, 500_000)  # the alignment's
     alignment, stats = lp_align(sp, cut)
     assert alignment is None and stats.outcome is SolveStatus.TRUNCATED_GRAPH
-    assert (stats.rg_nodes, stats.rg_edges) == (len(rg.nodes), len(rg.edges))
     with pytest.raises(UnreachableFinalError) as err:
         assemble_flow_problem(rg)
     assert err.value.reason == "truncated"
@@ -170,16 +203,16 @@ def test_depth_limited_graph_that_reached_the_final_is_not_priced(m10):
 
 def test_hybrid_falls_back_when_a_limit_cut_a_graph_with_the_final(m10):
     route_to_flow = SelectionThresholds(length_threshold=0, deviation_threshold=0)
-    result = hybrid_align(m10, M10_TRACE, 0.0, route_to_flow, limits=ExplorationLimits(max_depth=4))
+    result = hybrid_align(m10, M10_TRACE, 0.0, route_to_flow, limits=ExplorationLimits(max_nodes=M10_CUT))
     assert result.fell_back_to_astar and result.discarded.outcome is SolveStatus.TRUNCATED_GRAPH
     assert result.alignment.total_cost == Fraction(1, 500_000)
 
 
-def test_cli_align_both_exits_4_on_a_depth_limited_graph(m10, tmp_path, capsys):
+def test_cli_align_both_exits_4_on_a_node_limited_graph(m10, tmp_path, capsys):
     model = tmp_path / "m10.pnml"
     model.write_bytes(serialize_pnml(m10))
     trace = ",".join(M10_TRACE.activities)
-    code = main(["align", str(model), "--trace", trace, "--method", "both", "--max-depth", "4"])
+    code = main(["align", str(model), "--trace", trace, "--method", "both", "--max-nodes", str(M10_CUT)])
     out = capsys.readouterr().out
     assert code == 4
     assert "lp outcome: truncated_graph" in out and "DISAGREE" not in out
@@ -190,27 +223,38 @@ def _limited_cases(cut_at):
     budget ``cut_at(full graph)`` returns, is cut short after reaching the
     final node."""
     for _, sp in first_edit_cycle({"m02", "m06", "m10"}):
-        full = build_reachability_graph(sp)
-        lim = cut_at(full, default_limits(sp).max_depth)
+        lim = cut_at(build_reachability_graph(sp))
         rg = build_reachability_graph(sp, lim)
         if rg.stats.truncated and rg.final_index is not None:
             yield sp, lim
 
 
-@pytest.mark.parametrize(
-    "cut_at",
-    [
-        lambda full, depth: ExplorationLimits(depth, max_nodes=full.final_index + 1),
-        lambda full, depth: ExplorationLimits(depth, max_edges=full.heads.index(full.final_index) + 1),
-    ],
-    ids=["max_nodes", "max_edges"],
-)
+CUTS = {
+    "max_nodes": lambda full: ExplorationLimits(max_nodes=full.final_index + 1),
+    "max_edges": lambda full: ExplorationLimits(max_edges=full.heads.index(full.final_index) + 1),
+}
+
+
+@pytest.mark.parametrize("cut_at", CUTS.values(), ids=list(CUTS))
 def test_budget_limited_graph_that_reached_the_final_is_not_priced(cut_at):
     cases = list(_limited_cases(cut_at))
     assert cases
     for sp, lim in cases:
         alignment, stats = lp_align(sp, lim)
         assert alignment is None and stats.outcome is SolveStatus.TRUNCATED_GRAPH
+
+
+def test_lp_align_builds_no_graph_when_a_budget_binds(monkeypatch):
+    """A graph that a budget cuts short after it reached the final node is
+    refused from its counts, which are the unbudgeted build's."""
+    cases = [case for cut_at in CUTS.values() for case in _limited_cases(cut_at)]
+    expected = [unbudgeted_counts(sp, lim) for sp, lim in cases]
+    assert cases and all(expected)
+    refuse_builds(monkeypatch)
+    for (sp, lim), counts in zip(cases, expected):
+        alignment, stats = lp_align(sp, lim)
+        assert alignment is None and stats.outcome is SolveStatus.TRUNCATED_GRAPH
+        assert (stats.rg_nodes, stats.rg_edges) == counts
 
 
 def test_concurrent_layered_solves_equal_serial_solves():

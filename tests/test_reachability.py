@@ -10,7 +10,6 @@ from flowalign.reachability import (
     NodeArcIncidence,
     build_reachability_graph,
     check_tu_column_structure,
-    default_limits,
     node_arc_incidence,
 )
 from flowalign.sync_product import product_for_trace
@@ -23,13 +22,6 @@ class TestBuildReachabilityGraph:
         assert len(toy_rg.edges) == 50
         assert toy_rg.final_index is not None
         assert not toy_rg.stats.truncated
-
-    def test_depth_zero_keeps_only_initial(self, fig_acyclic):
-        sp = product_for_trace(fig_acyclic, Trace("e", ()))
-        rg = build_reachability_graph(sp, ExplorationLimits(max_depth=0))
-        assert len(rg.nodes) == 1
-        assert len(rg.edges) == 0
-        assert rg.stats.truncated  # t1's model move was enabled
 
     def test_cyclic_product_is_finite_and_reaches_final(self, fig_cyclic):
         sp = product_for_trace(fig_cyclic, Trace("t", ("a", "b", "e")))
@@ -60,7 +52,7 @@ class TestBuildReachabilityGraph:
     def test_node_budget_truncates_to_prefix(self, toy_product):
         full = build_reachability_graph(toy_product)
         cut = build_reachability_graph(
-            toy_product, ExplorationLimits(max_depth=100, max_nodes=10)
+            toy_product, ExplorationLimits(max_nodes=10)
         )
         assert cut.stats.truncated
         assert len(cut.nodes) <= 10
@@ -70,17 +62,11 @@ class TestBuildReachabilityGraph:
     def test_edge_budget_truncates_to_prefix(self, toy_product):
         full = build_reachability_graph(toy_product)
         cut = build_reachability_graph(
-            toy_product, ExplorationLimits(max_depth=100, max_edges=7)
+            toy_product, ExplorationLimits(max_edges=7)
         )
         assert cut.stats.truncated
         assert len(cut.edges) <= 7
         assert full.edges[: len(cut.edges)] == cut.edges
-
-    def test_depth_increase_extends_prefix(self, toy_product):
-        shallow = build_reachability_graph(toy_product, ExplorationLimits(max_depth=2))
-        deep = build_reachability_graph(toy_product, ExplorationLimits(max_depth=3))
-        assert deep.nodes[: len(shallow.nodes)] == shallow.nodes
-        assert deep.edges[: len(shallow.edges)] == shallow.edges
 
     def test_token_cap_raise_gives_supergraph(self):
         # Arc weights > 1 push a place to 2 tokens; cap 1 prunes that branch.
@@ -95,8 +81,8 @@ class TestBuildReachabilityGraph:
             final={"p1": 1},
         )
         sp = product_for_trace(net, Trace("t", ("a",)))
-        low = build_reachability_graph(sp, ExplorationLimits(max_depth=20, token_cap=1))
-        high = build_reachability_graph(sp, ExplorationLimits(max_depth=20, token_cap=4))
+        low = build_reachability_graph(sp, ExplorationLimits(token_cap=1))
+        high = build_reachability_graph(sp, ExplorationLimits(token_cap=4))
         assert low.stats.cap_prunes > 0
         low_edges = {(low.nodes[e.tail], e.transition, low.nodes[e.head]) for e in low.edges}
         high_edges = {(high.nodes[e.tail], e.transition, high.nodes[e.head]) for e in high.edges}
@@ -105,12 +91,7 @@ class TestBuildReachabilityGraph:
 
     def test_initial_marking_over_cap_rejected(self, toy_product):
         with pytest.raises(InvalidLimitsError):
-            build_reachability_graph(toy_product, ExplorationLimits(max_depth=5, token_cap=0))
-
-    def test_default_limits_depth_formula(self, toy_product):
-        limits = default_limits(toy_product)
-        assert limits.max_depth == 2 * (5 + 3) + 10
-        assert limits.token_cap == 8
+            build_reachability_graph(toy_product, ExplorationLimits(token_cap=0))
 
 
 class TestNodeArcIncidence:
@@ -131,7 +112,7 @@ class TestNodeArcIncidence:
     def test_single_edge_graph(self):
         net = make_fig_acyclic()
         sp = product_for_trace(net, Trace("t", ()))
-        rg = build_reachability_graph(sp, ExplorationLimits(max_depth=1, max_nodes=2, max_edges=1))
+        rg = build_reachability_graph(sp, ExplorationLimits(max_nodes=2, max_edges=1))
         b = node_arc_incidence(rg)
         dense = np.array(oracles.dense(b))
         assert dense.shape == (2, 1)

@@ -109,7 +109,7 @@ class TestHybridAlign:
             fig_acyclic,
             Trace("t", acts),
             fitness=0.9,
-            limits=ExplorationLimits(max_depth=2),
+            limits=ExplorationLimits(max_nodes=2),
         )
         assert result.method_chosen is Method.LP
         assert result.fell_back_to_astar

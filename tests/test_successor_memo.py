@@ -29,7 +29,7 @@ from flowalign.astar import Heuristic, SearchConfig, SearchOutcome, astar_align
 from flowalign.flow import lp_align
 from flowalign.errors import InvalidLimitsError
 from flowalign.petri import PetriNet, Trace, incidence_matrices, successor_memo, successors
-from flowalign.reachability import ExplorationLimits, build_reachability_graph, default_limits
+from flowalign.reachability import ExplorationLimits, build_reachability_graph
 from flowalign.sync_product import ProductGraph, product_for_trace
 from oracles import incidence_rows, oracle_shortest_cost, reference_reachability_graph
 from test_heuristic_lp import first_edit_cycle
@@ -72,7 +72,6 @@ limits = st.one_of(
     st.none(),
     st.builds(
         ExplorationLimits,
-        max_depth=st.integers(0, 12),
         max_nodes=st.integers(1, 40),
         max_edges=st.integers(1, 80),
         token_cap=st.integers(1, 3),
@@ -170,7 +169,7 @@ def test_astar_cost_equals_the_reference_graph_oracle():
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(products, st.integers(1, 3), st.sampled_from(Heuristic))
     def check(sp, cap, heuristic):
-        limits = ExplorationLimits(max_depth=default_limits(sp).max_depth, token_cap=cap)
+        limits = ExplorationLimits(token_cap=cap)
         try:
             ref = reference_reachability_graph(sp, limits)
         except InvalidLimitsError:
@@ -207,7 +206,7 @@ def growing_net() -> PetriNet:
 
 def graph_of(net, acts, cap):
     sp = product_for_trace(net, Trace("g", acts))
-    rg = build_reachability_graph(sp, ExplorationLimits(max_depth=40, token_cap=cap))
+    rg = build_reachability_graph(sp, ExplorationLimits(token_cap=cap))
     return rg.nodes, tuple(rg.edges), rg.final_index, rg.stats
 
 
@@ -217,9 +216,7 @@ class TestMemoSharing:
         graph_of(net, ("a", "a", "c"), 3)
         assert successor_memo(net, 3).table[0] is not None
         trace = Trace("g", ("a", "c"))
-        # The default max_depth (20 here) cuts this product short, so no cost.
-        deep = ExplorationLimits(max_depth=40)
-        aligned = [lp_align(product_for_trace(net, trace), deep)[0], astar_align(product_for_trace(net, trace))[0]]
+        aligned = [lp_align(product_for_trace(net, trace))[0], astar_align(product_for_trace(net, trace))[0]]
         assert None not in aligned
         caches = {"_successor_memos", "_model_moves", "_relaxations", "_firing_data"}
         assert caches | {"place_index", "transition_index"} <= net.__dict__.keys()
@@ -230,7 +227,7 @@ class TestMemoSharing:
         assert clone == net
         assert graph_of(clone, ("a", "a", "c"), 3) == graph_of(growing_net(), ("a", "a", "c"), 3)
         sp = product_for_trace(clone, trace)
-        assert [lp_align(sp, deep)[0], astar_align(sp)[0]] == aligned
+        assert [lp_align(sp)[0], astar_align(sp)[0]] == aligned
 
     def test_memo_is_keyed_by_cap(self):
         net = growing_net()
