@@ -1,11 +1,13 @@
 """Best-first optimal alignment over the synchronous product's state space.
 
-The search grows its own ``sync_product.ProductGraph``, expanding each
-node it pops, so its successors come in the reachability graph's order.
-Nodes are ordered by f = g + h, ties broken by larger g, then FIFO.  The
-heuristic is the exact optimum of the product's continuous state equation
-``min c.x s.t. I x = m_f - m, x >= 0``: admissible, not assumed
-consistent, so an entry is reopened when a strictly better g arrives.
+The search runs on the int keys of a ``sync_product.ProductSpace`` and
+reads each expanded state's moves from its ``out``, in the reachability
+graph's order.  States are ordered by f = g + h, ties broken by larger g,
+then FIFO.  The heuristic is the exact optimum of the product's
+continuous state equation ``min c.x s.t. I x = m_f - m, x >= 0``.  It is
+consistent (the reuse argument below gives h(p) <= c(t) + h(m) for every
+move t from p to m), so no state is expanded twice; reopening an entry
+when a strictly better g arrives is kept only as a safeguard.
 Costs, epsilon-cost silent moves included, are exact and multiplied by
 ``scale``, the one cost scale of the model and cost config: g is an int,
 h an int or a rational, and every comparison and tie is kept.
@@ -59,7 +61,7 @@ from .errors import InvalidInputError
 from .flow import Alignment, Method, RunStats
 from .petri import Marking
 from .simplex import BasisCache, integers, solve_min_eq
-from .sync_product import ProductGraph, SynchronousProduct, cost_vector, model_relaxation
+from .sync_product import ProductSpace, SynchronousProduct, cost_vector, model_relaxation
 
 
 class Heuristic(Enum):
@@ -193,16 +195,15 @@ def astar_align(
     """A* over product states; optimal when it completes.
 
     Outcomes TIMEOUT and EXHAUSTED are reported in the stats, never
-    raised.  Its :class:`~flowalign.sync_product.ProductGraph` has no
-    budgets but skips self-loops and prunes moves over the token cap, so
-    both methods search the same capped space.
+    raised.  It skips the self-loops and the moves over the token cap
+    that :meth:`~flowalign.sync_product.ProductSpace.out` lists, so both
+    methods search the same capped space.
     """
     stats = RunStats(Method.ASTAR, SearchOutcome.EXHAUSTED)
     t0 = time.perf_counter_ns()
     deadline = t0 + cfg.timeout * 1e9
-    graph = ProductGraph(sp, cfg.token_cap)
-    heads, edge_moves = graph.heads, graph.moves
-    start = 0  # the initial state's node
+    space = ProductSpace(sp, cfg.token_cap)
+    start = 0  # the initial state's key
     moves = sp.moves
 
     # g, h and f are in units of 1/scale (see the module docstring).
@@ -211,14 +212,14 @@ def astar_align(
     # only gets its own value when it is about to be expanded.
     parent: dict[int, tuple[int, int]] = {}
     if cfg.heuristic is Heuristic.MARKING_EQUATION:
-        heuristic = MarkingEquation(sp, graph.state)
+        heuristic = MarkingEquation(sp, space.state)
         costs, h_exact = heuristic.costs, heuristic.values
     else:
         heuristic = None
         costs, h_exact = integers(cost_vector(sp))[0], {}
 
-    def h(node: int) -> int | Fraction | float:
-        return heuristic(node, parent.get(node)) if heuristic is not None else 0
+    def h(key: int) -> int | Fraction | float:
+        return heuristic(key, parent.get(key)) if heuristic is not None else 0
 
     def finish(outcome: SearchOutcome, alignment: Alignment | None = None):
         if heuristic is not None:
@@ -235,7 +236,6 @@ def astar_align(
 
     counter = itertools.count()
     best_g: dict[int, int] = {start: 0}
-    out_edges: dict[int, range] = {}  # a reopened node is expanded once
     heap: list = [(h0, 0, next(counter), start)]
     while heap:
         stats.queue_peak = max(stats.queue_peak, len(heap))
@@ -245,11 +245,11 @@ def astar_align(
         g = -neg_g
         if g > best_g.get(cur, math.inf):
             continue
-        if cur == graph.final_index:
+        if cur == space.final:
             moves_seq = []
-            node = cur
-            while node != start:
-                node, j = parent[node]
+            key = cur
+            while key != start:
+                key, j = parent[key]
                 moves_seq.append(moves[j])
             moves_seq.reverse()
             return finish(SearchOutcome.OPTIMAL, Alignment.from_moves(tuple(moves_seq), Method.ASTAR))
@@ -263,13 +263,9 @@ def astar_align(
         if stats.expansions >= cfg.max_expansions:
             return finish(SearchOutcome.EXHAUSTED)
         stats.expansions += 1
-        edges = out_edges.get(cur)
-        if edges is None:
-            first = len(heads)
-            graph.expand(cur, cur + 1)
-            edges = out_edges[cur] = range(first, len(heads))
-        for e in edges:
-            j, succ = edge_moves[e], heads[e]
+        for j, succ in space.out(cur):
+            if succ is None or succ == cur:
+                continue  # over the token cap, or a self-loop
             ng = g + costs[j]
             old = best_g.get(succ)
             if old is not None and ng >= old:

@@ -54,7 +54,7 @@ from .errors import InternalInvariantError, InvalidInputError, UnreachableFinalE
 from .petri import TAU, IntMatrix, PetriNet, SuccessorMemo, incidence_matrices, successor_memo
 from .reachability import ExplorationLimits, NodeArcIncidence, ReachabilityGraph, edge_endpoints
 from .simplex import integers
-from .sync_product import GAP, CostConfig, MoveKind, SyncMove, SynchronousProduct, _move_offsets
+from .sync_product import GAP, CostConfig, MoveKind, ProductSpace, SyncMove, SynchronousProduct
 
 
 class Method(Enum):
@@ -338,7 +338,7 @@ _INF = math.inf  # the label of a node that cannot reach the final node
 
 class ModelGraph:
     """The model's reachability graph under one token cap and cost config,
-    kept on the memo.  Ids and ``rows`` are the memo's.  ``into[v]`` lists
+    kept on the memo.  Ids are the memo's.  ``into[v]`` lists
     ``(u, c)`` per model move from ``u`` to ``v`` at scaled cost ``c``, bar
     self-loops and capped moves, and ``edges`` holds them as flat tail,
     head and cost arrays; ``sync[a]`` lists ``(u, s)`` per uncapped move of
@@ -348,7 +348,7 @@ class ModelGraph:
     def __init__(self, net: PetriNet, memo: SuccessorMemo, reached: list[bool], cost: CostConfig) -> None:
         (tau, self.log_cost), self.scale = integers([cost.tau_cost, cost.deviation_cost])
         self.costs = [tau if lbl is TAU else self.log_cost for lbl in net.labels]
-        self.rows, self.reachable = memo.table, memo.reachable
+        self.reachable = memo.reachable
         final = memo.ids[net.final_marking]
         self.final = final if reached[final] else None
         self.into: list[list[tuple[int, int]]] = [[] for _ in reached]
@@ -356,7 +356,7 @@ class ModelGraph:
         self.sync: dict[str, list[tuple[int, int]]] = {}
         self.capped = False  # whether the token cap pruned a move
         for u, r in enumerate(reached):
-            for j, s in self.rows[u] if r else ():
+            for j, s in memo.table[u] if r else ():
                 self.capped |= s < 0
                 if s >= 0 and net.labels[j] is not TAU:
                     self.sync.setdefault(net.labels[j], []).append((u, s))
@@ -371,10 +371,10 @@ class ModelGraph:
 
 
 class LayeredGraph(NamedTuple):
-    """The reachability graph of ``sp`` as its model's graph and trace: node
-    ``(u, pos)`` per reachable model marking ``u`` and trace position ``pos``."""
+    """The reachability graph of ``space.sp`` as its model's graph and trace:
+    node ``(u, pos)`` per reachable model marking ``u`` and trace position ``pos``."""
 
-    sp: SynchronousProduct
+    space: ProductSpace
     model: ModelGraph
     nodes: int
     edges: int
@@ -402,7 +402,7 @@ def layered_graph(sp: SynchronousProduct, limits: ExplorationLimits) -> LayeredG
     nodes = model.reachable * (n + 1)
     edges = (n + 1) * len(model.edges[0]) + n * model.reachable
     edges += sum(len(model.sync.get(a, ())) for a in sp.trace_labels)
-    return LayeredGraph(sp, model, nodes, edges)
+    return LayeredGraph(ProductSpace(sp, limits.token_cap), model, nodes, edges)
 
 
 def _settle(dist: list, into: list[list[tuple[int, int]]], sources) -> list:
@@ -430,11 +430,12 @@ def solve_layered(graph: LayeredGraph) -> Alignment | None:
     the final node.  Layer n is the model's ``to_final``; layer pos is
     seeded from layer pos + 1 through event pos's log and synchronous
     moves, then settled.  The walk from ``(m_0, 0)`` takes the first tight
-    move in canonical order: the built graph's lowest-index tight edge, as
-    a node's out-edges are contiguous and in that order.  The labels are
+    move that :meth:`~flowalign.sync_product.ProductSpace.out` lists: the
+    built graph's lowest-index tight edge, as a node's out-edges are
+    contiguous and in that order.  The labels are
     certified on every edge, as :func:`_certify` does.
     """
-    sp, model = graph.sp, graph.model
+    space, model, sp = graph.space, graph.model, graph.space.sp
     if model.final is None:
         return None
     trace = sp.trace_labels
@@ -450,13 +451,22 @@ def solve_layered(graph: LayeredGraph) -> Alignment | None:
                 lowered.append(u)
         layers.append(_settle(here, model.into, lowered))
     layers.reverse()
-    path, spent, u, pos = [], 0, 0, 0
-    while u != model.final or pos < len(trace):
-        d = layers[pos][u]
-        step = next((m for m in _moves_out(sp, model, u, pos) if m[1] + layers[m[3]][m[2]] == d), None)
-        if step is None or len(path) > graph.nodes:
+    (model0, log0), split = space.offsets, space.split
+    path, spent, key = [], 0, 0
+    while key != space.final:
+        u, pos = split(key)
+        for k, s in space.out(key):
+            if s is None or s == key:
+                continue
+            c = 0 if k < model0 else model.costs[k - model0] if k < log0 else model.log_cost
+            v, at = split(s)
+            if c + layers[at][v] == layers[pos][u]:
+                break
+        else:
+            s = None
+        if s is None or len(path) > graph.nodes:
             raise InternalInvariantError(f"label walk stuck at model marking {u}, position {pos}")
-        k, c, u, pos = step
+        key = s
         path.append(k)
         spent += c
     _certify_layers(model, trace, layers)
@@ -464,17 +474,6 @@ def solve_layered(graph: LayeredGraph) -> Alignment | None:
     if spent != layers[0][0] or alignment.total_cost != Fraction(spent, model.scale):
         raise InternalInvariantError("path cost disagrees with distance label")
     return alignment
-
-
-def _moves_out(sp: SynchronousProduct, model: ModelGraph, u: int, pos: int):
-    """``(product move, scaled cost, head marking, head position)`` of each
-    edge out of node ``(u, pos)``, in canonical order."""
-    (model0, log0), at_event = _move_offsets(sp), pos < len(sp.trace_labels)
-    sync_move = dict(sp.sync_moves_at[pos]) if at_event else {}
-    yield from ((sync_move[j], 0, s, pos + 1) for j, s in model.rows[u] if s >= 0 and j in sync_move)
-    yield from ((model0 + j, model.costs[j], s, pos) for j, s in model.rows[u] if s >= 0 and s != u)
-    if at_event:
-        yield log0 + pos, model.log_cost, u, pos + 1
 
 
 def _certify_layers(model: ModelGraph, trace: tuple[str, ...], layers: list[list]) -> None:

@@ -8,10 +8,10 @@ A net also keeps caches of derived data: its firing data and one
 :class:`SuccessorMemo` per token cap.  The memo numbers the markings
 reached from the initial marking in discovery order and keeps each one's
 successors once they have been read through :func:`successors`.
-Both engines grow a product graph composed from it
-(``sync_product.ProductGraph``), so aligning a model against many traces
-fires each model transition once per marking, not once per product state,
-and both reject a cap below the initial marking, which the memo refuses.
+Every walk of a product reads its moves from a ``sync_product.ProductSpace``
+composed from it, so aligning a model against many traces fires each model
+transition once per marking, not once per product state, and every walk
+rejects a cap below the initial marking, which the memo refuses.
 Its size is bounded by the model's state space under the cap, not by the
 length or number of the traces aligned against it.  A memo fills under
 its own lock: a thread that misses re-checks under the lock before it
@@ -274,6 +274,7 @@ class SuccessorMemo:
         self.table: list[tuple[tuple[int, int], ...] | None] = []
         self._lock = threading.Lock()
         self._reached: list[bool] | None = None
+        self._exceeded = 0  # the largest limit that more markings were seen to exceed
         self.reachable = 0  # the count of reachable markings, once known
         self.priced: dict = {}  # ``flow.ModelGraph`` per cost config
         for m in (net.initial_marking, net.final_marking):
@@ -306,11 +307,15 @@ class SuccessorMemo:
     def reached(self, limit: int) -> list[bool] | None:
         """Whether each id is reachable from the initial marking, with each
         reachable marking expanded; None, with the expansion stopped, once
-        more than ``limit`` are reachable."""
+        more than ``limit`` are reachable, which a later call under a limit
+        no larger answers without walking."""
+        if limit <= self._exceeded:
+            return None
         if self._reached is None:
             order, seen = [0], {0}
             for i in order:
                 if len(order) > limit:
+                    self._exceeded = max(self._exceeded, limit)
                     return None
                 for _, s in self.expand(i):
                     if s >= 0 and s not in seen:

@@ -1,12 +1,13 @@
 """Bounded breadth-first reachability graphs and their node-arc incidence.
 
-The graph of a synchronous product is a breadth-first search over a
-:class:`~flowalign.sync_product.ProductGraph`, which composes each node's
-successors, numbers new nodes, applies the node and edge budgets and
-counts what it prunes.  Nodes are numbered in discovery order, so the
-queue is node order and needs no container of its own, and each process
-marking's successors are read once per model and token cap, however many
-traces are aligned.
+The graph of a synchronous product is a breadth-first search over the
+states of a :class:`~flowalign.sync_product.ProductSpace`, which lists
+each state's moves in canonical order.  The build numbers new nodes,
+applies the node and edge budgets and counts what it prunes, which no
+other walk of the product needs.  Nodes are numbered in discovery order,
+so the queue is node order and needs no container of its own, and each
+process marking's successors are read once per model and token cap,
+however many traces are aligned.
 
 Exploration is deterministic: nodes are expanded in discovery order, so
 two builds of the same product under the same limits yield identical node
@@ -15,7 +16,7 @@ counted; they cannot lie on a minimum-cost path under nonnegative costs.
 Per-place token counts are capped to guarantee termination on unbounded
 nets; capped branches are counted, not errors.
 
-The graph stores its nodes as int keys and its edges as three int
+The graph stores its nodes as state keys and its edges as three int
 sequences (tail, head, product move index).
 :attr:`ReachabilityGraph.nodes` presents the nodes as product markings
 and :attr:`ReachabilityGraph.edges` the edges as :class:`RGEdge` values,
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 from .errors import InvalidInputError, InvalidLimitsError
 from .petri import Marking
-from .sync_product import ProductGraph, SynchronousProduct, cost_vector
+from .sync_product import ProductSpace, SynchronousProduct, cost_vector
 
 
 @dataclass(frozen=True)
@@ -109,16 +110,17 @@ class _View(Sequence):
 
 
 class NodeView(_View):
-    """The nodes of a grown :class:`~flowalign.sync_product.ProductGraph` as
-    product markings; its length is the graph's node count."""
+    """The nodes of a graph as product markings, from the pair of its
+    :class:`~flowalign.sync_product.ProductSpace` and its node keys."""
 
     __slots__ = ()
 
     def __len__(self) -> int:
-        return len(self._of.keys)
+        return len(self._of[1])
 
     def _item(self, i: int) -> Marking:
-        return self._of.marking(i)
+        space, keys = self._of
+        return space.marking(keys[i])
 
 
 class EdgeView(_View):
@@ -141,30 +143,47 @@ def build_reachability_graph(
 ) -> ReachabilityGraph:
     """BFS from the product's initial marking under ``limits``.
 
-    Stops when every node is expanded or a budget trips (``stats.truncated``
-    is set; tripping a budget is not an error).  ``final_index`` is set iff
-    the final marking was reached.  ``None`` means the default limits.
+    An edge past ``max_edges``, or a new node past ``max_nodes``, halts
+    the build before it and sets ``stats.truncated`` (not an error): the
+    graph and its counts are then those an unbudgeted build has at that
+    point.  ``final_index`` is set iff the final marking was reached.
+    ``None`` means the default limits.
     """
     limits = limits or ExplorationLimits()
-    graph = ProductGraph(sp, limits.token_cap, limits.max_nodes, limits.max_edges)
-    expanded = 0
-    while expanded < len(graph.keys) and not graph.truncated:
-        expanded += graph.expand(expanded, len(graph.keys))
-
-    stats = RGStats(
-        nodes_expanded=expanded,
-        edges_pruned_self_loops=graph.self_loops,
-        cap_prunes=graph.cap_prunes,
-        truncated=graph.truncated,
-    )
+    space = ProductSpace(sp, limits.token_cap)
+    keys, index = [0], {0: 0}
+    tails, heads, moves = [], [], []
+    stats = RGStats()
+    final_index = 0 if space.final == 0 else None
+    for node, key in enumerate(keys):
+        stats.nodes_expanded += 1
+        for move, succ in space.out(key):
+            if succ is None or succ == key:
+                stats.cap_prunes += succ is None
+                stats.edges_pruned_self_loops += succ == key
+                continue
+            head = index.get(succ)
+            if len(tails) >= limits.max_edges or (head is None and len(keys) >= limits.max_nodes):
+                stats.truncated = True
+                break
+            if head is None:
+                head = index[succ] = len(keys)
+                keys.append(succ)
+                if succ == space.final:
+                    final_index = head
+            tails.append(node)
+            heads.append(head)
+            moves.append(move)
+        if stats.truncated:
+            break
     return ReachabilityGraph(
-        nodes=NodeView(graph),
-        tails=graph.tails,
-        heads=graph.heads,
-        moves=graph.moves,
+        nodes=NodeView((space, keys)),
+        tails=tails,
+        heads=heads,
+        moves=moves,
         move_ids=tuple(m.move_id for m in sp.moves),
         move_costs=cost_vector(sp),
-        final_index=graph.final_index,
+        final_index=final_index,
         stats=stats,
     )
 

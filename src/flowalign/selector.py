@@ -147,8 +147,13 @@ def hybrid_align(
     short by its limits.
 
     ``limits`` bound the flow path's graph; ``None`` means the default
-    limits.
+    limits.  Both engines search the space under one token cap, so
+    :class:`InvalidInputError` is raised when ``limits.token_cap`` and
+    ``search.token_cap`` differ.
     """
+    cap = (limits or ExplorationLimits()).token_cap
+    if cap != search.token_cap:
+        raise InvalidInputError(f"limits.token_cap={cap} differs from search.token_cap={search.token_cap}")
     length = len(trace.activities)
     method = select_method(length, fitness, thresholds)
     expected = (1 - Fraction(fitness)) * length

@@ -13,8 +13,9 @@ trace position against a gap.  Costs follow the standard scheme:
 synchronous moves are free, silent model moves cost a tiny epsilon, and
 every visible deviation costs ``deviation_cost``.
 
-Both engines expand a :class:`ProductGraph`, composed from the model's
-successor memo and the trace path.  The model moves and A*'s
+Every walk of a product reads its moves from :meth:`ProductSpace.out`,
+composed from the model's successor memo and the trace path: the one
+place the canonical move order is written.  The model moves and A*'s
 :class:`Relaxation` depend only on the net and the costs, so each net
 keeps them per :class:`CostConfig` for all its products.  The product
 Petri net, :attr:`SynchronousProduct.net`, is an export view built on
@@ -27,7 +28,7 @@ and the number of silent moves is recoverable from the fractional part.
 from __future__ import annotations
 
 import functools
-import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -291,22 +292,20 @@ def model_relaxation(sn: PetriNet, cost: CostConfig) -> Relaxation:
     return cache.setdefault(cost, made)
 
 
-class ProductGraph:
-    """The product's state space under token cap ``cap``, grown on demand
-    as an int-keyed graph.
+class ProductSpace:
+    """The product's state space under token cap ``cap``, keyed by ints.
 
-    A product state is a process marking plus the position ``pos`` of the
-    one token on the trace path.  Its key is ``pid * (n + 1) + pos``, where
-    ``pid`` numbers the process marking in the model's
-    :class:`~flowalign.petri.SuccessorMemo` and ``n`` is the trace length,
-    so the initial state's key is 0.  Node ``i`` is state ``keys[i]``,
-    numbered in the order expansions discover it; node 0 is the initial
-    state and ``final_index`` the final state's node once it is found.
-    :meth:`marking` makes a node's product marking when it is read.
+    A state is a process marking plus the position ``pos`` of the trace
+    token; its key is ``pid * (n + 1) + pos``, where ``pid`` numbers the
+    marking in the model's :class:`~flowalign.petri.SuccessorMemo` and
+    ``n`` is the trace length.  The initial state's key is 0 and
+    ``final`` is the final state's.  A cap below the initial marking
+    raises the memo's :class:`InvalidLimitsError`.  ``offsets`` are the
+    indices of the first model move and of the first log move.
 
-    :meth:`expand` expands a run of nodes in order.  It appends each one's
-    out-edges to ``tails``, ``heads`` and ``moves`` in the product's
-    canonical move order, which is the order in which firing every move of
+    :meth:`out` is the product's one successor function.  It yields the
+    moves enabled at a state as ``(move index, successor key)`` in the
+    canonical move order, the order in which firing every move of
     :attr:`SynchronousProduct.net` meets them:
 
     1. the synchronous move of each process transition ``j`` enabled at
@@ -317,130 +316,43 @@ class ProductGraph:
     3. the log move at ``pos``, to ``(pid, pos + 1)``, unless the trace is
        done.
 
-    A move that would put more than ``cap`` tokens on a place (exactly when
-    its process successor does, because a trace place holds at most one
-    token) counts in ``cap_prunes``, and a move back to the node itself in
-    ``self_loops``; neither becomes an edge.  A new node is added only
-    with its discovering edge.  An edge past ``max_edges``, or a node past
-    ``max_nodes``, stops the expansion before it and sets ``truncated``;
-    the graph and its counts are then those a full search has at that
-    point, so a graph grown under smaller budgets is a prefix of one grown
-    under larger budgets.  The reachability build expands every node in
-    discovery order, A* the nodes its search pops; both reject, with the
-    memo's :class:`InvalidLimitsError`, an initial marking over ``cap``.
+    A successor is None when the move would put more than ``cap`` tokens
+    on a place (exactly when its process successor does, as a trace place
+    holds at most one token), and the state's own key for a self-loop.
     """
 
-    def __init__(
-        self,
-        sp: SynchronousProduct,
-        cap: int,
-        max_nodes: int = sys.maxsize,
-        max_edges: int = sys.maxsize,
-    ) -> None:
-        proc = sp.process_net
-        self._memo = memo = successor_memo(proc, cap)
+    def __init__(self, sp: SynchronousProduct, cap: int) -> None:
         n = len(sp.trace_labels)
-        self._n, self._stride = n, n + 1
-        self._max_nodes, self._max_edges = max_nodes, max_edges
-        self.keys: list[int] = [0]
-        self._index: dict[int, int] = {0: 0}
-        self.tails: list[int] = []
-        self.heads: list[int] = []
-        self.moves: list[int] = []
-        self.cap_prunes = self.self_loops = 0
-        self.truncated = False
-        self._final_key = memo.ids[proc.final_marking] * self._stride + n
-        self.final_index = 0 if self._final_key == 0 else None
+        self.sp, self._n, self._stride = sp, n, n + 1
+        self._memo = memo = successor_memo(sp.process_net, cap)
+        self.final = memo.ids[sp.process_net.final_marking] * self._stride + n
+        self.offsets = _move_offsets(sp)
 
-        # Move tables indexed by process transition j, None where j makes no
-        # such move: the synchronous moves at each position, the model
-        # moves, and the log move at each position (read at j = 0).
-        width = len(proc.transitions)
-        model0, log0 = _move_offsets(sp)
-        self._sync_of: list[list[int | None]] = []
-        for pairs in sp.sync_moves_at:
-            sync = [None] * width
-            for j, k in pairs:
-                sync[j] = k
-            self._sync_of.append(sync)
-        self._model_of = range(model0, model0 + width)
-        self._log_of = [(k,) for k in range(log0, log0 + n)]
+    def out(self, key: int) -> Iterator[tuple[int, int | None]]:
+        """Yield every move enabled at state ``key``, with its successor's key."""
+        stride, (model0, log0) = self._stride, self.offsets
+        pid, pos = divmod(key, stride)
+        row = self._memo.table[pid] or self._memo.expand(pid)
+        if pos < self._n:
+            for j, k in self.sp.sync_moves_at[pos]:
+                yield from ((k, None if s < 0 else s * stride + pos + 1) for i, s in row if i == j)
+        for j, s in row:
+            yield model0 + j, None if s < 0 else s * stride + pos
+        if pos < self._n:
+            yield log0 + pos, key + 1
 
-    def expand(self, first: int, stop: int) -> int:
-        """Expand nodes ``first`` to ``stop - 1`` in order, appending their
-        out-edges; returns how many were expanded, the one a budget halted
-        included."""
-        keys, index, tails, heads, moves = self.keys, self._index, self.tails, self.heads, self.moves
-        memo = self._memo
-        table = memo.table
-        stride, n, final_key = self._stride, self._n, self._final_key
-        sync_of, model_of, log_of = self._sync_of, self._model_of, self._log_of
-        max_nodes, max_edges = self._max_nodes, self._max_edges
-        cap_prunes = self_loops = 0
-        halted = False
-        for node in range(first, stop):
-            key = keys[node]
-            pid, pos = divmod(key, stride)
-            row = table[pid]
-            if row is None:
-                row = memo.expand(pid)
-            # One phase per move kind, in canonical order: its move table, the
-            # (j, process successor id) pairs it reads, and the trace position
-            # its moves lead to.
-            if pos < n:
-                phases = (
-                    (sync_of[pos], row, pos + 1),
-                    (model_of, row, pos),
-                    (log_of[pos], ((0, pid),), pos + 1),
-                )
-            else:
-                phases = ((model_of, row, pos),)
-            for move_of, pairs, at in phases:
-                for j, s in pairs:
-                    move = move_of[j]
-                    if move is None:
-                        continue
-                    if s < 0:
-                        cap_prunes += 1
-                        continue
-                    succ = s * stride + at
-                    if succ == key:
-                        self_loops += 1
-                        continue
-                    head = index.get(succ)
-                    if head is None:
-                        if len(keys) >= max_nodes or len(tails) >= max_edges:
-                            halted = True
-                            break
-                        head = len(keys)
-                        keys.append(succ)
-                        index[succ] = head
-                        if succ == final_key:
-                            self.final_index = head
-                    elif len(tails) >= max_edges:
-                        halted = True
-                        break
-                    tails.append(node)
-                    heads.append(head)
-                    moves.append(move)
-                if halted:
-                    break
-            if halted:
-                self.truncated = True
-                stop = node + 1
-                break
-        self.cap_prunes += cap_prunes
-        self.self_loops += self_loops
-        return stop - first
+    def split(self, key: int) -> tuple[int, int]:
+        """The process marking's id and the trace position of state ``key``."""
+        return divmod(key, self._stride)
 
-    def state(self, node: int) -> tuple[Marking, int]:
-        """The process marking and the trace position of ``node``."""
-        pid, pos = divmod(self.keys[node], self._stride)
+    def state(self, key: int) -> tuple[Marking, int]:
+        """The process marking and the trace position of state ``key``."""
+        pid, pos = divmod(key, self._stride)
         return self._memo.markings[pid], pos
 
-    def marking(self, node: int) -> Marking:
-        """The full product marking of ``node``."""
-        marking, pos = self.state(node)
+    def marking(self, key: int) -> Marking:
+        """The full product marking of state ``key``."""
+        marking, pos = self.state(key)
         return marking + _one_hot(pos, self._n)
 
 

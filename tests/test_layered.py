@@ -38,7 +38,7 @@ from flowalign.model_io import serialize_pnml
 from flowalign.petri import TAU, Trace, successor_memo
 from flowalign.reachability import ExplorationLimits, build_reachability_graph
 from flowalign.selector import SelectionThresholds, hybrid_align
-from flowalign.sync_product import CostConfig, ProductGraph, product_for_trace
+from flowalign.sync_product import CostConfig, product_for_trace
 from oracles import oracle_shortest_cost
 from test_heuristic_lp import first_edit_cycle
 from test_successor_memo import corpus_products, growing_net, limits, products, small_nets
@@ -120,7 +120,6 @@ def refuse_builds(patch):
 
     patch.setattr(reachability, "build_reachability_graph", refuse)
     patch.setattr(flow, "assemble_flow_problem", refuse)
-    patch.setattr(ProductGraph, "expand", refuse)
 
 
 def test_counts_and_truncation_verdict_equal_the_build(monkeypatch):

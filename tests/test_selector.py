@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from flowalign.astar import SearchConfig
 from flowalign.errors import InvalidInputError
 from flowalign.flow import Method
 from flowalign.model_io import EventLog
@@ -14,6 +15,7 @@ from flowalign.selector import (
     select_method,
     token_replay_fitness,
 )
+from test_successor_memo import growing_net
 
 
 class TestTokenReplayFitness:
@@ -115,6 +117,18 @@ class TestHybridAlign:
         assert result.fell_back_to_astar
         assert result.alignment is not None
         assert result.alignment.method is Method.ASTAR
+
+    def test_differing_token_caps_are_refused(self):
+        # Routed to flow, whose graph max_nodes refuses: A* would search
+        # a different space than the one the flow engine refused.
+        trace = Trace("g", ("a", "c") * 11)
+        limits = ExplorationLimits(token_cap=2, max_nodes=3)
+        with pytest.raises(InvalidInputError, match="token_cap"):
+            hybrid_align(growing_net(), trace, 0.0, limits=limits, search=SearchConfig(token_cap=8))
+        with pytest.raises(InvalidInputError, match="token_cap"):
+            hybrid_align(growing_net(), trace, 0.0, search=SearchConfig(token_cap=2))
+        result = hybrid_align(growing_net(), trace, 0.0, limits=limits, search=SearchConfig(token_cap=2))
+        assert result.fell_back_to_astar and result.alignment.total_cost == 21
 
     def test_cost_matches_direct_methods(self, fig_cyclic):
         trace = Trace("t", ("a", "c", "b", "d", "b", "e"))

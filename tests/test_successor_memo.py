@@ -1,11 +1,13 @@
 """The product state space composed from a per-model successor memo.
 
-``sync_product.ProductGraph`` composes each product state's successors
-from the model's memo, and both engines grow one: the reachability graph
-build and A*.  ``petri.successors`` on the product net and
+``sync_product.ProductSpace.out`` composes each product state's moves
+from the model's memo, and every walk of the product reads it: the
+reachability graph build, A* and the layered flow walk.
+``petri.successors`` on the product net and
 ``oracles.reference_reachability_graph`` fire every product transition at
 every full product marking.  They must agree on every successor, node,
-edge, count and optimal cost, under any limits.  The marking equation's
+edge, count and optimal cost, under any limits.  A memo that saw a limit
+exceeded answers a smaller one without walking.  The marking equation's
 rows are composed the same way and must equal the product net's
 incidence matrix.
 """
@@ -30,7 +32,7 @@ from flowalign.flow import lp_align
 from flowalign.errors import InvalidLimitsError
 from flowalign.petri import PetriNet, Trace, incidence_matrices, successor_memo, successors
 from flowalign.reachability import ExplorationLimits, build_reachability_graph
-from flowalign.sync_product import ProductGraph, product_for_trace
+from flowalign.sync_product import ProductSpace, product_for_trace
 from oracles import incidence_rows, oracle_shortest_cost, reference_reachability_graph
 from test_heuristic_lp import first_edit_cycle
 
@@ -129,38 +131,37 @@ def test_space_successors_equal_product_firing():
         seen["empty_traces"] += not sp.trace_labels
         if any(v > cap for v in sp.initial_marking):
             with pytest.raises(InvalidLimitsError):
-                ProductGraph(sp, cap)
+                ProductSpace(sp, cap)
             seen["over_cap"] += 1
             return
-        graph = ProductGraph(sp, cap)
-        node = 0
-        while node < len(graph.keys):
-            marking = graph.marking(node)
-            first, caps, loops = len(graph.tails), graph.cap_prunes, graph.self_loops
-            assert graph.expand(node, node + 1) == 1
-            edges = range(first, len(graph.tails))
+        space = ProductSpace(sp, cap)
+        keys, found = [0], {0}
+        for key in keys:
+            marking = space.marking(key)
+            out = list(space.out(key))
             fired = list(successors(sp.net, marking, cap))
-            # Every move fired at the full marking is an edge, in the same
-            # order, unless it is capped or a self-loop, which are counted.
-            assert all(graph.tails[e] == node for e in edges)
-            assert [(graph.moves[e], graph.marking(graph.heads[e])) for e in edges] == [
-                (j, m) for j, m in fired if m is not None and m != marking
-            ]
-            assert graph.cap_prunes - caps == sum(m is None for _, m in fired)
-            assert graph.self_loops - loops == sum(m == marking for _, m in fired)
-            seen["cap_prunes"] += graph.cap_prunes > caps
-            seen["self_loops"] += graph.self_loops > loops
-            node += 1
-        markings = [graph.marking(i) for i in range(len(graph.keys))]
+            # Every move fired at the full marking is listed, in the same
+            # order: a capped one with None, a self-loop with its own key.
+            assert [k for k, _ in out] == [j for j, _ in fired]
+            assert [None if s is None else space.marking(s) for _, s in out] == [m for _, m in fired]
+            assert all((s == key) == (m == marking) for (_, s), (_, m) in zip(out, fired))
+            seen["cap_prunes"] += any(m is None for _, m in fired)
+            seen["self_loops"] += any(m == marking for _, m in fired)
+            for _, s in out:
+                if s is not None and s not in found:
+                    found.add(s)
+                    keys.append(s)
+        markings = [space.marking(key) for key in keys]
         assert markings[0] == sp.initial_marking
         assert len(set(markings)) == len(markings)
-        if sp.final_marking in markings:
-            assert graph.final_index == markings.index(sp.final_marking)
-        else:
-            assert graph.final_index is None
+        assert space.marking(space.final) == sp.final_marking
+        assert (space.final in found) == (sp.final_marking in markings)
+        seen["final_reached"] += space.final in found
+        seen["final_unreached"] += space.final not in found
 
     check()
-    assert all(seen[k] for k in ("cap_prunes", "self_loops", "empty_traces", "over_cap")), seen
+    wanted = ("cap_prunes", "self_loops", "empty_traces", "over_cap", "final_reached", "final_unreached")
+    assert all(seen[k] for k in wanted), seen
 
 
 def test_astar_cost_equals_the_reference_graph_oracle():
@@ -202,6 +203,18 @@ def growing_net() -> PetriNet:
         {"p0": 1},
         {"p2": 1},
     )
+
+
+def test_an_exceeded_limit_is_answered_without_walking():
+    net = growing_net()
+    memo = successor_memo(net, 8)
+    expand, calls = memo.expand, []
+    memo.expand = lambda i: calls.append(i) or expand(i)
+    assert memo.reached(152) is None and len(calls) == 151
+    calls.clear()
+    assert memo.reached(152) is None and memo.reached(1) is None
+    assert calls == []
+    assert memo.reached(153) is not None and memo.reachable == 153
 
 
 def graph_of(net, acts, cap):

@@ -1,12 +1,15 @@
+import ast
 import math
 import pickle
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import INSURANCE_TRACE
 from flowalign.astar import SearchOutcome, astar_align, marking_equation_heuristic
+import flowalign
 from flowalign.errors import InvalidInputError
 from flowalign.flow import SolveStatus, lp_align
 from flowalign.model_io import parse_pnml
@@ -188,3 +191,16 @@ def test_product_debug_pnml_round_trips_structure(toy_product):
     assert b"cost" in data and b'kind="sync"' in data
     net = parse_pnml(data)
     assert len(net.transitions) == len(toy_product.moves)
+
+
+def test_only_sync_product_reads_the_move_layout():
+    """The canonical move order is written once, in ``ProductSpace.out``:
+    no other module reads the synchronous move table or the move offsets."""
+    names = {"sync_moves_at", "_move_offsets"}
+    readers = set()
+    for path in Path(flowalign.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            if name in names:
+                readers.add(path.name)
+    assert readers == {"sync_product.py"}
