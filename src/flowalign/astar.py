@@ -79,14 +79,10 @@ class SearchOutcome(Enum):
 class SearchConfig:
     heuristic: Heuristic = Heuristic.MARKING_EQUATION
     timeout: float = 30.0  # seconds
-    max_expansions: int = 10_000_000
-    token_cap: int = 8
 
     def __post_init__(self) -> None:
         if self.timeout <= 0:
             raise InvalidInputError("timeout must be positive")
-        if self.max_expansions < 1 or self.token_cap < 1:
-            raise InvalidInputError("max_expansions and token_cap must be >= 1")
 
 
 def _split(sp: SynchronousProduct, m: Marking) -> tuple[Marking, int]:
@@ -194,15 +190,15 @@ def astar_align(
 ) -> tuple[Alignment | None, RunStats]:
     """A* over product states; optimal when it completes.
 
-    Outcomes TIMEOUT and EXHAUSTED are reported in the stats, never
-    raised.  It skips the self-loops and the moves over the token cap
+    TIMEOUT and EXHAUSTED (the queue emptied) are reported in the stats,
+    never raised.  It skips the self-loops and the moves over the token cap
     that :meth:`~flowalign.sync_product.ProductSpace.out` lists, so both
     methods search the same capped space.
     """
     stats = RunStats(Method.ASTAR, SearchOutcome.EXHAUSTED)
     t0 = time.perf_counter_ns()
     deadline = t0 + cfg.timeout * 1e9
-    space = ProductSpace(sp, cfg.token_cap)
+    space = ProductSpace(sp)
     start = 0  # the initial state's key
     moves = sp.moves
 
@@ -260,8 +256,6 @@ def astar_align(
             # Queued under a weaker bound; requeue at the exact f.
             heapq.heappush(heap, (g + hc, neg_g, next(counter), cur))
             continue
-        if stats.expansions >= cfg.max_expansions:
-            return finish(SearchOutcome.EXHAUSTED)
         stats.expansions += 1
         for j, succ in space.out(cur):
             if succ is None or succ == cur:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .astar import Heuristic, SearchConfig, SearchOutcome, astar_align
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvalidLimitsError
 from .flow import Alignment, Method, RunStats, SolveStatus, lp_align
 from .model_io import EventLog, parse_pnml, parse_xes, read_csv_log
 from .petri import PetriNet, Trace, successor_memo
@@ -45,21 +45,17 @@ class RunConfig:
             raise InvalidInputError(f"unknown method {self.method!r}")
         if self.timeout_s <= 0 or self.parallel < 1:
             raise InvalidInputError("timeout must be > 0 and parallelism >= 1")
-        # Every method rejects the same limits, whether or not it builds a graph.
+        # Every method rejects the same limits and cap, even with no trace to align.
         self.limits
+        if self.token_cap < 1:
+            raise InvalidLimitsError(f"token_cap must be >= 1, got {self.token_cap}")
 
     @property
     def limits(self) -> ExplorationLimits:
-        return ExplorationLimits(
-            max_nodes=self.max_nodes, max_edges=self.max_edges, token_cap=self.token_cap
-        )
+        return ExplorationLimits(max_nodes=self.max_nodes, max_edges=self.max_edges)
 
     def search_config(self) -> SearchConfig:
-        return SearchConfig(
-            heuristic=self.heuristic,
-            timeout=self.timeout_s,
-            token_cap=self.token_cap,
-        )
+        return SearchConfig(heuristic=self.heuristic, timeout=self.timeout_s)
 
 
 @dataclass
@@ -161,6 +157,7 @@ def run_instance(
             limits=cfg.limits,
             search=cfg.search_config(),
             cost=cfg.cost,
+            token_cap=cfg.token_cap,
         )
         rec.method_chosen = result.method_chosen.value
         if result.discarded is not None:
@@ -169,7 +166,7 @@ def run_instance(
         return rec
 
     t0 = time.perf_counter_ns()
-    sp = product_for_trace(net, trace, cfg.cost)
+    sp = product_for_trace(net, trace, cfg.cost, cfg.token_cap)
     product_us = (time.perf_counter_ns() - t0) // 1000
     if cfg.method in ("astar", "both"):
         _record_run(rec, product_us, *astar_align(sp, cfg.search_config()))
@@ -203,8 +200,8 @@ def _instance_task(args):
 def run_conformance(
     net: PetriNet, event_log: EventLog, cfg: RunConfig, model_id: str = "model"
 ) -> list[BenchmarkRecord]:
-    """One record per trace, in log order.  A token cap below the model's
-    initial marking raises :class:`InvalidLimitsError` before any trace runs."""
+    """One record per trace, in log order.  A token cap that the memo refuses
+    raises :class:`InvalidLimitsError` before any trace runs."""
     successor_memo(net, cfg.token_cap)
     fitness = token_replay_fitness(net, event_log) if cfg.method == "hybrid" else 1.0
     tasks = [

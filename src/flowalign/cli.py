@@ -103,7 +103,7 @@ def _engine_runs(cfg: RunConfig, net, trace: Trace):
     if cfg.method == "hybrid":
         fitness = token_replay_fitness(net, EventLog((trace,)))
         result = hybrid_align(net, trace, fitness, cfg.thresholds, limits=cfg.limits,
-                              search=cfg.search_config(), cost=cfg.cost)
+                              search=cfg.search_config(), cost=cfg.cost, token_cap=cfg.token_cap)
         print(f"hybrid chose {result.method_chosen.value} "
               f"(L={result.selection_inputs[0]}, F={result.selection_inputs[1]:.3f}, "
               f"expected deviations={result.selection_inputs[2]:.3f})"
@@ -112,7 +112,7 @@ def _engine_runs(cfg: RunConfig, net, trace: Trace):
             print(_engine_line(None, result.discarded))
         yield result.alignment, result.stats
         return
-    sp = product_for_trace(net, trace, cfg.cost)
+    sp = product_for_trace(net, trace, cfg.cost, cfg.token_cap)
     if cfg.method in ("astar", "both"):
         yield astar_align(sp, cfg.search_config())
     if cfg.method in ("lp", "both"):
@@ -216,7 +216,7 @@ def cmd_inspect(args) -> int:
     cfg = _run_config(args, "lp")
     net = parse_pnml(args.model)
     trace = _parse_trace(args.trace)
-    sp = product_for_trace(net, trace, cfg.cost)
+    sp = product_for_trace(net, trace, cfg.cost, cfg.token_cap)
     counts = sp.counts()
     print(
         f"product moves: sync={counts[MoveKind.SYNC]} model={counts[MoveKind.MODEL]} "

@@ -51,7 +51,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, InvalidInputError, UnreachableFinalError
-from .petri import TAU, IntMatrix, PetriNet, SuccessorMemo, incidence_matrices, successor_memo
+from .petri import TAU, IntMatrix, PetriNet, SuccessorMemo, incidence_matrices
 from .reachability import ExplorationLimits, NodeArcIncidence, ReachabilityGraph, edge_endpoints
 from .simplex import integers
 from .sync_product import GAP, CostConfig, MoveKind, ProductSpace, SyncMove, SynchronousProduct
@@ -392,7 +392,8 @@ def layered_graph(sp: SynchronousProduct, limits: ExplorationLimits) -> LayeredG
     exceed ``max_nodes`` or ``max_edges``.
     """
     net, n = sp.process_net, len(sp.trace_labels)
-    memo = successor_memo(net, limits.token_cap)
+    space = ProductSpace(sp)
+    memo = space.memo
     reached = memo.reached(limits.max_nodes)
     if reached is None:
         return None
@@ -402,7 +403,7 @@ def layered_graph(sp: SynchronousProduct, limits: ExplorationLimits) -> LayeredG
     nodes = model.reachable * (n + 1)
     edges = (n + 1) * len(model.edges[0]) + n * model.reachable
     edges += sum(len(model.sync.get(a, ())) for a in sp.trace_labels)
-    return LayeredGraph(ProductSpace(sp, limits.token_cap), model, nodes, edges)
+    return LayeredGraph(space, model, nodes, edges)
 
 
 def _settle(dist: list, into: list[list[tuple[int, int]]], sources) -> list:

@@ -11,7 +11,7 @@ successors once they have been read through :func:`successors`.
 Every walk of a product reads its moves from a ``sync_product.ProductSpace``
 composed from it, so aligning a model against many traces fires each model
 transition once per marking, not once per product state, and every walk
-rejects a cap below the initial marking, which the memo refuses.
+rejects the caps the memo refuses: one below 1 or below the initial marking.
 Its size is bounded by the model's state space under the cap, not by the
 length or number of the traces aligned against it.  A memo fills under
 its own lock: a thread that misses re-checks under the lock before it
@@ -261,10 +261,12 @@ class SuccessorMemo:
     transition ``j`` enabled at marking ``i`` in canonical order, where
     ``i'`` is the successor's id or :data:`CAPPED`.  The net's initial and
     final markings get ids 0 and 1 (one id if they are equal).  A cap
-    below the initial marking raises :class:`InvalidLimitsError`.
+    below 1 or below the initial marking raises :class:`InvalidLimitsError`.
     """
 
     def __init__(self, net: PetriNet, cap: int) -> None:
+        if cap < 1:
+            raise InvalidLimitsError(f"token_cap must be >= 1, got {cap}")
         if any(v > cap for v in net.initial_marking):
             raise InvalidLimitsError(f"initial marking exceeds token_cap={cap}")
         self._net = weakref.ref(net)  # the net holds the memo

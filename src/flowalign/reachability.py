@@ -37,14 +37,13 @@ from .sync_product import ProductSpace, SynchronousProduct, cost_vector
 
 @dataclass(frozen=True)
 class ExplorationLimits:
-    """Resource bounds for graph construction; each must be >= 1."""
+    """The flow engine's node and edge budgets; each must be >= 1."""
 
     max_nodes: int = 2_000_000
     max_edges: int = 8_000_000
-    token_cap: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("max_nodes", "max_edges", "token_cap"):
+        for name in ("max_nodes", "max_edges"):
             if getattr(self, name) < 1:
                 raise InvalidLimitsError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -150,7 +149,7 @@ def build_reachability_graph(
     ``None`` means the default limits.
     """
     limits = limits or ExplorationLimits()
-    space = ProductSpace(sp, limits.token_cap)
+    space = ProductSpace(sp)
     keys, index = [0], {0: 0}
     tails, heads, moves = [], [], []
     stats = RGStats()

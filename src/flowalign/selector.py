@@ -44,8 +44,11 @@ class HybridResult:
     selection_inputs: tuple[int, float, float]  # (L, F, expected deviations)
     product_us: int
     stats: RunStats  # of the engine that produced the outcome
-    fell_back_to_astar: bool = False
     discarded: RunStats | None = None  # the flow run whose graph was cut short
+
+    @property
+    def fell_back_to_astar(self) -> bool:
+        return self.discarded is not None
 
 
 def token_replay_fitness(net: PetriNet, event_log: EventLog) -> float:
@@ -141,25 +144,21 @@ def hybrid_align(
     limits: ExplorationLimits | None = None,
     search: SearchConfig = SearchConfig(),
     cost: CostConfig = CostConfig(),
+    token_cap: int = 8,
 ) -> HybridResult:
     """Run exactly the method the rule selects; fall back to A* when the
     LP path cannot reach the final marking because the graph was cut
     short by its limits.
 
     ``limits`` bound the flow path's graph; ``None`` means the default
-    limits.  Both engines search the space under one token cap, so
-    :class:`InvalidInputError` is raised when ``limits.token_cap`` and
-    ``search.token_cap`` differ.
+    limits.  Both engines search the product under ``token_cap``.
     """
-    cap = (limits or ExplorationLimits()).token_cap
-    if cap != search.token_cap:
-        raise InvalidInputError(f"limits.token_cap={cap} differs from search.token_cap={search.token_cap}")
     length = len(trace.activities)
     method = select_method(length, fitness, thresholds)
     expected = (1 - Fraction(fitness)) * length
 
     t0 = time.perf_counter_ns()
-    sp = product_for_trace(net, trace, cost)
+    sp = product_for_trace(net, trace, cost, token_cap)
     product_us = (time.perf_counter_ns() - t0) // 1000
 
     discarded = None
@@ -175,6 +174,5 @@ def hybrid_align(
         selection_inputs=(length, float(fitness), float(expected)),
         product_us=product_us,
         stats=stats,
-        fell_back_to_astar=discarded is not None,
         discarded=discarded,
     )

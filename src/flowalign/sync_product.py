@@ -97,7 +97,8 @@ class SynchronousProduct:
 
     ``sync_moves_at[pos]`` lists ``(process transition index, move index)``
     for the synchronous moves at trace position ``pos`` (0-based), in
-    process order.  ``cost`` is the config the moves are priced under.
+    process order.  ``cost`` prices the moves, and ``token_cap`` bounds each
+    place's tokens in every state that either engine searches.
     """
 
     moves: tuple[SyncMove, ...]
@@ -105,6 +106,7 @@ class SynchronousProduct:
     trace_labels: tuple[str, ...]
     sync_moves_at: tuple[tuple[tuple[int, int], ...], ...]
     cost: CostConfig = CostConfig()
+    token_cap: int = 8
 
     @property
     def initial_marking(self) -> Marking:
@@ -193,14 +195,15 @@ def _model_moves(sn: PetriNet, cost: CostConfig) -> tuple[SyncMove, ...]:
 
 
 def product_for_trace(
-    sn: PetriNet, trace: Trace, cost: CostConfig = CostConfig()
+    sn: PetriNet, trace: Trace, cost: CostConfig = CostConfig(), token_cap: int = 8
 ) -> SynchronousProduct:
     """The synchronous product of process model ``sn`` and the trace model
     of ``trace``, built from its activities.
 
     The trace model's ids are renamed with a prime suffix so the id spaces
     stay disjoint.  The product's Petri net is built only when
-    :attr:`SynchronousProduct.net` is read.
+    :attr:`SynchronousProduct.net` is read.  ``token_cap`` is checked by
+    the first engine that searches the product.
     """
     trace_labels = tuple(trace.activities)
     trace_moves = _trace_renaming(sn, len(trace_labels))[1]  # events 1..n
@@ -229,6 +232,7 @@ def product_for_trace(
         trace_labels=trace_labels,
         sync_moves_at=tuple(map(tuple, sync_moves_at)),
         cost=cost,
+        token_cap=token_cap,
     )
 
 
@@ -293,15 +297,16 @@ def model_relaxation(sn: PetriNet, cost: CostConfig) -> Relaxation:
 
 
 class ProductSpace:
-    """The product's state space under token cap ``cap``, keyed by ints.
+    """The product's state space under its token cap, keyed by ints.
 
     A state is a process marking plus the position ``pos`` of the trace
     token; its key is ``pid * (n + 1) + pos``, where ``pid`` numbers the
-    marking in the model's :class:`~flowalign.petri.SuccessorMemo` and
+    marking in ``memo``, the model's
+    :class:`~flowalign.petri.SuccessorMemo` for ``sp.token_cap``, and
     ``n`` is the trace length.  The initial state's key is 0 and
-    ``final`` is the final state's.  A cap below the initial marking
-    raises the memo's :class:`InvalidLimitsError`.  ``offsets`` are the
-    indices of the first model move and of the first log move.
+    ``final`` is the final state's.  A cap below 1 or below the initial
+    marking raises the memo's :class:`InvalidLimitsError`.  ``offsets``
+    are the indices of the first model move and of the first log move.
 
     :meth:`out` is the product's one successor function.  It yields the
     moves enabled at a state as ``(move index, successor key)`` in the
@@ -316,15 +321,15 @@ class ProductSpace:
     3. the log move at ``pos``, to ``(pid, pos + 1)``, unless the trace is
        done.
 
-    A successor is None when the move would put more than ``cap`` tokens
-    on a place (exactly when its process successor does, as a trace place
-    holds at most one token), and the state's own key for a self-loop.
+    A successor is None when the move would put more than ``token_cap``
+    tokens on a place (exactly when its process successor does, as a trace
+    place holds at most one token), and the state's own key for a self-loop.
     """
 
-    def __init__(self, sp: SynchronousProduct, cap: int) -> None:
+    def __init__(self, sp: SynchronousProduct) -> None:
         n = len(sp.trace_labels)
         self.sp, self._n, self._stride = sp, n, n + 1
-        self._memo = memo = successor_memo(sp.process_net, cap)
+        self.memo = memo = successor_memo(sp.process_net, sp.token_cap)
         self.final = memo.ids[sp.process_net.final_marking] * self._stride + n
         self.offsets = _move_offsets(sp)
 
@@ -332,7 +337,7 @@ class ProductSpace:
         """Yield every move enabled at state ``key``, with its successor's key."""
         stride, (model0, log0) = self._stride, self.offsets
         pid, pos = divmod(key, stride)
-        row = self._memo.table[pid] or self._memo.expand(pid)
+        row = self.memo.table[pid] or self.memo.expand(pid)
         if pos < self._n:
             for j, k in self.sp.sync_moves_at[pos]:
                 yield from ((k, None if s < 0 else s * stride + pos + 1) for i, s in row if i == j)
@@ -348,7 +353,7 @@ class ProductSpace:
     def state(self, key: int) -> tuple[Marking, int]:
         """The process marking and the trace position of state ``key``."""
         pid, pos = divmod(key, self._stride)
-        return self._memo.markings[pid], pos
+        return self.memo.markings[pid], pos
 
     def marking(self, key: int) -> Marking:
         """The full product marking of state ``key``."""

@@ -99,14 +99,12 @@ def reference_reachability_graph(
         limits = ExplorationLimits()
     net = sp.net
     init = net.initial_marking
-    if any(v > limits.token_cap for v in init):
-        raise InvalidLimitsError(
-            f"initial marking exceeds token_cap={limits.token_cap}"
-        )
+    cap = sp.token_cap
+    if cap < 1 or any(v > cap for v in init):
+        raise InvalidLimitsError(f"token_cap={cap} is below 1 or the initial marking")
     final = net.final_marking
     costs = [m.cost for m in sp.moves]
     trans_ids = net.transitions
-    cap = limits.token_cap
 
     nodes: list[Marking] = [init]
     index: dict[Marking, int] = {init: 0}

@@ -39,12 +39,14 @@ from flowalign.reachability import (
     node_arc_incidence,
 )
 from flowalign.selector import SelectionThresholds, select_method
+from flowalign.simplex import solve_min_eq
 from flowalign.flow import Method
 from flowalign.sync_product import MoveKind, product_for_trace
 from oracles import bellman_ford_to, dense, oracle_shortest_cost, row_classes_hold
 from supplement_fixture import EDGES, STATES, load_matrix, state_marking
 
 EPS = Fraction(1, 10**6)
+LP_CHECK_NODES = 100  # the graphs criterion 3 also solves as an LP with the exact simplex
 
 
 def report(criterion: int, text: str) -> None:
@@ -111,7 +113,29 @@ def test_criterion_3_integrality(corpus):
         assert verify_integrality(sol, Fraction(0)), inst.trace.case_id
         checked += 1
     assert checked >= 500
-    report(3, f"all {checked} flow solutions integral at tolerance 0")
+
+    # The paper's claim itself: the node-arc LP, solved as an LP by the
+    # exact simplex, has a 0/1 basic optimum at the alignment's cost.
+    solved = 0
+    for inst in corpus:
+        rg = inst.rg
+        if rg.final_index is None or len(rg.nodes) > LP_CHECK_NODES:
+            continue
+        balance = [0] * len(rg.nodes)
+        balance[rg.initial_index] += 1
+        balance[rg.final_index] -= 1
+        costs = [rg.move_costs[m] for m in rg.moves]
+        value, x = solve_min_eq(dense(node_arc_incidence(rg)), balance, costs)
+        assert all(v in (0, 1) for v in x), inst.trace.case_id
+        assert value == inst.lp_alignment.total_cost, inst.trace.case_id
+        solved += 1
+    assert solved >= 200
+    report(
+        3,
+        f"all {checked} flow solutions integral at tolerance 0; the simplex's basic "
+        f"optimum of the node-arc LP is 0/1 at lp_align's cost on all {solved} graphs "
+        f"of at most {LP_CHECK_NODES} nodes",
+    )
 
 
 def test_criterion_4_tu_column_structure(corpus, toy_product, toy_rg):

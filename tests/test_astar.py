@@ -44,11 +44,6 @@ class TestAstarAlign:
         assert alignment is None
         assert stats.outcome is SearchOutcome.TIMEOUT
 
-    def test_expansion_budget(self, toy_product):
-        alignment, stats = astar_align(toy_product, SearchConfig(max_expansions=1))
-        assert alignment is None
-        assert stats.outcome is SearchOutcome.EXHAUSTED
-
     def test_unreachable_final_exhausts(self):
         from flowalign.petri import PetriNet
 

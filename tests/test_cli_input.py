@@ -134,6 +134,13 @@ def test_malformed_rational_flags_exit_2(flag, value, tmp_path, capsys):
     assert "not a finite rational number" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", [("--max-nodes", "0"), ("--max-edges", "0"), ("--token-cap", "0")])
+def test_invalid_limit_flags_exit_2_on_an_empty_corpus(flag, tmp_path, capsys):
+    # No model, so no engine ever sees the value: the run config refuses it.
+    assert main(["bench", str(tmp_path), *flag]) == EXIT_PARSE
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["align", "conformance", "bench"])
 @pytest.mark.parametrize("method", ["astar", "lp", "hybrid", "both"])
 def test_token_cap_below_the_initial_marking_exits_2_under_every_method(

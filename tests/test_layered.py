@@ -9,6 +9,7 @@ sequence.  ``lp_align`` never builds a graph, and a graph that a budget
 cuts short is never priced, even when it reached the final marking.
 """
 
+import dataclasses
 import os
 import pickle
 import sys
@@ -41,7 +42,7 @@ from flowalign.selector import SelectionThresholds, hybrid_align
 from flowalign.sync_product import CostConfig, product_for_trace
 from oracles import oracle_shortest_cost
 from test_heuristic_lp import first_edit_cycle
-from test_successor_memo import corpus_products, growing_net, limits, products, small_nets
+from test_successor_memo import corpus_products, growing_net, limited_products, small_nets
 
 ODD_COST = CostConfig(Fraction(1, 7), Fraction(3, 2))
 
@@ -65,7 +66,7 @@ def test_layered_solve_equals_the_explicit_solve():
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(priced_products(), st.integers(1, 3))
     def check(sp, cap):
-        lim = ExplorationLimits(token_cap=cap)
+        sp, lim = dataclasses.replace(sp, token_cap=cap), ExplorationLimits()
         try:
             rg = build_reachability_graph(sp, lim)
         except InvalidLimitsError:
@@ -105,7 +106,7 @@ def unbudgeted_counts(sp, lim):
     rg = build_reachability_graph(sp, lim)
     if not rg.stats.truncated:
         return len(rg.nodes), len(rg.edges)
-    full = build_reachability_graph(sp, ExplorationLimits(token_cap=lim.token_cap))
+    full = build_reachability_graph(sp)
     assert not full.stats.truncated
     if len(full.nodes) // (len(sp.trace_labels) + 1) > lim.max_nodes:
         return 0, 0
@@ -129,8 +130,9 @@ def test_counts_and_truncation_verdict_equal_the_build(monkeypatch):
     seen = Counter()
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(products, limits)
-    def check(sp, lim):
+    @given(limited_products())
+    def check(case):
+        sp, lim = case
         try:
             rg = build_reachability_graph(sp, lim)
         except InvalidLimitsError:

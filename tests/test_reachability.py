@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -80,9 +82,8 @@ class TestBuildReachabilityGraph:
             initial={"p0": 1},
             final={"p1": 1},
         )
-        sp = product_for_trace(net, Trace("t", ("a",)))
-        low = build_reachability_graph(sp, ExplorationLimits(token_cap=1))
-        high = build_reachability_graph(sp, ExplorationLimits(token_cap=4))
+        low = build_reachability_graph(product_for_trace(net, Trace("t", ("a",)), token_cap=1))
+        high = build_reachability_graph(product_for_trace(net, Trace("t", ("a",)), token_cap=4))
         assert low.stats.cap_prunes > 0
         low_edges = {(low.nodes[e.tail], e.transition, low.nodes[e.head]) for e in low.edges}
         high_edges = {(high.nodes[e.tail], e.transition, high.nodes[e.head]) for e in high.edges}
@@ -91,7 +92,7 @@ class TestBuildReachabilityGraph:
 
     def test_initial_marking_over_cap_rejected(self, toy_product):
         with pytest.raises(InvalidLimitsError):
-            build_reachability_graph(toy_product, ExplorationLimits(token_cap=0))
+            build_reachability_graph(dataclasses.replace(toy_product, token_cap=0))
 
 
 class TestNodeArcIncidence:

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from flowalign.astar import SearchConfig
 from flowalign.errors import InvalidInputError
 from flowalign.flow import Method
 from flowalign.model_io import EventLog
@@ -118,16 +117,12 @@ class TestHybridAlign:
         assert result.alignment is not None
         assert result.alignment.method is Method.ASTAR
 
-    def test_differing_token_caps_are_refused(self):
-        # Routed to flow, whose graph max_nodes refuses: A* would search
-        # a different space than the one the flow engine refused.
+    def test_fallback_searches_under_the_same_token_cap(self):
+        # Routed to flow, whose graph max_nodes refuses: A* then searches
+        # the space the flow engine refused, under cap 2.
         trace = Trace("g", ("a", "c") * 11)
-        limits = ExplorationLimits(token_cap=2, max_nodes=3)
-        with pytest.raises(InvalidInputError, match="token_cap"):
-            hybrid_align(growing_net(), trace, 0.0, limits=limits, search=SearchConfig(token_cap=8))
-        with pytest.raises(InvalidInputError, match="token_cap"):
-            hybrid_align(growing_net(), trace, 0.0, search=SearchConfig(token_cap=2))
-        result = hybrid_align(growing_net(), trace, 0.0, limits=limits, search=SearchConfig(token_cap=2))
+        limits = ExplorationLimits(max_nodes=3)
+        result = hybrid_align(growing_net(), trace, 0.0, limits=limits, token_cap=2)
         assert result.fell_back_to_astar and result.alignment.total_cost == 21
 
     def test_cost_matches_direct_methods(self, fig_cyclic):

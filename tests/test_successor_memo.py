@@ -70,15 +70,6 @@ def corpus_products():
     return [sp for _, sp in first_edit_cycle({f"m{i:02d}" for i in range(12)})]
 
 
-limits = st.one_of(
-    st.none(),
-    st.builds(
-        ExplorationLimits,
-        max_nodes=st.integers(1, 40),
-        max_edges=st.integers(1, 80),
-        token_cap=st.integers(1, 3),
-    ),
-)
 products = st.one_of(
     st.builds(
         product_for_trace,
@@ -89,12 +80,24 @@ products = st.one_of(
 )
 
 
+@st.composite
+def limited_products(draw):
+    """A product and its limits: the default limits and cap, or budgets
+    under a token cap of 1 to 3."""
+    sp = draw(products)
+    if draw(st.booleans()):
+        return sp, None
+    lim = ExplorationLimits(max_nodes=draw(st.integers(1, 40)), max_edges=draw(st.integers(1, 80)))
+    return dataclasses.replace(sp, token_cap=draw(st.integers(1, 3))), lim
+
+
 def test_build_matches_reference_bfs():
     seen = Counter()
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(products, limits)
-    def check(sp, lim):
+    @given(limited_products())
+    def check(case):
+        sp, lim = case
         try:
             ref = reference_reachability_graph(sp, lim)
         except InvalidLimitsError:
@@ -127,14 +130,15 @@ def test_space_successors_equal_product_firing():
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(products, st.integers(1, 3))
     def check(sp, cap):
+        sp = dataclasses.replace(sp, token_cap=cap)
         assert incidence_rows(sp) == [list(row) for row in incidence_matrices(sp.net).incidence]
         seen["empty_traces"] += not sp.trace_labels
         if any(v > cap for v in sp.initial_marking):
             with pytest.raises(InvalidLimitsError):
-                ProductSpace(sp, cap)
+                ProductSpace(sp)
             seen["over_cap"] += 1
             return
-        space = ProductSpace(sp, cap)
+        space = ProductSpace(sp)
         keys, found = [0], {0}
         for key in keys:
             marking = space.marking(key)
@@ -170,14 +174,14 @@ def test_astar_cost_equals_the_reference_graph_oracle():
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(products, st.integers(1, 3), st.sampled_from(Heuristic))
     def check(sp, cap, heuristic):
-        limits = ExplorationLimits(token_cap=cap)
+        sp = dataclasses.replace(sp, token_cap=cap)
         try:
-            ref = reference_reachability_graph(sp, limits)
+            ref = reference_reachability_graph(sp)
         except InvalidLimitsError:
             return
         if ref.stats.truncated:
             return
-        alignment, stats = astar_align(sp, SearchConfig(heuristic=heuristic, token_cap=cap))
+        alignment, stats = astar_align(sp, SearchConfig(heuristic=heuristic))
         if ref.final_index is None:
             assert alignment is None and stats.outcome is SearchOutcome.EXHAUSTED
             seen["unreachable"] += 1
@@ -217,9 +221,18 @@ def test_an_exceeded_limit_is_answered_without_walking():
     assert memo.reached(153) is not None and memo.reachable == 153
 
 
+@pytest.mark.parametrize("initial", [{"p0": 1}, {}], ids=["one token", "empty"])
+def test_a_cap_below_1_is_refused_by_every_engine(initial):
+    net = PetriNet.build(["p0", "p1"], ["t"], [("p0", "t"), ("t", "p1")], {"t": "a"}, initial, {"p1": 1})
+    sp = product_for_trace(net, Trace("z", ("a",)), token_cap=0)
+    for engine in (lp_align, astar_align, build_reachability_graph):
+        with pytest.raises(InvalidLimitsError, match="token_cap must be >= 1"):
+            engine(sp)
+
+
 def graph_of(net, acts, cap):
-    sp = product_for_trace(net, Trace("g", acts))
-    rg = build_reachability_graph(sp, ExplorationLimits(token_cap=cap))
+    sp = product_for_trace(net, Trace("g", acts), token_cap=cap)
+    rg = build_reachability_graph(sp)
     return rg.nodes, tuple(rg.edges), rg.final_index, rg.stats
 
 

@@ -193,14 +193,26 @@ def test_product_debug_pnml_round_trips_structure(toy_product):
     assert len(net.transitions) == len(toy_product.moves)
 
 
-def test_only_sync_product_reads_the_move_layout():
-    """The canonical move order is written once, in ``ProductSpace.out``:
-    no other module reads the synchronous move table or the move offsets."""
-    names = {"sync_moves_at", "_move_offsets"}
+def modules_naming(names: set[str]) -> set[str]:
+    """The package modules that name any of ``names``: as a variable,
+    attribute, import, definition, parameter or keyword argument."""
     readers = set()
     for path in Path(flowalign.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
-            if name in names:
+            fields = ("attr", "id", "name", "arg")
+            if any(getattr(node, field, None) in names for field in fields):
                 readers.add(path.name)
-    assert readers == {"sync_product.py"}
+    return readers
+
+
+def test_only_sync_product_reads_the_move_layout():
+    """The canonical move order is written once, in ``ProductSpace.out``:
+    no other module reads the synchronous move table or the move offsets."""
+    assert modules_naming({"sync_moves_at", "_move_offsets"}) == {"sync_product.py"}
+
+
+def test_engines_read_the_token_cap_only_through_the_product():
+    """The cap is ``SynchronousProduct.token_cap``, which ``ProductSpace``
+    reads: no engine names the cap or the model's successor memo."""
+    engines = {"astar.py", "flow.py", "reachability.py"}
+    assert not engines & modules_naming({"token_cap", "successor_memo"})
