@@ -4,16 +4,16 @@ One record per (trace, model) instance, filled from the engines'
 :class:`~flowalign.flow.RunStats`.  All columns except ``lp_win`` and the
 four trailing ``*_us`` timing columns are deterministic given inputs and
 config, so CSV output diffs cleanly against goldens.  ``lp_win`` compares
-one wall-clock sample per engine.  Parallel runs fan out per instance and
-re-sort results to input order before writing, producing the same file as
-a serial run (timing columns and ``lp_win`` aside).
+one wall-clock sample per engine.  Parallel runs give each worker process
+the net once and map the traces to the workers in chunks; the results come
+back in input order, so the file is the same as a serial run's (timing
+columns and ``lp_win`` aside).
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -182,19 +182,34 @@ def run_instance(
     return rec
 
 
-def _instance_task(args):
-    idx, net, trace, cfg, model_id, fitness = args
+def _instance_task(
+    net: PetriNet, trace: Trace, cfg: RunConfig, model_id: str, fitness: float
+) -> BenchmarkRecord:
     try:
-        return idx, run_instance(net, trace, cfg, model_id, fitness)
+        return run_instance(net, trace, cfg, model_id, fitness)
     except Exception as exc:  # single-instance failures never abort a run
-        rec = BenchmarkRecord(
+        return BenchmarkRecord(
             case_id=trace.case_id,
             model_id=model_id,
             trace_length=len(trace.activities),
             astar_outcome=f"error: {exc}",
             lp_outcome=f"error: {exc}",
         )
-        return idx, rec
+
+
+# A pool worker's (net, cfg, model_id, fitness), set once by its initializer,
+# so that the net's memo and relaxation persist across the worker's traces.
+_worker_run: tuple = ()
+
+
+def _init_worker(net: PetriNet, cfg: RunConfig, model_id: str, fitness: float) -> None:
+    global _worker_run
+    _worker_run = (net, cfg, model_id, fitness)
+
+
+def _worker_task(trace: Trace) -> BenchmarkRecord:
+    net, cfg, model_id, fitness = _worker_run
+    return _instance_task(net, trace, cfg, model_id, fitness)
 
 
 def run_conformance(
@@ -204,17 +219,17 @@ def run_conformance(
     raises :class:`InvalidLimitsError` before any trace runs."""
     successor_memo(net, cfg.token_cap)
     fitness = token_replay_fitness(net, event_log) if cfg.method == "hybrid" else 1.0
-    tasks = [
-        (i, net, trace, cfg, model_id, fitness)
-        for i, trace in enumerate(event_log.traces)
-    ]
-    if cfg.parallel == 1 or len(tasks) <= 1:
-        results = [_instance_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.parallel) as pool:
-            results = list(pool.map(_instance_task, tasks))
-    results.sort(key=lambda pair: pair[0])
-    return [rec for _, rec in results]
+    traces = event_log.traces
+    if cfg.parallel == 1 or len(traces) <= 1:
+        return [_instance_task(net, trace, cfg, model_id, fitness) for trace in traces]
+    # Imported here: a serial run never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunksize = max(1, len(traces) // (4 * cfg.parallel))
+    with ProcessPoolExecutor(
+        max_workers=cfg.parallel, initializer=_init_worker, initargs=(net, cfg, model_id, fitness)
+    ) as pool:
+        return list(pool.map(_worker_task, traces, chunksize=chunksize))
 
 
 @dataclass

@@ -4,7 +4,8 @@ Supported subsets: plain place/transition PNML (single page, no
 hierarchy; unsupported elements are ignored with a warning) and XES
 control flow (the ``concept:name`` string attribute of traces and
 events; everything else is skipped).  ``.gz`` inputs are decompressed
-transparently.
+transparently.  XES and CSV logs are read as a stream, one trace or row
+at a time, and XES is written one trace at a time.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import logging
 import random
 import xml.etree.ElementTree as ET
 import zlib
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterator
 
 from .errors import InvalidSpecError, ModelParseError, SemanticError
 from .petri import TAU, PetriNet, Trace
@@ -26,6 +28,7 @@ from .petri import TAU, PetriNet, Trace
 log = logging.getLogger(__name__)
 
 PNML_NS = "http://www.pnml.org/version-2009/grammar/pnml"
+GZIP_MAGIC = b"\x1f\x8b"
 
 
 @dataclass(frozen=True)
@@ -61,24 +64,6 @@ class NoiseSpec:
                 raise InvalidSpecError(f"{name} must be in [0, 1], got {v}")
 
 
-def _read_bytes(source: bytes | str | Path | IO[bytes]) -> bytes:
-    if isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    elif isinstance(source, (str, Path)):
-        try:
-            data = Path(source).read_bytes()
-        except OSError as exc:
-            raise ModelParseError(f"cannot read {source}: {exc}") from exc
-    else:
-        data = source.read()
-    if data[:2] == b"\x1f\x8b":
-        try:
-            data = gzip.decompress(data)
-        except (OSError, EOFError, zlib.error) as exc:
-            raise ModelParseError(f"corrupt gzip data: {exc}") from exc
-    return data
-
-
 def _count(text: str, what: str) -> int:
     """An integer cell: a token count or an arc weight."""
     try:
@@ -87,9 +72,36 @@ def _count(text: str, what: str) -> int:
         raise ModelParseError(f"{what} must be an integer, got {text!r}") from None
 
 
-def _parse_xml(data: bytes, what: str) -> ET.Element:
+@contextmanager
+def _input_stream(source: bytes | str | Path | IO[bytes]) -> Iterator[IO[bytes]]:
+    """``source`` as a binary stream, gunzipped when it starts with the gzip
+    magic.  A path is opened here and closed on exit; bytes, and a file
+    object that cannot ``peek``, are read from memory.  A read or gzip
+    error inside the block becomes :class:`ModelParseError`."""
+    with ExitStack() as stack:
+        if isinstance(source, (str, Path)):
+            try:
+                source = stack.enter_context(open(source, "rb"))
+            except OSError as exc:
+                raise ModelParseError(f"cannot read {source}: {exc}") from exc
+        if hasattr(source, "peek"):
+            stream, head = source, source.peek(2)[:2]
+        else:
+            data = source if isinstance(source, (bytes, bytearray)) else source.read()
+            stream, head = io.BytesIO(data), data[:2]
+        if head == GZIP_MAGIC:
+            stream = gzip.GzipFile(fileobj=stream)
+        try:
+            yield stream
+        except (OSError, EOFError, zlib.error) as exc:
+            raise ModelParseError(f"unreadable input: {exc}") from exc
+
+
+@contextmanager
+def _xml_errors(what: str) -> Iterator[None]:
+    """Parser errors inside the block become :class:`ModelParseError`."""
     try:
-        return ET.fromstring(data)
+        yield
     except ET.ParseError as exc:
         line, col = exc.position
         raise ModelParseError(f"malformed {what} XML at line {line}, column {col}: {exc.msg}") from exc
@@ -141,7 +153,8 @@ def parse_pnml(source: bytes | str | Path | IO[bytes]) -> PetriNet:
     ``finalmarkings`` section when present and is otherwise inferred as
     one token in each sink place.
     """
-    root = _parse_xml(_read_bytes(source), "PNML")
+    with _input_stream(source) as stream, _xml_errors("PNML"):
+        root = ET.fromstring(stream.read())
     net_elem = None
     for elem in root.iter():
         if _local(elem.tag) == "net":
@@ -261,95 +274,120 @@ def serialize_pnml(net: PetriNet, net_id: str = "net1") -> bytes:
 def parse_xes(source: bytes | str | Path | IO[bytes], source_name: str = "") -> EventLog:
     """Read an event log from XES.
 
-    One :class:`Trace` per ``<trace>``, in file order; the activity is the
-    event's ``concept:name`` string attribute.  Events lacking it are
-    skipped and counted in ``EventLog.skipped_events``.  A document whose
-    root is not ``<log>`` raises :class:`ModelParseError`.
+    One :class:`Trace` per ``<trace>``, in the order the traces close (file
+    order; a nested trace comes before the trace that holds it); the
+    activity is the event's ``concept:name`` string attribute.  Events
+    lacking it are skipped and counted in ``EventLog.skipped_events``.  A
+    document whose root is not ``<log>`` raises :class:`ModelParseError`.
+    Each trace's elements are freed once it is read, so the parse holds
+    one trace's tree at a time.
     """
     if not source_name and isinstance(source, (str, Path)):
         source_name = str(source)
-    root = _parse_xml(_read_bytes(source), "XES")
+    traces: list[Trace] = []
+    names: dict[str, str] = {}  # one str per distinct activity
+    skipped = 0
+    with _input_stream(source) as stream, _xml_errors("XES"):
+        events = ET.iterparse(stream, events=("end",))
+        for _, trace_el in events:
+            if _local(trace_el.tag) != "trace":
+                continue
+            case_id = None
+            activities: list[str] = []
+            for child in trace_el:
+                tag = _local(child.tag)
+                if tag == "string" and child.get("key") == "concept:name":
+                    case_id = child.get("value")
+                elif tag == "event":
+                    name = None
+                    for attr in child:
+                        if _local(attr.tag) == "string" and attr.get("key") == "concept:name":
+                            name = attr.get("value")
+                            break
+                    if name is None:
+                        skipped += 1
+                    else:
+                        activities.append(names.setdefault(name, name))
+            traces.append(Trace(case_id if case_id is not None else f"case-{len(traces)}", tuple(activities)))
+            trace_el.clear()
+        root = events.root
     if _local(root.tag) != "log":
         raise ModelParseError(f"XES root element is <{_local(root.tag)}>, not <log>")
-    traces: list[Trace] = []
-    skipped = 0
-    index = 0
-    for trace_el in root.iter():
-        if _local(trace_el.tag) != "trace":
-            continue
-        case_id = None
-        activities: list[str] = []
-        for child in trace_el:
-            tag = _local(child.tag)
-            if tag == "string" and child.get("key") == "concept:name":
-                case_id = child.get("value")
-            elif tag == "event":
-                name = None
-                for attr in child:
-                    if _local(attr.tag) == "string" and attr.get("key") == "concept:name":
-                        name = attr.get("value")
-                        break
-                if name is None:
-                    skipped += 1
-                else:
-                    activities.append(name)
-        traces.append(Trace(case_id if case_id is not None else f"case-{index}", tuple(activities)))
-        index += 1
     if skipped:
         log.warning("skipped %d events without concept:name", skipped)
     return EventLog(tuple(traces), source_name=source_name, skipped_events=skipped)
 
 
+_ATTRIB_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+)
+
+
+def _name_attr(value: str) -> str:
+    """A ``concept:name`` string attribute, escaped as ElementTree escapes it."""
+    return f'<string key="concept:name" value="{value.translate(_ATTRIB_ESCAPES)}" />'
+
+
 def serialize_xes(event_log: EventLog) -> bytes:
-    """Write the supported XES subset; inverse of :func:`parse_xes`."""
-    root = ET.Element("log", attrib={"xes.version": "1.0"})
-    for trace in event_log.traces:
-        tr = ET.SubElement(root, "trace")
-        ET.SubElement(tr, "string", key="concept:name", value=trace.case_id)
-        for act in trace.activities:
-            ev = ET.SubElement(tr, "event")
-            ET.SubElement(ev, "string", key="concept:name", value=act)
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+    """Write the supported XES subset; inverse of :func:`parse_xes`.
+
+    The document is written as text, one trace at a time, and is byte for
+    byte what ElementTree's ``tostring`` writes for the same tree.
+    """
+    if not event_log.traces:
+        parts = ['<log xes.version="1.0" />']
+    else:
+        parts = ['<log xes.version="1.0">']
+        events: dict[str, str] = {}  # one event element per distinct activity
+        for trace in event_log.traces:
+            parts.append("<trace>" + _name_attr(trace.case_id))
+            for act in trace.activities:
+                event = events.get(act)
+                if event is None:
+                    event = events[act] = f"<event>{_name_attr(act)}</event>"
+                parts.append(event)
+            parts.append("</trace>")
+        parts.append("</log>")
+    text = "<?xml version='1.0' encoding='utf-8'?>\n" + "".join(parts)
+    return text.encode("utf-8", "xmlcharrefreplace")
 
 
 def read_csv_log(source: bytes | str | Path | IO[bytes], source_name: str = "") -> EventLog:
-    """Read a flat log with columns ``case_id,activity,order``.
+    """Read a flat log with columns ``case_id,activity,order``, one row at a time.
 
     Traces appear in order of first appearance of their case id; events
     within a case are sorted by the numeric ``order`` column.
     """
     if not source_name and isinstance(source, (str, Path)):
         source_name = str(source)
-    try:
-        text = _read_bytes(source).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ModelParseError(f"CSV log is not valid UTF-8: {exc}") from exc
-    reader = csv.DictReader(io.StringIO(text))
-    try:
-        fieldnames = reader.fieldnames
-        rows = list(reader)
-    except csv.Error as exc:
-        raise ModelParseError(f"malformed CSV log: {exc}") from exc
     required = {"case_id", "activity", "order"}
-    if fieldnames is None or not required.issubset(fieldnames):
-        raise ModelParseError(f"CSV log must have columns {sorted(required)}, got {fieldnames}")
     by_case: dict[str, list[tuple[int, str]]] = {}
-    order_of_cases: list[str] = []
-    for n, row in enumerate(rows, 1):
-        cid, activity, order = row["case_id"], row["activity"], row["order"]
-        if None in (cid, activity, order):
-            raise ModelParseError(f"CSV record {n} lacks a cell")
+    names: dict[str, str] = {}  # one str per distinct activity
+    with _input_stream(source) as stream:
+        text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
         try:
-            pos = int(order)
-        except ValueError as exc:
-            raise ModelParseError(f"non-integer order value {order!r}") from exc
-        if cid not in by_case:
-            by_case[cid] = []
-            order_of_cases.append(cid)
-        by_case[cid].append((pos, activity))
+            reader = csv.DictReader(text)
+            fieldnames = reader.fieldnames
+            if fieldnames is None or not required.issubset(fieldnames):
+                raise ModelParseError(f"CSV log must have columns {sorted(required)}, got {fieldnames}")
+            for n, row in enumerate(reader, 1):
+                cid, activity, order = row["case_id"], row["activity"], row["order"]
+                if None in (cid, activity, order):
+                    raise ModelParseError(f"CSV record {n} lacks a cell")
+                try:
+                    pos = int(order)
+                except ValueError as exc:
+                    raise ModelParseError(f"non-integer order value {order!r}") from exc
+                by_case.setdefault(cid, []).append((pos, names.setdefault(activity, activity)))
+        except UnicodeDecodeError as exc:
+            raise ModelParseError(f"CSV log is not valid UTF-8: {exc}") from exc
+        except csv.Error as exc:
+            raise ModelParseError(f"malformed CSV log: {exc}") from exc
+        finally:
+            text.detach()  # the caller's file object stays open
     traces = tuple(
-        Trace(cid, tuple(act for _, act in sorted(by_case[cid], key=lambda x: x[0])))
-        for cid in order_of_cases
+        Trace(cid, tuple(act for _, act in sorted(events, key=lambda x: x[0])))
+        for cid, events in by_case.items()
     )
     return EventLog(traces, source_name=source_name)
 

@@ -9,7 +9,8 @@ one column per move), total
 unimodularity by enumerating every square minor, a column-by-column check
 of a row-class certificate, determinants by exact ``Fraction``
 elimination, and sparse triplets written out as dense rows.  Also the
-text and PNML dumps that fixtures diff against.
+text and PNML dumps that fixtures diff against, and an XES writer that
+builds the whole ElementTree.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 from flowalign.bench import write_csv
 from flowalign.errors import InvalidLimitsError
 from flowalign.flow import FlowProblem, _det_int
-from flowalign.model_io import serialize_pnml
+from flowalign.model_io import EventLog, serialize_pnml
 from flowalign.petri import Marking, firing_data, successors
 from flowalign.reachability import (
     ExplorationLimits,
@@ -267,6 +268,18 @@ def records_to_csv_text(records: list) -> str:
     buf = io.StringIO()
     write_csv(records, buf)
     return buf.getvalue()
+
+
+def etree_xes(event_log: EventLog) -> bytes:
+    """The log as XES, written by building the whole tree with ElementTree."""
+    root = ET.Element("log", attrib={"xes.version": "1.0"})
+    for trace in event_log.traces:
+        tr = ET.SubElement(root, "trace")
+        ET.SubElement(tr, "string", key="concept:name", value=trace.case_id)
+        for act in trace.activities:
+            ev = ET.SubElement(tr, "event")
+            ET.SubElement(ev, "string", key="concept:name", value=act)
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
 
 
 def product_to_pnml(sp: SynchronousProduct) -> bytes:

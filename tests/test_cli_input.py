@@ -1,5 +1,6 @@
 """Malformed input reaches the CLI as exit code 2, never as a traceback."""
 
+import gzip
 import tempfile
 from pathlib import Path
 
@@ -16,6 +17,7 @@ VALID_PNML = serialize_pnml(make_fig_acyclic())
 VALID_XES = serialize_xes(
     EventLog((Trace("c1", ("a", "b", "c", "e")), Trace("c2", ("a", "d", "x", "e"))))
 )
+GZIP_XES = gzip.compress(VALID_XES)
 VALID_CSV = b"case_id,activity,order\nc1,a,1\nc1,b,2\nc1,e,3\nc2,a,1\nc2,d,2\nc2,e,3\n"
 EXIT_CODES = {0, 2, 3, 4, 5}
 BOUNDS = ["--timeout-ms", "2000", "--max-nodes", "20000"]
@@ -54,6 +56,12 @@ MALFORMED = {
     "csv-carriage-return-in-field": (VALID_PNML, (".csv", b"c\rse_id,activity,order\n")),
     "xes-that-is-a-pnml": (VALID_PNML, (".xes", VALID_PNML)),
     "xes-root-not-log": (VALID_PNML, (".xes", b"<foo/>")),
+    # the gzip stream fails while the log is being parsed
+    "xes-gzip-corrupt": (  # a wrong CRC-32, found once the whole log is read
+        VALID_PNML,
+        (".xes.gz", GZIP_XES[:-8] + bytes(b ^ 0xFF for b in GZIP_XES[-8:-4]) + GZIP_XES[-4:]),
+    ),
+    "xes-gzip-truncated": (VALID_PNML, (".xes.gz", GZIP_XES[: len(GZIP_XES) // 2])),
 }
 
 

@@ -1,12 +1,13 @@
 import gzip
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowalign.errors import InvalidSpecError, ModelParseError, SemanticError
-from flowalign.generator import block_to_net, random_block
+from flowalign.generator import block_to_net, parse_block_spec, playout, random_block
 from flowalign.model_io import (
     EventLog,
     NoiseSpec,
@@ -18,6 +19,7 @@ from flowalign.model_io import (
     serialize_xes,
 )
 from flowalign.petri import TAU, Trace
+from oracles import etree_xes
 
 SMALL_PNML = b"""<?xml version="1.0"?>
 <pnml xmlns="http://www.pnml.org/version-2009/grammar/pnml">
@@ -156,6 +158,113 @@ class TestParseXes:
         back = parse_xes(serialize_xes(log))
         assert back.traces == log.traces
 
+    def test_nested_trace_comes_before_its_holder(self):
+        # Traces are read as they close; the outer trace keeps only its own events.
+        data = b"""<log>
+          <trace><string key="concept:name" value="outer"/>
+            <event><string key="concept:name" value="a"/></event>
+            <trace><string key="concept:name" value="inner"/>
+              <event><string key="concept:name" value="b"/></event>
+            </trace>
+          </trace>
+        </log>"""
+        assert parse_xes(data).traces == (Trace("inner", ("b",)), Trace("outer", ("a",)))
+
+    def test_one_string_per_activity(self):
+        log = parse_xes(serialize_xes(EventLog((Trace("x", ("step a",)), Trace("y", ("step a",))))))
+        assert log.traces[0].activities[0] is log.traces[1].activities[0]
+
+
+LOG = EventLog((Trace("c1", ("a", "b", "e")), Trace("c2", ("a", "x", "e"))))
+
+
+class TestLogSources:
+    """Every kind of source reads the same log."""
+
+    def test_xes_gzip_bytes(self):
+        assert parse_xes(gzip.compress(serialize_xes(LOG))).traces == LOG.traces
+
+    def test_xes_path(self, tmp_path):
+        path = tmp_path / "log.xes"
+        path.write_bytes(serialize_xes(LOG))
+        back = parse_xes(path)
+        assert back.traces == LOG.traces and back.source_name == str(path)
+
+    def test_xes_gzip_path(self, tmp_path):
+        path = tmp_path / "log.xes.gz"
+        path.write_bytes(gzip.compress(serialize_xes(LOG)))
+        assert parse_xes(path).traces == LOG.traces
+
+    def test_xes_open_file_stays_open(self, tmp_path):
+        path = tmp_path / "log.xes"
+        path.write_bytes(serialize_xes(LOG))
+        with open(path, "rb") as fh:
+            assert parse_xes(fh).traces == LOG.traces
+            assert not fh.closed
+
+    def test_csv_gzip_path(self, tmp_path):
+        path = tmp_path / "log.csv.gz"
+        rows = b"case_id,activity,order\nc1,a,1\nc2,a,1\nc1,e,3\nc2,x,2\nc1,b,2\nc2,e,3\n"
+        path.write_bytes(gzip.compress(rows))
+        assert read_csv_log(path).traces == LOG.traces
+
+
+# XML-special characters, control characters the writer escapes, a quote it
+# does not, non-ASCII text, and a lone surrogate (written as a character
+# reference, which no XML parser accepts).
+XES_TEXT = st.one_of(
+    st.text(st.sampled_from(["&", "<", ">", '"', "'", "\r", "\n", "\t", "a", " ", "é", "€", "\U0001f600", "\ud800"])),
+    st.text(),
+)
+
+
+def _xml_chars(text: str) -> bool:
+    return all(
+        c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
+        for c in text
+    )
+
+
+@given(st.lists(st.tuples(XES_TEXT, st.lists(XES_TEXT, max_size=4)), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_xes_writer_matches_elementtree(cases):
+    log = EventLog(tuple(Trace(cid, tuple(acts)) for cid, acts in cases))
+    data = serialize_xes(log)
+    assert data == etree_xes(log)
+    if all(_xml_chars(cid) and all(map(_xml_chars, acts)) for cid, acts in cases):
+        assert parse_xes(data).traces == log.traces
+
+
+LOOP_BLOCK = parse_block_spec("seq(a, xor(b, seq(c, d)), loop(e, f))")
+RNG = random.Random(7)
+PLAYOUTS = [playout(LOOP_BLOCK, RNG) for _ in range(50)]
+# Transient memory (peak minus the parsed log) of a parse.  A whole-tree
+# parse holds about 3.5 KB per case of these logs (14 MB at 4,000 cases).
+# The stream holds one trace's tree, the parser's buffers, and one emptied
+# <trace> element per case (about 80 bytes), which the root keeps until
+# the parse ends: 0.27 MB at 1,000 cases, 0.51 MB at 4,000.
+TRANSIENT_BOUND = 1 << 20
+SHELL_BYTES_PER_CASE = 160
+
+
+def test_parse_holds_bounded_memory(tmp_path):
+    transient = {}
+    for cases in (1_000, 4_000):
+        path = tmp_path / f"log-{cases}.xes"
+        path.write_bytes(serialize_xes(EventLog(tuple(
+            Trace(f"case-{k}", PLAYOUTS[k % len(PLAYOUTS)]) for k in range(cases)
+        ))))
+        tracemalloc.start()
+        try:
+            log = parse_xes(path)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(log) == cases
+        transient[cases] = peak - current
+    assert max(transient.values()) < TRANSIENT_BOUND, transient
+    assert transient[4_000] - transient[1_000] < 3_000 * SHELL_BYTES_PER_CASE, transient
+
 
 class TestCsvLog:
     def test_basic(self, tmp_path):
@@ -173,6 +282,15 @@ class TestCsvLog:
         path.write_text("case,act\nc,a\n")
         with pytest.raises(ModelParseError, match="columns"):
             read_csv_log(path)
+
+    def test_invalid_utf8_after_the_first_rows(self):
+        rows = b"case_id,activity,order\n" + b"c1,a,1\n" * 10_000 + b"c1,\xff,2\n"
+        with pytest.raises(ModelParseError, match="UTF-8"):
+            read_csv_log(rows)
+
+    def test_one_string_per_activity(self):
+        log = read_csv_log(b"case_id,activity,order\nc1,step a,1\nc2,step a,1\n")
+        assert log.traces[0].activities[0] is log.traces[1].activities[0]
 
 
 class TestInjectNoise:
