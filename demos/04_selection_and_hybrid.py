@@ -15,6 +15,7 @@ from flowalign import (
     select_method,
     token_replay_fitness,
 )
+from flowalign.bench import RunConfig
 from flowalign.generator import (
     alphabet_of,
     apply_random_edits,
@@ -36,7 +37,7 @@ for i in range(40):
 log = EventLog(tuple(traces))
 
 fitness = token_replay_fitness(net, log)
-print(f"token-replay fitness of the log: {fitness:.4f}\n")
+print(f"token-replay fitness of the log: {float(fitness):.4f} (exactly {fitness})\n")
 
 print("selection corners:")
 for length, f in ((10, 0.5), (100, 0.99), (30, 0.9), (60, 0.95)):
@@ -45,8 +46,9 @@ for length, f in ((10, 0.5), (100, 0.99), (30, 0.9), (60, 0.95)):
           f" -> {select_method(length, f).value}")
 
 print("\nhybrid runs (method picked per trace):")
+cfg = RunConfig(method="hybrid")
 for trace in traces[:8]:
-    result = hybrid_align(net, trace, fitness)
+    result = hybrid_align(net, trace, fitness, cfg)
     cost = result.alignment.total_cost if result.alignment else "-"
     print(
         f"  {trace.case_id}: L={len(trace.activities):3d} "

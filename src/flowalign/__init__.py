@@ -11,7 +11,6 @@ picks between them per trace.
 from .astar import (
     Heuristic,
     SearchConfig,
-    SearchOutcome,
     astar_align,
     marking_equation_heuristic,
 )
@@ -32,8 +31,8 @@ from .flow import (
     FlowSolution,
     Method,
     MilpMatrices,
+    Outcome,
     RunStats,
-    SolveStatus,
     TuWitness,
     alignment_to_dict,
     assemble_flow_problem,
@@ -76,7 +75,7 @@ from .reachability import (
     node_arc_incidence,
 )
 from .selector import (
-    HybridResult,
+    RunResult,
     SelectionThresholds,
     hybrid_align,
     select_method,

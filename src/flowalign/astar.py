@@ -58,8 +58,9 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .flow import Alignment, Method, RunStats
+from .flow import Alignment, Method, Outcome, RunStats, unaligned_outcome
 from .petri import Marking
+from .reachability import ExplorationLimits
 from .simplex import BasisCache, integers, solve_min_eq
 from .sync_product import ProductSpace, SynchronousProduct, cost_vector, model_relaxation
 
@@ -67,12 +68,6 @@ from .sync_product import ProductSpace, SynchronousProduct, cost_vector, model_r
 class Heuristic(Enum):
     ZERO = "zero"
     MARKING_EQUATION = "marking_equation"
-
-
-class SearchOutcome(Enum):
-    OPTIMAL = "optimal"
-    TIMEOUT = "timeout"
-    EXHAUSTED = "exhausted"
 
 
 @dataclass(frozen=True)
@@ -186,16 +181,19 @@ def marking_equation_heuristic(sp: SynchronousProduct, m: Marking) -> Fraction |
 
 
 def astar_align(
-    sp: SynchronousProduct, cfg: SearchConfig = SearchConfig()
+    sp: SynchronousProduct, cfg: SearchConfig = SearchConfig(), limits: ExplorationLimits | None = None
 ) -> tuple[Alignment | None, RunStats]:
     """A* over product states; optimal when it completes.
 
-    TIMEOUT and EXHAUSTED (the queue emptied) are reported in the stats,
-    never raised.  It skips the self-loops and the moves over the token cap
-    that :meth:`~flowalign.sync_product.ProductSpace.out` lists, so both
-    methods search the same capped space.
+    A timeout is ``OVER_BUDGET``.  When the queue empties, the outcome is
+    :func:`~flowalign.flow.unaligned_outcome`'s under ``limits`` (``None``
+    means the default limits), whose walk of the model ``max_nodes``
+    bounds.  Outcomes are reported in the stats, never raised.  It skips
+    the self-loops and the moves over the token cap that
+    :meth:`~flowalign.sync_product.ProductSpace.out` lists, so both methods
+    search the same capped space.
     """
-    stats = RunStats(Method.ASTAR, SearchOutcome.EXHAUSTED)
+    stats = RunStats(Method.ASTAR, Outcome.OPTIMAL)
     t0 = time.perf_counter_ns()
     deadline = t0 + cfg.timeout * 1e9
     space = ProductSpace(sp)
@@ -217,18 +215,19 @@ def astar_align(
     def h(key: int) -> int | Fraction | float:
         return heuristic(key, parent.get(key)) if heuristic is not None else 0
 
-    def finish(outcome: SearchOutcome, alignment: Alignment | None = None):
+    def finish(outcome: Outcome | None, alignment: Alignment | None = None):
+        # outcome None: the search ran out of states without a timeout.
         if heuristic is not None:
             stats.heuristic_calls = heuristic.solves
             stats.heuristic_reuses = heuristic.reuses
             stats.heuristic_pivots = heuristic.tableaux.pivots
-        stats.outcome = outcome
+        stats.outcome = outcome or unaligned_outcome(space.memo, limits or ExplorationLimits())
         stats.solve_us = (time.perf_counter_ns() - t0) // 1000
         return alignment, stats
 
     h0 = h(start)
     if h0 == math.inf:
-        return finish(SearchOutcome.EXHAUSTED)
+        return finish(None)
 
     counter = itertools.count()
     best_g: dict[int, int] = {start: 0}
@@ -236,7 +235,7 @@ def astar_align(
     while heap:
         stats.queue_peak = max(stats.queue_peak, len(heap))
         if time.perf_counter_ns() > deadline:
-            return finish(SearchOutcome.TIMEOUT)
+            return finish(Outcome.OVER_BUDGET)
         f, neg_g, _, cur = heapq.heappop(heap)
         g = -neg_g
         if g > best_g.get(cur, math.inf):
@@ -248,7 +247,7 @@ def astar_align(
                 key, j = parent[key]
                 moves_seq.append(moves[j])
             moves_seq.reverse()
-            return finish(SearchOutcome.OPTIMAL, Alignment.from_moves(tuple(moves_seq), Method.ASTAR))
+            return finish(Outcome.OPTIMAL, Alignment.from_moves(tuple(moves_seq), Method.ASTAR))
         hc = h(cur)
         if hc == math.inf:
             continue  # dead end even in the relaxation
@@ -274,4 +273,4 @@ def astar_align(
             best_g[succ] = ng
             parent[succ] = (cur, j)
             heapq.heappush(heap, (ng + hs, -ng, next(counter), succ))
-    return finish(SearchOutcome.EXHAUSTED)
+    return finish(None)

@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .astar import Heuristic, SearchConfig, SearchOutcome, astar_align
+from .astar import Heuristic, SearchConfig, astar_align
 from .errors import InvalidInputError, InvalidLimitsError
-from .flow import Alignment, Method, RunStats, SolveStatus, lp_align
+from .flow import Alignment, Method, Outcome, RunStats, lp_align
 from .model_io import EventLog, parse_pnml, parse_xes, read_csv_log
 from .petri import PetriNet, Trace, successor_memo
 from .reachability import ExplorationLimits
-from .selector import SelectionThresholds, hybrid_align, token_replay_fitness
+from .selector import RunResult, SelectionThresholds, hybrid_align, token_replay_fitness
 from .sync_product import CostConfig, product_for_trace
 
 
@@ -138,52 +139,45 @@ def _record_run(
         rec.lp_total_time_us = total_us
 
 
+def run_engines(net: PetriNet, trace: Trace, cfg: RunConfig, fitness: Fraction) -> RunResult:
+    """Every engine run ``cfg.method`` makes on ``trace``, in order: ``hybrid``
+    is :func:`~flowalign.selector.hybrid_align` at log fitness ``fitness``,
+    and ``both`` runs A* and then the flow engine on one product."""
+    if cfg.method == "hybrid":
+        return hybrid_align(net, trace, fitness, cfg)
+    t0 = time.perf_counter_ns()
+    sp = product_for_trace(net, trace, cfg.cost, cfg.token_cap)
+    product_us = (time.perf_counter_ns() - t0) // 1000
+    runs = []
+    if cfg.method in ("astar", "both"):
+        runs.append(astar_align(sp, cfg.search_config(), cfg.limits))
+    if cfg.method in ("lp", "both"):
+        runs.append(lp_align(sp, cfg.limits))
+    return RunResult(runs, product_us)
+
+
 def run_instance(
     net: PetriNet,
     trace: Trace,
     cfg: RunConfig,
     model_id: str = "model",
-    fitness: float = 1.0,
+    fitness: Fraction = Fraction(1),
 ) -> BenchmarkRecord:
     """Align one trace against one model with the configured method(s)."""
     rec = BenchmarkRecord(case_id=trace.case_id, model_id=model_id, trace_length=len(trace.activities))
-
-    if cfg.method == "hybrid":
-        result = hybrid_align(
-            net,
-            trace,
-            fitness,
-            cfg.thresholds,
-            limits=cfg.limits,
-            search=cfg.search_config(),
-            cost=cfg.cost,
-            token_cap=cfg.token_cap,
-        )
+    result = run_engines(net, trace, cfg, fitness)
+    if result.method_chosen is not None:
         rec.method_chosen = result.method_chosen.value
-        if result.discarded is not None:
-            _record_run(rec, result.product_us, None, result.discarded)
-        _record_run(rec, result.product_us, result.alignment, result.stats)
-        return rec
-
-    t0 = time.perf_counter_ns()
-    sp = product_for_trace(net, trace, cfg.cost, cfg.token_cap)
-    product_us = (time.perf_counter_ns() - t0) // 1000
-    if cfg.method in ("astar", "both"):
-        _record_run(rec, product_us, *astar_align(sp, cfg.search_config()))
-    if cfg.method in ("lp", "both"):
-        _record_run(rec, product_us, *lp_align(sp, cfg.limits))
-
-    if (
-        rec.astar_outcome == SearchOutcome.OPTIMAL.value
-        and rec.lp_outcome == SolveStatus.OPTIMAL.value
-    ):
+    for alignment, stats in result.runs:
+        _record_run(rec, result.product_us, alignment, stats)
+    if rec.astar_outcome == rec.lp_outcome == Outcome.OPTIMAL.value:
         rec.costs_agree = rec.astar_cost == rec.lp_cost
         rec.lp_win = rec.lp_total_time_us < rec.astar_time_us
     return rec
 
 
 def _instance_task(
-    net: PetriNet, trace: Trace, cfg: RunConfig, model_id: str, fitness: float
+    net: PetriNet, trace: Trace, cfg: RunConfig, model_id: str, fitness: Fraction
 ) -> BenchmarkRecord:
     try:
         return run_instance(net, trace, cfg, model_id, fitness)
@@ -202,7 +196,7 @@ def _instance_task(
 _worker_run: tuple = ()
 
 
-def _init_worker(net: PetriNet, cfg: RunConfig, model_id: str, fitness: float) -> None:
+def _init_worker(net: PetriNet, cfg: RunConfig, model_id: str, fitness: Fraction) -> None:
     global _worker_run
     _worker_run = (net, cfg, model_id, fitness)
 
@@ -218,7 +212,7 @@ def run_conformance(
     """One record per trace, in log order.  A token cap that the memo refuses
     raises :class:`InvalidLimitsError` before any trace runs."""
     successor_memo(net, cfg.token_cap)
-    fitness = token_replay_fitness(net, event_log) if cfg.method == "hybrid" else 1.0
+    fitness = token_replay_fitness(net, event_log) if cfg.method == "hybrid" else Fraction(1)
     traces = event_log.traces
     if cfg.parallel == 1 or len(traces) <= 1:
         return [_instance_task(net, trace, cfg, model_id, fitness) for trace in traces]
@@ -232,13 +226,17 @@ def run_conformance(
         return list(pool.map(_worker_task, traces, chunksize=chunksize))
 
 
+UNSOLVED = (Outcome.INFEASIBLE, Outcome.CAPPED, Outcome.OVER_BUDGET)
+
+
 @dataclass
 class Summary:
     instances: int = 0
     both_optimal: int = 0
     agreement: int = 0
     lp_wins: int = 0
-    timeouts: int = 0
+    unsolved: Counter = field(default_factory=Counter)  # rows per outcome in UNSOLVED
+    fallbacks: int = 0  # hybrid rows whose flow run A* replaced
     mean_astar_us: float | None = None  # None when no row has that engine's time
     mean_lp_us: float | None = None
 
@@ -255,7 +253,8 @@ class Summary:
             f"lp win rate: {rate(self.lp_wins)}\n"
             f"mean astar time: {mean(self.mean_astar_us)}\n"
             f"mean lp time: {mean(self.mean_lp_us)}\n"
-            f"timeouts: {self.timeouts}\n"
+            + "".join(f"{o.value}: {self.unsolved[o]}\n" for o in UNSOLVED)
+            + f"fallbacks: {self.fallbacks}\n"
         )
 
 
@@ -271,16 +270,22 @@ def failed_records(records: list[BenchmarkRecord]) -> list[BenchmarkRecord]:
 
 
 def summarize(records: list[BenchmarkRecord]) -> Summary:
+    """Each row counts under the outcomes of the engines that produced it: a
+    fallback row under its A* run's, and once as a fallback."""
     s = Summary(instances=len(records))
     astar_times = [r.astar_time_us for r in records if r.astar_time_us is not None]
-    lp_times = [r.lp_total_time_us for r in records if r.lp_total_time_us is not None]
+    lp_times = []
     for r in records:
         if r.costs_agree is not None:
             s.both_optimal += 1
             s.agreement += 1 if r.costs_agree else 0
             s.lp_wins += 1 if r.lp_win else 0
-        if "timeout" in (r.astar_outcome or "") or "truncated" in (r.lp_outcome or ""):
-            s.timeouts += 1
+        fell_back = r.method_chosen == Method.LP.value and bool(r.astar_outcome)
+        s.fallbacks += fell_back
+        produced = {r.astar_outcome} if fell_back else {r.astar_outcome, r.lp_outcome}
+        s.unsolved.update(o for o in UNSOLVED if o.value in produced)
+        if r.lp_total_time_us is not None and not fell_back:
+            lp_times.append(r.lp_total_time_us)
     s.mean_astar_us = sum(astar_times) / len(astar_times) if astar_times else None
     s.mean_lp_us = sum(lp_times) / len(lp_times) if lp_times else None
     return s

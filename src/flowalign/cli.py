@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 parse error, 3 infeasible, 4 timeout or
-truncated exploration, 5 internal invariant violation.
+Exit codes: 0 success, 2 parse error, 3 infeasible (no alignment
+exists), 4 capped or over budget (the token cap pruned every way to the
+final marking, or a node, edge or time budget bound), 5 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .astar import Heuristic, SearchOutcome, astar_align
+from .astar import Heuristic
 from .bench import (
     RunConfig,
     bucket_report,
     failed_records,
     run_conformance,
     run_corpus,
+    run_engines,
     summarize,
     write_csv,
 )
@@ -29,19 +32,18 @@ from .errors import (
     InvalidInputError,
     ModelParseError,
 )
-from .flow import Method, RunStats, SolveStatus, alignment_to_dict, lp_align, move_table
+from .flow import Method, Outcome, RunStats, alignment_to_dict, move_table
 from .generator import alphabet_of, generate_corpus, parse_block_spec
 from .model_io import EventLog, NoiseSpec, parse_pnml, parse_xes, read_csv_log
 from .petri import Trace
 from .reachability import build_reachability_graph, check_tu_column_structure, node_arc_incidence
-from .selector import SelectionThresholds, hybrid_align, token_replay_fitness
+from .selector import SelectionThresholds, token_replay_fitness
 from .sync_product import CostConfig, MoveKind, product_for_trace
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_INFEASIBLE = 3
-EXIT_TIMEOUT = 4
 EXIT_INVARIANT = 5
+EXIT_CODES = {Outcome.OPTIMAL: EXIT_OK, Outcome.INFEASIBLE: 3, Outcome.CAPPED: 4, Outcome.OVER_BUDGET: 4}
 
 
 def _fraction(text: str) -> Fraction:
@@ -98,27 +100,6 @@ def _load_log(path: Path) -> EventLog:
     return parse_xes(path)
 
 
-def _engine_runs(cfg: RunConfig, net, trace: Trace):
-    """``(alignment, RunStats)`` of each engine ``cfg.method`` runs, in order."""
-    if cfg.method == "hybrid":
-        fitness = token_replay_fitness(net, EventLog((trace,)))
-        result = hybrid_align(net, trace, fitness, cfg.thresholds, limits=cfg.limits,
-                              search=cfg.search_config(), cost=cfg.cost, token_cap=cfg.token_cap)
-        print(f"hybrid chose {result.method_chosen.value} "
-              f"(L={result.selection_inputs[0]}, F={result.selection_inputs[1]:.3f}, "
-              f"expected deviations={result.selection_inputs[2]:.3f})"
-              + ("  [fell back to astar]" if result.fell_back_to_astar else ""))
-        if result.discarded is not None:
-            print(_engine_line(None, result.discarded))
-        yield result.alignment, result.stats
-        return
-    sp = product_for_trace(net, trace, cfg.cost, cfg.token_cap)
-    if cfg.method in ("astar", "both"):
-        yield astar_align(sp, cfg.search_config())
-    if cfg.method in ("lp", "both"):
-        yield lp_align(sp, cfg.limits)
-
-
 def _engine_line(alignment, stats: RunStats) -> str:
     if stats.method is Method.ASTAR:
         work = (f"expansions {stats.expansions}  solves {stats.heuristic_calls}  "
@@ -134,22 +115,25 @@ def cmd_align(args) -> int:
     cfg = _run_config(args, "hybrid")
     net = parse_pnml(args.model)
     trace = _parse_trace(args.trace)
+    fitness = token_replay_fitness(net, EventLog((trace,))) if cfg.method == "hybrid" else Fraction(1)
+    result = run_engines(net, trace, cfg, fitness)
+    if result.method_chosen is not None:
+        length, f, expected = result.selection_inputs
+        print(f"hybrid chose {result.method_chosen.value} "
+              f"(L={length}, F={float(f):.3f}, expected deviations={float(expected):.3f})"
+              + ("  [fell back to astar]" if result.fell_back_to_astar else ""))
 
-    alignments = {}
-    for alignment, stats in _engine_runs(cfg, net, trace):
-        if alignment is None:
+    for k, (alignment, stats) in enumerate(result.runs):
+        if alignment is None and not (k == 0 and result.fell_back_to_astar):
             print(f"{stats.method.value} outcome: {stats.outcome.value}")
-            timed_out = stats.outcome in (SearchOutcome.TIMEOUT, SolveStatus.TRUNCATED_GRAPH)
-            return EXIT_TIMEOUT if timed_out else EXIT_INFEASIBLE
+            return EXIT_CODES[stats.outcome]
         print(_engine_line(alignment, stats))
-        alignments[stats.method] = alignment
 
-    shown = alignments.get(Method.LP) or alignments[Method.ASTAR]
+    shown = result.alignment
     print()
     print(move_table(shown), end="")
     if cfg.method == "both":
-        astar_cost = alignments[Method.ASTAR].total_cost
-        lp_cost = alignments[Method.LP].total_cost
+        astar_cost, lp_cost = (alignment.total_cost for alignment, _ in result.runs)
         print(f"\nverdict: {'AGREE' if astar_cost == lp_cost else 'DISAGREE'}")
         if astar_cost != lp_cost:
             raise InternalInvariantError(

@@ -62,25 +62,27 @@ class Method(Enum):
     ASTAR = "astar"
 
 
-class SolveStatus(Enum):
+class Outcome(Enum):
+    """How an engine run ended, under either engine; the values are CSV cells."""
+
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    TRUNCATED_GRAPH = "truncated_graph"
+    INFEASIBLE = "infeasible"  # no way to the final marking exists
+    CAPPED = "capped"  # the token cap pruned every way to the final marking
+    OVER_BUDGET = "over_budget"  # a node, edge or time budget bound
 
 
 @dataclass
 class RunStats:
     """What one engine run did and how long it took, in integer µs.
 
-    ``outcome`` is a :class:`SolveStatus` for the flow engine and an
-    ``astar.SearchOutcome`` for A*.  ``solve_us`` is the search for A*, and
-    the flow engine's solve and walk, after ``rg_build_us`` of counting its
-    graph.  ``rg_nodes`` and ``rg_edges`` are the full graph's, also when a
-    budget refused it.  Counts the engine does not produce stay 0.
+    ``solve_us`` is the search for A*, and the flow engine's solve and
+    walk, after ``rg_build_us`` of counting its graph.  ``rg_nodes`` and
+    ``rg_edges`` are the full graph's, also when a budget refused it.
+    Counts the engine does not produce stay 0.
     """
 
     method: Method
-    outcome: Enum
+    outcome: Outcome
     rg_build_us: int = 0
     solve_us: int = 0
     rg_nodes: int = 0
@@ -136,7 +138,7 @@ class FlowSolution:
 
     path: tuple[int, ...]
     objective: Fraction | None
-    status: SolveStatus
+    status: Outcome
     num_edges: int
 
     @property
@@ -234,7 +236,7 @@ def solve_min_cost_unit_flow(fp: FlowProblem) -> FlowSolution:
         raise InvalidInputError("edge costs must be nonnegative")
     costs = [move_costs[m] for m in fp.moves]
     if fp.source == fp.sink:
-        return FlowSolution((), Fraction(0), SolveStatus.OPTIMAL, n_edges)
+        return FlowSolution((), Fraction(0), Outcome.OPTIMAL, n_edges)
 
     into: list[list[int]] = [[] for _ in range(n_nodes)]
     for e, h in enumerate(heads):
@@ -264,7 +266,7 @@ def solve_min_cost_unit_flow(fp: FlowProblem) -> FlowSolution:
                 step[t] = e
 
     if dist[fp.source] is None:
-        return FlowSolution((), None, SolveStatus.INFEASIBLE, n_edges)
+        return FlowSolution((), None, Outcome.INFEASIBLE, n_edges)
 
     # Following step[] from the source gives the lexicographically smallest
     # optimal path under edge index order.
@@ -277,7 +279,7 @@ def solve_min_cost_unit_flow(fp: FlowProblem) -> FlowSolution:
         cur = heads[step[cur]]
 
     _certify(fp, dist, chosen, tails, heads, costs)
-    return FlowSolution(tuple(chosen), Fraction(dist[fp.source], scale), SolveStatus.OPTIMAL, n_edges)
+    return FlowSolution(tuple(chosen), Fraction(dist[fp.source], scale), Outcome.OPTIMAL, n_edges)
 
 
 def _certify(fp, dist, chosen, tails, heads, costs) -> None:
@@ -297,7 +299,7 @@ def _certify(fp, dist, chosen, tails, heads, costs) -> None:
 
 def verify_integrality(sol: FlowSolution, tol: Fraction = Fraction(0)) -> bool:
     """True iff every flow value is within ``tol`` of 0 or 1."""
-    if sol.status is not SolveStatus.OPTIMAL:
+    if sol.status is not Outcome.OPTIMAL:
         raise InvalidInputError("verify_integrality expects an OPTIMAL solution")
     return all(abs(v) <= tol or abs(v - 1) <= tol for v in sol.x)
 
@@ -311,7 +313,7 @@ def extract_alignment(
     at most once and runs edge to edge from the initial to the final node,
     and its moves cost the objective.
     """
-    if sol.status is not SolveStatus.OPTIMAL:
+    if sol.status is not Outcome.OPTIMAL:
         raise InvalidInputError("extract_alignment expects an OPTIMAL solution")
     moves: list[SyncMove] = []
     left: set[int] = set()
@@ -354,10 +356,8 @@ class ModelGraph:
         self.into: list[list[tuple[int, int]]] = [[] for _ in reached]
         self.edges: tuple[list[int], list[int], list[int]] = ([], [], [])
         self.sync: dict[str, list[tuple[int, int]]] = {}
-        self.capped = False  # whether the token cap pruned a move
         for u, r in enumerate(reached):
             for j, s in memo.table[u] if r else ():
-                self.capped |= s < 0
                 if s >= 0 and net.labels[j] is not TAU:
                     self.sync.setdefault(net.labels[j], []).append((u, s))
                 if s >= 0 and s != u:
@@ -494,21 +494,30 @@ def _certify_layers(model: ModelGraph, trace: tuple[str, ...], layers: list[list
                 raise InternalInvariantError(f"distance label violated by event {pos}")
 
 
+def unaligned_outcome(memo: SuccessorMemo, limits: ExplorationLimits) -> Outcome:
+    """Why a product over ``memo``'s model and cap has no alignment: its
+    model alone has more than ``limits.max_nodes`` reachable markings, or
+    else the cap pruned a move from one of them (and so from the product,
+    which pairs each with every trace position), or else neither."""
+    if memo.reached(limits.max_nodes) is None:
+        return Outcome.OVER_BUDGET
+    return Outcome.CAPPED if memo.capped else Outcome.INFEASIBLE
+
+
 def lp_align(
     sp: SynchronousProduct, limits: ExplorationLimits | None = None
 ) -> tuple[Alignment | None, RunStats]:
     """Product -> counted reachability graph -> layered flow solve ->
     alignment.
 
-    Returns ``(None, stats)`` with ``TRUNCATED_GRAPH`` when the graph's
-    counts exceed a budget (then ``rg_nodes`` and ``rg_edges`` are those
-    counts, or 0 when the model alone exceeds ``max_nodes``) or the token
-    cap pruned every way to the final marking (a timeout-like outcome, not
-    a cost), and ``INFEASIBLE`` when the final is unreachable.  ``None``
-    means the default limits.
+    Returns ``(None, stats)`` with ``OVER_BUDGET`` when the graph's counts
+    exceed a budget (then ``rg_nodes`` and ``rg_edges`` are those counts,
+    or 0 when the model alone exceeds ``max_nodes``), and otherwise with
+    the outcome :func:`unaligned_outcome` gives when the final marking is
+    unreached.  ``None`` means the default limits.
     """
     limits = limits or ExplorationLimits()
-    stats = RunStats(Method.LP, SolveStatus.TRUNCATED_GRAPH)
+    stats = RunStats(Method.LP, Outcome.OVER_BUDGET)
     alignment = None
     t0 = time.perf_counter_ns()
     graph = layered_graph(sp, limits)
@@ -518,9 +527,9 @@ def lp_align(
         if graph.nodes <= limits.max_nodes and graph.edges <= limits.max_edges:
             alignment = solve_layered(graph)
             if alignment is not None:
-                stats.outcome = SolveStatus.OPTIMAL
-            elif not graph.model.capped:
-                stats.outcome = SolveStatus.INFEASIBLE
+                stats.outcome = Outcome.OPTIMAL
+            else:
+                stats.outcome = unaligned_outcome(graph.space.memo, limits)
     stats.rg_build_us = (t1 - t0) // 1000
     stats.solve_us = (time.perf_counter_ns() - t1) // 1000
     return alignment, stats

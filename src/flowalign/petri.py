@@ -278,6 +278,7 @@ class SuccessorMemo:
         self._reached: list[bool] | None = None
         self._exceeded = 0  # the largest limit that more markings were seen to exceed
         self.reachable = 0  # the count of reachable markings, once known
+        self.capped = False  # whether a reachable marking has a CAPPED successor, once known
         self.priced: dict = {}  # ``flow.ModelGraph`` per cost config
         for m in (net.initial_marking, net.final_marking):
             self._number(m)
@@ -308,9 +309,9 @@ class SuccessorMemo:
 
     def reached(self, limit: int) -> list[bool] | None:
         """Whether each id is reachable from the initial marking, with each
-        reachable marking expanded; None, with the expansion stopped, once
-        more than ``limit`` are reachable, which a later call under a limit
-        no larger answers without walking."""
+        reachable marking expanded and ``capped`` set; None, with the
+        expansion stopped, once more than ``limit`` are reachable, which a
+        later call under a limit no larger answers without walking."""
         if limit <= self._exceeded:
             return None
         if self._reached is None:
@@ -324,6 +325,7 @@ class SuccessorMemo:
                         seen.add(s)
                         order.append(s)
             self.reachable = len(order)
+            self.capped = any(s < 0 for i in order for _, s in self.table[i])
             self._reached = [i in seen for i in range(len(self.markings))]
         return self._reached if self.reachable <= limit else None
 

@@ -14,14 +14,17 @@ import logging
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .astar import SearchConfig, astar_align
+from .astar import astar_align
 from .errors import InvalidInputError
-from .flow import Alignment, Method, RunStats, SolveStatus, lp_align
+from .flow import Alignment, Method, Outcome, RunStats, lp_align
 from .model_io import EventLog
 from .petri import PetriNet, Trace, firing_data
-from .reachability import ExplorationLimits
-from .sync_product import CostConfig, product_for_trace
+from .sync_product import product_for_trace
+
+if TYPE_CHECKING:
+    from .bench import RunConfig
 
 log = logging.getLogger(__name__)
 
@@ -38,20 +41,34 @@ class SelectionThresholds:
 
 
 @dataclass
-class HybridResult:
-    alignment: Alignment | None
-    method_chosen: Method
-    selection_inputs: tuple[int, float, float]  # (L, F, expected deviations)
+class RunResult:
+    """Every engine run made on one trace, in order, as ``(alignment,
+    RunStats)`` pairs, after ``product_us`` of building the product.
+
+    Under ``hybrid`` it also holds the rule's choice and its exact inputs;
+    a flow run that went over budget is then followed by the A* run that
+    replaced it.  The last run is the one whose alignment is shown.
+    """
+
+    runs: list[tuple[Alignment | None, RunStats]]
     product_us: int
-    stats: RunStats  # of the engine that produced the outcome
-    discarded: RunStats | None = None  # the flow run whose graph was cut short
+    method_chosen: Method | None = None
+    selection_inputs: tuple[int, Fraction, Fraction] | None = None  # (L, F, expected deviations)
+
+    @property
+    def alignment(self) -> Alignment | None:
+        return self.runs[-1][0]
+
+    @property
+    def stats(self) -> RunStats:
+        return self.runs[-1][1]
 
     @property
     def fell_back_to_astar(self) -> bool:
-        return self.discarded is not None
+        return self.method_chosen is Method.LP and len(self.runs) == 2
 
 
-def token_replay_fitness(net: PetriNet, event_log: EventLog) -> float:
+def token_replay_fitness(net: PetriNet, event_log: EventLog) -> Fraction:
     """Token-based replay fitness of ``event_log`` against ``net``.
 
     Each trace is replayed from the initial marking: the first enabled
@@ -62,15 +79,16 @@ def token_replay_fitness(net: PetriNet, event_log: EventLog) -> float:
     remaining token.  At the end the final marking is consumed (deficits
     are missing) and leftovers are remaining.  Fitness is
     ``(1 - missing/consumed)/2 + (1 - remaining/produced)/2`` over the
-    whole log, clamped to [0, 1].  An empty log is vacuously fit (1.0).
+    whole log, clamped to [0, 1], as an exact ``Fraction``.  An empty log
+    is vacuously fit (1).
 
     Silent transitions are never fired to enable a label (no lookahead);
     absolute values are therefore tool-specific, but internally
     consistent and scale-free.
     """
     if not event_log.traces:
-        log.warning("token replay on an empty log: fitness defined as 1.0")
-        return 1.0
+        log.warning("token replay on an empty log: fitness defined as 1")
+        return Fraction(1)
     pre, post = firing_data(net)
     carriers: dict[str, list[int]] = {}
     for j, lbl in enumerate(net.labels):
@@ -118,7 +136,7 @@ def token_replay_fitness(net: PetriNet, event_log: EventLog) -> float:
     f_missing = half * (1 - Fraction(missing, consumed)) if consumed else half
     f_remaining = half * (1 - Fraction(remaining, produced)) if produced else half
     fitness = f_missing + f_remaining
-    return float(min(max(fitness, Fraction(0)), Fraction(1)))
+    return min(max(fitness, Fraction(0)), Fraction(1))
 
 
 def select_method(
@@ -136,43 +154,25 @@ def select_method(
     return Method.ASTAR
 
 
-def hybrid_align(
-    net: PetriNet,
-    trace: Trace,
-    fitness: float,
-    thresholds: SelectionThresholds = SelectionThresholds(),
-    limits: ExplorationLimits | None = None,
-    search: SearchConfig = SearchConfig(),
-    cost: CostConfig = CostConfig(),
-    token_cap: int = 8,
-) -> HybridResult:
-    """Run exactly the method the rule selects; fall back to A* when the
-    LP path cannot reach the final marking because the graph was cut
-    short by its limits.
+def hybrid_align(net: PetriNet, trace: Trace, fitness: Fraction, cfg: RunConfig) -> RunResult:
+    """Run exactly the method the rule selects under ``cfg``'s thresholds;
+    fall back to A* only when the flow engine went over a budget.
 
-    ``limits`` bound the flow path's graph; ``None`` means the default
-    limits.  Both engines search the product under ``token_cap``.
+    Both engines search the product under ``cfg``'s cost, token cap and
+    limits, so a capped or infeasible flow verdict is final: A* would
+    search the same capped space.
     """
     length = len(trace.activities)
-    method = select_method(length, fitness, thresholds)
-    expected = (1 - Fraction(fitness)) * length
+    fitness = Fraction(fitness)
+    method = select_method(length, fitness, cfg.thresholds)
 
     t0 = time.perf_counter_ns()
-    sp = product_for_trace(net, trace, cost, token_cap)
+    sp = product_for_trace(net, trace, cfg.cost, cfg.token_cap)
     product_us = (time.perf_counter_ns() - t0) // 1000
 
-    discarded = None
+    runs = []
     if method is Method.LP:
-        alignment, stats = lp_align(sp, limits)
-        if stats.outcome is SolveStatus.TRUNCATED_GRAPH:
-            discarded = stats
-    if method is Method.ASTAR or discarded is not None:
-        alignment, stats = astar_align(sp, search)
-    return HybridResult(
-        alignment=alignment,
-        method_chosen=method,
-        selection_inputs=(length, float(fitness), float(expected)),
-        product_us=product_us,
-        stats=stats,
-        discarded=discarded,
-    )
+        runs.append(lp_align(sp, cfg.limits))
+    if method is Method.ASTAR or runs[0][1].outcome is Outcome.OVER_BUDGET:
+        runs.append(astar_align(sp, cfg.search_config(), cfg.limits))
+    return RunResult(runs, product_us, method, (length, fitness, (1 - fitness) * length))

@@ -13,7 +13,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from flowalign.astar import SearchConfig, astar_align
-from flowalign.flow import Alignment, RunStats, SolveStatus, lp_align
+from flowalign.flow import Alignment, Outcome, RunStats, lp_align
 from flowalign.generator import (
     alphabet_of,
     apply_random_edits,
@@ -134,7 +134,7 @@ class Instance:
     sp: SynchronousProduct
     rg: ReachabilityGraph
     lp_alignment: Alignment | None
-    lp_status: SolveStatus
+    lp_status: Outcome
     astar_alignment: Alignment | None
     astar_stats: RunStats
 

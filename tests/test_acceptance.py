@@ -17,11 +17,11 @@ import pytest
 from flowalign.astar import (
     Heuristic,
     SearchConfig,
-    SearchOutcome,
     astar_align,
     marking_equation_heuristic,
 )
 from flowalign.flow import (
+    Outcome,
     assemble_flow_problem,
     build_milp_matrices,
     TuWitness,
@@ -176,7 +176,7 @@ def test_criterion_5_oracle_equivalence(corpus):
         zero_alignment, zero_stats = astar_align(
             inst.sp, SearchConfig(heuristic=Heuristic.ZERO, timeout=60.0)
         )
-        assert zero_stats.outcome is SearchOutcome.OPTIMAL
+        assert zero_stats.outcome is Outcome.OPTIMAL
         assert zero_alignment.total_cost == oracle, inst.trace.case_id
         checked += 1
     assert checked >= 300
@@ -305,7 +305,7 @@ def test_criterion_10_deviation_robustness():
         ):
             sp = product_for_trace(net, Trace("t", acts))
             _, stats = astar_align(sp, SearchConfig(timeout=60.0))
-            assert stats.outcome is SearchOutcome.OPTIMAL
+            assert stats.outcome is Outcome.OPTIMAL
             exp_sink.append(stats.expansions)
             node_sink.append(len(build_reachability_graph(sp).nodes))
     med_clean = statistics.median(clean_exp)

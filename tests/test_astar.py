@@ -6,12 +6,11 @@ import pytest
 from flowalign.astar import (
     Heuristic,
     SearchConfig,
-    SearchOutcome,
     astar_align,
     marking_equation_heuristic,
 )
 from flowalign.errors import InvalidInputError
-from flowalign.flow import Method
+from flowalign.flow import Method, Outcome
 from flowalign.generator import block_to_net, playout, random_block
 from flowalign.petri import Trace
 from flowalign.reachability import build_reachability_graph
@@ -22,7 +21,7 @@ from oracles import bellman_ford_to, oracle_shortest_cost
 class TestAstarAlign:
     def test_toy_zero_heuristic_matches_lp(self, toy_product):
         alignment, stats = astar_align(toy_product, SearchConfig(heuristic=Heuristic.ZERO))
-        assert stats.outcome is SearchOutcome.OPTIMAL
+        assert stats.outcome is Outcome.OPTIMAL
         assert alignment.total_cost == 1
         assert alignment.method is Method.ASTAR
 
@@ -42,7 +41,7 @@ class TestAstarAlign:
     def test_microsecond_timeout(self, toy_product):
         alignment, stats = astar_align(toy_product, SearchConfig(timeout=1e-6))
         assert alignment is None
-        assert stats.outcome is SearchOutcome.TIMEOUT
+        assert stats.outcome is Outcome.OVER_BUDGET
 
     def test_unreachable_final_exhausts(self):
         from flowalign.petri import PetriNet
@@ -54,7 +53,7 @@ class TestAstarAlign:
         sp = product_for_trace(net, Trace("x", ("a",)))
         alignment, stats = astar_align(sp)
         assert alignment is None
-        assert stats.outcome is SearchOutcome.EXHAUSTED
+        assert stats.outcome is Outcome.INFEASIBLE
 
     def test_projection_reproduces_trace(self, fig_cyclic):
         trace = Trace("t", ("a", "c", "b", "d", "b", "e"))
@@ -122,5 +121,5 @@ class TestDijkstraEquivalence:
             if rg.final_index is None or len(rg.nodes) > 500:
                 continue
             alignment, stats = astar_align(sp, SearchConfig(heuristic=Heuristic.ZERO))
-            assert stats.outcome is SearchOutcome.OPTIMAL
+            assert stats.outcome is Outcome.OPTIMAL
             assert alignment.total_cost == oracle_shortest_cost(rg)

@@ -18,10 +18,13 @@ from flowalign.bench import (
 )
 from flowalign.cli import main
 from flowalign.errors import InternalInvariantError
+from flowalign.flow import Outcome
 from flowalign.model_io import EventLog, serialize_pnml, serialize_xes
-from flowalign.petri import Trace
+from flowalign.petri import PetriNet, Trace
+from flowalign.selector import token_replay_fitness
 from flowalign.sync_product import product_for_trace
 from oracles import records_to_csv_text
+from test_successor_memo import capped_net
 
 
 @pytest.fixture()
@@ -76,14 +79,14 @@ class TestRunInstance:
     def test_truncated_instance_is_a_row_not_an_error(self, fig_acyclic):
         cfg = RunConfig(method="both", max_nodes=2)
         rec = run_instance(fig_acyclic, Trace("c", ("a", "b", "e")), cfg)
-        assert rec.lp_outcome == "truncated_graph"
+        assert rec.lp_outcome == "over_budget"
         assert rec.astar_outcome == "optimal"
         assert rec.costs_agree is None
 
     def test_timed_out_search_is_a_row_not_an_error(self, fig_acyclic):
         cfg = RunConfig(method="astar", timeout_s=1e-9)
         rec = run_instance(fig_acyclic, Trace("c", ("a", "b", "e")), cfg)
-        assert rec.astar_outcome == "timeout"
+        assert rec.astar_outcome == "over_budget"
         assert rec.astar_cost is None
 
 
@@ -112,6 +115,18 @@ class TestRunConformance:
         a = run_conformance(fig_acyclic, log, RunConfig())
         b = run_conformance(fig_acyclic, log, RunConfig())
         assert strip_timings(records_to_csv_text(a)) == strip_timings(records_to_csv_text(b))
+
+    def test_exact_fitness_routes_the_boundary_trace_to_astar(self):
+        # p -> t -> p, t labelled a.  Each x misses and leaves one token:
+        # 2 of the 40 tokens consumed and produced, so F = 19/20 exactly and
+        # the 30-event trace expects exactly 3/2 deviations, not over 3/2.
+        net = PetriNet.build(["p"], ["t"], [("p", "t"), ("t", "p")], {"t": "a"}, {"p": 1}, {"p": 1})
+        boundary = Trace("c1", ("a",) * 14 + ("x",) * 2 + ("a",) * 14)
+        log = EventLog((boundary, Trace("c2", ("a",) * 10)))
+        assert token_replay_fitness(net, log) == Fraction(19, 20)
+        rows = run_conformance(net, log, RunConfig(method="hybrid"))
+        assert [r.method_chosen for r in rows] == ["astar", "astar"]
+        assert rows[0].astar_cost == 2
 
     def test_parallel_matches_serial(self, fig_acyclic):
         log = EventLog(tuple(Trace(f"c{i}", ("a", "b", "e")) for i in range(4)))
@@ -183,6 +198,16 @@ class TestCliAlign:
         model, _ = toy_files
         code = main(["align", str(model), "--trace", "a,b,e", "--method", "lp", "--max-nodes", "2"])
         assert code == 4
+
+    @pytest.mark.parametrize("method", ["astar", "lp", "hybrid", "both"])
+    def test_capped_instance_reads_the_same_under_every_method(self, tmp_path, capsys, method):
+        model = tmp_path / "capped.pnml"
+        model.write_bytes(serialize_pnml(capped_net()))
+        args = ["align", str(model), "--trace", "a,a,c", "--method", method]
+        assert main([*args, "--token-cap", "2"]) == 0
+        capsys.readouterr()
+        assert main([*args, "--token-cap", "1"]) == 4
+        assert re.search(r"^\w+ outcome: capped$", capsys.readouterr().out, re.M)
 
     def test_unreachable_final_is_infeasible_code(self, tmp_path, capsys):
         bad = b"""<pnml><net id="n"><page id="g">
@@ -295,11 +320,11 @@ class TestHybridLimits:
 
     def test_run_instance_passes_limits_to_flow_route(self, fig_acyclic):
         lp = run_instance(fig_acyclic, self.LONG, RunConfig(method="lp", max_nodes=5))
-        assert lp.lp_outcome == "truncated_graph"
+        assert lp.lp_outcome == "over_budget"
         cfg = RunConfig(method="hybrid", max_nodes=5)
         rec = run_instance(fig_acyclic, self.LONG, cfg, fitness=0.0)
         assert rec.method_chosen == "lp"
-        assert rec.lp_outcome == "truncated_graph"  # the capped graph fell back to search
+        assert rec.lp_outcome == "over_budget"  # the refused graph fell back to search
         assert rec.astar_outcome == "optimal"
 
     def test_default_limits_unchanged(self, fig_acyclic):
@@ -321,7 +346,7 @@ class TestHybridLimits:
         assert main(["align", str(model), "--trace", trace, "--max-nodes", "5"]) == 0
         lines = capsys.readouterr().out.splitlines()
         # The model's 6 markings alone exceed the 5-node budget, so nothing is counted.
-        assert lines[1].startswith("lp: outcome truncated_graph  rg 0 nodes / 0 edges  ")
+        assert lines[1].startswith("lp: outcome over_budget  rg 0 nodes / 0 edges  ")
         assert lines[2].startswith("astar: cost ")
 
 
@@ -420,13 +445,13 @@ class TestHybridRowCells:
         cfg = RunConfig(method="hybrid", max_nodes=5)
         rec = run_instance(fig_acyclic, TestHybridLimits.LONG, cfg, fitness=0.0)
         lp = run_instance(fig_acyclic, TestHybridLimits.LONG, RunConfig(method="lp", max_nodes=5))
-        assert rec.lp_outcome == "truncated_graph" and rec.rg_nodes == lp.rg_nodes == 0
+        assert rec.lp_outcome == "over_budget" and rec.rg_nodes == lp.rg_nodes == 0
         assert rec.astar_outcome == "optimal" and rec.astar_expansions > 0
 
     def test_refused_row_counts_the_graph_the_budget_refused(self, fig_acyclic):
         full = run_instance(fig_acyclic, TestHybridLimits.LONG, RunConfig(method="lp"))
         cut = run_instance(fig_acyclic, TestHybridLimits.LONG, RunConfig(method="lp", max_nodes=100))
-        assert (full.lp_outcome, cut.lp_outcome) == ("optimal", "truncated_graph")
+        assert (full.lp_outcome, cut.lp_outcome) == ("optimal", "over_budget")
         assert (cut.rg_nodes, cut.rg_edges) == (full.rg_nodes, full.rg_edges) == (132, 301)
 
     def test_fallback_row_keeps_the_discarded_build(self, fig_acyclic):
@@ -438,9 +463,15 @@ class TestHybridRowCells:
         assert rec.lp_total_time_us >= rec.rg_build_time_us + rec.lp_solve_time_us
 
     def test_summary_counts_a_fallback_as_under_both(self, fig_acyclic):
-        counts = lambda s: (s.instances, s.both_optimal, s.agreement, s.lp_wins, s.timeouts)
+        counts = lambda s: (s.instances, s.both_optimal, s.agreement, s.lp_wins)
         rows = {}
         for method in ("hybrid", "both"):
             cfg = RunConfig(method=method, max_nodes=5)
             rows[method] = run_instance(fig_acyclic, TestHybridLimits.LONG, cfg, fitness=0.0)
-        assert counts(summarize([rows["hybrid"]])) == counts(summarize([rows["both"]])) == (1, 0, 0, 0, 1)
+        hybrid, both = summarize([rows["hybrid"]]), summarize([rows["both"]])
+        assert counts(hybrid) == counts(both) == (1, 0, 0, 0)
+        # A* produced the fallback row; under both, the flow run that went over budget did too.
+        assert (hybrid.unsolved[Outcome.OVER_BUDGET], hybrid.fallbacks) == (0, 1)
+        assert (both.unsolved[Outcome.OVER_BUDGET], both.fallbacks) == (1, 0)
+        assert "over_budget: 0\nfallbacks: 1\n" in hybrid.render()
+        assert hybrid.mean_lp_us is None and both.mean_lp_us is not None

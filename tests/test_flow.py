@@ -18,7 +18,7 @@ from flowalign.errors import (
 )
 from flowalign.flow import (
     FlowProblem,
-    SolveStatus,
+    Outcome,
     assemble_flow_problem,
     build_milp_matrices,
     extract_alignment,
@@ -65,7 +65,7 @@ class TestAssembleFlowProblem:
         fp = assemble_flow_problem(rg)
         assert all(v == 0 for v in balance(fp))
         sol = solve_min_cost_unit_flow(fp)
-        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.status is Outcome.OPTIMAL
         assert sol.objective == 0
         alignment = extract_alignment(rg, sp, sol)
         assert alignment.moves == ()
@@ -92,7 +92,7 @@ class TestAssembleFlowProblem:
 class TestSolveMinCostUnitFlow:
     def test_toy_objective_is_one(self, toy_rg):
         sol = solve_min_cost_unit_flow(assemble_flow_problem(toy_rg))
-        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.status is Outcome.OPTIMAL
         assert sol.objective == 1
 
     def test_perfectly_fitting_trace_costs_zero(self, fig_acyclic):
@@ -117,7 +117,7 @@ class TestSolveMinCostUnitFlow:
         sp = product_for_trace(net, Trace("x", ()))
         alignment, stats = lp_align(sp)
         assert alignment is None
-        assert stats.outcome is SolveStatus.INFEASIBLE
+        assert stats.outcome is Outcome.INFEASIBLE
 
     def test_solution_is_deterministic(self, toy_rg):
         fp = assemble_flow_problem(toy_rg)
@@ -174,7 +174,7 @@ class TestVerifyIntegrality:
         # The solver returns paths, whose flow is 0/1 by construction, so
         # the fractional point is written out by hand.
         sol = SimpleNamespace(
-            x=(Fraction(1, 2), Fraction(1, 2)), objective=Fraction(1), status=SolveStatus.OPTIMAL
+            x=(Fraction(1, 2), Fraction(1, 2)), objective=Fraction(1), status=Outcome.OPTIMAL
         )
         assert not verify_integrality(sol, Fraction(0))
         assert verify_integrality(sol, Fraction(1, 2))

@@ -28,12 +28,11 @@ from flowalign import astar, simplex
 from flowalign.astar import (
     MarkingEquation,
     SearchConfig,
-    SearchOutcome,
     astar_align,
     marking_equation_heuristic,
 )
 from flowalign.errors import InvalidInputError
-from flowalign.flow import SolveStatus, lp_align
+from flowalign.flow import Outcome, lp_align
 from flowalign.generator import (
     alphabet_of,
     apply_random_edits,
@@ -380,7 +379,7 @@ def test_lp_astar_and_oracle_costs_equal(rng):
         return
     lp_alignment, lp_stats = lp_align(sp)
     alignment, stats = astar_align(sp)
-    assert lp_stats.outcome is SolveStatus.OPTIMAL and stats.outcome is SearchOutcome.OPTIMAL
+    assert lp_stats.outcome is Outcome.OPTIMAL and stats.outcome is Outcome.OPTIMAL
     assert lp_alignment.total_cost == alignment.total_cost == oracle_shortest_cost(rg)
 
 
@@ -442,7 +441,7 @@ def test_basis_cache_spares_most_refactorizations(monkeypatch):
     monkeypatch.setattr(astar, "solve_min_eq", watching)
     _, sp = next(case for case in first_edit_cycle({"m06"}) if case[0].endswith("k7"))
     alignment, stats = astar_align(sp)
-    assert stats.outcome is SearchOutcome.OPTIMAL
+    assert stats.outcome is Outcome.OPTIMAL
     assert stats.heuristic_calls == len(warm) == sum(warm) == 265
     assert refactors == []
     assert max(sizes) == BASIS_CACHE_SIZE
@@ -455,7 +454,7 @@ def test_first_edit_cycle_solver_work():
     seed solves not counted).  A faster warm start may change none of
     them."""
     runs = [astar_align(sp)[1] for _, sp in first_edit_cycle({m for m, _, _ in build_corpus_models()})]
-    assert len(runs) == 108 and all(s.outcome is SearchOutcome.OPTIMAL for s in runs)
+    assert len(runs) == 108 and all(s.outcome is Outcome.OPTIMAL for s in runs)
     assert sum(s.heuristic_calls for s in runs) == 1971
     assert sum(s.heuristic_reuses for s in runs) == 993
     assert sum(s.heuristic_pivots for s in runs) == 1553

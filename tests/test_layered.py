@@ -24,10 +24,11 @@ from hypothesis import strategies as st
 from conftest import build_corpus_models
 from flowalign import flow, reachability
 from flowalign.astar import astar_align
+from flowalign.bench import RunConfig
 from flowalign.cli import main
 from flowalign.errors import InvalidLimitsError, UnreachableFinalError
 from flowalign.flow import (
-    SolveStatus,
+    Outcome,
     assemble_flow_problem,
     extract_alignment,
     layered_graph,
@@ -125,8 +126,9 @@ def refuse_builds(patch):
 
 def test_counts_and_truncation_verdict_equal_the_build(monkeypatch):
     """Under any limits ``lp_align`` builds no graph, reports the counts of
-    ``unbudgeted_counts`` and is truncated exactly when the build is cut
-    short or the token cap pruned every way to the final marking."""
+    ``unbudgeted_counts``, is over budget exactly when the build is cut
+    short, and is capped exactly when the token cap pruned every way to
+    the final marking."""
     seen = Counter()
 
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -143,8 +145,9 @@ def test_counts_and_truncation_verdict_equal_the_build(monkeypatch):
             alignment, stats = lp_align(sp, lim)
         assert (stats.rg_nodes, stats.rg_edges) == counts
         capped_away = rg.final_index is None and rg.stats.cap_prunes > 0
-        assert (stats.outcome is SolveStatus.TRUNCATED_GRAPH) == (rg.stats.truncated or capped_away)
-        if stats.outcome is SolveStatus.OPTIMAL:
+        assert (stats.outcome is Outcome.OVER_BUDGET) == rg.stats.truncated
+        assert (stats.outcome is Outcome.CAPPED) == (capped_away and not rg.stats.truncated)
+        if stats.outcome is Outcome.OPTIMAL:
             assert alignment.total_cost == oracle_shortest_cost(rg)
         if not rg.stats.truncated:
             seen["within budgets"] += 1
@@ -159,7 +162,7 @@ def test_lp_align_builds_no_graph_when_no_limit_binds(monkeypatch):
     refuse_builds(monkeypatch)
     for _, sp in first_edit_cycle({"m00", "m05", "m10"}):
         alignment, stats = lp_align(sp)
-        assert stats.outcome is SolveStatus.OPTIMAL and alignment is not None
+        assert stats.outcome is Outcome.OPTIMAL and alignment is not None
         assert stats.rg_nodes % (len(sp.trace_labels) + 1) == 0  # |R|(n + 1)
 
 
@@ -169,7 +172,7 @@ def test_default_limits_price_a_deep_graph_within_the_budgets():
     limits bound nodes and edges only, so the graph is priced."""
     sp = product_for_trace(growing_net(), Trace("g", ("a", "c")))
     alignment, stats = lp_align(sp)
-    assert stats.outcome is SolveStatus.OPTIMAL and stats.rg_nodes == 459
+    assert stats.outcome is Outcome.OPTIMAL and stats.rg_nodes == 459
     rg = build_reachability_graph(sp)
     assert alignment.total_cost == astar_align(sp)[0].total_cost == oracle_shortest_cost(rg)
 
@@ -196,7 +199,7 @@ def test_node_limited_graph_that_reached_the_final_is_not_priced(m10):
     assert oracle_shortest_cost(rg) == 3  # the cut graph's price
     assert lp_align(sp)[0].total_cost == Fraction(1, 500_000)  # the alignment's
     alignment, stats = lp_align(sp, cut)
-    assert alignment is None and stats.outcome is SolveStatus.TRUNCATED_GRAPH
+    assert alignment is None and stats.outcome is Outcome.OVER_BUDGET
     with pytest.raises(UnreachableFinalError) as err:
         assemble_flow_problem(rg)
     assert err.value.reason == "truncated"
@@ -204,8 +207,9 @@ def test_node_limited_graph_that_reached_the_final_is_not_priced(m10):
 
 def test_hybrid_falls_back_when_a_limit_cut_a_graph_with_the_final(m10):
     route_to_flow = SelectionThresholds(length_threshold=0, deviation_threshold=0)
-    result = hybrid_align(m10, M10_TRACE, 0.0, route_to_flow, limits=ExplorationLimits(max_nodes=M10_CUT))
-    assert result.fell_back_to_astar and result.discarded.outcome is SolveStatus.TRUNCATED_GRAPH
+    cfg = RunConfig(method="hybrid", thresholds=route_to_flow, max_nodes=M10_CUT)
+    result = hybrid_align(m10, M10_TRACE, 0, cfg)
+    assert result.fell_back_to_astar and result.runs[0][1].outcome is Outcome.OVER_BUDGET
     assert result.alignment.total_cost == Fraction(1, 500_000)
 
 
@@ -216,7 +220,7 @@ def test_cli_align_both_exits_4_on_a_node_limited_graph(m10, tmp_path, capsys):
     code = main(["align", str(model), "--trace", trace, "--method", "both", "--max-nodes", str(M10_CUT)])
     out = capsys.readouterr().out
     assert code == 4
-    assert "lp outcome: truncated_graph" in out and "DISAGREE" not in out
+    assert "lp outcome: over_budget" in out and "DISAGREE" not in out
 
 
 def _limited_cases(cut_at):
@@ -242,7 +246,7 @@ def test_budget_limited_graph_that_reached_the_final_is_not_priced(cut_at):
     assert cases
     for sp, lim in cases:
         alignment, stats = lp_align(sp, lim)
-        assert alignment is None and stats.outcome is SolveStatus.TRUNCATED_GRAPH
+        assert alignment is None and stats.outcome is Outcome.OVER_BUDGET
 
 
 def test_lp_align_builds_no_graph_when_a_budget_binds(monkeypatch):
@@ -254,7 +258,7 @@ def test_lp_align_builds_no_graph_when_a_budget_binds(monkeypatch):
     refuse_builds(monkeypatch)
     for (sp, lim), counts in zip(cases, expected):
         alignment, stats = lp_align(sp, lim)
-        assert alignment is None and stats.outcome is SolveStatus.TRUNCATED_GRAPH
+        assert alignment is None and stats.outcome is Outcome.OVER_BUDGET
         assert (stats.rg_nodes, stats.rg_edges) == counts
 
 

@@ -3,18 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from flowalign.bench import RunConfig
 from flowalign.errors import InvalidInputError
-from flowalign.flow import Method
+from flowalign.flow import Method, Outcome
 from flowalign.model_io import EventLog
 from flowalign.petri import Trace
-from flowalign.reachability import ExplorationLimits
 from flowalign.selector import (
     SelectionThresholds,
     hybrid_align,
     select_method,
     token_replay_fitness,
 )
-from test_successor_memo import growing_net
+from test_successor_memo import capped_net, growing_net
+
+HYBRID = RunConfig(method="hybrid")
 
 
 class TestTokenReplayFitness:
@@ -88,7 +90,7 @@ class TestSelectMethod:
 
 class TestHybridAlign:
     def test_short_trace_uses_astar(self, fig_acyclic):
-        result = hybrid_align(fig_acyclic, Trace("t", ("a", "b", "e")), fitness=0.5)
+        result = hybrid_align(fig_acyclic, Trace("t", ("a", "b", "e")), 0.5, HYBRID)
         assert result.method_chosen is Method.ASTAR
         assert result.alignment.total_cost == 1
         assert result.alignment.method is Method.ASTAR
@@ -97,7 +99,7 @@ class TestHybridAlign:
 
     def test_long_deviating_trace_uses_lp(self, fig_acyclic):
         acts = ("a",) + ("x",) * 58 + ("e",)
-        result = hybrid_align(fig_acyclic, Trace("t", acts), fitness=0.9)
+        result = hybrid_align(fig_acyclic, Trace("t", acts), 0.9, HYBRID)
         assert result.method_chosen is Method.LP
         assert result.alignment is not None
         assert result.alignment.method is Method.LP
@@ -106,12 +108,7 @@ class TestHybridAlign:
 
     def test_truncated_lp_falls_back_to_astar(self, fig_acyclic):
         acts = ("a",) + ("x",) * 58 + ("e",)
-        result = hybrid_align(
-            fig_acyclic,
-            Trace("t", acts),
-            fitness=0.9,
-            limits=ExplorationLimits(max_nodes=2),
-        )
+        result = hybrid_align(fig_acyclic, Trace("t", acts), 0.9, RunConfig(method="hybrid", max_nodes=2))
         assert result.method_chosen is Method.LP
         assert result.fell_back_to_astar
         assert result.alignment is not None
@@ -121,11 +118,19 @@ class TestHybridAlign:
         # Routed to flow, whose graph max_nodes refuses: A* then searches
         # the space the flow engine refused, under cap 2.
         trace = Trace("g", ("a", "c") * 11)
-        limits = ExplorationLimits(max_nodes=3)
-        result = hybrid_align(growing_net(), trace, 0.0, limits=limits, token_cap=2)
+        result = hybrid_align(growing_net(), trace, 0, RunConfig(method="hybrid", max_nodes=3, token_cap=2))
         assert result.fell_back_to_astar and result.alignment.total_cost == 21
+
+    def test_a_capped_flow_verdict_is_final(self):
+        # A* would search the same capped product, so it is not run.
+        route_to_flow = SelectionThresholds(length_threshold=0, deviation_threshold=0)
+        cfg = RunConfig(method="hybrid", thresholds=route_to_flow, token_cap=1)
+        result = hybrid_align(capped_net(), Trace("c", ("a", "a", "c")), 0, cfg)
+        assert result.method_chosen is Method.LP and not result.fell_back_to_astar
+        assert result.alignment is None and result.stats.outcome is Outcome.CAPPED
+        assert [stats.method for _, stats in result.runs] == [Method.LP]
 
     def test_cost_matches_direct_methods(self, fig_cyclic):
         trace = Trace("t", ("a", "c", "b", "d", "b", "e"))
-        result = hybrid_align(fig_cyclic, trace, fitness=0.2)
+        result = hybrid_align(fig_cyclic, trace, 0.2, HYBRID)
         assert result.alignment.total_cost == 1

@@ -22,13 +22,13 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_corpus_models
 from flowalign import reachability, sync_product
-from flowalign.astar import Heuristic, SearchConfig, SearchOutcome, astar_align
-from flowalign.flow import lp_align
+from flowalign.astar import Heuristic, SearchConfig, astar_align
+from flowalign.flow import Outcome, lp_align
 from flowalign.errors import InvalidLimitsError
 from flowalign.petri import PetriNet, Trace, incidence_matrices, successor_memo, successors
 from flowalign.reachability import ExplorationLimits, build_reachability_graph
@@ -173,6 +173,7 @@ def test_astar_cost_equals_the_reference_graph_oracle():
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(products, st.integers(1, 3), st.sampled_from(Heuristic))
+    @example(product_for_trace(capped_net(), Trace("c", ("a", "a", "c"))), 1, Heuristic.MARKING_EQUATION)
     def check(sp, cap, heuristic):
         sp = dataclasses.replace(sp, token_cap=cap)
         try:
@@ -183,16 +184,19 @@ def test_astar_cost_equals_the_reference_graph_oracle():
             return
         alignment, stats = astar_align(sp, SearchConfig(heuristic=heuristic))
         if ref.final_index is None:
-            assert alignment is None and stats.outcome is SearchOutcome.EXHAUSTED
-            seen["unreachable"] += 1
+            outcome = Outcome.CAPPED if ref.stats.cap_prunes else Outcome.INFEASIBLE
+            assert alignment is None and stats.outcome is outcome
+            assert lp_align(sp)[1].outcome is outcome
+            seen["unreachable", outcome] += 1
         else:
-            assert stats.outcome is SearchOutcome.OPTIMAL
+            assert stats.outcome is Outcome.OPTIMAL
             assert alignment.total_cost == oracle_shortest_cost(ref)
             seen["optimal", heuristic] += 1
             seen["cap_prunes"] += ref.stats.cap_prunes > 0
 
     check()
-    assert seen["unreachable"] and seen["cap_prunes"], seen
+    assert seen["unreachable", Outcome.CAPPED] and seen["unreachable", Outcome.INFEASIBLE], seen
+    assert seen["cap_prunes"], seen
     assert all(seen["optimal", h] for h in Heuristic), seen
 
 
@@ -206,6 +210,20 @@ def growing_net() -> PetriNet:
         {"t": "a", "u": "b", "v": "c"},
         {"p0": 1},
         {"p2": 1},
+    )
+
+
+def capped_net() -> PetriNet:
+    """``growing_net`` without ``u``, and a final marking {p1: 2, p2: 1}
+    that the trace a, a, c reaches at cost 0 under cap 2 and that cap 1
+    cuts off."""
+    return PetriNet.build(
+        ["p0", "p1", "p2"],
+        ["t", "v"],
+        [("p0", "t"), ("t", "p0"), ("t", "p1"), ("p0", "v"), ("v", "p2")],
+        {"t": "a", "v": "c"},
+        {"p0": 1},
+        {"p1": 2, "p2": 1},
     )
 
 

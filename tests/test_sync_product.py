@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from conftest import INSURANCE_TRACE
-from flowalign.astar import SearchOutcome, astar_align, marking_equation_heuristic
+from flowalign.astar import astar_align, marking_equation_heuristic
 import flowalign
 from flowalign.errors import InvalidInputError
-from flowalign.flow import SolveStatus, lp_align
+from flowalign.flow import Outcome, lp_align
 from flowalign.model_io import parse_pnml
 from flowalign.petri import PetriNet, Trace, build_trace_model
 from flowalign.reachability import build_reachability_graph
@@ -105,8 +105,8 @@ class TestBuildSyncProduct:
         assert "net" not in vars(sp)
         build_reachability_graph(sp)
         assert "net" not in vars(sp)
-        assert lp_align(sp)[1].outcome is SolveStatus.OPTIMAL
-        assert astar_align(sp)[1].outcome is SearchOutcome.OPTIMAL
+        assert lp_align(sp)[1].outcome is Outcome.OPTIMAL
+        assert astar_align(sp)[1].outcome is Outcome.OPTIMAL
         assert 0 < marking_equation_heuristic(sp, sp.initial_marking) < math.inf
         assert "net" not in vars(sp)
         net = sp.net
