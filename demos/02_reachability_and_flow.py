@@ -1,25 +1,15 @@
 """From synchronous product to reachability graph to unit-flow LP.
 
 Walks through the machinery that demo 01 hides: the product's move
-inventory, the bounded breadth-first graph, the node-arc incidence
-matrix whose columns are one +1 and one -1 (hence totally unimodular),
-and the one-unit flow problem whose basic optimum is integral and spells
-out the alignment.
+inventory, the size of its reachability graph, and the one-unit flow LP
+on that graph's node-arc incidence matrix.  Every column of the matrix
+is one +1 and one -1, so it is totally unimodular and the LP's basic
+optimum is a single path: the alignment.  ``lp_align`` solves that LP by
+label setting one trace position at a time, on the model's own graph,
+so it counts the product's graph but never builds it.
 """
 
-from flowalign import (
-    MoveKind,
-    PetriNet,
-    Trace,
-    assemble_flow_problem,
-    build_reachability_graph,
-    check_tu_column_structure,
-    extract_alignment,
-    node_arc_incidence,
-    product_for_trace,
-    solve_min_cost_unit_flow,
-    verify_integrality,
-)
+from flowalign import MoveKind, PetriNet, Trace, lp_align, product_for_trace
 
 net = PetriNet.build(
     places=["p1", "p2", "p3", "p4", "p5", "p6"],
@@ -41,19 +31,10 @@ print("product moves:")
 for kind in MoveKind:
     print(f"  {kind.value:10s} {counts[kind]}")
 
-graph = build_reachability_graph(product)
-print(f"\nreachability graph: {len(graph.nodes)} markings, {len(graph.edges)} edges")
-print(f"self-loops pruned: {graph.stats.edges_pruned_self_loops}, truncated: {graph.stats.truncated}")
+alignment, stats = lp_align(product)
+print(f"\nreachability graph: {stats.rg_nodes} markings, {stats.rg_edges} edges")
+print(f"incidence matrix: {stats.rg_nodes} x {stats.rg_edges}, one +1 and one -1 per column (TU)")
+print(f"counted in {stats.rg_build_us} us, solved in {stats.solve_us} us: {stats.outcome.value}")
 
-incidence = node_arc_incidence(graph)
-print(f"\nincidence matrix: {incidence.rows} x {incidence.cols}")
-print("every column one +1 and one -1 (TU):", check_tu_column_structure(incidence))
-
-problem = assemble_flow_problem(graph)
-solution = solve_min_cost_unit_flow(problem)
-print(f"\nflow objective: {solution.objective} ({solution.status.value})")
-print("integral at tolerance 0:", verify_integrality(solution))
-print("edges carrying flow:", list(solution.path))
-
-alignment = extract_alignment(graph, product, solution)
-print("\nalignment:", [(m.kind.value, m.label_pair) for m in alignment.moves])
+print(f"\nflow objective: {alignment.total_cost}, one unit on {len(alignment.moves)} edges")
+print("alignment:", [(m.kind.value, m.label_pair) for m in alignment.moves])

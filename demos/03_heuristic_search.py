@@ -10,15 +10,10 @@ invisible to the order-blind relaxation.
 """
 
 import random
+from fractions import Fraction
 
-from flowalign import (
-    Heuristic,
-    SearchConfig,
-    Trace,
-    astar_align,
-    marking_equation_heuristic,
-    product_for_trace,
-)
+from flowalign import Heuristic, SearchConfig, Trace, astar_align, product_for_trace
+from flowalign.astar import MarkingEquation
 from flowalign.generator import (
     alphabet_of,
     apply_random_edits,
@@ -26,6 +21,7 @@ from flowalign.generator import (
     parse_block_spec,
     playout,
 )
+from flowalign.sync_product import ProductSpace
 
 block = parse_block_spec("seq(a, b, c, d, loop(seq(e, f), g), h, i, j, k)")
 net = block_to_net(block)
@@ -36,7 +32,9 @@ noisy = apply_random_edits(clean, 6, alphabet_of(block), rng, kinds=("swap",))
 
 for label, acts in (("clean", clean), ("noisy", noisy)):
     product = product_for_trace(net, Trace(label, acts))
-    h0 = marking_equation_heuristic(product, product.net.initial_marking)
+    # The relaxation at the start state (key 0), in units of 1/scale.
+    relaxation = MarkingEquation(product, ProductSpace(product).state)
+    h0 = Fraction(relaxation(0), relaxation.scale)
     print(f"{label} trace ({len(acts)} events): relaxation bound at start = {h0}")
     for heuristic in (Heuristic.ZERO, Heuristic.MARKING_EQUATION):
         alignment, stats = astar_align(product, SearchConfig(heuristic=heuristic))

@@ -8,12 +8,7 @@ heuristic.  A selection rule on trace length and token-replay fitness
 picks between them per trace.
 """
 
-from .astar import (
-    Heuristic,
-    SearchConfig,
-    astar_align,
-    marking_equation_heuristic,
-)
+from .astar import Heuristic, SearchConfig, astar_align
 from .errors import (
     FlowAlignError,
     InternalInvariantError,
@@ -21,7 +16,6 @@ from .errors import (
     InvalidLimitsError,
     InvalidSpecError,
     ModelParseError,
-    NotEnabledError,
     SemanticError,
     UnreachableFinalError,
 )
@@ -30,19 +24,14 @@ from .flow import (
     FlowProblem,
     FlowSolution,
     Method,
-    MilpMatrices,
     Outcome,
     RunStats,
-    TuWitness,
     alignment_to_dict,
     assemble_flow_problem,
-    build_milp_matrices,
     extract_alignment,
     lp_align,
     move_table,
     solve_min_cost_unit_flow,
-    tu_certificate,
-    verify_integrality,
 )
 from .model_io import (
     EventLog,
@@ -60,19 +49,13 @@ from .petri import (
     Marking,
     PetriNet,
     Trace,
-    build_trace_model,
-    enabled_transitions,
-    fire,
     incidence_matrices,
     validate_workflow_net,
 )
 from .reachability import (
     ExplorationLimits,
-    NodeArcIncidence,
     ReachabilityGraph,
     build_reachability_graph,
-    check_tu_column_structure,
-    node_arc_incidence,
 )
 from .selector import (
     RunResult,

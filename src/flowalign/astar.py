@@ -80,15 +80,6 @@ class SearchConfig:
             raise InvalidInputError("timeout must be positive")
 
 
-def _split(sp: SynchronousProduct, m: Marking) -> tuple[Marking, int]:
-    """The process marking and trace position of product marking ``m``."""
-    width = len(sp.process_net.places)
-    trace = m[width:]
-    if len(m) != len(sp.final_marking) or sorted(trace) != [0] * (len(trace) - 1) + [1]:
-        raise InvalidInputError("marking does not index the product's places with one trace token")
-    return m[:width], trace.index(1)
-
-
 class MarkingEquation:
     """Exact marking-equation values for markings of one product.
 
@@ -99,13 +90,13 @@ class MarkingEquation:
     integral, else a ``Fraction``; ``math.inf`` for a dead end) into
     ``values`` and keeps a finite one's sparse optimal x and basis for the
     reuse rule and warm starts.  ``state`` maps a key to its process
-    marking and trace position (by default the key is the product marking).
+    marking and trace position (A* passes ``ProductSpace.state``).
     """
 
-    def __init__(self, sp: SynchronousProduct, state: Callable[[Hashable], tuple[Marking, int]] | None = None):
+    def __init__(self, sp: SynchronousProduct, state: Callable[[Hashable], tuple[Marking, int]]):
         self.relaxation = relax = model_relaxation(sp.process_net, sp.cost)
         self.final, self.scale = sp.process_net.final_marking, relax.scale
-        self.state = state or (lambda m: _split(sp, m))
+        self.state = state
         self.columns = relax.columns(sp)
         self.costs = [relax.deviation if c is None else relax.costs[c] for c in self.columns]
         self.suffixes = [([0] * len(relax.labels), 0)]  # (label counts, constant) of sigma[pos:], pos = n down
@@ -165,21 +156,6 @@ class MarkingEquation:
         return val
 
 
-def marking_equation_heuristic(sp: SynchronousProduct, m: Marking) -> Fraction | float:
-    """Optimal value of the state-equation relaxation from ``m`` to m_f.
-
-    ``math.inf`` when even the relaxation cannot reach m_f (a dead end);
-    always a lower bound on the remaining alignment cost.  Raises
-    :class:`InvalidInputError` unless ``m`` indexes the product's places
-    with exactly one token on the trace part.
-    """
-    if m == sp.final_marking:
-        return Fraction(0)
-    relaxation = MarkingEquation(sp)
-    h = relaxation(m)
-    return h if h == math.inf else Fraction(h, relaxation.scale)
-
-
 def astar_align(
     sp: SynchronousProduct, cfg: SearchConfig = SearchConfig(), limits: ExplorationLimits | None = None
 ) -> tuple[Alignment | None, RunStats]:
@@ -221,7 +197,7 @@ def astar_align(
             stats.heuristic_calls = heuristic.solves
             stats.heuristic_reuses = heuristic.reuses
             stats.heuristic_pivots = heuristic.tableaux.pivots
-        stats.outcome = outcome or unaligned_outcome(space.memo, limits or ExplorationLimits())
+        stats.outcome = outcome or unaligned_outcome(space, limits or ExplorationLimits())
         stats.solve_us = (time.perf_counter_ns() - t0) // 1000
         return alignment, stats
 

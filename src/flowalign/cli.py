@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 parse error, 3 infeasible (no alignment
-exists), 4 capped or over budget (the token cap pruned every way to the
-final marking, or a node, edge or time budget bound), 5 internal
-invariant violation.
+Exit codes: 0 success, 2 parse error, 3 infeasible (no alignment exists
+under any token cap, or none under this cap and the cap pruned nothing),
+4 capped or over budget (no alignment under this token cap and the cap
+pruned a reachable move, or a node, edge or time budget bound), 5
+internal invariant violation.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from .errors import (
     InvalidInputError,
     ModelParseError,
 )
-from .flow import Method, Outcome, RunStats, alignment_to_dict, move_table
+from .flow import Method, Outcome, RunStats, alignment_to_dict, layered_graph, move_table
 from .generator import alphabet_of, generate_corpus, parse_block_spec
 from .model_io import EventLog, NoiseSpec, parse_pnml, parse_xes, read_csv_log
 from .petri import Trace
-from .reachability import build_reachability_graph, check_tu_column_structure, node_arc_incidence
 from .selector import SelectionThresholds, token_replay_fitness
 from .sync_product import CostConfig, MoveKind, product_for_trace
 
@@ -206,19 +206,19 @@ def cmd_inspect(args) -> int:
         f"product moves: sync={counts[MoveKind.SYNC]} model={counts[MoveKind.MODEL]} "
         f"tau={counts[MoveKind.MODEL_TAU]} log={counts[MoveKind.LOG]} total={len(sp.moves)}"
     )
-    rg = build_reachability_graph(sp, cfg.limits)
-    flags = []
-    if rg.stats.truncated:
-        flags.append("truncated")
-    if rg.stats.cap_prunes:
-        flags.append(f"cap_prunes={rg.stats.cap_prunes}")
-    print(
-        f"RG: {len(rg.nodes)} nodes, {len(rg.edges)} edges; "
-        f"final {'reached' if rg.final_index is not None else 'NOT reached'}"
-        + (f" [{', '.join(flags)}]" if flags else "")
-    )
-    ok = check_tu_column_structure(node_arc_incidence(rg))
-    print(f"TU column structure: {'OK' if ok else 'VIOLATED'}")
+    limits = cfg.limits
+    graph = layered_graph(sp, limits)
+    if graph is None:
+        print(f"RG: over budget (the model alone has more than {limits.max_nodes} reachable markings)")
+    else:
+        flags = ["over budget"] if graph.nodes > limits.max_nodes or graph.edges > limits.max_edges else []
+        if graph.space.memo.capped:
+            flags.append("capped")
+        print(
+            f"RG: {graph.nodes} nodes, {graph.edges} edges; "
+            f"final {'reached' if graph.model.final is not None else 'NOT reached'}"
+            + (f" [{', '.join(flags)}]" if flags else "")
+        )
     return EXIT_OK
 
 

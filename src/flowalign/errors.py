@@ -11,18 +11,6 @@ class InvalidInputError(FlowAlignError):
     """An argument violates a documented precondition."""
 
 
-class NotEnabledError(InvalidInputError):
-    """A transition was fired at a marking that does not enable it."""
-
-    def __init__(self, transition: str, deficient_places: list[str]):
-        self.transition = transition
-        self.deficient_places = list(deficient_places)
-        super().__init__(
-            f"transition {transition!r} is not enabled; "
-            f"deficient places: {', '.join(deficient_places) or '(none)'}"
-        )
-
-
 class InvalidSpecError(InvalidInputError):
     """A configuration object (noise spec, generator spec, ...) is unusable."""
 

@@ -11,8 +11,7 @@ selects a single initial-to-final path.
 The explicit kernel is a label-setting shortest path (valid since all
 move costs are nonnegative and one unit flows) on integers scaled by the
 lcm of the cost denominators, divided out only when the objective leaves.
-It reads the graph's per-edge int arrays (tail, head, move), into which
-``FlowProblem.from_incidence`` parses an explicit incidence matrix.  One
+It reads the graph's per-edge int arrays (tail, head, move).  One
 Dijkstra over the reversed edges labels every node with its distance to
 the final node; a walk from the initial node takes, at each step, the
 lowest-index edge whose cost equals the drop in label, so among equal-cost
@@ -25,17 +24,8 @@ and joined by synchronous and log moves, so its size follows from
 per-model counts (``layered_graph``), and ``solve_layered`` computes the
 same labels one trace position at a time and walks the same path.  The
 counts decide the node and edge budgets exactly, so a graph that a budget
-would cut short is refused unbuilt and never priced.
-
-The total unimodularity that makes this work is decided exactly:
-``tu_certificate`` checks a sparse {0, ±1} matrix with at most two
-nonzeros per column by the Heller-Tompkins row-class test, returning the
-classes or an odd cycle with |det| = 2.  This module also builds (never
-solves) the step-indexed MILP matrices of the direct synchronous-product
-formulation, as int row tuples, whose combined constraint matrix is in
-general *not* totally unimodular; ``MilpMatrices.witness`` constructs a
-2x2 submatrix with |det| >= 2 that proves it.  Everything here is exact
-integer or ``Fraction`` arithmetic.
+would cut short is refused unbuilt and never priced.  Everything here is
+exact integer or ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -51,10 +41,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, InvalidInputError, UnreachableFinalError
-from .petri import TAU, IntMatrix, PetriNet, SuccessorMemo, incidence_matrices
-from .reachability import ExplorationLimits, NodeArcIncidence, ReachabilityGraph, edge_endpoints
+from .petri import TAU, PetriNet, SuccessorMemo
+from .reachability import ExplorationLimits, ReachabilityGraph
 from .simplex import integers
-from .sync_product import GAP, CostConfig, MoveKind, ProductSpace, SyncMove, SynchronousProduct
+from .sync_product import GAP, CostConfig, MoveKind, ProductSpace, SyncMove, SynchronousProduct, model_relaxation
 
 
 class Method(Enum):
@@ -67,7 +57,7 @@ class Outcome(Enum):
 
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"  # no way to the final marking exists
-    CAPPED = "capped"  # the token cap pruned every way to the final marking
+    CAPPED = "capped"  # no alignment under this cap, and the cap pruned a reachable move
     OVER_BUDGET = "over_budget"  # a node, edge or time budget bound
 
 
@@ -112,21 +102,6 @@ class FlowProblem:
     source: int
     sink: int
 
-    @classmethod
-    def from_incidence(
-        cls, incidence: NodeArcIncidence, costs: Sequence[Fraction], source: int, sink: int
-    ) -> "FlowProblem":
-        """A problem on an explicit incidence matrix, one cost per column.
-
-        Raises :class:`InvalidInputError` unless every column holds exactly
-        one +1 and one -1 and there is one cost per column.
-        """
-        tails, heads = edge_endpoints(incidence)
-        if len(costs) != incidence.cols:
-            raise InvalidInputError(f"{len(costs)} costs for {incidence.cols} columns")
-        move_costs, scale = integers(costs)
-        return cls(incidence.rows, tails, heads, range(incidence.cols), move_costs, scale, source, sink)
-
 
 @dataclass(frozen=True)
 class FlowSolution:
@@ -140,14 +115,6 @@ class FlowSolution:
     objective: Fraction | None
     status: Outcome
     num_edges: int
-
-    @property
-    def x(self) -> tuple[int, ...]:
-        """The flow on every edge: 1 on the path, 0 elsewhere."""
-        x = [0] * self.num_edges
-        for e in self.path:
-            x[e] = 1
-        return tuple(x)
 
 
 @dataclass(frozen=True)
@@ -225,8 +192,8 @@ def assemble_flow_problem(rg: ReachabilityGraph) -> FlowProblem:
 def solve_min_cost_unit_flow(fp: FlowProblem) -> FlowSolution:
     """Exact label-setting solve; the optimum is an integral extreme point.
 
-    The returned ``path`` is one simple source-to-sink path (so ``x`` is
-    0/1 per edge), and the objective is certified against the distance
+    The returned ``path`` is one simple source-to-sink path (a flow of 0
+    or 1 per edge), and the objective is certified against the distance
     labels before returning.
     """
     n_nodes, tails, heads, scale = fp.num_nodes, fp.tails, fp.heads, fp.scale
@@ -295,13 +262,6 @@ def _certify(fp, dist, chosen, tails, heads, costs) -> None:
             raise InternalInvariantError(f"chosen edge {e} is not tight")
     if sum(costs[e] for e in chosen) != dist[fp.source]:
         raise InternalInvariantError("path cost disagrees with distance label")
-
-
-def verify_integrality(sol: FlowSolution, tol: Fraction = Fraction(0)) -> bool:
-    """True iff every flow value is within ``tol`` of 0 or 1."""
-    if sol.status is not Outcome.OPTIMAL:
-        raise InvalidInputError("verify_integrality expects an OPTIMAL solution")
-    return all(abs(v) <= tol or abs(v - 1) <= tol for v in sol.x)
 
 
 def extract_alignment(
@@ -494,13 +454,18 @@ def _certify_layers(model: ModelGraph, trace: tuple[str, ...], layers: list[list
                 raise InternalInvariantError(f"distance label violated by event {pos}")
 
 
-def unaligned_outcome(memo: SuccessorMemo, limits: ExplorationLimits) -> Outcome:
-    """Why a product over ``memo``'s model and cap has no alignment: its
-    model alone has more than ``limits.max_nodes`` reachable markings, or
-    else the cap pruned a move from one of them (and so from the product,
-    which pairs each with every trace position), or else neither."""
+def unaligned_outcome(space: ProductSpace, limits: ExplorationLimits) -> Outcome:
+    """Why ``space``'s product has no alignment: its model alone has more
+    than ``limits.max_nodes`` reachable markings, or else the model's
+    marking equation has no solution from its initial to its final marking
+    (a necessary condition for reaching it, under any cap), or else the
+    cap pruned a move from a reachable model marking (and so from the
+    product, which pairs each with every trace position), or else none."""
+    memo = space.memo
     if memo.reached(limits.max_nodes) is None:
         return Outcome.OVER_BUDGET
+    if model_relaxation(space.sp.process_net, space.sp.cost).seed is None:
+        return Outcome.INFEASIBLE
     return Outcome.CAPPED if memo.capped else Outcome.INFEASIBLE
 
 
@@ -529,7 +494,7 @@ def lp_align(
             if alignment is not None:
                 stats.outcome = Outcome.OPTIMAL
             else:
-                stats.outcome = unaligned_outcome(graph.space.memo, limits)
+                stats.outcome = unaligned_outcome(graph.space, limits)
     stats.rg_build_us = (t1 - t0) // 1000
     stats.solve_us = (time.perf_counter_ns() - t1) // 1000
     return alignment, stats
@@ -568,217 +533,3 @@ def alignment_to_dict(alignment: Alignment) -> dict:
         ],
     }
 
-
-# ---------------------------------------------------------------------------
-# Total unimodularity: decided exactly for {0, ±1} matrices with at most
-# two nonzeros per column, and disproved by construction for the
-# step-indexed MILP on the synchronous product (built for structural
-# contrast; deliberately never solved).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class MilpMatrices:
-    """Constraint blocks of the direct formulation with horizon ``n``.
-
-    Variables are ``x[j,k]`` (transition j fires at step k), laid out
-    step-major (``(k-1)*|T| + j``), followed by the ``n`` termination
-    indicators ``z_k``.  Equalities: final-marking balance (|P| rows)
-    then one-move-or-terminated (n rows).  Inequalities: prefix
-    nonnegativity (n*|P| rows, as ``A x <= b``) then termination
-    monotonicity (n-1 rows).  Each matrix is a tuple of int row tuples
-    and each right-hand side a tuple of ints.
-    """
-
-    horizon: int
-    num_places: int
-    num_transitions: int
-    a_eq: IntMatrix
-    b_eq: tuple[int, ...]
-    a_ub: IntMatrix
-    b_ub: tuple[int, ...]
-    objective: tuple[Fraction, ...]
-
-    @property
-    def num_vars(self) -> int:
-        return self.horizon * self.num_transitions + self.horizon
-
-    def combined_matrix(self) -> IntMatrix:
-        """The rows of ``a_eq`` followed by those of ``a_ub``."""
-        return self.a_eq + self.a_ub
-
-    def witness(self) -> TuWitness | None:
-        """A 2x2 submatrix of ``combined_matrix()`` with |det| >= 2, constructed.
-
-        Take the lowest place p whose step-1 incidence has a positive and a
-        negative entry, and the first such moves j and l.  The balance row
-        of p and the step-1 one-move row (``num_places``) meet their step-1
-        columns in [[u, v], [1, 1]] with u > 0 > v, up to column order, so
-        the determinant, computed here by ``_det_int``, has magnitude
-        u - v >= 2.  Returns None when no place has both signs.
-        """
-        n_p, n_t = self.num_places, self.num_transitions
-        for p in range(n_p):
-            step1 = self.a_eq[p][:n_t]
-            pos = next((j for j, v in enumerate(step1) if v > 0), None)
-            neg = next((j for j, v in enumerate(step1) if v < 0), None)
-            if pos is not None and neg is not None:
-                rows, cols = (p, n_p), tuple(sorted((pos, neg)))
-                det = _det_int([[self.a_eq[r][c] for c in cols] for r in rows])
-                if abs(det) < 2:
-                    raise InternalInvariantError(f"MILP witness on rows {rows} has determinant {det}")
-                return TuWitness(rows, cols, det)
-        return None
-
-
-def build_milp_matrices(sp: SynchronousProduct, n: int) -> MilpMatrices:
-    if n < 1:
-        raise InvalidInputError("horizon must be >= 1")
-    inc = incidence_matrices(sp.net).incidence
-    n_p, n_t = len(sp.net.places), len(sp.net.transitions)
-    n_vars = n * n_t + n
-    z0 = n * n_t  # first z column
-    m_i, m_f = sp.net.initial_marking, sp.net.final_marking
-
-    # Balance rows repeat a place's incidence row once per step; row k of
-    # the one-move block is 1 on step k's columns and on z_k.
-    a_eq = [row * n + (0,) * n for row in inc]
-    for k in range(n):
-        row = [0] * n_vars
-        row[k * n_t : (k + 1) * n_t] = [1] * n_t
-        row[z0 + k] = 1
-        a_eq.append(tuple(row))
-    b_eq = tuple(f - i for f, i in zip(m_f, m_i)) + (1,) * n
-
-    # Prefix row block k: m_i + I * sum_{step<=k} x >= 0, normalized to
-    # -I-copies <= m_i, so each block stacks k+1 copies of -I.
-    a_ub = [
-        tuple(-v for v in row) * (k + 1) + (0,) * (n_vars - (k + 1) * n_t)
-        for k in range(n)
-        for row in inc
-    ]
-    for k in range(n - 1):
-        row = [0] * n_vars
-        row[z0 + k], row[z0 + k + 1] = 1, -1
-        a_ub.append(tuple(row))
-    b_ub = m_i * n + (0,) * (n - 1)
-
-    objective = tuple(m.cost for m in sp.moves) * n + (Fraction(0),) * n
-    return MilpMatrices(
-        horizon=n,
-        num_places=n_p,
-        num_transitions=n_t,
-        a_eq=tuple(a_eq),
-        b_eq=b_eq,
-        a_ub=tuple(a_ub),
-        b_ub=b_ub,
-        objective=objective,
-    )
-
-
-class TuWitness(NamedTuple):
-    """A square submatrix, by sorted row and column indices, whose
-    determinant has magnitude >= 2: proof that a matrix is not TU."""
-
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    determinant: int
-
-
-def _det_int(m: list[list[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    a = [row[:] for row in m]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1  # the empty matrix's determinant is 1
-
-
-def tu_certificate(b: NodeArcIncidence) -> tuple[int, ...] | TuWitness:
-    """Decide total unimodularity of a sparse {0, ±1} matrix with at most
-    two nonzeros per column: the row classes, or an odd-cycle witness.
-
-    By Heller and Tompkins (1956) such a matrix is TU iff its rows split
-    into two classes so that a same-sign column has its two nonzeros in
-    different classes and an opposite-sign column in the same one
-    (Schrijver, *Theory of Linear and Integer Programming*, ch. 19).  A
-    parity BFS over the rows, O(nnz), returns every row's class (0 or 1)
-    or, on a conflict, the odd cycle it closed, whose determinant
-    ``_det_int`` computes from the entries.  The witness is a tuple too:
-    tell the verdicts apart with ``isinstance(result, TuWitness)``.
-
-    Raises :class:`InvalidInputError` for a value other than ±1, an index
-    out of bounds, a repeated ``(row, col)`` or a column with more than two
-    nonzeros; :class:`InternalInvariantError` if the cycle's determinant is
-    not ±2.
-    """
-    ends: list[list[tuple[int, int]]] = [[] for _ in range(b.cols)]
-    for r, c, v in b.entries:
-        if v not in (1, -1) or not (0 <= r < b.rows and 0 <= c < b.cols):
-            raise InvalidInputError(f"entry ({r}, {c}, {v}) is not a ±1 inside the {b.rows}x{b.cols} matrix")
-        col = ends[c]
-        if len(col) == 2 or (col and col[0][0] == r):
-            raise InvalidInputError(f"column {c} repeats row {r} or has more than two nonzeros")
-        col.append((r, v))
-    adjacent: list[list[int]] = [[] for _ in range(b.rows)]
-    for c, col in enumerate(ends):
-        if len(col) == 2:
-            adjacent[col[0][0]].append(c)
-            adjacent[col[1][0]].append(c)
-
-    # side[r]: the row's class; parent[r] and via[r]: the row and column
-    # that reached it in the BFS forest (-1 at a root).
-    side, parent, via = [-1] * b.rows, [-1] * b.rows, [-1] * b.rows
-    for root in range(b.rows):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        queue = [root]
-        for u in queue:
-            for c in adjacent[u]:
-                (r0, v0), (r1, v1) = ends[c]
-                w = r1 if u == r0 else r0
-                want = side[u] ^ (v0 == v1)
-                if side[w] == -1:
-                    side[w], parent[w], via[w] = want, u, c
-                    queue.append(w)
-                elif side[w] != want:
-                    return _odd_cycle(u, w, c, ends, parent, via)
-    return tuple(side)
-
-
-def _odd_cycle(u: int, w: int, closing: int, ends, parent: list[int], via: list[int]) -> TuWitness:
-    """The cycle that ``closing`` makes with the BFS tree paths from ``u``
-    and ``w`` up to their lowest common ancestor ``top``."""
-    u_path = [u]
-    while parent[u_path[-1]] != -1:
-        u_path.append(parent[u_path[-1]])
-    depth_of = {r: i for i, r in enumerate(u_path)}
-    w_path = [w]
-    while w_path[-1] not in depth_of:
-        w_path.append(parent[w_path[-1]])
-    top = w_path.pop()
-    cycle = u_path[: depth_of[top] + 1] + w_path
-    rows = tuple(sorted(cycle))
-    cols = tuple(sorted([via[r] for r in cycle if r != top] + [closing]))
-
-    row_at = {r: i for i, r in enumerate(rows)}
-    sub = [[0] * len(cols) for _ in rows]
-    for j, c in enumerate(cols):
-        for r, v in ends[c]:
-            sub[row_at[r]][j] = v
-    det = _det_int(sub)
-    if abs(det) != 2:
-        raise InternalInvariantError(f"odd cycle on rows {rows} has determinant {det}, not ±2")
-    return TuWitness(rows, cols, det)

@@ -1,4 +1,4 @@
-"""Petri-net core: markings, firing semantics, incidence matrices, trace models.
+"""Petri-net core: markings, successors, incidence matrices, trace model ids.
 
 A marking is a plain tuple of token counts, one entry per place in the
 net's canonical place order.  Nets are immutable after construction and
@@ -22,8 +22,8 @@ worker process starts without any cache: neither these nor the model
 moves and marking-equation relaxations that ``sync_product`` keeps on it.
 
 The trace model of an ``n``-event trace is a path net whose ids
-(:func:`trace_ids`) sort in positional order.  Synchronous products do not
-build it: ``sync_product`` composes the trace side from the path itself.
+(:func:`trace_ids`) sort in positional order.  No net of it is built:
+``sync_product`` composes the trace side from the path itself.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InvalidInputError, InvalidLimitsError, NotEnabledError
+from .errors import InvalidInputError, InvalidLimitsError
 
 #: Label of a silent transition.  Parsers map absent/invisible activity
 #: names to this value; it is never a user-supplied string.
@@ -154,10 +154,6 @@ class PetriNet:
     def __getstate__(self) -> dict:
         # The fields only: every cache in ``__dict__`` is rebuilt on use.
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @property
-    def labeling(self) -> dict[str, str | None]:
-        return dict(zip(self.transitions, self.labels))
 
     def label(self, transition: str) -> str | None:
         return self.labels[self.transition_index[transition]]
@@ -339,68 +335,12 @@ def successor_memo(net: PetriNet, cap: int) -> SuccessorMemo:
     return memo
 
 
-def _check_marking(net: PetriNet, m: Marking) -> None:
-    if len(m) != len(net.places):
-        raise InvalidInputError(
-            f"marking has {len(m)} entries but the net has {len(net.places)} places"
-        )
-
-
-def enabled_transitions(net: PetriNet, m: Marking) -> set[str]:
-    """All transitions enabled at ``m``: those with ``m >= w_minus(., t)``."""
-    _check_marking(net, m)
-    pre, _ = firing_data(net)
-    out = set()
-    for j, t in enumerate(net.transitions):
-        if all(m[i] >= w for i, w in pre[j]):
-            out.add(t)
-    return out
-
-
-def fire(net: PetriNet, m: Marking, t: str) -> Marking:
-    """Fire ``t`` at ``m`` and return the successor marking.
-
-    Raises :class:`NotEnabledError` (naming the deficient places) if ``t``
-    is not enabled.
-    """
-    _check_marking(net, m)
-    if t not in net.transition_index:
-        raise InvalidInputError(f"unknown transition {t!r}")
-    j = net.transition_index[t]
-    pre, post = firing_data(net)
-    deficient = [net.places[i] for i, w in pre[j] if m[i] < w]
-    if deficient:
-        raise NotEnabledError(t, deficient)
-    out = list(m)
-    for i, w in pre[j]:
-        out[i] -= w
-    for i, w in post[j]:
-        out[i] += w
-    return tuple(out)
-
-
 def trace_ids(n: int) -> tuple[list[str], list[str]]:
     """The place ids ``p0..pn`` and transition ids ``t1..tn`` of the trace
     model of an ``n``-event trace, zero-padded so that their sorted order
     is their positional order."""
     width = len(str(n))
     return [f"p{i:0{width}d}" for i in range(n + 1)], [f"t{i:0{width}d}" for i in range(1, n + 1)]
-
-
-def build_trace_model(trace: Trace) -> PetriNet:
-    """Linear Petri net encoding one trace.
-
-    For an ``n``-event trace: places ``p0..pn`` and transitions ``t1..tn``
-    (see :func:`trace_ids`); transition ``ti`` consumes ``p(i-1)`` and
-    produces ``pi`` and is labeled with the i-th activity.  Initial
-    marking ``[p0]``, final marking ``[pn]``.
-    """
-    n = len(trace.activities)
-    places, transitions = trace_ids(n)
-    arcs = [(places[i], t) for i, t in enumerate(transitions)]
-    arcs += [(t, places[i + 1]) for i, t in enumerate(transitions)]
-    labels = dict(zip(transitions, trace.activities))
-    return PetriNet.build(places, transitions, arcs, labels, {places[0]: 1}, {places[n]: 1})
 
 
 def validate_workflow_net(net: PetriNet) -> list[str]:

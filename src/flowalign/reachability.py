@@ -1,4 +1,4 @@
-"""Bounded breadth-first reachability graphs and their node-arc incidence.
+"""Bounded breadth-first reachability graphs of synchronous products.
 
 The graph of a synchronous product is a breadth-first search over the
 states of a :class:`~flowalign.sync_product.ProductSpace`, which lists
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InvalidInputError, InvalidLimitsError
+from .errors import InvalidLimitsError
 from .petri import Marking
 from .sync_product import ProductSpace, SynchronousProduct, cost_vector
 
@@ -186,51 +186,3 @@ def build_reachability_graph(
         stats=stats,
     )
 
-
-@dataclass(frozen=True, eq=False)
-class NodeArcIncidence:
-    """A matrix as sparse {0, ±1} triplets ``(row, col, value)``.
-
-    A graph's node-arc incidence has one +1 (the edge's tail row) and one
-    -1 (its head row) per column, which makes it totally unimodular.
-    """
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, int], ...]
-
-
-def node_arc_incidence(rg: ReachabilityGraph) -> NodeArcIncidence:
-    """One column per edge, +1 at the tail row and -1 at the head row."""
-    entries: list[tuple[int, int, int]] = []
-    for c, (t, h) in enumerate(zip(rg.tails, rg.heads)):
-        entries.append((t, c, 1))
-        entries.append((h, c, -1))
-    return NodeArcIncidence(rows=len(rg.nodes), cols=len(rg.tails), entries=tuple(entries))
-
-
-def edge_endpoints(b: NodeArcIncidence) -> tuple[list[int], list[int]]:
-    """The tail row (+1) and head row (-1) of every column.
-
-    Raises :class:`InvalidInputError` unless every column holds exactly one
-    +1 and one -1 and nothing else, inside the matrix's bounds.
-    """
-    tails = [-1] * b.cols
-    heads = [-1] * b.cols
-    for r, c, v in b.entries:
-        ends = tails if v == 1 else heads if v == -1 else None
-        if ends is None or not (0 <= c < b.cols and 0 <= r < b.rows) or ends[c] != -1:
-            raise InvalidInputError(f"incidence entry ({r}, {c}, {v}) breaks the edge-column structure")
-        ends[c] = r
-    if -1 in tails or -1 in heads:
-        raise InvalidInputError("incidence matrix has a column without both endpoints")
-    return tails, heads
-
-
-def check_tu_column_structure(b: NodeArcIncidence) -> bool:
-    """True iff every column is exactly one +1 and one -1 (and nothing else)."""
-    try:
-        edge_endpoints(b)
-    except InvalidInputError:
-        return False
-    return True

@@ -1,8 +1,8 @@
 """Synchronous product of a process model and one trace, with move costs.
 
 The trace side of a product is always the trace model of its activities:
-the path net of :func:`~flowalign.petri.build_trace_model`, whose place
-``pos`` holds the token after ``pos`` events.  A product is therefore
+a path net, whose place ``pos`` holds the token after ``pos`` events and
+whose ids are :func:`~flowalign.petri.trace_ids`.  A product is therefore
 fully given by the process net, the activity sequence and the costs, and
 :func:`product_for_trace` builds it from those, without a trace net.
 
@@ -17,9 +17,8 @@ Every walk of a product reads its moves from :meth:`ProductSpace.out`,
 composed from the model's successor memo and the trace path: the one
 place the canonical move order is written.  The model moves and A*'s
 :class:`Relaxation` depend only on the net and the costs, so each net
-keeps them per :class:`CostConfig` for all its products.  The product
-Petri net, :attr:`SynchronousProduct.net`, is an export view built on
-first read (MILP matrices, PNML export).
+keeps them per :class:`CostConfig` for all its products.  No engine
+builds the product as a Petri net.
 
 Costs are exact rationals so that total alignment costs compare exactly
 and the number of silent moves is recoverable from the fractional part.
@@ -27,7 +26,6 @@ and the number of silent moves is recoverable from the fractional part.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -117,40 +115,6 @@ class SynchronousProduct:
         n = len(self.trace_labels)
         return self.process_net.final_marking + _one_hot(n, n)
 
-    @functools.cached_property
-    def net(self) -> PetriNet:
-        """The product as a Petri net, built on first access: the process
-        places, then the renamed places of the trace model
-        (:func:`~flowalign.petri.build_trace_model`); one transition per
-        move, named by ``move_id``, with the arcs of its process transition,
-        then of its trace transition.  The engines do not read it."""
-        sn = self.process_net
-        places, trans = _trace_renaming(sn, len(self.trace_labels))
-        # The trace transition of event pos + 1 moves the token from place pos to pos + 1.
-        into = {t: [(places[pos], 1)] for pos, t in enumerate(trans)}
-        out = {t: [(places[pos + 1], 1)] for pos, t in enumerate(trans)}
-        for src, tgt, w in sn.arcs:
-            if src in sn.transition_index:
-                out.setdefault(src, []).append((tgt, w))
-            else:
-                into.setdefault(tgt, []).append((src, w))
-        arcs: list[tuple[str, str, int]] = []
-        for move in self.moves:
-            for t in (move.process_transition, move.trace_transition):
-                if t is not None:
-                    arcs += [(p, move.move_id, w) for p, w in into.get(t, ())]
-                    arcs += [(move.move_id, p, w) for p, w in out.get(t, ())]
-        return PetriNet(
-            places=sn.places + tuple(places),
-            transitions=tuple(m.move_id for m in self.moves),
-            arcs=tuple(arcs),
-            labels=tuple(
-                m.label_pair[1] if m.kind is MoveKind.LOG else m.label_pair[0] for m in self.moves
-            ),
-            initial_marking=self.initial_marking,
-            final_marking=self.final_marking,
-        )
-
     def counts(self) -> dict[MoveKind, int]:
         out = {kind: 0 for kind in MoveKind}
         for m in self.moves:
@@ -201,9 +165,8 @@ def product_for_trace(
     of ``trace``, built from its activities.
 
     The trace model's ids are renamed with a prime suffix so the id spaces
-    stay disjoint.  The product's Petri net is built only when
-    :attr:`SynchronousProduct.net` is read.  ``token_cap`` is checked by
-    the first engine that searches the product.
+    stay disjoint.  ``token_cap`` is checked by the first engine that
+    searches the product.
     """
     trace_labels = tuple(trace.activities)
     trace_moves = _trace_renaming(sn, len(trace_labels))[1]  # events 1..n
@@ -310,8 +273,8 @@ class ProductSpace:
 
     :meth:`out` is the product's one successor function.  It yields the
     moves enabled at a state as ``(move index, successor key)`` in the
-    canonical move order, the order in which firing every move of
-    :attr:`SynchronousProduct.net` meets them:
+    canonical move order, the order in which firing every move of the
+    product as a Petri net, in move order, meets them:
 
     1. the synchronous move of each process transition ``j`` enabled at
        ``pid`` whose label is the event at ``pos``, to ``(pid_j, pos + 1)``,

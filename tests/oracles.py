@@ -22,18 +22,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
+from explicit_lp import NodeArcIncidence, det_int, product_net
 from flowalign.bench import write_csv
 from flowalign.errors import InvalidLimitsError
-from flowalign.flow import FlowProblem, _det_int
+from flowalign.flow import FlowProblem
 from flowalign.model_io import EventLog, serialize_pnml
 from flowalign.petri import Marking, firing_data, successors
-from flowalign.reachability import (
-    ExplorationLimits,
-    NodeArcIncidence,
-    ReachabilityGraph,
-    RGEdge,
-    RGStats,
-)
+from flowalign.reachability import ExplorationLimits, ReachabilityGraph, RGEdge, RGStats
 from flowalign.simplex import solve_min_eq
 from flowalign.sync_product import SynchronousProduct, _move_offsets, cost_vector
 
@@ -98,7 +93,7 @@ def reference_reachability_graph(
     product transition is fired at every node, with no per-model memo."""
     if limits is None:
         limits = ExplorationLimits()
-    net = sp.net
+    net = product_net(sp)
     init = net.initial_marking
     cap = sp.token_cap
     if cap < 1 or any(v > cap for v in init):
@@ -157,7 +152,7 @@ def reference_reachability_graph(
 
 
 def incidence_rows(sp: SynchronousProduct) -> list[list[int]]:
-    """The incidence matrix of :attr:`SynchronousProduct.net` (post minus
+    """The incidence matrix of ``explicit_lp.product_net(sp)`` (post minus
     pre) as integer rows, one per product place: the product marking
     equation's rows.  Composed from the model's firing data and the trace
     path: a move's column is its process transition's column plus, for a
@@ -208,7 +203,7 @@ def brute_force_tu(matrix: list[list[int]]) -> bool:
     for k in range(1, min(m, n) + 1):
         for rows in combinations(range(m), k):
             for cols in combinations(range(n), k):
-                if abs(_det_int([[matrix[i][j] for j in cols] for i in rows])) > 1:
+                if abs(det_int([[matrix[i][j] for j in cols] for i in rows])) > 1:
                     return False
     return True
 
@@ -284,7 +279,7 @@ def etree_xes(event_log: EventLog) -> bytes:
 
 def product_to_pnml(sp: SynchronousProduct) -> bytes:
     """Debug serialization: the product net as PNML with per-move cost annotations."""
-    root = ET.fromstring(serialize_pnml(sp.net, net_id="sync-product"))
+    root = ET.fromstring(serialize_pnml(product_net(sp), net_id="sync-product"))
     by_id = {elem.get("id"): elem for elem in root.iter() if elem.tag == "transition"}
     for move in sp.moves:
         ET.SubElement(

@@ -14,30 +14,30 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from flowalign.astar import (
-    Heuristic,
-    SearchConfig,
-    astar_align,
-    marking_equation_heuristic,
-)
-from flowalign.flow import (
-    Outcome,
-    assemble_flow_problem,
-    build_milp_matrices,
+from explicit_lp import (
     TuWitness,
-    _det_int,
-    extract_alignment,
-    solve_min_cost_unit_flow,
+    build_milp_matrices,
+    check_tu_column_structure,
+    det_int,
+    fire,
+    flow_x,
+    marking_equation_heuristic,
+    node_arc_incidence,
+    product_net,
     tu_certificate,
     verify_integrality,
 )
-from flowalign.generator import alphabet_of, apply_random_edits, parse_block_spec, block_to_net, playout
-from flowalign.petri import Trace, fire
-from flowalign.reachability import (
-    build_reachability_graph,
-    check_tu_column_structure,
-    node_arc_incidence,
+from flowalign.astar import Heuristic, SearchConfig, astar_align
+from flowalign.flow import (
+    Outcome,
+    assemble_flow_problem,
+    extract_alignment,
+    lp_align,
+    solve_min_cost_unit_flow,
 )
+from flowalign.generator import alphabet_of, apply_random_edits, parse_block_spec, block_to_net, playout
+from flowalign.petri import Trace
+from flowalign.reachability import build_reachability_graph
 from flowalign.selector import SelectionThresholds, select_method
 from flowalign.simplex import solve_min_eq
 from flowalign.flow import Method
@@ -110,7 +110,7 @@ def test_criterion_3_integrality(corpus):
         if inst.rg.final_index is None:
             continue
         sol = solve_min_cost_unit_flow(assemble_flow_problem(inst.rg))
-        assert verify_integrality(sol, Fraction(0)), inst.trace.case_id
+        assert verify_integrality(flow_x(sol), Fraction(0)), inst.trace.case_id
         checked += 1
     assert checked >= 500
 
@@ -148,7 +148,7 @@ def test_criterion_4_tu_column_structure(corpus, toy_product, toy_rg):
     b_ours = np.array(dense(node_arc_incidence(toy_rg)))
     supp = load_matrix()
     node_of = {marking: i for i, marking in enumerate(toy_rg.nodes)}
-    places = toy_product.net.places
+    places = product_net(toy_product).places
     row_perm = [node_of[state_marking(s, places)] for s in STATES]
     edge_of = {(e.tail, e.transition, e.head): i for i, e in enumerate(toy_rg.edges)}
     col_perm = []
@@ -206,7 +206,7 @@ def test_criterion_6_alignment_validity(corpus):
     report(6, f"projection and cost-decomposition invariants hold for {checked} alignments")
 
 
-def test_criterion_7_non_tu_contrast(corpus, toy_product, toy_rg):
+def test_criterion_7_non_tu_contrast(corpus, fig_acyclic, toy_product, toy_rg):
     mm = build_milp_matrices(toy_product, 6)
     t0 = time.monotonic()
     witness = mm.witness()
@@ -215,7 +215,19 @@ def test_criterion_7_non_tu_contrast(corpus, toy_product, toy_rg):
     assert elapsed < 10.0
     sub = np.array(mm.combined_matrix())[np.ix_(witness.rows, witness.cols)]
     assert round(float(np.linalg.det(sub))) == witness.determinant
-    assert _det_int(sub.tolist()) == witness.determinant
+    assert det_int(sub.tolist()) == witness.determinant
+
+    # The contrast solved: the MILP's LP relaxation, one slack column per
+    # inequality, at the optimal alignment's length has an integrality gap.
+    sp = product_for_trace(fig_acyclic, Trace("gap", ("b", "a", "e")))
+    alignment, _ = lp_align(sp)
+    milp = build_milp_matrices(sp, len(alignment.moves))
+    slack = [tuple(int(k == i) for k in range(len(milp.a_ub))) for i in range(len(milp.a_ub))]
+    rows = [row + (0,) * len(slack) for row in milp.a_eq] + [row + s for row, s in zip(milp.a_ub, slack)]
+    relaxed, x = solve_min_eq(rows, milp.b_eq + milp.b_ub, milp.objective + (0,) * len(slack))
+    fractional = sum(v.denominator != 1 for v in x[: milp.num_vars])
+    assert relaxed < alignment.total_cost
+    assert fractional >= 1
 
     # A row-class certificate proves total unimodularity for minors of
     # every order, so it replaces any scan; each is re-checked column by
@@ -234,11 +246,12 @@ def test_criterion_7_non_tu_contrast(corpus, toy_product, toy_rg):
         w = milp.witness()
         assert w is not None, inst.trace.case_id
         sub = np.array(milp.combined_matrix())[np.ix_(w.rows, w.cols)]
-        assert abs(w.determinant) == 2 and _det_int(sub.tolist()) == w.determinant, inst.trace.case_id
+        assert abs(w.determinant) == 2 and det_int(sub.tolist()) == w.determinant, inst.trace.case_id
     report(
         7,
         f"toy MILP witness rows {witness.rows} cols {witness.cols} det {witness.determinant} "
-        f"in {elapsed:.4f}s; toy + {len(corpus)} graph incidence matrices certified TU "
+        f"in {elapsed:.4f}s; its LP relaxation on trace b,a,e costs {relaxed} < "
+        f"{alignment.total_cost} with {fractional} fractional entries; toy + {len(corpus)} graph incidence matrices certified TU "
         f"(largest {largest[0]}x{largest[1]}) and {len(corpus)} MILP witnesses with |det| 2 "
         f"in {time.monotonic() - t1:.2f}s",
     )
@@ -251,10 +264,11 @@ def test_criterion_8_heuristic_admissibility(corpus):
             continue
         remaining = bellman_ford_to(inst.rg, inst.rg.final_index)
         node_of = {marking: i for i, marking in enumerate(inst.rg.nodes)}
-        marking = inst.sp.net.initial_marking
+        net = product_net(inst.sp)
+        marking = net.initial_marking
         path_markings = [marking]
         for move in inst.lp_alignment.moves:
-            marking = fire(inst.sp.net, marking, move.move_id)
+            marking = fire(net, marking, move.move_id)
             path_markings.append(marking)
         for marking in path_markings:
             true_cost = remaining[node_of[marking]]

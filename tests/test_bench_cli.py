@@ -209,6 +209,19 @@ class TestCliAlign:
         assert main([*args, "--token-cap", "1"]) == 4
         assert re.search(r"^\w+ outcome: capped$", capsys.readouterr().out, re.M)
 
+    @pytest.mark.parametrize("method", ["astar", "lp", "hybrid", "both"])
+    def test_no_alignment_under_any_cap_is_infeasible(self, tmp_path, capsys, method):
+        # t puts a token on p1 and keeps p0's, so the cap prunes the model,
+        # but no firing count reaches p2: the marking equation is infeasible.
+        net = PetriNet.build(
+            ["p0", "p1", "p2"], ["t"], [("p0", "t"), ("t", "p0"), ("t", "p1")],
+            {"t": "a"}, {"p0": 1}, {"p2": 1},
+        )
+        model = tmp_path / "growing.pnml"
+        model.write_bytes(serialize_pnml(net))
+        assert main(["align", str(model), "--trace", "a", "--method", method]) == 3
+        assert re.search(r"^\w+ outcome: infeasible$", capsys.readouterr().out, re.M)
+
     def test_unreachable_final_is_infeasible_code(self, tmp_path, capsys):
         bad = b"""<pnml><net id="n"><page id="g">
           <place id="p0"><initialMarking><text>1</text></initialMarking></place>
@@ -285,8 +298,7 @@ class TestCliConformanceAndBench:
         code = main(["inspect", str(model), "--trace", "a,b,e"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "RG: 24 nodes, 50 edges" in out
-        assert "TU column structure: OK" in out
+        assert "RG: 24 nodes, 50 edges; final reached\n" in out
         assert "sync=3 model=5 tau=0 log=3 total=11" in out
 
     def test_inspect_model_only(self, toy_files, capsys):
@@ -299,9 +311,17 @@ class TestCliConformanceAndBench:
         model, _ = toy_files
         code = main(["inspect", str(model), "--trace", "a,b,e", "--max-nodes", "2"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "truncated" in out
-        assert "NOT reached" in out
+        assert "RG: over budget" in capsys.readouterr().out
+        code = main(["inspect", str(model), "--trace", "a,b,e", "--max-edges", "49"])
+        assert code == 0
+        assert "RG: 24 nodes, 50 edges; final reached [over budget]" in capsys.readouterr().out
+
+
+    def test_inspect_flags_the_cap(self, tmp_path, capsys):
+        model = tmp_path / "capped.pnml"
+        model.write_bytes(serialize_pnml(capped_net()))
+        assert main(["inspect", str(model), "--trace", "a,a,c", "--token-cap", "1"]) == 0
+        assert "final NOT reached [capped]" in capsys.readouterr().out
 
 
 def test_readme_lists_exactly_the_common_flags():

@@ -3,7 +3,6 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,34 +10,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import INSURANCE_TRACE
+from explicit_lp import (
+    NodeArcIncidence,
+    TuWitness,
+    build_milp_matrices,
+    check_tu_column_structure,
+    det_int,
+    fire,
+    flow_problem,
+    flow_x,
+    node_arc_incidence,
+    product_net,
+    tu_certificate,
+    verify_integrality,
+)
 from flowalign.errors import (
     InternalInvariantError,
     InvalidInputError,
     UnreachableFinalError,
 )
 from flowalign.flow import (
-    FlowProblem,
     Outcome,
     assemble_flow_problem,
-    build_milp_matrices,
     extract_alignment,
-    TuWitness,
-    _det_int,
     lp_align,
     move_table,
     alignment_to_dict,
     solve_min_cost_unit_flow,
-    tu_certificate,
-    verify_integrality,
 )
-from flowalign.petri import PetriNet, Trace, fire
-from flowalign.reachability import (
-    ExplorationLimits,
-    NodeArcIncidence,
-    build_reachability_graph,
-    check_tu_column_structure,
-    node_arc_incidence,
-)
+from flowalign.petri import PetriNet, Trace
+from flowalign.reachability import ExplorationLimits, build_reachability_graph
 from flowalign.sync_product import MoveKind, product_for_trace
 from oracles import balance, brute_force_tu, dense, fraction_det, oracle_shortest_cost, row_classes_hold
 from test_heuristic_lp import first_edit_cycle
@@ -121,12 +122,12 @@ class TestSolveMinCostUnitFlow:
 
     def test_solution_is_deterministic(self, toy_rg):
         fp = assemble_flow_problem(toy_rg)
-        assert solve_min_cost_unit_flow(fp).x == solve_min_cost_unit_flow(fp).x
+        assert flow_x(solve_min_cost_unit_flow(fp)) == flow_x(solve_min_cost_unit_flow(fp))
 
     def test_negative_cost_rejected(self, toy_rg):
         fp = assemble_flow_problem(toy_rg)
         costs = tuple(e.cost for e in toy_rg.edges)
-        bad = FlowProblem.from_incidence(
+        bad = flow_problem(
             incidence=node_arc_incidence(toy_rg),
             costs=(Fraction(-1),) + costs[1:],
             source=fp.source,
@@ -142,15 +143,15 @@ class TestSolveMinCostUnitFlow:
         )
         assert not check_tu_column_structure(bad)
         with pytest.raises(InvalidInputError):
-            fp = FlowProblem.from_incidence(
+            fp = flow_problem(
                 incidence=bad, costs=(Fraction(1), Fraction(1)), source=0, sink=2
             )
             solve_min_cost_unit_flow(fp)
 
     def test_solution_is_zero_one_ints(self, toy_rg):
         sol = solve_min_cost_unit_flow(assemble_flow_problem(toy_rg))
-        assert set(map(type, sol.x)) == {int}
-        assert set(sol.x) == {0, 1}
+        assert set(map(type, flow_x(sol))) == {int}
+        assert set(flow_x(sol)) == {0, 1}
         assert type(sol.objective) is Fraction
 
 
@@ -168,16 +169,14 @@ def test_first_edit_cycle_matches_golden():
 class TestVerifyIntegrality:
     def test_exact_toy_solution_at_tolerance_zero(self, toy_rg):
         sol = solve_min_cost_unit_flow(assemble_flow_problem(toy_rg))
-        assert verify_integrality(sol, Fraction(0))
+        assert verify_integrality(flow_x(sol), Fraction(0))
 
     def test_fractional_vector_fails(self):
         # The solver returns paths, whose flow is 0/1 by construction, so
         # the fractional point is written out by hand.
-        sol = SimpleNamespace(
-            x=(Fraction(1, 2), Fraction(1, 2)), objective=Fraction(1), status=Outcome.OPTIMAL
-        )
-        assert not verify_integrality(sol, Fraction(0))
-        assert verify_integrality(sol, Fraction(1, 2))
+        x = (Fraction(1, 2), Fraction(1, 2))
+        assert not verify_integrality(x, Fraction(0))
+        assert verify_integrality(x, Fraction(1, 2))
 
 
 class TestExtractAlignment:
@@ -205,7 +204,7 @@ class TestExtractAlignment:
     def test_path_carries_the_flow(self, toy_rg):
         sol = solve_min_cost_unit_flow(assemble_flow_problem(toy_rg))
         assert sol.num_edges == len(toy_rg.edges)
-        assert [e for e, v in enumerate(sol.x) if v] == sorted(sol.path)
+        assert [e for e, v in enumerate(flow_x(sol)) if v] == sorted(sol.path)
         assert [toy_rg.tails[e] for e in sol.path[1:]] == [toy_rg.heads[e] for e in sol.path[:-1]]
 
     def test_broken_paths_are_rejected(self, toy_product, toy_rg):
@@ -308,7 +307,7 @@ class TestMilpMatrices:
         from flowalign.petri import incidence_matrices
 
         mm = build_milp_matrices(toy_product, 3)
-        inc = np.array(incidence_matrices(toy_product.net).incidence)
+        inc = np.array(incidence_matrices(product_net(toy_product)).incidence)
         n_p, n_t = inc.shape
         for k in range(3):
             block = np.array(mm.a_ub)[k * n_p : (k + 1) * n_p]
@@ -350,7 +349,7 @@ def _assert_cycle_witness(b: NodeArcIncidence, w: TuWitness) -> None:
                     frontier.append(int(k))
     assert len(reached) == len(w.rows)
     assert abs(w.determinant) == 2
-    assert _det_int(sub.tolist()) == w.determinant
+    assert det_int(sub.tolist()) == w.determinant
     assert round(float(np.linalg.det(sub))) == w.determinant
 
 
@@ -363,7 +362,7 @@ class TestFindNonTuWitness:
         assert w == ((1, 10), (0, 1), 2)
         sub = np.array(mm.combined_matrix())[np.ix_(w.rows, w.cols)]
         assert round(float(np.linalg.det(sub))) == w.determinant
-        assert _det_int(sub.tolist()) == w.determinant
+        assert det_int(sub.tolist()) == w.determinant
 
     def test_milp_without_a_place_of_both_signs_has_no_witness(self):
         net = PetriNet.build(
@@ -486,13 +485,13 @@ def test_det_int_matches_fraction_elimination():
             cases.append([[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)])
     swaps = 0
     for m in cases:
-        assert _det_int(m) == fraction_det(m), m
+        assert det_int(m) == fraction_det(m), m
         swaps += m[0][0] == 0 and any(row[0] for row in m)
     assert swaps > 100
 
 
 def test_det_int_of_the_empty_matrix_is_one():
-    assert _det_int([]) == 1 == fraction_det([])
+    assert det_int([]) == 1 == fraction_det([])
 
 
 class TestAlignmentInvariants:

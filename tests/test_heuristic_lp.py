@@ -25,12 +25,8 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_SEED, build_corpus_models
 from flowalign import astar, simplex
-from flowalign.astar import (
-    MarkingEquation,
-    SearchConfig,
-    astar_align,
-    marking_equation_heuristic,
-)
+from explicit_lp import marking_equation, marking_equation_heuristic, product_net
+from flowalign.astar import SearchConfig, astar_align
 from flowalign.errors import InvalidInputError
 from flowalign.flow import Outcome, lp_align
 from flowalign.generator import (
@@ -82,7 +78,7 @@ def random_net_product(rng: random.Random, cost=CostConfig(), outside: tuple[str
 
 
 def enabled_moves(sp, m, cap=8):
-    pre, post = firing_data(sp.net)
+    pre, post = firing_data(product_net(sp))
     for j in range(len(sp.moves)):
         if all(m[i] >= w for i, w in pre[j]):
             succ = list(m)
@@ -96,7 +92,7 @@ def enabled_moves(sp, m, cap=8):
 
 def random_edge(sp, rng: random.Random):
     """A marking reached by a short random walk, and one enabled move there."""
-    m = sp.net.initial_marking
+    m = sp.initial_marking
     for _ in range(rng.randint(0, 6)):
         options = list(enabled_moves(sp, m))
         if not options:
@@ -121,7 +117,7 @@ def test_reuse_and_warm_start_equal_cold_solve(rng, block_model):
     if edge is None:
         return
     m, j, child = edge
-    h = MarkingEquation(sp)
+    h = marking_equation(sp)
     if h(m) == math.inf:
         return
     cold = marking_equation_heuristic(sp, child)
@@ -153,7 +149,7 @@ def test_model_relaxation_equals_the_product_marking_equation():
         if edge is None:
             return
         m = edge[0]
-        h = MarkingEquation(sp)
+        h = marking_equation(sp)
         for key, via in [(m, None)] + [(child, (m, j)) for j, child in enabled_moves(sp, m)]:
             value = exact(h(key, via), h.scale)
             assert value == product_marking_equation(sp, key) == marking_equation_heuristic(sp, key)
@@ -181,8 +177,8 @@ def test_warm_start_detects_dead_end():
         {"t": "a", "u": "b"}, {"p0": 1}, {"p1": 1},
     )
     sp = product_for_trace(net, Trace("x", ("a",)))
-    h = MarkingEquation(sp)
-    start = sp.net.initial_marking
+    h = marking_equation(sp)
+    start = sp.initial_marking
     assert h(start) == 0
     j, dead = next(
         (j, c) for j, c in enabled_moves(sp, start) if sp.moves[j].process_transition == "u"
@@ -532,7 +528,7 @@ def test_incidence_rows_equal_the_dense_incidence():
     )
     products += [product_for_trace(net, Trace("t", acts)) for acts in ((), ("a",), ("a", "b", "a"))]
     for sp in products:
-        assert incidence_rows(sp) == [list(row) for row in incidence_matrices(sp.net).incidence]
+        assert incidence_rows(sp) == [list(row) for row in incidence_matrices(product_net(sp)).incidence]
     # Moves (t,t1'), (t,>>), (u,>>), (>>,t1'); places p0..p2, then p0', p1'.
     assert incidence_rows(products[13]) == [
         [-2, -2, 0, 0], [3, 3, -1, 0], [0, 0, 1, 0], [-1, 0, 0, -1], [1, 0, 0, 1]
@@ -545,7 +541,7 @@ def test_aligned_product_is_not_kept_alive():
     sp = product_for_trace(net, Trace("t", playout(block, random.Random(6))))
     astar_align(sp, SearchConfig())
     lp_align(sp)
-    ref = weakref.ref(sp.net)
+    ref = weakref.ref(sp)
     del sp
     gc.collect()
     assert ref() is None

@@ -10,6 +10,7 @@ cuts short is never priced, even when it reached the final marking.
 """
 
 import dataclasses
+import math
 import os
 import pickle
 import sys
@@ -26,7 +27,7 @@ from flowalign import flow, reachability
 from flowalign.astar import astar_align
 from flowalign.bench import RunConfig
 from flowalign.cli import main
-from flowalign.errors import InvalidLimitsError, UnreachableFinalError
+from flowalign.errors import InternalInvariantError, InvalidLimitsError, UnreachableFinalError
 from flowalign.flow import (
     Outcome,
     assemble_flow_problem,
@@ -37,11 +38,11 @@ from flowalign.flow import (
     solve_min_cost_unit_flow,
 )
 from flowalign.model_io import serialize_pnml
-from flowalign.petri import TAU, Trace, successor_memo
+from flowalign.petri import TAU, PetriNet, Trace, successor_memo
 from flowalign.reachability import ExplorationLimits, build_reachability_graph
 from flowalign.selector import SelectionThresholds, hybrid_align
 from flowalign.sync_product import CostConfig, product_for_trace
-from oracles import oracle_shortest_cost
+from oracles import oracle_shortest_cost, product_marking_equation
 from test_heuristic_lp import first_edit_cycle
 from test_successor_memo import corpus_products, growing_net, limited_products, small_nets
 
@@ -128,7 +129,7 @@ def test_counts_and_truncation_verdict_equal_the_build(monkeypatch):
     """Under any limits ``lp_align`` builds no graph, reports the counts of
     ``unbudgeted_counts``, is over budget exactly when the build is cut
     short, and is capped exactly when the token cap pruned every way to
-    the final marking."""
+    the final marking and the marking equation does not rule one out."""
     seen = Counter()
 
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -144,7 +145,11 @@ def test_counts_and_truncation_verdict_equal_the_build(monkeypatch):
             refuse_builds(patch)
             alignment, stats = lp_align(sp, lim)
         assert (stats.rg_nodes, stats.rg_edges) == counts
-        capped_away = rg.final_index is None and rg.stats.cap_prunes > 0
+        capped_away = (
+            rg.final_index is None
+            and rg.stats.cap_prunes > 0
+            and product_marking_equation(sp, sp.initial_marking) < math.inf
+        )
         assert (stats.outcome is Outcome.OVER_BUDGET) == rg.stats.truncated
         assert (stats.outcome is Outcome.CAPPED) == (capped_away and not rg.stats.truncated)
         if stats.outcome is Outcome.OPTIMAL:
@@ -283,3 +288,50 @@ def test_concurrent_layered_solves_equal_serial_solves():
             assert len(successor_memo(fresh, 8).priced) == 1
     finally:
         sys.setswitchinterval(switch)
+
+
+def one_step_product():
+    """Model p0 -t(a)-> p1 against the trace a: markings 0 (m_0) and 1
+    (m_f), whose layers are [0, d] at position 0 and [d, 0] at position 1,
+    for d the scaled cost of a model or log move."""
+    net = PetriNet.build(["p0", "p1"], ["t"], [("p0", "t"), ("t", "p1")], {"t": "a"}, {"p0": 1}, {"p1": 1})
+    return product_for_trace(net, Trace("a", ("a",)))
+
+
+@pytest.mark.parametrize(
+    "pos, marking, label, message",
+    [
+        (0, 0, lambda d: 2 * d + 1, "violated by a model move at position 0"),  # t from m_0 at position 0
+        (0, 1, lambda d: d + 1, "violated by event 0"),  # the log move from m_f at position 0
+        (0, 0, lambda d: 1, "violated by event 0"),  # the synchronous move (t, a) from m_0
+        (1, 1, lambda d: 1, "sink distance is nonzero"),
+    ],
+    ids=["model move", "log move", "synchronous move", "sink"],
+)
+def test_certificate_rejects_one_corrupted_label(pos, marking, label, message):
+    sp = one_step_product()
+    model = layered_graph(sp, ExplorationLimits()).model
+    d = model.log_cost
+    layers = [[0, d], [d, 0]]
+    flow._certify_layers(model, sp.trace_labels, layers)
+    layers[pos][marking] = label(d)
+    with pytest.raises(InternalInvariantError, match=message):
+        flow._certify_layers(model, sp.trace_labels, layers)
+
+
+def test_lp_align_raises_on_a_label_settled_too_low(monkeypatch):
+    sp = one_step_product()
+    alignment, _ = lp_align(sp)  # prices the model's graph with the real settle
+    assert alignment.total_cost == 0
+    model, settle = layered_graph(sp, ExplorationLimits()).model, flow._settle
+
+    def too_low(dist, into, sources):
+        # m_f's label at position 0 drops below the model move into it, off
+        # the walk's path, so only the certificate can see it.
+        dist = settle(dist, into, sources)
+        dist[model.final] -= 3 * model.log_cost
+        return dist
+
+    monkeypatch.setattr(flow, "_settle", too_low)
+    with pytest.raises(InternalInvariantError, match="model move at position 0"):
+        lp_align(sp)

@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_corpus_models
-from flowalign.errors import InvalidInputError, NotEnabledError
+from explicit_lp import NotEnabledError, build_trace_model, enabled_transitions, fire, labeling, product_net
+from flowalign.errors import InvalidInputError
 from flowalign.generator import playout
 from flowalign.petri import (
     PetriNet,
     Trace,
-    build_trace_model,
-    enabled_transitions,
-    fire,
     firing_data,
     incidence_matrices,
     successors,
@@ -102,7 +100,7 @@ class TestIncidenceMatrices:
             places=reversed(fig_acyclic.places),
             transitions=reversed(fig_acyclic.transitions),
             arcs=list(reversed(fig_acyclic.arcs)),
-            labels=fig_acyclic.labeling,
+            labels=labeling(fig_acyclic),
             initial={"p1": 1},
             final={"p6": 1},
         )
@@ -158,7 +156,7 @@ class TestValidateWorkflowNet:
             places=list(fig_acyclic.places) + ["p_orphan"],
             transitions=fig_acyclic.transitions,
             arcs=fig_acyclic.arcs,
-            labels=fig_acyclic.labeling,
+            labels=labeling(fig_acyclic),
             initial={"p1": 1},
             final={"p6": 1},
         )
@@ -170,7 +168,7 @@ class TestValidateWorkflowNet:
             places=fig_acyclic.places,
             transitions=fig_acyclic.transitions,
             arcs=list(fig_acyclic.arcs) + [("p1", "t1")],
-            labels=fig_acyclic.labeling,
+            labels=labeling(fig_acyclic),
             initial={"p1": 1},
             final={"p6": 1},
         )
@@ -267,7 +265,7 @@ def successor_nets() -> tuple[PetriNet, ...]:
     """One product per corpus model, and a net whose ``free`` transition
     has an empty preset and so is enabled at every marking."""
     products = tuple(
-        product_for_trace(net, Trace("t", playout(block, random.Random(k)))).net
+        product_net(product_for_trace(net, Trace("t", playout(block, random.Random(k)))))
         for k, (_, net, block) in enumerate(build_corpus_models())
     )
     free = PetriNet.build(

@@ -5,15 +5,10 @@ import pytest
 
 import oracles
 from conftest import make_fig_acyclic
+from explicit_lp import NodeArcIncidence, check_tu_column_structure, node_arc_incidence, product_net
 from flowalign.errors import InvalidLimitsError
 from flowalign.petri import Trace, incidence_matrices
-from flowalign.reachability import (
-    ExplorationLimits,
-    NodeArcIncidence,
-    build_reachability_graph,
-    check_tu_column_structure,
-    node_arc_incidence,
-)
+from flowalign.reachability import ExplorationLimits, build_reachability_graph
 from flowalign.sync_product import product_for_trace
 from oracles import edge_list_text, incidence_triplet_text
 
@@ -34,9 +29,10 @@ class TestBuildReachabilityGraph:
         assert len(markings) == len(rg.nodes)  # dedup happened
 
     def test_edge_validity(self, toy_product, toy_rg):
-        tri = incidence_matrices(toy_product.net)
+        net = product_net(toy_product)
+        tri = incidence_matrices(net)
         incidence, w_minus = np.array(tri.incidence), np.array(tri.w_minus)
-        tidx = toy_product.net.transition_index
+        tidx = net.transition_index
         for e in toy_rg.edges:
             tail = np.array(toy_rg.nodes[e.tail])
             head = np.array(toy_rg.nodes[e.head])

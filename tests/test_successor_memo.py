@@ -15,6 +15,7 @@ incidence matrix.
 import copy
 import dataclasses
 import functools
+import math
 import os
 import pickle
 import sys
@@ -26,6 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_corpus_models
+from explicit_lp import product_net
 from flowalign import reachability, sync_product
 from flowalign.astar import Heuristic, SearchConfig, astar_align
 from flowalign.flow import Outcome, lp_align
@@ -33,7 +35,7 @@ from flowalign.errors import InvalidLimitsError
 from flowalign.petri import PetriNet, Trace, incidence_matrices, successor_memo, successors
 from flowalign.reachability import ExplorationLimits, build_reachability_graph
 from flowalign.sync_product import ProductSpace, product_for_trace
-from oracles import incidence_rows, oracle_shortest_cost, reference_reachability_graph
+from oracles import incidence_rows, oracle_shortest_cost, product_marking_equation, reference_reachability_graph
 from test_heuristic_lp import first_edit_cycle
 
 LABELS = ("a", "b", "c", None)
@@ -131,7 +133,8 @@ def test_space_successors_equal_product_firing():
     @given(products, st.integers(1, 3))
     def check(sp, cap):
         sp = dataclasses.replace(sp, token_cap=cap)
-        assert incidence_rows(sp) == [list(row) for row in incidence_matrices(sp.net).incidence]
+        net = product_net(sp)
+        assert incidence_rows(sp) == [list(row) for row in incidence_matrices(net).incidence]
         seen["empty_traces"] += not sp.trace_labels
         if any(v > cap for v in sp.initial_marking):
             with pytest.raises(InvalidLimitsError):
@@ -143,7 +146,7 @@ def test_space_successors_equal_product_firing():
         for key in keys:
             marking = space.marking(key)
             out = list(space.out(key))
-            fired = list(successors(sp.net, marking, cap))
+            fired = list(successors(net, marking, cap))
             # Every move fired at the full marking is listed, in the same
             # order: a capped one with None, a self-loop with its own key.
             assert [k for k, _ in out] == [j for j, _ in fired]
@@ -184,7 +187,9 @@ def test_astar_cost_equals_the_reference_graph_oracle():
             return
         alignment, stats = astar_align(sp, SearchConfig(heuristic=heuristic))
         if ref.final_index is None:
-            outcome = Outcome.CAPPED if ref.stats.cap_prunes else Outcome.INFEASIBLE
+            # Capped only if the cap pruned and some firing count could still reach m_f.
+            capped = ref.stats.cap_prunes and product_marking_equation(sp, sp.initial_marking) < math.inf
+            outcome = Outcome.CAPPED if capped else Outcome.INFEASIBLE
             assert alignment is None and stats.outcome is outcome
             assert lp_align(sp)[1].outcome is outcome
             seen["unreachable", outcome] += 1

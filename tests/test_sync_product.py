@@ -1,5 +1,4 @@
 import ast
-import math
 import pickle
 from dataclasses import replace
 from fractions import Fraction
@@ -8,13 +7,11 @@ from pathlib import Path
 import pytest
 
 from conftest import INSURANCE_TRACE
-from flowalign.astar import astar_align, marking_equation_heuristic
+from explicit_lp import build_trace_model, product_net
 import flowalign
 from flowalign.errors import InvalidInputError
-from flowalign.flow import Outcome, lp_align
 from flowalign.model_io import parse_pnml
-from flowalign.petri import PetriNet, Trace, build_trace_model
-from flowalign.reachability import build_reachability_graph
+from flowalign.petri import PetriNet, Trace
 from oracles import product_to_pnml
 from flowalign.sync_product import (
     GAP,
@@ -63,11 +60,11 @@ class TestBuildSyncProduct:
         sp = product_for_trace(fig_acyclic, Trace("t", ("a", "b", "e")))
         # Trace transitions t1..t3 collide with model ids and get primes.
         assert "(t1,t1')" in {m.move_id for m in sp.moves}
-        assert set(sp.net.places[6:]) == {"p0'", "p1'", "p2'", "p3'"}
+        assert set(product_net(sp).places[6:]) == {"p0'", "p1'", "p2'", "p3'"}
 
     def test_sync_move_arcs_are_union_of_constituents(self, fig_acyclic, toy_product):
         tm = build_trace_model(Trace("toy", ("a", "b", "e")))
-        arcs = set((s, t) for s, t, _ in toy_product.net.arcs)
+        arcs = set((s, t) for s, t, _ in product_net(toy_product).arcs)
         for move in toy_product.moves:
             expect = set()
             if move.process_transition:
@@ -100,21 +97,13 @@ class TestBuildSyncProduct:
         sp = product_for_trace(net, Trace("t", ("a", "b", "a")))
         assert sp.counts()[MoveKind.SYNC] == 2 * 2 + 1 * 1
 
-    def test_net_is_built_only_when_read(self, insurance):
+    def test_product_net_has_the_moves_and_markings(self, insurance):
         sp = product_for_trace(insurance, INSURANCE_TRACE)
-        assert "net" not in vars(sp)
-        build_reachability_graph(sp)
-        assert "net" not in vars(sp)
-        assert lp_align(sp)[1].outcome is Outcome.OPTIMAL
-        assert astar_align(sp)[1].outcome is Outcome.OPTIMAL
-        assert 0 < marking_equation_heuristic(sp, sp.initial_marking) < math.inf
-        assert "net" not in vars(sp)
-        net = sp.net
-        assert vars(sp)["net"] is net and sp.net is net
+        net = product_net(sp)
         assert net.transitions == tuple(m.move_id for m in sp.moves)
         assert (net.initial_marking, net.final_marking) == (sp.initial_marking, sp.final_marking)
         clone = pickle.loads(pickle.dumps(sp))
-        assert clone == sp and clone.net == net
+        assert clone == sp and product_net(clone) == net
 
     def test_move_invariants(self, insurance):
         sp = product_for_trace(insurance, INSURANCE_TRACE)
