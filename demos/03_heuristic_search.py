@@ -33,7 +33,7 @@ noisy = apply_random_edits(clean, 6, alphabet_of(block), rng, kinds=("swap",))
 for label, acts in (("clean", clean), ("noisy", noisy)):
     product = product_for_trace(net, Trace(label, acts))
     # The relaxation at the start state (key 0), in units of 1/scale.
-    relaxation = MarkingEquation(product, ProductSpace(product).state)
+    relaxation = MarkingEquation(ProductSpace(product))
     h0 = Fraction(relaxation(0), relaxation.scale)
     print(f"{label} trace ({len(acts)} events): relaxation bound at start = {h0}")
     for heuristic in (Heuristic.ZERO, Heuristic.MARKING_EQUATION):

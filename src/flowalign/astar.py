@@ -33,14 +33,15 @@ When marking m was reached from its parent p by move t:
   ``x_p - e_col(t)`` is feasible for m, and any y feasible for m gives
   ``y + e_col(t)`` feasible for p.  A log move whose label the model
   lacks changes no rhs and always reuses.
-- **Warm start.**  Otherwise the dual simplex starts from p's basis,
-  still dual feasible since only the rhs changed.  Each search has its
-  own ``simplex.BasisCache``, which starts holding the model's seed: the
-  optimum at rhs ``(m_f - m_0, 0)``, solved once per model and cost
-  config, from whose basis the start marking warm-starts (cold if that
-  LP is infeasible).  From a cached basis only ``B^-1 b`` and the
-  objective are computed, with no pivot or copy while it stays primal
-  feasible; a basis not cached is re-factored.
+- **Warm start.**  Otherwise the dual simplex starts from p's optimal
+  tableau, still dual feasible since only the rhs changed.  Each search
+  has its own ``simplex.BasisCache``, which starts holding the model's
+  seed, the optimal tableau at rhs ``(m_f - m_0, 0)``, solved once per
+  model and cost config.  The start marking (cold if the seed LP is
+  infeasible) and a marking whose parent's tableau was evicted start from
+  the cache's most recently used tableau.  From a tableau only ``B^-1 b``
+  and the objective are computed, with no pivot or copy while it stays
+  primal feasible.
 
 Either way h is the exact optimum, so the expansion order and alignment
 do not depend on how it was obtained, nor on which searches ran before.
@@ -52,17 +53,16 @@ import heapq
 import itertools
 import math
 import time
-from collections.abc import Callable, Hashable
+from collections.abc import Hashable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import InvalidInputError
 from .flow import Alignment, Method, Outcome, RunStats, unaligned_outcome
-from .petri import Marking
 from .reachability import ExplorationLimits
-from .simplex import BasisCache, integers, solve_min_eq
-from .sync_product import ProductSpace, SynchronousProduct, cost_vector, model_relaxation
+from .simplex import BasisCache, solve_min_eq
+from .sync_product import ProductSpace, SynchronousProduct, model_relaxation
 
 
 class Heuristic(Enum):
@@ -83,28 +83,30 @@ class SearchConfig:
 class MarkingEquation:
     """Exact marking-equation values for markings of one product.
 
-    Built per search on the model's shared relaxation: each move's column
-    and scaled cost, each trace suffix's label counts and constant, and a
-    tableau cache seeded with the model's, which counts the pivots.
-    ``self(m, via)`` puts h(m) in units of 1/``scale`` (an ``int`` when
-    integral, else a ``Fraction``; ``math.inf`` for a dead end) into
-    ``values`` and keeps a finite one's sparse optimal x and basis for the
-    reuse rule and warm starts.  ``state`` maps a key to its process
-    marking and trace position (A* passes ``ProductSpace.state``).
+    Built per search on the model's shared relaxation: each move's column,
+    each trace suffix's label counts and constant, and a tableau cache
+    seeded with the model's, which counts the pivots.  ``self(m, via)``
+    puts h(m) in units of 1/``scale`` (an ``int`` when integral, else a
+    ``Fraction``; ``math.inf`` for a dead end) into ``values`` and keeps a
+    finite one's sparse optimal x and basis for the reuse rule and warm
+    starts.  Keys, move costs and each key's process marking and trace
+    position come from ``space`` (its ``state`` and ``prices``).
     """
 
-    def __init__(self, sp: SynchronousProduct, state: Callable[[Hashable], tuple[Marking, int]]):
+    def __init__(self, space: ProductSpace):
+        sp = space.sp
         self.relaxation = relax = model_relaxation(sp.process_net, sp.cost)
-        self.final, self.scale = sp.process_net.final_marking, relax.scale
-        self.state = state
+        _, deviation, self.scale = sp.cost.scaled
+        self.final = sp.process_net.final_marking
+        self.state = space.state
         self.columns = relax.columns(sp)
-        self.costs = [relax.deviation if c is None else relax.costs[c] for c in self.columns]
+        self.costs = space.prices
         self.suffixes = [([0] * len(relax.labels), 0)]  # (label counts, constant) of sigma[pos:], pos = n down
         for a in reversed(sp.trace_labels):
             counts, outside = self.suffixes[-1]
             k = relax.labels.get(a)
             if k is None:
-                outside += relax.deviation
+                outside += deviation
             else:
                 counts = counts[:k] + [counts[k] + 1] + counts[k + 1 :]
             self.suffixes.append((counts, outside))
@@ -126,7 +128,7 @@ class MarkingEquation:
         val = self.values.get(m)
         if val is not None:
             return val
-        basis = self.relaxation.seed_basis
+        basis = None
         optimum = self._optima.get(via[0]) if via is not None else None
         if optimum is not None:
             x, basis = optimum
@@ -181,12 +183,12 @@ def astar_align(
     # under the derived admissible bound max(0, h(parent) - move cost) and
     # only gets its own value when it is about to be expanded.
     parent: dict[int, tuple[int, int]] = {}
+    costs = space.prices
     if cfg.heuristic is Heuristic.MARKING_EQUATION:
-        heuristic = MarkingEquation(sp, space.state)
-        costs, h_exact = heuristic.costs, heuristic.values
+        heuristic = MarkingEquation(space)
+        h_exact = heuristic.values
     else:
-        heuristic = None
-        costs, h_exact = integers(cost_vector(sp))[0], {}
+        heuristic, h_exact = None, {}
 
     def h(key: int) -> int | Fraction | float:
         return heuristic(key, parent.get(key)) if heuristic is not None else 0

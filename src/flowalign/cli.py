@@ -148,37 +148,32 @@ def cmd_conformance(args) -> int:
     cfg = _run_config(args, "both")
     net = parse_pnml(args.model)
     event_log = _load_log(args.log)
-    records = run_conformance(net, event_log, cfg, model_id=str(args.model))
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
+    return _report(args.out, run_conformance(net, event_log, cfg, model_id=str(args.model)))
+
+
+def cmd_bench(args) -> int:
+    records = run_corpus(args.corpus, _run_config(args, "both"))
+    return _report(args.out, records, bucket_report(records))
+
+
+def _report(out: Path | None, records, *texts: str) -> int:
+    """Write ``records`` as CSV to ``out`` or stdout, print their summary
+    and ``texts``, and return EXIT_INVARIANT when any record shows a cost
+    disagreement or an error."""
+    if out:
+        with open(out, "w", newline="") as fh:
             write_csv(records, fh)
     else:
         write_csv(records, sys.stdout)
     print(summarize(records).render(), end="")
-    return _batch_exit(records)
-
-
-def _batch_exit(records) -> int:
-    """EXIT_INVARIANT when any record shows a cost disagreement or an error."""
+    for text in texts:
+        print(text, end="")
     failed = failed_records(records)
     for r in failed:
         errors = [o for o in (r.astar_outcome, r.lp_outcome) if o.startswith("error: ")]
         reason = errors[0].removeprefix("error: ") if errors else "optimal costs disagree"
         print(f"error: {r.case_id}: {reason}", file=sys.stderr)
     return EXIT_INVARIANT if failed else EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    cfg = _run_config(args, "both")
-    records = run_corpus(args.corpus, cfg)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_csv(records, fh)
-    else:
-        write_csv(records, sys.stdout)
-    print(summarize(records).render(), end="")
-    print(bucket_report(records), end="")
-    return _batch_exit(records)
 
 
 def cmd_gen(args) -> int:

@@ -308,7 +308,7 @@ class ModelGraph:
     trace, is each marking's model-only distance to ``final``."""
 
     def __init__(self, net: PetriNet, memo: SuccessorMemo, reached: list[bool], cost: CostConfig) -> None:
-        (tau, self.log_cost), self.scale = integers([cost.tau_cost, cost.deviation_cost])
+        tau, self.log_cost, self.scale = cost.scaled
         self.costs = [tau if lbl is TAU else self.log_cost for lbl in net.labels]
         self.reachable = memo.reachable
         final = memo.ids[net.final_marking]
@@ -412,14 +412,14 @@ def solve_layered(graph: LayeredGraph) -> Alignment | None:
                 lowered.append(u)
         layers.append(_settle(here, model.into, lowered))
     layers.reverse()
-    (model0, log0), split = space.offsets, space.split
+    prices, split = space.prices, space.split
     path, spent, key = [], 0, 0
     while key != space.final:
         u, pos = split(key)
         for k, s in space.out(key):
             if s is None or s == key:
                 continue
-            c = 0 if k < model0 else model.costs[k - model0] if k < log0 else model.log_cost
+            c = prices[k]
             v, at = split(s)
             if c + layers[at][v] == layers[pos][u]:
                 break

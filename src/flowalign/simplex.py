@@ -8,30 +8,24 @@ are integer cell vectors with one shared positive denominator, so a pivot
 costs integer multiply-adds plus a single gcd reduction per row.  The cost
 scale is divided out only when the optimal value leaves the solver.
 
-There are three ways in:
+There are two ways in:
 
 - **Cold.**  A two-phase primal simplex with Bland's rule (smallest
   eligible index enters, ratio ties broken by the smallest basic index),
   which precludes cycling.
-- **Warm.**  Given the optimal basis of an earlier solve with the same
-  ``A`` and ``c`` but another ``b``, the tableau is re-factored on that
-  basis.  Reduced costs do not depend on ``b``, so the basis is still dual
-  feasible, and an exact dual simplex with Bland's rule (the infeasible
-  basic variable of smallest index leaves; among ratio ties the smallest
-  column index enters) either restores primal feasibility or proves the
-  new LP infeasible.  A basis that is singular or not dual feasible for
-  the given data is ignored and the solve runs cold, so a warm start can
-  change the work done but never the answer.
-- **Warm from a cached factorization.**  A tableau's ``B^-1 [A | E]``
-  and reduced costs do not depend on ``b``, and block E holds ``B^-1``
-  times the row scales, so from a basis a :class:`BasisCache` holds only
+- **Warm, from a cached tableau.**  A :class:`BasisCache` holds optimal
+  tableaux of one ``A`` and ``c``.  A tableau's ``B^-1 [A | E]`` and
+  reduced costs do not depend on ``b``, so each is dual feasible for every
+  ``b``, and block E holds ``B^-1`` times the row scales: from it only
   ``B^-1 b`` and the objective cell are computed, O(m k) for the k
   nonzeros of ``b``.  If every basic value is nonnegative the answer is
-  read off with no pivot and no copy; else the dual simplex runs on a
-  copy given the new rhs column.  Its other cells keep their scale, but
-  the ratio tests compare values within one row, and Bland's rules pick
-  by column index, never by row, so it takes the pivots a
-  re-factorization would and ends at the same optimum.
+  read off with no pivot and no copy; else an exact dual simplex with
+  Bland's rule (the infeasible basic variable of smallest index leaves;
+  among ratio ties the smallest column index enters) runs on a copy given
+  the new rhs column, and either restores primal feasibility or proves the
+  LP infeasible.  A solve starts from the tableau of the basis it is
+  given when that one is cached, else from the one the cache used last,
+  so the start changes the work done, never the optimal value.
 
 Rows of ``A`` that are combinations of the other rows are dropped from
 the tableau.  Every tableau carries the row operations applied so far (a
@@ -67,8 +61,8 @@ class Optimum(tuple):
     entry and a ``Fraction`` only for the others.  ``basis`` lists the
     basic columns at the optimum, one per constraint row that is not a
     combination of the others.  Pass it back as ``solve_min_eq(a, b2, c,
-    basis=...)`` to warm-start a solve of the same ``a`` and ``c`` with
-    another right-hand side.
+    basis, cache)`` to warm-start a solve of the same ``a`` and ``c`` with
+    another right-hand side from the tableau ``cache`` keeps of it.
     """
 
     basis: tuple[int, ...]
@@ -129,11 +123,10 @@ class _Tableau:
     ``E[i][k] * scales[k]`` times original row k.  ``rows[i][j] / dens[i]``
     is a tableau entry; ``obj[j] / obj_den`` is the reduced cost of column
     j and ``obj[-1] / obj_den`` the negated objective value.  ``basis[i]``
-    is row i's basic column, or -1 while a re-factorization has not yet
-    pivoted on it.  ``dependent`` holds, per dropped row, the weights of a
-    combination of the original rows that vanishes on ``A``.
+    is row i's basic column.  ``dependent`` holds, per dropped row, the
+    weights of a combination of the original rows that vanishes on ``A``.
     ``pivots`` counts the primal and dual simplex pivots made on this
-    tableau (not those of a re-factorization).
+    tableau.
     """
 
     def __init__(self, rows: list[list[int]], basis: list[int], scales: list[int]):
@@ -287,31 +280,24 @@ class _Tableau:
         return Optimum(Fraction(-cells[-1], self.obj_den * scale), x, tuple(self.basis))
 
 
-def _start(a, b, n: int, signed: bool) -> _Tableau:
-    """The tableau ``[A | E | b]`` with E = identity, each row scaled to
-    integers and, when ``signed``, to a nonnegative rhs."""
+def _cold(a, b, n: int, costs: list[int]) -> tuple[_Tableau, bool]:
+    """Two-phase solve: the last tableau, and whether it is optimal (False
+    when phase 1 proves the LP infeasible)."""
     m = len(a)
+    # Block E doubles as the phase-1 artificial columns: every row of
+    # [A | E | b] is scaled to integers and to a nonnegative rhs, so they
+    # form a feasible starting basis.
     rows = []
     scales = []
     for i in range(m):
         row, den = integers([*a[i], b[i]])
-        if signed and row[-1] < 0:
+        if row[-1] < 0:
             row = [-v for v in row]
             den = -den
         row[n:n] = [1 if k == i else 0 for k in range(m)]
         rows.append(row)
         scales.append(den)
-    return _Tableau(rows, [-1] * m, scales)
-
-
-def _cold(a, b, n: int, costs: list[int]) -> tuple[_Tableau, bool]:
-    """Two-phase solve: the last tableau, and whether it is optimal (False
-    when phase 1 proves the LP infeasible)."""
-    m = len(a)
-    # Block E doubles as the phase-1 artificial columns: every rhs is
-    # nonnegative, so they form a feasible starting basis.
-    tab = _start(a, b, n, signed=True)
-    tab.basis = [n + i for i in range(m)]
+    tab = _Tableau(rows, [n + i for i in range(m)], scales)
     tab.set_costs([0] * n + [1] * m)
     tab.run(n + m)
     if tab.obj[-1]:
@@ -333,50 +319,31 @@ def _cold(a, b, n: int, costs: list[int]) -> tuple[_Tableau, bool]:
     return tab, True
 
 
-def _refactor(a, b, n: int, costs: list[int], basis: Sequence[int]) -> _Tableau | None:
-    """The tableau of ``basis`` for this ``b``, or None when ``basis`` is
-    not a basis of ``a`` or not dual feasible for these costs."""
-    if len(set(basis)) != len(basis) or not all(0 <= col < n for col in basis):
-        return None
-    tab = _start(a, b, n, signed=False)
-    for col in basis:
-        r = next((r for r, bi in enumerate(tab.basis) if bi < 0 and tab.rows[r][col]), -1)
-        if r < 0:
-            return None
-        tab.pivot(r, col)
-    rest = [r for r, bi in enumerate(tab.basis) if bi < 0]
-    if any(any(tab.rows[r][:n]) for r in rest):
-        return None
-    tab.drop(rest, n)
-    tab.set_costs(costs + [0] * len(a))
-    if any(v < 0 for v in tab.obj[:n]):
-        return None
-    return tab
-
-
 class BasisCache:
-    """Dual-feasible tableaux of one ``a`` and ``c``, keyed by basis as a set.
+    """Optimal tableaux of one ``a`` and ``c``, keyed by basis as a set.
 
     Made for the objects ``a`` and ``c`` and passed to
     :func:`solve_min_eq` with exactly those objects; it keeps ``c`` scaled
     to integers once.  It keeps at most :data:`BASIS_CACHE_SIZE` tableaux
-    in least-recently-used order: the tableau a warm start re-factors, and
-    a cached one it starts from, go to the recent end, since a basis asked
-    for once tends to be asked for again (in A*, a parent's basis seeds
-    each of its children); a new optimum goes to the other end and stays
-    only if a warm start asks for its basis before the next optimum
-    arrives.  Entries are never mutated: a warm start reads the answer off
-    a cached tableau when its basis stays optimal and pivots on a copy
-    otherwise.  Only integer right-hand sides use the cache: for them every
-    row's scale is the one its row of ``a`` alone gives (negated in a cold
-    tableau whose rhs was negative), so block E turns any integer ``b``
-    into integer cells.  ``pivots`` counts the primal and dual simplex
-    pivots of every solve made with the cache.  A new cache starts with the
-    tableaux of ``seed``, a cache of the same ``a`` and ``c``, if given.
+    in least-recently-used order: a tableau a warm start reads goes to the
+    recent end, since a basis asked for once tends to be asked for again
+    (in A*, a parent's basis seeds each of its children); a new optimum
+    goes to the other end and stays only if a warm start asks for its
+    basis before the next optimum arrives.  Entries are never mutated: a
+    warm start reads the answer off a cached tableau when its basis stays
+    optimal and pivots on a copy otherwise.  Only integer right-hand sides
+    use the cache: for them every row's scale is the one its row of ``a``
+    alone gives (negated where the cold tableau's rhs was negative), so
+    block E turns any integer ``b`` into integer cells.  ``pivots`` counts
+    the primal and dual simplex pivots of every solve made with the cache.
+    A new cache starts with the tableaux of ``seed``, a cache of the same
+    ``a`` and ``c``, if given.
 
     Why 16: an A* search keeps returning to a few bases.  On the corpus's
-    first edit cycle (108 seeded searches) no warm start re-factors with
-    room for 16 tableaux; with room for 5, 20 do.
+    first edit cycle (108 seeded searches, 1,863 warm starts from a
+    parent's basis) none misses its basis with room for 16 tableaux; with
+    room for 8, 33 miss, and with room for 5, 75, each starting from the
+    most recently used tableau instead.
     """
 
     def __init__(self, a: Sequence[Sequence[int | Fraction]], c: Sequence[int | Fraction], seed=None):
@@ -389,23 +356,26 @@ class BasisCache:
     def __len__(self) -> int:
         return len(self._tableaux)
 
-    def get(self, basis: Sequence[int]) -> _Tableau | None:
-        """The cached tableau of ``basis``, moved to the recent end; the
-        caller must not change it."""
-        key = tuple(sorted(basis))
-        tab = self._tableaux.get(key)
-        if tab is not None:
-            self._tableaux.move_to_end(key)
-        return tab
+    def get(self, basis: Sequence[int] | None) -> _Tableau | None:
+        """The tableau a warm start reads: that of ``basis``, moved to the
+        recent end, when it is cached, else the most recently used one, or
+        None while the cache is empty; the caller must not change it."""
+        if basis is not None:
+            key = tuple(sorted(basis))
+            tab = self._tableaux.get(key)
+            if tab is not None:
+                self._tableaux.move_to_end(key)
+                return tab
+        return next(reversed(self._tableaux.values()), None)
 
-    def put(self, tab: _Tableau, recent: bool) -> None:
+    def put(self, tab: _Tableau) -> None:
         key = tuple(sorted(tab.basis))
         if key in self._tableaux:
             return
         if len(self._tableaux) == BASIS_CACHE_SIZE:
             self._tableaux.popitem(last=False)
         self._tableaux[key] = tab
-        self._tableaux.move_to_end(key, last=recent)
+        self._tableaux.move_to_end(key, last=False)
 
 
 def solve_min_eq(
@@ -418,24 +388,30 @@ def solve_min_eq(
     """Minimize ``c.x`` subject to ``a x = b`` and ``x >= 0``.
 
     Returns ``(optimal value, x)`` as an :class:`Optimum`, or ``None``
-    when infeasible.  ``basis``, the ``Optimum.basis`` of an earlier
-    solve with the same ``a`` and ``c``, warm-starts the dual simplex.
-    ``cache``, a :class:`BasisCache` made for these ``a`` and ``c``,
-    keeps the optimal tableau and seeds later warm starts from the bases
-    it holds; it changes the work done, never the answer.
+    when infeasible.  ``cache``, a :class:`BasisCache` made for these
+    ``a`` and ``c``, keeps the optimal tableau and warm-starts the solve
+    from the tableau :meth:`BasisCache.get` gives for ``basis``, the
+    ``Optimum.basis`` of an earlier solve; the solve runs cold while the
+    cache is empty, and for a ``b`` that is not all ``int``.  The start
+    changes the work done and may change which optimal ``x`` is returned,
+    never the optimal value.  A ``basis`` without a ``cache`` is refused.
     """
-    if cache is not None:
-        if cache.a is not a or cache.c is not c:
-            raise InvalidInputError("BasisCache used with another a or c than it was made for")
-        if not set(map(type, b)) <= {int}:
-            cache = None
+    if cache is None:
+        if basis is not None:
+            raise InvalidInputError("a basis warm-starts a solve only through a BasisCache")
+    elif cache.a is not a or cache.c is not c:
+        raise InvalidInputError("BasisCache used with another a or c than it was made for")
+    elif not set(map(type, b)) <= {int}:
+        cache = None
     n = len(c)
     if len(a) == 0:
         return Optimum(Fraction(0), [0] * n, ())
     costs, scale = integers(c) if cache is None else (cache.costs, cache.scale)
-    nonzeros = [(k, v) for k, v in enumerate(b) if v]
-    tab = cache.get(basis) if cache is not None and basis is not None else None
-    if tab is not None:
+    tab = None if cache is None else cache.get(basis)
+    if tab is None:
+        tab, feasible = _cold(a, b, n, costs)
+    else:
+        nonzeros = [(k, v) for k, v in enumerate(b) if v]
         if not tab.consistent(nonzeros):
             return None
         cells = tab.rhs_cells(n, nonzeros)
@@ -445,16 +421,8 @@ def solve_min_eq(
         tab = tab.copy()
         tab.set_rhs(cells)
         feasible = tab.run_dual(n)
-    else:
-        tab = None if basis is None else _refactor(a, b, n, costs, basis)
-        if tab is None:
-            tab, feasible = _cold(a, b, n, costs)
-        else:
-            if cache is not None:
-                cache.put(tab.copy(), recent=True)
-            feasible = tab.consistent(nonzeros) and tab.run_dual(n)
     if cache is not None:
         cache.pivots += tab.pivots
         if feasible:
-            cache.put(tab, recent=False)
+            cache.put(tab)
     return tab.optimum(n, scale) if feasible else None

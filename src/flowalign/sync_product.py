@@ -30,6 +30,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvalidInputError
 from .petri import TAU, Marking, PetriNet, Trace, incidence_matrices, successor_memo, trace_ids
@@ -81,6 +82,13 @@ class CostConfig:
             raise InvalidInputError(
                 f"need 0 < tau_cost < deviation_cost, got {self.tau_cost} and {self.deviation_cost}"
             )
+
+    @cached_property
+    def scaled(self) -> tuple[int, int, int]:
+        """``(tau, dev, scale)``: both costs times ``scale``, the lcm of their
+        denominators.  Every engine prices moves in these integer units."""
+        (tau, dev), scale = integers([self.tau_cost, self.deviation_cost])
+        return tau, dev, scale
 
 
 @dataclass(frozen=True)
@@ -208,19 +216,16 @@ class Relaxation:
     Columns: ``x_j`` per transition (its incidence column, cost ``c_j``),
     ``y_j`` per visible transition (``sync_columns[j]``: that column plus 1
     in its label's row, cost 0), ``s_a`` per label (1 in row ``a``, cost
-    ``deviation``), all scaled by ``scale``.  ``seed`` holds the optimal
-    tableau at rhs ``(m_f - m_0, 0)``, of basis ``seed_basis``; both are
-    None when that LP is infeasible.  Nothing here changes once built.
+    ``dev``), all in the units of ``CostConfig.scaled``.  ``seed`` holds
+    the optimal tableau at rhs ``(m_f - m_0, 0)``, or is None when that LP
+    is infeasible.  Nothing here changes once built.
     """
 
     rows: list[list[int]]
     costs: list[int]
-    scale: int
-    deviation: int
     labels: dict[str, int]
     sync_columns: dict[int, int]
     seed: BasisCache | None
-    seed_basis: tuple[int, ...] | None
 
     def columns(self, sp: SynchronousProduct) -> list[int | None]:
         """Each move's column: sync ``(j, pos)`` is ``y_j``, model ``j`` is
@@ -246,16 +251,13 @@ def model_relaxation(sn: PetriNet, cost: CostConfig) -> Relaxation:
     rows = [[*row, *(row[j] for j in visible), *zeros] for row in incidence_matrices(sn).incidence]
     for a, k in labels.items():
         rows.append([0] * t + [int(sn.labels[j] == a) for j in visible] + zeros[:k] + [1] + zeros[k + 1:])
-    d = cost.deviation_cost  # the extra last cost prices a log move of a label the model lacks
-    prices = [cost.tau_cost if a is TAU else d for a in sn.labels] + [0] * len(visible)
-    costs, scale = integers(prices + [d] * (len(labels) + 1))
-    seed = BasisCache(rows, costs[:-1])
+    tau, dev, _ = cost.scaled
+    costs = [tau if a is TAU else dev for a in sn.labels] + [0] * len(visible) + [dev] * len(labels)
+    seed = BasisCache(rows, costs)
     rhs = [f - v for f, v in zip(sn.final_marking, sn.initial_marking)] + zeros
-    optimum = solve_min_eq(rows, rhs, seed.c, cache=seed)
+    optimum = solve_min_eq(rows, rhs, costs, cache=seed)
     sync_columns = {j: t + c for c, j in enumerate(visible)}
-    made = Relaxation(
-        rows, seed.c, scale, costs[-1], labels, sync_columns, optimum and seed, optimum and optimum.basis
-    )
+    made = Relaxation(rows, costs, labels, sync_columns, optimum and seed)
     return cache.setdefault(cost, made)
 
 
@@ -269,7 +271,8 @@ class ProductSpace:
     ``n`` is the trace length.  The initial state's key is 0 and
     ``final`` is the final state's.  A cap below 1 or below the initial
     marking raises the memo's :class:`InvalidLimitsError`.  ``offsets``
-    are the indices of the first model move and of the first log move.
+    are the indices of the first model move and of the first log move, and
+    ``prices`` is each move's cost in the units of ``CostConfig.scaled``.
 
     :meth:`out` is the product's one successor function.  It yields the
     moves enabled at a state as ``(move index, successor key)`` in the
@@ -295,6 +298,9 @@ class ProductSpace:
         self.memo = memo = successor_memo(sp.process_net, sp.token_cap)
         self.final = memo.ids[sp.process_net.final_marking] * self._stride + n
         self.offsets = _move_offsets(sp)
+        tau, dev, _ = sp.cost.scaled
+        model_prices = [tau if a is TAU else dev for a in sp.process_net.labels]
+        self.prices = [0] * self.offsets[0] + model_prices + [dev] * n
 
     def out(self, key: int) -> Iterator[tuple[int, int | None]]:
         """Yield every move enabled at state ``key``, with its successor's key."""

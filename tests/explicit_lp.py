@@ -20,7 +20,6 @@ proves it.  Everything here is exact integer or ``Fraction`` arithmetic.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from flowalign.flow import FlowProblem, FlowSolution
 from flowalign.petri import IntMatrix, Marking, PetriNet, Trace, firing_data, incidence_matrices, trace_ids
 from flowalign.reachability import ReachabilityGraph
 from flowalign.simplex import integers
-from flowalign.sync_product import MoveKind, SynchronousProduct, _trace_renaming
+from flowalign.sync_product import MoveKind, ProductSpace, SynchronousProduct, _trace_renaming
 
 
 # Petri nets: firing one transition, the trace model, the product net.
@@ -146,18 +145,21 @@ def product_net(sp: SynchronousProduct) -> PetriNet:
 # A*'s marking equation at a full product marking.
 
 
-def split_marking(sp: SynchronousProduct, m: Marking) -> tuple[Marking, int]:
-    """The process marking and trace position of product marking ``m``."""
-    width = len(sp.process_net.places)
-    trace = m[width:]
-    if len(m) != len(sp.final_marking) or sorted(trace) != [0] * (len(trace) - 1) + [1]:
-        raise InvalidInputError("marking does not index the product's places with one trace token")
-    return m[:width], trace.index(1)
+class MarkingKeyedSpace(ProductSpace):
+    """A product's state space keyed by full product markings."""
+
+    def state(self, m: Marking) -> tuple[Marking, int]:
+        """The process marking and trace position of product marking ``m``."""
+        width = len(self.sp.process_net.places)
+        trace = m[width:]
+        if len(m) != len(self.sp.final_marking) or sorted(trace) != [0] * (len(trace) - 1) + [1]:
+            raise InvalidInputError("marking does not index the product's places with one trace token")
+        return m[:width], trace.index(1)
 
 
 def marking_equation(sp: SynchronousProduct) -> MarkingEquation:
     """A :class:`~flowalign.astar.MarkingEquation` keyed by full product markings."""
-    return MarkingEquation(sp, functools.partial(split_marking, sp))
+    return MarkingEquation(MarkingKeyedSpace(sp))
 
 
 def marking_equation_heuristic(sp: SynchronousProduct, m: Marking) -> Fraction | float:

@@ -51,6 +51,23 @@ class TestAstarAlign:
         assert alignment is None
         assert stats.outcome is Outcome.INFEASIBLE
 
+    def test_dead_end_is_dropped_not_expanded(self):
+        """t needs a token on q that never comes, so the relaxation's
+        solution at the start (fire t once) is spurious and no alignment
+        exists; v leads to pd, where the relaxation is infeasible.  The
+        search expands the start state only: the dead end leaves the
+        queue unexpanded."""
+        from flowalign.petri import PetriNet
+
+        net = PetriNet.build(
+            ["p0", "q", "pf", "pd"], ["t", "v"],
+            [("p0", "t"), ("q", "t"), ("t", "q"), ("t", "pf"), ("p0", "v"), ("v", "pd")],
+            {"t": "a", "v": "b"}, {"p0": 1}, {"pf": 1},
+        )
+        alignment, stats = astar_align(product_for_trace(net, Trace("x", ())))
+        assert alignment is None and stats.outcome is Outcome.INFEASIBLE
+        assert stats.heuristic_calls == 2 and stats.expansions == 1
+
     def test_projection_reproduces_trace(self, fig_cyclic):
         trace = Trace("t", ("a", "c", "b", "d", "b", "e"))
         sp = product_for_trace(fig_cyclic, trace)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -411,14 +412,13 @@ class TestBatchFailures:
         assert "c1" in captured.err
 
     def test_conformance_disagreement_exits_5(self, toy_files, monkeypatch, capsys):
-        real = bench.run_instance
+        real = bench.lp_align
 
-        def disagreeing(*args, **kwargs):
-            rec = real(*args, **kwargs)
-            rec.costs_agree = False
-            return rec
+        def overpriced(*args, **kwargs):
+            alignment, stats = real(*args, **kwargs)
+            return dataclasses.replace(alignment, total_cost=alignment.total_cost + 1), stats
 
-        monkeypatch.setattr(bench, "run_instance", disagreeing)
+        monkeypatch.setattr(bench, "lp_align", overpriced)
         model, log = toy_files
         assert main(["conformance", str(model), str(log)]) == 5
         assert "optimal costs disagree" in capsys.readouterr().err

@@ -39,7 +39,7 @@ from flowalign.generator import (
 from flowalign.petri import TAU, PetriNet, Trace, firing_data, incidence_matrices
 from flowalign.reachability import build_reachability_graph
 from flowalign.simplex import BASIS_CACHE_SIZE, BasisCache, Optimum, solve_min_eq
-from flowalign.sync_product import CostConfig, product_for_trace
+from flowalign.sync_product import CostConfig, model_relaxation, product_for_trace
 from oracles import incidence_rows, oracle_shortest_cost, product_marking_equation
 
 GOLDEN = Path(__file__).parent / "data" / "astar_first_edit_cycle.json"
@@ -127,8 +127,9 @@ def test_reuse_and_warm_start_equal_cold_solve(rng, block_model):
     # The warm start alone, also where the reuse rule answered above.
     rows, costs = h.relaxation.rows, h.relaxation.costs
     (b, _), (b_child, outside) = h.rhs(m), h.rhs(child)
-    parent = solve_min_eq(rows, b, costs)
-    warm = solve_min_eq(rows, b_child, costs, basis=parent.basis)
+    cache = BasisCache(rows, costs)
+    parent = solve_min_eq(rows, b, costs, cache=cache)
+    warm = solve_min_eq(rows, b_child, costs, parent.basis, cache)
     assert (math.inf if warm is None else Fraction(warm[0] + outside, h.scale)) == cold
 
 
@@ -199,6 +200,9 @@ def equality_lps(draw):
     c = [draw(st.sampled_from([0, 1, 3, Fraction(1, 10**6)])) for _ in range(n)]
     x0 = [draw(st.integers(0, 3)) for _ in range(n)]
     b = [sum(r[j] * x0[j] for j in range(n)) for r in a]
+    if not all(v == int(v) for v in b):
+        b = [2 * v for v in b]  # an integer rhs, which a BasisCache takes
+    b = [int(v) for v in b]
     b2 = [v + draw(st.integers(-2, 2)) for v in b]
     return a, b, b2, c
 
@@ -207,10 +211,11 @@ def equality_lps(draw):
 @settings(max_examples=200, deadline=None)
 def test_solve_min_eq_warm_start_matches_cold(lp):
     a, b, b2, c = lp
-    first = solve_min_eq(a, b, c)
-    assert isinstance(first, Optimum)
+    cache = BasisCache(a, c)
+    first = solve_min_eq(a, b, c, cache=cache)
+    assert isinstance(first, Optimum) and len(cache) == 1
     cold = solve_min_eq(a, b2, c)
-    warm = solve_min_eq(a, b2, c, basis=first.basis)
+    warm = solve_min_eq(a, b2, c, first.basis, cache)
     assert (warm is None) == (cold is None)
     if cold is not None:
         value, x = warm
@@ -244,15 +249,15 @@ def lp_chains(draw):
     return a, c, bs, seeds
 
 
-def solve_chain(a, c, bs, seeds, cache=None):
-    """Solve bs[0] cold, then each later b warm from the basis of the
-    earlier solve ``seeds`` names (cold when that one was infeasible)."""
+def solve_chain(a, c, bs, seeds, cache):
+    """Solve each b through ``cache``: bs[0] cold, then each later b warm
+    from the basis of the earlier solve ``seeds`` names (from the cache's
+    most recent tableau when that one was infeasible)."""
     results = [solve_min_eq(a, bs[0], c, cache=cache)]
     for b, k in zip(bs[1:], seeds):
         seed = results[k]
-        basis = None if seed is None else seed.basis
-        results.append(solve_min_eq(a, b, c, basis, cache=cache))
-        assert cache is None or len(cache) <= simplex.BASIS_CACHE_SIZE
+        results.append(solve_min_eq(a, b, c, None if seed is None else seed.basis, cache))
+        assert len(cache) <= simplex.BASIS_CACHE_SIZE
     return results
 
 
@@ -260,40 +265,48 @@ def solve_chain(a, c, bs, seeds, cache=None):
 @given(lp_chains())
 @settings(max_examples=200, deadline=None)
 def test_basis_cache_changes_no_answer(size, chain):
-    """Also with room for one or five tableaux, so that warm starts miss
-    and tableaux are evicted."""
+    """Also with room for one or five tableaux, so that warm starts miss,
+    start from the most recent tableau and may end at another optimal
+    vertex, and tableaux are evicted: every solve gives a cold solve's
+    verdict and optimal value, and its x is optimal."""
     a, c, bs, seeds = chain
-    plain = solve_chain(a, c, bs, seeds)
     with mock.patch.object(simplex, "BASIS_CACHE_SIZE", size):
         cached = solve_chain(a, c, bs, seeds, BasisCache(a, c))
-    for p, q in zip(plain, cached):
-        assert (p is None) == (q is None)
-        if p is not None:
-            assert (q[0], q[1], sorted(q.basis)) == (p[0], p[1], sorted(p.basis))
+    for b, got in zip(bs, cached):
+        cold = solve_min_eq(a, b, c)
+        assert (cold is None) == (got is None)
+        if cold is not None:
+            value, x = got
+            assert value == cold[0]
+            assert all(v >= 0 for v in x)
+            assert all(sum(r[j] * x[j] for j in range(len(x))) == v for r, v in zip(a, b))
+            assert sum(cj * xj for cj, xj in zip(c, x)) == value
 
 
 def test_basis_cache_seeds_a_warm_start_without_refactoring(monkeypatch):
     a, c = [[1, 1, 0, -1], [0, 1, 1, 0], [1, 0, -1, 2]], [3, 1, 4, 2]
-    first = solve_min_eq(a, [2, 3, -1], c)
-    refactors = []
-    real_refactor = simplex._refactor
-    monkeypatch.setattr(simplex, "_refactor", lambda *args: refactors.append(1) or real_refactor(*args))
+    bs = ([4, 1, 5], [1, 1, 1], [0, 5, -5])
+    half = [Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2)]
+    first, *cold = (solve_min_eq(a, b, c) for b in ([2, 3, -1], *bs, half))
+    colds = counting_calls(monkeypatch, simplex, "_cold")
     cache = BasisCache(a, c)
     assert solve_min_eq(a, [2, 3, -1], c, cache=cache) == first
-    for b in ([4, 1, 5], [1, 1, 1], [0, 5, -5]):
-        cached = solve_min_eq(a, b, c, first.basis, cache=cache)
-        assert cached == solve_min_eq(a, b, c)
-    assert refactors == []
+    assert len(colds) == 1  # an empty cache solves cold
+    for b, expected in zip(bs, cold):
+        assert solve_min_eq(a, b, c, first.basis, cache) == expected
+    assert len(colds) == 1
 
     # A rational rhs may need other row scales: it neither reads nor fills the cache.
-    half = [Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2)]
-    assert solve_min_eq(a, half, c, first.basis, cache=cache) == solve_min_eq(a, half, c)
-    assert len(refactors) == 1
+    entries = len(cache)
+    assert solve_min_eq(a, half, c, first.basis, cache) == cold[-1]
+    assert len(colds) == 2 and len(cache) == entries
 
     with pytest.raises(InvalidInputError):
         solve_min_eq([row[:] for row in a], [1, 1, 1], c, first.basis, cache=cache)
     with pytest.raises(InvalidInputError):
         solve_min_eq(a, [1, 1, 1], list(c), first.basis, cache=cache)
+    with pytest.raises(InvalidInputError):  # a basis is no warm start without a cache
+        solve_min_eq(a, [1, 1, 1], c, first.basis)
 
 
 def counting_calls(monkeypatch, module, name):
@@ -359,11 +372,23 @@ def test_optimum_x_is_int_where_integral():
     assert x == [2, 0] and all(type(v) is int for v in x)
 
 
-def test_unusable_basis_falls_back_to_cold():
-    a, b, c = [[1, 1, 0], [0, 1, 1]], [2, 3], [3, 1, 4]
-    value = solve_min_eq(a, b, c)[0]
-    for basis in ((), (0,), (0, 0), (5, 1), (0, 2)):
-        assert solve_min_eq(a, b, c, basis=basis)[0] == value
+def test_unusable_basis_starts_from_the_most_recent_tableau(monkeypatch):
+    a, c = [[1, 1, 0], [0, 1, 1]], [3, 1, 4]
+    cache = BasisCache(a, c)
+    used = solve_min_eq(a, [5, 1], c, cache=cache)  # basis {0, 1}
+    newest = solve_min_eq(a, [0, 1], c, cache=cache)  # basis {1, 2}, at the old end
+    assert len(cache) == 2 and sorted(used.basis) == [0, 1] and sorted(newest.basis) == [1, 2]
+    solve_min_eq(a, [5, 1], c, used.basis, cache)  # a hit: {0, 1} is now the most recently used
+    starts = []
+    real = simplex._Tableau.rhs_cells
+    monkeypatch.setattr(simplex._Tableau, "rhs_cells", lambda tab, *args: starts.append(tab) or real(tab, *args))
+    colds = counting_calls(monkeypatch, simplex, "_cold")
+    value = solve_min_eq(a, [2, 3], c)[0]
+    del colds[:]
+    for basis in (None, (), (0,), (0, 0), (5, 1), (0, 2)):
+        assert solve_min_eq(a, [2, 3], c, basis, cache)[0] == value
+    assert colds == []
+    assert [sorted(tab.basis) for tab in starts] == [[0, 1]] * 6
 
 
 @given(st.randoms(use_true_random=False))
@@ -419,35 +444,73 @@ def test_every_solve_goes_through_solve_min_eq(monkeypatch):
     assert stats.heuristic_reuses > 0
 
 
-def test_basis_cache_spares_most_refactorizations(monkeypatch):
+def m06_k7():
     """The search of the first edit cycle with the most solves (m06, 7
-    edits: 265 solves, every one warm, the first from the model's seed)
-    re-factors on no warm start, and its cache fills to its bound."""
-    refactors = []
-    real_refactor = simplex._refactor
-    monkeypatch.setattr(simplex, "_refactor", lambda *args: refactors.append(1) or real_refactor(*args))
-    warm, sizes = [], []
+    edits: 265 solves)."""
+    return next(sp for case, sp in first_edit_cycle({"m06"}) if case.endswith("k7"))
+
+
+def test_basis_cache_holds_every_basis_a_long_search_asks_for(monkeypatch):
+    """The longest search's first solve starts from the model's seed and
+    every later one from its parent's basis, which its cache holds every
+    time; the cache fills to its bound, and nothing is solved cold."""
+    sp = m06_k7()
+    model_relaxation(sp.process_net, sp.cost)
+    colds = counting_calls(monkeypatch, simplex, "_cold")
+    bases, hits, sizes = [], [], []
 
     def watching(a, b, c, basis=None, cache=None):
-        warm.append(basis is not None)
-        result = solve_min_eq(a, b, c, basis, cache=cache)
+        bases.append(basis)
+        hits.append(basis is not None and sorted(cache.get(basis).basis) == sorted(basis))
+        result = solve_min_eq(a, b, c, basis, cache)
         sizes.append(len(cache))
         return result
 
     monkeypatch.setattr(astar, "solve_min_eq", watching)
-    _, sp = next(case for case in first_edit_cycle({"m06"}) if case[0].endswith("k7"))
     alignment, stats = astar_align(sp)
     assert stats.outcome is Outcome.OPTIMAL
-    assert stats.heuristic_calls == len(warm) == sum(warm) == 265
-    assert refactors == []
+    assert stats.heuristic_calls == len(bases) == 265
+    assert bases[0] is None and sum(hits) == 264
+    assert colds == []
     assert max(sizes) == BASIS_CACHE_SIZE
+
+
+def test_a_search_with_room_for_one_tableau_solves_nothing_cold(monkeypatch):
+    """With room for one tableau a parent's tableau is mostly evicted
+    before its children ask for it; each such warm start begins from the
+    most recent tableau instead.  No solve after the model's seed runs
+    cold, every h equals a cold solve, and the search expands and returns
+    what it does with the full cache."""
+    sp = m06_k7()
+    relax = model_relaxation(sp.process_net, sp.cost)
+    expected = astar_align(sp)
+    searches = []
+
+    class Watched(astar.MarkingEquation):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(astar, "MarkingEquation", Watched)
+    monkeypatch.setattr(simplex, "BASIS_CACHE_SIZE", 1)
+    colds = counting_calls(monkeypatch, simplex, "_cold")
+    alignment, stats = astar_align(sp)
+    assert colds == []
+    monkeypatch.undo()
+    [h] = searches
+    assert stats.heuristic_calls == h.solves > 200
+    assert (alignment, stats.expansions) == (expected[0], expected[1].expansions)
+    for key, value in h.values.items():
+        rhs, outside = h.rhs(key)
+        cold = solve_min_eq(relax.rows, rhs, relax.costs)
+        assert value == (math.inf if cold is None else cold[0] + outside)
 
 
 def test_first_edit_cycle_solver_work():
     """The heuristic's work summed over the 108 searches of the corpus's
     first edit cycle: simplex calls, values reused from a parent, and
-    primal and dual simplex pivots (re-factorizations and the models'
-    seed solves not counted).  A faster warm start may change none of
+    primal and dual simplex pivots (the models' seed solves not
+    counted).  A faster warm start may change none of
     them."""
     runs = [astar_align(sp)[1] for _, sp in first_edit_cycle({m for m, _, _ in build_corpus_models()})]
     assert len(runs) == 108 and all(s.outcome is Outcome.OPTIMAL for s in runs)
@@ -469,13 +532,14 @@ def fresh_first_edit_cycle():
 
 def test_one_cold_solve_per_model(monkeypatch):
     """Each of the 12 models solves its seed cold once; all 1,971 of the
-    searches' own solves are warm starts."""
+    searches' own solves are warm starts, each search's first from its
+    model's seed and every later one from a parent's basis."""
     colds, solves = counting_calls(monkeypatch, simplex, "_cold"), counting_calls(monkeypatch, astar, "solve_min_eq")
     products = fresh_first_edit_cycle()
     runs = [astar_align(sp)[1] for _, sp in products]
     assert len(colds) == len({sp.process_net for _, sp in products}) == 12
     assert len(solves) == sum(s.heuristic_calls for s in runs) == 1971
-    assert all(args[3] is not None for args in solves)  # every search solve has a basis
+    assert sum(args[3] is None for args in solves) == len(products)  # one start marking per search
 
 
 def test_search_counters_do_not_depend_on_other_searches():

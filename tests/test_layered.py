@@ -9,10 +9,12 @@ sequence.  ``lp_align`` never builds a graph, and a graph that a budget
 cuts short is never priced, even when it reached the final marking.
 """
 
+import contextlib
 import dataclasses
 import math
 import os
 import pickle
+import signal
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -335,3 +337,50 @@ def test_lp_align_raises_on_a_label_settled_too_low(monkeypatch):
     monkeypatch.setattr(flow, "_settle", too_low)
     with pytest.raises(InternalInvariantError, match="model move at position 0"):
         lp_align(sp)
+
+
+@contextlib.contextmanager
+def fail_after(seconds: int):
+    """Raise ``TimeoutError`` after ``seconds``, so that a walk that never
+    ends fails its test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_lp_align_raises_when_a_label_cycle_traps_the_walk(fig_cyclic, monkeypatch):
+    """Layer 0 settled all infinite: every model move at position 0 looks
+    tight, and the first one listed at each marking runs round the model's
+    d-loop, so only the walk's length guard stops it."""
+    sp = product_for_trace(fig_cyclic, Trace("t", ("a", "b", "c", "e")))
+    assert lp_align(sp)[0].total_cost == 0  # prices the model's graph with the real settle
+    settle, calls = flow._settle, []
+
+    def infinite_layer_0(dist, into, sources):
+        calls.append(sources)
+        dist = settle(dist, into, sources)
+        return [math.inf] * len(dist) if len(calls) == len(sp.trace_labels) else dist
+
+    monkeypatch.setattr(flow, "_settle", infinite_layer_0)
+    with fail_after(20), pytest.raises(InternalInvariantError, match="label walk stuck"):
+        lp_align(sp)
+
+
+def test_lp_align_raises_when_a_move_costs_other_than_its_price():
+    """The walk spends each move's price; the alignment sums the moves'
+    ``Fraction`` costs, and the final check compares the two."""
+    sp = one_step_product()
+    alignment, _ = lp_align(sp)
+    k = sp.moves.index(alignment.moves[0])
+    moves = list(sp.moves)
+    moves[k] = dataclasses.replace(moves[k], cost=moves[k].cost + 1)
+    with pytest.raises(InternalInvariantError, match="path cost disagrees with distance label"):
+        lp_align(dataclasses.replace(sp, moves=tuple(moves)))

@@ -17,6 +17,7 @@ from flowalign.sync_product import (
     GAP,
     CostConfig,
     MoveKind,
+    ProductSpace,
     cost_vector,
     product_for_trace,
 )
@@ -174,6 +175,14 @@ class TestCostConfig:
         sp = product_for_trace(fig_acyclic, Trace("t", ("a",)), cfg)
         assert max(cost_vector(sp)) == 5
 
+    @pytest.mark.parametrize("cfg", [CostConfig(), CostConfig(Fraction(1, 7), Fraction(3, 2))])
+    def test_each_move_is_priced_once_in_the_config_units(self, cfg, insurance, fig_acyclic):
+        assert cfg.scaled == (cfg.tau_cost * cfg.scaled[2], cfg.deviation_cost * cfg.scaled[2], cfg.scaled[2])
+        for net in (insurance, fig_acyclic):
+            sp = product_for_trace(net, INSURANCE_TRACE, cfg)
+            prices = ProductSpace(sp).prices
+            assert [Fraction(p, cfg.scaled[2]) for p in prices] == list(cost_vector(sp))
+
 
 def test_product_debug_pnml_round_trips_structure(toy_product):
     data = product_to_pnml(toy_product)
@@ -197,7 +206,7 @@ def modules_naming(names: set[str]) -> set[str]:
 def test_only_sync_product_reads_the_move_layout():
     """The canonical move order is written once, in ``ProductSpace.out``:
     no other module reads the synchronous move table or the move offsets."""
-    assert modules_naming({"sync_moves_at", "_move_offsets"}) == {"sync_product.py"}
+    assert modules_naming({"sync_moves_at", "_move_offsets", "offsets"}) == {"sync_product.py"}
 
 
 def test_engines_read_the_token_cap_only_through_the_product():

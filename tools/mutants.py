@@ -1,0 +1,127 @@
+"""Mutant catalogue: which one-line breakages of a check does the suite miss?
+
+Each mutant below replaces one line of a certificate, an invariant check
+or a rule the engines' exactness rests on.  For each, the working tree is
+copied to a fresh temporary directory, the mutant is applied there and
+``pytest -q -x tests`` runs on the copy; a mutant under which the suite
+still passes survives.  The unmutated copy runs first, so that a copy
+that fails for another reason cannot make every mutant look killed.
+
+Run from anywhere (about a minute per mutant on two cores)::
+
+    python tools/mutants.py
+
+It prints one line per mutant and then the survivors, and exits 1 when
+the unmutated suite fails or a mutant's line is not found.  Each run is
+bounded in time and address space.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = "src/flowalign/"
+TIMEOUT_S = 600
+ADDRESS_SPACE = 4 << 30  # bytes per pytest run
+
+#: (name, file, line as it is, line as mutated); each line occurs once in its file.
+MUTANTS = [
+    ("certificate: sink clause", "flow.py",
+     "    if layers[-1][model.final] != 0:",
+     "    if False:"),
+    ("certificate: model-move clause", "flow.py",
+     "        if any(map(operator.gt, map(at, tails), map(operator.add, costs, map(at, heads)))):",
+     "        if False:"),
+    ("certificate: log-move clause", "flow.py",
+     "            if any(d > model.log_cost + dn for d, dn in zip(here, nxt)) or any(",
+     "            if False or any("),
+    ("certificate: synchronous-move clause", "flow.py",
+     "                here[u] > nxt[s] for u, s in model.sync.get(trace[pos], ())",
+     "                False for u, s in model.sync.get(trace[pos], ())"),
+    ("walk guard", "flow.py",
+     "        if s is None or len(path) > graph.nodes:",
+     "        if s is None:"),
+    ("walk's final cost check", "flow.py",
+     "    if spent != layers[0][0] or alignment.total_cost != Fraction(spent, model.scale):",
+     "    if False:"),
+    ("simplex: warm start's feasibility test", "simplex.py",
+     "        if all(v >= 0 for v in cells[:-1]):",
+     "        if True:"),
+    ("simplex: consistent", "simplex.py",
+     "        return not any(sum([w[k] * v for k, v in nonzeros]) for w in self.dependent)",
+     "        return True"),
+    ("simplex: run_dual's infeasible return", "simplex.py",
+     "            if entering < 0:\n                return False",
+     "            if entering < 0:\n                return True"),
+    ("A*: reuse rule", "astar.py",
+     "            if t is None or x.get(t, 0) >= 1:",
+     "            if t is None or x.get(t, 0) >= 0:"),
+    ("A*: requeue", "astar.py",
+     "        if g + hc > f:",
+     "        if False:"),
+    ("A*: dead-end skip", "astar.py",
+     "            continue  # dead end even in the relaxation",
+     "            pass  # dead end even in the relaxation"),
+    ("bench: costs_agree", "bench.py",
+     "        rec.costs_agree = rec.astar_cost == rec.lp_cost",
+     "        rec.costs_agree = True"),
+    ("cli: conformance's non-zero exit", "cli.py",
+     "    return EXIT_INVARIANT if failed else EXIT_OK",
+     "    return EXIT_OK"),
+]
+
+
+def _limit() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def passes(tree: Path) -> bool:
+    """Does ``pytest -q -x tests`` pass on ``tree``?  A timeout fails."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # import the copy's src only
+    try:
+        run = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S, preexec_fn=_limit)
+    except subprocess.TimeoutExpired:
+        return False
+    return run.returncode == 0
+
+
+def copy_tree(dest: Path) -> Path:
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "results")
+    return Path(shutil.copytree(ROOT, dest / "repo", ignore=ignore))
+
+
+def main() -> int:
+    for name, path, old, new in MUTANTS:
+        if (ROOT / SRC / path).read_text().count(old) != 1:
+            print(f"line of mutant {name!r} not found once in {path}")
+            return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        if not passes(copy_tree(Path(tmp))):
+            print("the unmutated suite fails")
+            return 1
+    survivors = []
+    for name, path, old, new in MUTANTS:
+        t0 = time.monotonic()
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = copy_tree(Path(tmp))
+            target = tree / SRC / path
+            target.write_text(target.read_text().replace(old, new))
+            survived = passes(tree)
+        print(f"{'SURVIVED' if survived else 'killed  '}  {name}  ({time.monotonic() - t0:.0f} s)", flush=True)
+        if survived:
+            survivors.append(name)
+    print(f"{len(survivors)} of {len(MUTANTS)} mutants survived" + "".join(f"\n  {s}" for s in survivors))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
