@@ -176,7 +176,6 @@ def astar_align(
     deadline = t0 + cfg.timeout * 1e9
     space = ProductSpace(sp)
     start = 0  # the initial state's key
-    moves = sp.moves
 
     # g, h and f are in units of 1/scale (see the module docstring).
     # Exact heuristic values are computed lazily: a successor is queued
@@ -219,13 +218,13 @@ def astar_align(
         if g > best_g.get(cur, math.inf):
             continue
         if cur == space.final:
-            moves_seq = []
+            path = []
             key = cur
             while key != start:
                 key, j = parent[key]
-                moves_seq.append(moves[j])
-            moves_seq.reverse()
-            return finish(Outcome.OPTIMAL, Alignment.from_moves(tuple(moves_seq), Method.ASTAR))
+                path.append(j)
+            path.reverse()
+            return finish(Outcome.OPTIMAL, Alignment.from_path(sp, path, g, Method.ASTAR))
         hc = h(cur)
         if hc == math.inf:
             continue  # dead end even in the relaxation

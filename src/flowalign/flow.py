@@ -16,35 +16,39 @@ Dijkstra over the reversed edges labels every node with its distance to
 the final node; a walk from the initial node takes, at each step, the
 lowest-index edge whose cost equals the drop in label, so among equal-cost
 optima the lexicographically smallest path under edge index order is
-returned and goldens are deterministic.  The labels are re-certified.
+returned and goldens are deterministic.  The labels are certified:
+dist(tail) <= cost + dist(head) on every edge, with equality on the path.
 
 ``lp_align`` solves the same LP without building the graph.  A product's
 graph is the model's reachability graph copied once per trace position
 and joined by synchronous and log moves, so its size follows from
 per-model counts (``layered_graph``), and ``solve_layered`` computes the
-same labels one trace position at a time and walks the same path.  The
-counts decide the node and edge budgets exactly, so a graph that a budget
-would cut short is refused unbuilt and never priced.  Everything here is
-exact integer or ``Fraction`` arithmetic.
+same labels one trace position at a time and walks the same path,
+certifying only what the layer above does not imply.  The counts decide
+the node and edge budgets exactly, so a graph that a budget would cut
+short is refused unbuilt and never priced.  Everything here is exact
+integer or ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, InvalidInputError, UnreachableFinalError
 from .petri import TAU, PetriNet, SuccessorMemo
 from .reachability import ExplorationLimits, ReachabilityGraph
 from .simplex import integers
-from .sync_product import GAP, CostConfig, MoveKind, ProductSpace, SyncMove, SynchronousProduct, model_relaxation
+from .sync_product import GAP, CostConfig, ProductSpace, SyncMove, SynchronousProduct, model_relaxation
 
 
 class Method(Enum):
@@ -119,9 +123,11 @@ class FlowSolution:
 
 @dataclass(frozen=True)
 class Alignment:
-    """An ordered move sequence relating a trace to a model execution."""
+    """An ordered move sequence relating a trace to a model execution: the
+    moves of ``product`` at the indices ``path``, made on first read."""
 
-    moves: tuple[SyncMove, ...]
+    product: SynchronousProduct = field(repr=False)
+    path: tuple[int, ...]
     total_cost: Fraction
     method: Method
     num_sync: int
@@ -130,21 +136,14 @@ class Alignment:
     num_log: int
 
     @classmethod
-    def from_moves(cls, moves: tuple[SyncMove, ...], method: Method) -> "Alignment":
-        counts = {kind: 0 for kind in MoveKind}
-        total = Fraction(0)
-        for m in moves:
-            counts[m.kind] += 1
-            total += m.cost
-        return cls(
-            moves=moves,
-            total_cost=total,
-            method=method,
-            num_sync=counts[MoveKind.SYNC],
-            num_model=counts[MoveKind.MODEL],
-            num_tau=counts[MoveKind.MODEL_TAU],
-            num_log=counts[MoveKind.LOG],
-        )
+    def from_path(cls, sp: SynchronousProduct, path: Sequence[int], spent: int, method: Method) -> "Alignment":
+        """The alignment of moves ``path``, whose prices (``CostConfig.scaled``) sum to ``spent``."""
+        return cls(sp, tuple(path), Fraction(spent, sp.cost.scaled[2]), method, *sp.kind_counts(path))
+
+    @cached_property
+    def moves(self) -> tuple[SyncMove, ...]:
+        moves = self.product.moves
+        return tuple(moves[k] for k in self.path)
 
     def log_projection(self) -> tuple[str, ...]:
         """Trace-side labels of all moves with a trace component."""
@@ -275,7 +274,7 @@ def extract_alignment(
     """
     if sol.status is not Outcome.OPTIMAL:
         raise InvalidInputError("extract_alignment expects an OPTIMAL solution")
-    moves: list[SyncMove] = []
+    path: list[int] = []
     left: set[int] = set()
     cur = rg.initial_index
     for e in sol.path:
@@ -284,12 +283,12 @@ def extract_alignment(
         if rg.tails[e] != cur:
             raise InternalInvariantError("chosen edges do not form a single path")
         left.add(cur)
-        moves.append(sp.moves[rg.moves[e]])
+        path.append(rg.moves[e])
         cur = rg.heads[e]
     if cur != rg.final_index:
         raise InternalInvariantError("chosen edges do not form an initial-to-final path")
 
-    alignment = Alignment.from_moves(tuple(moves), Method.LP)
+    alignment = Alignment.from_path(sp, path, sum(map(ProductSpace(sp).prices.__getitem__, path)), Method.LP)
     if alignment.total_cost != sol.objective:
         raise InternalInvariantError("alignment cost disagrees with LP objective")
     return alignment
@@ -308,7 +307,7 @@ class ModelGraph:
     trace, is each marking's model-only distance to ``final``."""
 
     def __init__(self, net: PetriNet, memo: SuccessorMemo, reached: list[bool], cost: CostConfig) -> None:
-        tau, self.log_cost, self.scale = cost.scaled
+        tau, self.log_cost, _ = cost.scaled
         self.costs = [tau if lbl is TAU else self.log_cost for lbl in net.labels]
         self.reachable = memo.reachable
         final = memo.ids[net.final_marking]
@@ -393,8 +392,8 @@ def solve_layered(graph: LayeredGraph) -> Alignment | None:
     moves, then settled.  The walk from ``(m_0, 0)`` takes the first tight
     move that :meth:`~flowalign.sync_product.ProductSpace.out` lists: the
     built graph's lowest-index tight edge, as a node's out-edges are
-    contiguous and in that order.  The labels are
-    certified on every edge, as :func:`_certify` does.
+    contiguous and in that order.  The labels are certified on every edge,
+    as :func:`_certify` does; the walk's integer total is the cost.
     """
     space, model, sp = graph.space, graph.model, graph.space.sp
     if model.final is None:
@@ -431,27 +430,38 @@ def solve_layered(graph: LayeredGraph) -> Alignment | None:
         path.append(k)
         spent += c
     _certify_layers(model, trace, layers)
-    alignment = Alignment.from_moves(tuple(sp.moves[k] for k in path), Method.LP)
-    if spent != layers[0][0] or alignment.total_cost != Fraction(spent, model.scale):
+    if spent != layers[0][0]:
         raise InternalInvariantError("path cost disagrees with distance label")
-    return alignment
+    return Alignment.from_path(sp, path, spent, Method.LP)
 
 
 def _certify_layers(model: ModelGraph, trace: tuple[str, ...], layers: list[list]) -> None:
-    # dist(tail) <= cost + dist(head) on every edge; the walk took only tight moves.
+    """Prove ``dist(tail) <= cost + dist(head)`` on every edge; the walk
+    took only tight moves.  Layer n is checked on every model move; each
+    lower layer ``here`` on its log and synchronous moves into the layer
+    ``nxt`` above, and on the model moves into its changed heads, the
+    ``v`` with ``here[v] != nxt[v] + L`` (``L`` the log cost), read from
+    the labels.  A model move ``t -> h`` of cost ``c`` into any other head
+    holds: ``here[t] <= nxt[t] + L <= c + nxt[h] + L = c + here[h]``, by
+    ``t``'s log move and by the layer above, which holds by induction down
+    from layer n.  So this passes exactly when the full scan does.
+    """
     if layers[-1][model.final] != 0:
         raise InternalInvariantError("sink distance is nonzero")
     tails, heads, costs = model.edges
-    for pos, here in enumerate(layers):
-        at = here.__getitem__
-        if any(map(operator.gt, map(at, tails), map(operator.add, costs, map(at, heads)))):
-            raise InternalInvariantError(f"distance label violated by a model move at position {pos}")
-        if pos < len(trace):
-            nxt = layers[pos + 1]
-            if any(d > model.log_cost + dn for d, dn in zip(here, nxt)) or any(
-                here[u] > nxt[s] for u, s in model.sync.get(trace[pos], ())
-            ):
-                raise InternalInvariantError(f"distance label violated by event {pos}")
+    at = layers[-1].__getitem__
+    if any(map(operator.gt, map(at, tails), map(operator.add, costs, map(at, heads)))):
+        raise InternalInvariantError(f"distance label violated by a model move at position {len(trace)}")
+    for pos, a in enumerate(trace):
+        here, nxt = layers[pos], layers[pos + 1]
+        up = list(map(operator.add, nxt, itertools.repeat(model.log_cost)))
+        if any(map(operator.gt, here, up)) or any(here[u] > nxt[s] for u, s in model.sync.get(a, ())):
+            raise InternalInvariantError(f"distance label violated by event {pos}")
+        for v in itertools.compress(range(len(here)), map(operator.ne, here, up)):
+            dv = here[v]
+            for u, c in model.into[v]:
+                if here[u] > c + dv:
+                    raise InternalInvariantError(f"distance label violated by a model move at position {pos}")
 
 
 def unaligned_outcome(space: ProductSpace, limits: ExplorationLimits) -> Outcome:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .errors import InvalidLimitsError
 from .petri import Marking
-from .sync_product import ProductSpace, SynchronousProduct, cost_vector
+from .sync_product import ProductSpace, SynchronousProduct, View, cost_vector
 
 
 @dataclass(frozen=True)
@@ -84,31 +84,7 @@ class ReachabilityGraph:
         return EdgeView(self)
 
 
-class _View(Sequence):
-    """A sequence whose items are made on access: a slice is a tuple, and
-    it equals any sequence of equal items."""
-
-    __slots__ = ("_of",)
-    __hash__ = None
-
-    def __init__(self, of) -> None:
-        self._of = of
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[k] for k in range(*i.indices(len(self))))
-        return self._item(i)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self)!r})"
-
-
-class NodeView(_View):
+class NodeView(View):
     """The nodes of a graph as product markings, from the pair of its
     :class:`~flowalign.sync_product.ProductSpace` and its node keys."""
 
@@ -122,7 +98,7 @@ class NodeView(_View):
         return space.marking(keys[i])
 
 
-class EdgeView(_View):
+class EdgeView(View):
     """The edges of a graph as :class:`RGEdge` values; its length is that of
     the edge arrays."""
 

@@ -3,8 +3,10 @@
 The trace side of a product is always the trace model of its activities:
 a path net, whose place ``pos`` holds the token after ``pos`` events and
 whose ids are :func:`~flowalign.petri.trace_ids`.  A product is therefore
-fully given by the process net, the activity sequence and the costs, and
-:func:`product_for_trace` builds it from those, without a trace net.
+its process net, its activity sequence, its costs and its token cap, and
+:func:`product_for_trace` builds it from those, without a trace net: per
+trace, only each event's synchronous moves, from the net's label index.
+Its moves are made on demand, each when read (:class:`MoveView`).
 
 The product's transitions are *moves*: synchronous moves pair a process
 transition with a trace position carrying the same activity label, model
@@ -26,8 +28,8 @@ and the number of silent moves is recoverable from the fractional part.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -82,6 +84,11 @@ class CostConfig:
             raise InvalidInputError(
                 f"need 0 < tau_cost < deviation_cost, got {self.tau_cost} and {self.deviation_cost}"
             )
+        # Kept: every per-net cache looks its config up on every trace.
+        object.__setattr__(self, "_hash", hash((self.tau_cost, self.deviation_cost)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def scaled(self) -> tuple[int, int, int]:
@@ -107,12 +114,27 @@ class SynchronousProduct:
     place's tokens in every state that either engine searches.
     """
 
-    moves: tuple[SyncMove, ...]
     process_net: PetriNet
     trace_labels: tuple[str, ...]
-    sync_moves_at: tuple[tuple[tuple[int, int], ...], ...]
     cost: CostConfig = CostConfig()
     token_cap: int = 8
+    sync_moves_at: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        at, syncs = _sync_moves_at(self.process_net, self.trace_labels)
+        object.__setattr__(self, "sync_moves_at", at)
+        object.__setattr__(self, "_syncs", syncs)
+
+    @property
+    def moves(self) -> "MoveView":
+        return MoveView(self)
+
+    @cached_property
+    def _trace_side(self) -> tuple[list[str], dict[int, tuple[str, int]]]:
+        """The renamed trace transition ids, and each synchronous move's process transition and event."""
+        return _trace_renaming(self.process_net, len(self.trace_labels))[1], {
+            k: (self.process_net.transitions[j], p) for p, at in enumerate(self.sync_moves_at) for j, k in at
+        }
 
     @property
     def initial_marking(self) -> Marking:
@@ -124,10 +146,72 @@ class SynchronousProduct:
         return self.process_net.final_marking + _one_hot(n, n)
 
     def counts(self) -> dict[MoveKind, int]:
-        out = {kind: 0 for kind in MoveKind}
-        for m in self.moves:
-            out[m.kind] += 1
-        return out
+        return dict(zip(MoveKind, self.kind_counts()))
+
+    def kind_counts(self, path: Sequence[int] | None = None) -> tuple[int, int, int, int]:
+        """How many moves of each kind, in :class:`MoveKind` order, the product
+        has, or the move indices ``path`` hold, from the index ranges alone."""
+        model0, log0 = _move_offsets(self)
+        labels = self.process_net.labels
+        if path is None:
+            tau = labels.count(TAU)
+            return model0, log0 - model0 - tau, tau, len(self.trace_labels)
+        sync = log = tau = 0
+        for k in path:
+            if k < model0:
+                sync += 1
+            elif k >= log0:
+                log += 1
+            elif labels[k - model0] is TAU:
+                tau += 1
+        return sync, len(path) - sync - log - tau, tau, log
+
+
+class View(Sequence):
+    """A sequence whose items are made on access: a slice is a tuple, and
+    it equals any sequence of equal items."""
+
+    __slots__ = ("_of",)
+    __hash__ = None
+
+    def __init__(self, of) -> None:
+        self._of = of
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        return self._item(i)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class MoveView(View):
+    """The moves of a product, each made when read from its index ranges.
+    Model moves are the net's (:func:`_model_moves`); the rest read the
+    trace's renamed ids, made on the first read of such a move."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return _move_offsets(self._of)[1] + len(self._of.trace_labels)
+
+    def _item(self, k: int) -> SyncMove:
+        sp, (model0, log0) = self._of, _move_offsets(self._of)
+        k = range(len(self))[k]
+        if model0 <= k < log0:
+            return _model_moves(sp.process_net, sp.cost)[k - model0]
+        ids, sync = sp._trace_side
+        if k >= log0:
+            tt, a = ids[k - log0], sp.trace_labels[k - log0]
+            return SyncMove(f"({GAP},{tt})", MoveKind.LOG, None, tt, (GAP, a), sp.cost.deviation_cost)
+        t, pos = sync[k]
+        return SyncMove(f"({t},{ids[pos]})", MoveKind.SYNC, t, ids[pos], (sp.trace_labels[pos],) * 2, _ZERO)
 
 
 def _one_hot(pos: int, n: int) -> Marking:
@@ -166,45 +250,37 @@ def _model_moves(sn: PetriNet, cost: CostConfig) -> tuple[SyncMove, ...]:
     return moves
 
 
+def _sync_moves_at(sn: PetriNet, trace_labels: tuple[str, ...]) -> tuple[tuple, int]:
+    """Each event's ``(process transition, move index)`` pairs, and their
+    number, in O(n + sync moves) from the net's label index (kept beside its
+    model moves): ``j``'s moves follow every earlier one's, one per event."""
+    index = sn.__dict__.get("_label_index")
+    if index is None:
+        visible = [(j, a) for j, a in enumerate(sn.labels) if a is not TAU]
+        made = {a: tuple(j for j, b in visible if b == a) for _, a in visible}
+        index = sn.__dict__.setdefault("_label_index", made)
+    ranks, occurs = [], {}
+    for a in trace_labels:
+        ranks.append(occurs.get(a, 0))
+        occurs[a] = ranks[-1] + 1
+    first, k = {}, 0
+    for j in sorted(j for a in occurs for j in index.get(a, ())):
+        first[j] = k
+        k += occurs[sn.labels[j]]
+    return tuple(tuple((j, first[j] + r) for j in index.get(a, ())) for a, r in zip(trace_labels, ranks)), k
+
+
 def product_for_trace(
     sn: PetriNet, trace: Trace, cost: CostConfig = CostConfig(), token_cap: int = 8
 ) -> SynchronousProduct:
     """The synchronous product of process model ``sn`` and the trace model
     of ``trace``, built from its activities.
 
-    The trace model's ids are renamed with a prime suffix so the id spaces
-    stay disjoint.  ``token_cap`` is checked by the first engine that
-    searches the product.
+    The trace model's ids, made when a move is read, are renamed with a
+    prime suffix so the id spaces stay disjoint.  ``token_cap`` is checked
+    by the first engine that searches the product.
     """
-    trace_labels = tuple(trace.activities)
-    trace_moves = _trace_renaming(sn, len(trace_labels))[1]  # events 1..n
-    moves: list[SyncMove] = []
-
-    # Synchronous moves: full label-match cross product, ordered by
-    # process transition then trace position.
-    sync_moves_at: list[list[tuple[int, int]]] = [[] for _ in trace_labels]
-    for j, (t, lbl) in enumerate(zip(sn.transitions, sn.labels)):
-        if lbl is TAU:
-            continue
-        for pos, tt in enumerate(trace_moves):
-            if trace_labels[pos] != lbl:
-                continue
-            sync_moves_at[pos].append((j, len(moves)))
-            moves.append(SyncMove(f"({t},{tt})", MoveKind.SYNC, t, tt, (lbl, lbl), _ZERO))
-
-    moves += _model_moves(sn, cost)
-
-    for tt, lbl in zip(trace_moves, trace_labels):
-        moves.append(SyncMove(f"({GAP},{tt})", MoveKind.LOG, None, tt, (GAP, lbl), cost.deviation_cost))
-
-    return SynchronousProduct(
-        moves=tuple(moves),
-        process_net=sn,
-        trace_labels=trace_labels,
-        sync_moves_at=tuple(map(tuple, sync_moves_at)),
-        cost=cost,
-        token_cap=token_cap,
-    )
+    return SynchronousProduct(sn, tuple(trace.activities), cost, token_cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,8 +408,7 @@ class ProductSpace:
 
 def _move_offsets(sp: SynchronousProduct) -> tuple[int, int]:
     """The indices of the first model move and of the first log move."""
-    log0 = len(sp.moves) - len(sp.trace_labels)
-    return log0 - len(sp.process_net.transitions), log0
+    return sp._syncs, sp._syncs + len(sp.process_net.transitions)
 
 
 def cost_vector(sp: SynchronousProduct) -> tuple[Fraction, ...]:

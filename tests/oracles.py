@@ -5,7 +5,9 @@ fixpoint (no heaps, no tie-breaking, no shared code with the kernels
 under test), brute-force replay enumeration, a breadth-first search
 that fires every product transition at every full product marking, the
 marking equation posed on the whole product (one row per product place,
-one column per move), total
+one column per move), a product's moves built eagerly by comparing
+every transition with every event, the flow certificate checked on
+every model move of every layer, total
 unimodularity by enumerating every square minor, a column-by-column check
 of a row-class certificate, determinants by exact ``Fraction``
 elimination, and sparse triplets written out as dense rows.  Also the
@@ -24,13 +26,21 @@ from typing import NamedTuple
 
 from explicit_lp import NodeArcIncidence, det_int, product_net
 from flowalign.bench import write_csv
-from flowalign.errors import InvalidLimitsError
-from flowalign.flow import FlowProblem
+from flowalign.errors import InternalInvariantError, InvalidLimitsError
+from flowalign.flow import FlowProblem, ModelGraph
 from flowalign.model_io import EventLog, serialize_pnml
-from flowalign.petri import Marking, firing_data, successors
+from flowalign.petri import TAU, Marking, firing_data, successors
 from flowalign.reachability import ExplorationLimits, ReachabilityGraph, RGEdge, RGStats
 from flowalign.simplex import solve_min_eq
-from flowalign.sync_product import SynchronousProduct, _move_offsets, cost_vector
+from flowalign.sync_product import (
+    GAP,
+    MoveKind,
+    SyncMove,
+    SynchronousProduct,
+    _move_offsets,
+    _trace_renaming,
+    cost_vector,
+)
 
 
 def bellman_ford_from(rg: ReachabilityGraph, source: int) -> list[Fraction | None]:
@@ -300,3 +310,41 @@ def balance(fp: FlowProblem) -> tuple[int, ...]:
     if fp.source != fp.sink:
         b[fp.source], b[fp.sink] = 1, -1
     return tuple(b)
+
+
+def eager_moves(sp: SynchronousProduct) -> tuple[SyncMove, ...]:
+    """Every move of ``sp``, built in the canonical order by comparing
+    every process transition with every event (|T| x n)."""
+    sn, labels, cost = sp.process_net, sp.trace_labels, sp.cost
+    trace_moves = _trace_renaming(sn, len(labels))[1]
+    moves = []
+    for t, lbl in zip(sn.transitions, sn.labels):
+        if lbl is TAU:
+            continue
+        for tt, a in zip(trace_moves, labels):
+            if a == lbl:
+                moves.append(SyncMove(f"({t},{tt})", MoveKind.SYNC, t, tt, (lbl, lbl), Fraction(0)))
+    for t, lbl in zip(sn.transitions, sn.labels):
+        kind, c = (MoveKind.MODEL_TAU, cost.tau_cost) if lbl is TAU else (MoveKind.MODEL, cost.deviation_cost)
+        moves.append(SyncMove(f"({t},{GAP})", kind, t, None, (lbl, GAP), c))
+    for tt, a in zip(trace_moves, labels):
+        moves.append(SyncMove(f"({GAP},{tt})", MoveKind.LOG, None, tt, (GAP, a), cost.deviation_cost))
+    return tuple(moves)
+
+
+def full_scan_certificate(model: ModelGraph, trace: tuple[str, ...], layers: list[list]) -> None:
+    """``dist(tail) <= cost + dist(head)`` on every edge of the layered
+    graph, every model move checked on every layer; raises
+    :class:`InternalInvariantError` at the first violation."""
+    if layers[-1][model.final] != 0:
+        raise InternalInvariantError("sink distance is nonzero")
+    for pos, here in enumerate(layers):
+        for t, h, c in zip(*model.edges):
+            if here[t] > c + here[h]:
+                raise InternalInvariantError(f"distance label violated by a model move at position {pos}")
+        if pos < len(trace):
+            nxt = layers[pos + 1]
+            if any(d > model.log_cost + dn for d, dn in zip(here, nxt)) or any(
+                here[u] > nxt[s] for u, s in model.sync.get(trace[pos], ())
+            ):
+                raise InternalInvariantError(f"distance label violated by event {pos}")

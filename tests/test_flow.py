@@ -1,5 +1,7 @@
 import json
+import pickle
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +26,8 @@ from explicit_lp import (
     tu_certificate,
     verify_integrality,
 )
+from flowalign import sync_product
+from flowalign.bench import RunConfig, run_instance
 from flowalign.errors import (
     InternalInvariantError,
     InvalidInputError,
@@ -40,6 +44,7 @@ from flowalign.flow import (
 )
 from flowalign.petri import PetriNet, Trace
 from flowalign.reachability import ExplorationLimits, build_reachability_graph
+from flowalign.selector import SelectionThresholds
 from flowalign.sync_product import MoveKind, product_for_trace
 from oracles import balance, brute_force_tu, dense, fraction_det, oracle_shortest_cost, row_classes_hold
 from test_heuristic_lp import first_edit_cycle
@@ -153,6 +158,54 @@ class TestSolveMinCostUnitFlow:
         assert set(map(type, flow_x(sol))) == {int}
         assert set(flow_x(sol)) == {0, 1}
         assert type(sol.objective) is Fraction
+
+
+def test_corpus_alignments_total_and_count_their_moves(corpus):
+    """Alignments total their costs and count their kinds from move indices;
+    the moves, made on read, agree under both engines."""
+    checked = 0
+    for inst in corpus:
+        for alignment in (inst.lp_alignment, inst.astar_alignment):
+            if alignment is None:
+                continue
+            assert alignment.total_cost == sum((m.cost for m in alignment.moves), Fraction(0))
+            kinds = Counter(m.kind for m in alignment.moves)
+            counts = (alignment.num_sync, alignment.num_model, alignment.num_tau, alignment.num_log)
+            assert counts == tuple(kinds[kind] for kind in MoveKind)
+            checked += 1
+    assert checked == 2 * len(corpus)
+
+
+@pytest.mark.parametrize(
+    "cfg, fitness",
+    [
+        (RunConfig(method="lp"), Fraction(1)),
+        (RunConfig(method="astar"), Fraction(1)),
+        (RunConfig(method="hybrid"), Fraction(1)),  # routed to A*
+        (RunConfig(method="hybrid", thresholds=SelectionThresholds(0, 0)), Fraction(0)),  # routed to the flow engine
+    ],
+    ids=["lp", "astar", "hybrid A*", "hybrid flow"],
+)
+def test_run_instance_makes_no_move(cfg, fitness, monkeypatch):
+    """A run reads costs, never moves: no :class:`SyncMove` is made, not
+    even a model move, on a net whose caches start empty."""
+    made = []
+
+    class CountingMove(sync_product.SyncMove):
+        def __init__(self, *args):
+            made.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(sync_product, "SyncMove", CountingMove)
+    cases = list(first_edit_cycle({"m03"}))
+    net = pickle.loads(pickle.dumps(cases[0][1].process_net))
+    for _, sp in cases:
+        rec = run_instance(net, Trace("c", sp.trace_labels), cfg, fitness=fitness)
+        assert Outcome.OPTIMAL.value in (rec.lp_outcome, rec.astar_outcome)
+    assert made == []
+    alignment, _ = lp_align(product_for_trace(net, Trace("c", cases[1][1].trace_labels)))
+    moves = alignment.moves
+    assert moves and set(made) >= {m.move_id for m in moves}  # the patch does count what is made
 
 
 def test_first_edit_cycle_matches_golden():

@@ -44,7 +44,7 @@ from flowalign.petri import TAU, PetriNet, Trace, successor_memo
 from flowalign.reachability import ExplorationLimits, build_reachability_graph
 from flowalign.selector import SelectionThresholds, hybrid_align
 from flowalign.sync_product import CostConfig, product_for_trace
-from oracles import oracle_shortest_cost, product_marking_equation
+from oracles import full_scan_certificate, oracle_shortest_cost, product_marking_equation
 from test_heuristic_lp import first_edit_cycle
 from test_successor_memo import corpus_products, growing_net, limited_products, small_nets
 
@@ -303,14 +303,20 @@ def one_step_product():
 @pytest.mark.parametrize(
     "pos, marking, label, message",
     [
-        (0, 0, lambda d: 2 * d + 1, "violated by a model move at position 0"),  # t from m_0 at position 0
+        # t from m_0 at position 0, whose head m_f is unchanged from position
+        # 1: the check derives that move from m_0's log move, which fails.
+        (0, 0, lambda d: 2 * d + 1, "violated by event 0"),
         (0, 1, lambda d: d + 1, "violated by event 0"),  # the log move from m_f at position 0
         (0, 0, lambda d: 1, "violated by event 0"),  # the synchronous move (t, a) from m_0
         (1, 1, lambda d: 1, "sink distance is nonzero"),
+        (0, 1, lambda d: -2 * d, "violated by a model move at position 0"),  # t into m_f, now a changed head
+        (1, 0, lambda d: 2 * d + 1, "violated by a model move at position 1"),  # t from m_0 at the last position
     ],
-    ids=["model move", "log move", "synchronous move", "sink"],
+    ids=["model move", "log move", "synchronous move", "sink", "model move into a changed head", "last layer"],
 )
 def test_certificate_rejects_one_corrupted_label(pos, marking, label, message):
+    """Each case breaks one inequality that no other clause of the check
+    catches."""
     sp = one_step_product()
     model = layered_graph(sp, ExplorationLimits()).model
     d = model.log_cost
@@ -319,6 +325,52 @@ def test_certificate_rejects_one_corrupted_label(pos, marking, label, message):
     layers[pos][marking] = label(d)
     with pytest.raises(InternalInvariantError, match=message):
         flow._certify_layers(model, sp.trace_labels, layers)
+
+
+def certifies(check, model, trace, layers) -> bool:
+    try:
+        check(model, trace, layers)
+    except InternalInvariantError:
+        return False
+    return True
+
+
+def test_certificate_agrees_with_the_full_scan(monkeypatch):
+    """On the labels of real solves with one label raised or lowered, at
+    any position, the check raises exactly when the scan of every model
+    move on every layer does."""
+    seen = Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(priced_products(), st.data())
+    def check(sp, data):
+        solved = []
+        with monkeypatch.context() as patch:
+            patch.setattr(flow, "_certify_layers", lambda *args: solved.append(args))
+            solve_layered(layered_graph(sp, ExplorationLimits()))
+        if not solved:
+            return
+        model, trace, layers = solved[0]
+        layers = [list(layer) for layer in layers]  # the last is the model's own to_final
+        assert certifies(flow._certify_layers, model, trace, layers)
+        pos = data.draw(st.integers(0, len(layers) - 1))
+        v = data.draw(st.integers(0, len(layers[pos]) - 1))
+        d, old = model.log_cost, layers[pos][v]
+        if old == math.inf:
+            layers[pos][v] = data.draw(st.integers(0, 3 * d))
+        else:
+            delta = data.draw(st.sampled_from((1, d - 1, d, d + 1, 2 * d, math.inf)))
+            layers[pos][v] = old + delta if data.draw(st.booleans()) else old - delta
+        verdict = certifies(flow._certify_layers, model, trace, layers)
+        assert verdict == certifies(full_scan_certificate, model, trace, layers)
+        seen["rejected" if not verdict else "accepted"] += 1
+        if not verdict and pos < len(trace):
+            with pytest.raises(InternalInvariantError) as err:
+                flow._certify_layers(model, trace, layers)
+            seen["changed head"] += "model move" in str(err.value)
+
+    check()
+    assert all(seen[k] for k in ("rejected", "accepted", "changed head")), seen
 
 
 def test_lp_align_raises_on_a_label_settled_too_low(monkeypatch):
@@ -372,15 +424,3 @@ def test_lp_align_raises_when_a_label_cycle_traps_the_walk(fig_cyclic, monkeypat
     monkeypatch.setattr(flow, "_settle", infinite_layer_0)
     with fail_after(20), pytest.raises(InternalInvariantError, match="label walk stuck"):
         lp_align(sp)
-
-
-def test_lp_align_raises_when_a_move_costs_other_than_its_price():
-    """The walk spends each move's price; the alignment sums the moves'
-    ``Fraction`` costs, and the final check compares the two."""
-    sp = one_step_product()
-    alignment, _ = lp_align(sp)
-    k = sp.moves.index(alignment.moves[0])
-    moves = list(sp.moves)
-    moves[k] = dataclasses.replace(moves[k], cost=moves[k].cost + 1)
-    with pytest.raises(InternalInvariantError, match="path cost disagrees with distance label"):
-        lp_align(dataclasses.replace(sp, moves=tuple(moves)))

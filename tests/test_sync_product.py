@@ -1,10 +1,13 @@
 import ast
 import pickle
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import INSURANCE_TRACE
 from explicit_lp import build_trace_model, product_net
@@ -12,15 +15,19 @@ import flowalign
 from flowalign.errors import InvalidInputError
 from flowalign.model_io import parse_pnml
 from flowalign.petri import PetriNet, Trace
-from oracles import product_to_pnml
+from flowalign.flow import lp_align
+from oracles import eager_moves, product_to_pnml
 from flowalign.sync_product import (
     GAP,
     CostConfig,
     MoveKind,
     ProductSpace,
+    _model_moves,
     cost_vector,
+    model_relaxation,
     product_for_trace,
 )
+from test_successor_memo import small_nets
 
 EPS = Fraction(1, 10**6)
 
@@ -132,7 +139,7 @@ class TestBuildSyncProduct:
         priced = product_for_trace(insurance, INSURANCE_TRACE, CostConfig(deviation_cost=Fraction(2)))
         expected = [replace(m, cost=2) if m.kind is MoveKind.MODEL else m for m in model_moves(one)]
         assert model_moves(priced) == expected
-        syncs = [m for m in one.moves + two.moves if m.kind is MoveKind.SYNC]
+        syncs = [m for m in [*one.moves, *two.moves] if m.kind is MoveKind.SYNC]
         assert len(syncs) > 1 and len({id(m.cost) for m in syncs}) == 1
         assert "_model_moves" in vars(insurance)
         clone = pickle.loads(pickle.dumps(insurance))
@@ -175,6 +182,24 @@ class TestCostConfig:
         sp = product_for_trace(fig_acyclic, Trace("t", ("a",)), cfg)
         assert max(cost_vector(sp)) == 5
 
+    def test_cache_lookups_hash_no_fraction(self, insurance, monkeypatch):
+        """The per-net caches look a config up on every trace; its hash is
+        kept, and equal configs hash equal, also across a pickle."""
+        cfg = CostConfig(Fraction(1, 7), Fraction(3, 2))
+        sp = product_for_trace(insurance, INSURANCE_TRACE, cfg)
+        lp_align(sp)  # fills the model's caches under cfg
+        hashes, fraction_hash = [], Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__", lambda q: hashes.append(q) or fraction_hash(q))
+        for _ in range(3):
+            _model_moves(insurance, cfg)
+            model_relaxation(insurance, cfg)
+            lp_align(sp)
+        assert hashes == []
+        twin, clone = CostConfig(Fraction(1, 7), Fraction(3, 2)), pickle.loads(pickle.dumps(cfg))
+        assert twin == cfg == clone and hash(twin) == hash(cfg) == hash(clone)
+        assert hash(cfg) == hash((Fraction(1, 7), Fraction(3, 2)))
+        assert _model_moves(insurance, clone) is _model_moves(insurance, cfg)
+
     @pytest.mark.parametrize("cfg", [CostConfig(), CostConfig(Fraction(1, 7), Fraction(3, 2))])
     def test_each_move_is_priced_once_in_the_config_units(self, cfg, insurance, fig_acyclic):
         assert cfg.scaled == (cfg.tau_cost * cfg.scaled[2], cfg.deviation_cost * cfg.scaled[2], cfg.scaled[2])
@@ -182,6 +207,56 @@ class TestCostConfig:
             sp = product_for_trace(net, INSURANCE_TRACE, cfg)
             prices = ProductSpace(sp).prices
             assert [Fraction(p, cfg.scaled[2]) for p in prices] == list(cost_vector(sp))
+
+
+def assert_moves_are_the_eager_moves(sp) -> tuple:
+    """``sp.moves`` equals the eager builder's moves at every index, in
+    ``len`` and in iteration, and ``counts`` counts them."""
+    eager = eager_moves(sp)
+    assert len(sp.moves) == len(eager)
+    assert [sp.moves[k] for k in range(len(eager))] == list(eager)
+    assert tuple(sp.moves) == eager and sp.moves == eager
+    assert sp.counts() == {kind: sum(m.kind is kind for m in eager) for kind in MoveKind}
+    return eager
+
+
+def test_lazy_moves_equal_the_eager_builder_on_the_corpus(corpus):
+    for inst in corpus:
+        assert_moves_are_the_eager_moves(inst.sp)
+
+
+@st.composite
+def primed_nets(draw) -> PetriNet:
+    """``small_nets`` with some ids given one or two primes, so that the
+    trace's primed ids collide with them too."""
+    net = draw(small_nets())
+    new = {x: x + "'" * draw(st.integers(0, 2)) for x in net.places + net.transitions}
+    return PetriNet.build(
+        [new[p] for p in net.places],
+        [new[t] for t in net.transitions],
+        [(new[a], new[b], w) for a, b, w in net.arcs],
+        {new[t]: lbl for t, lbl in zip(net.transitions, net.labels)},
+        {new[p]: v for p, v in zip(net.places, net.initial_marking)},
+        {new[p]: v for p, v in zip(net.places, net.final_marking)},
+    )
+
+
+def test_lazy_moves_equal_the_eager_builder_on_small_nets():
+    seen = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(small_nets(), primed_nets()), st.lists(st.sampled_from("abcd"), max_size=12))
+    def check(net, acts):
+        sp = product_for_trace(net, Trace("h", tuple(acts)))
+        eager = assert_moves_are_the_eager_moves(sp)
+        with pytest.raises(IndexError):
+            sp.moves[len(eager)]
+        seen["double prime"] += any("''" in (m.trace_transition or "") for m in eager)
+        seen["sync"] += any(m.kind is MoveKind.SYNC for m in eager)
+        seen["two-digit ids"] += len(acts) >= 10
+
+    check()
+    assert all(seen[k] for k in ("double prime", "sync", "two-digit ids")), seen
 
 
 def test_product_debug_pnml_round_trips_structure(toy_product):

@@ -37,21 +37,39 @@ MUTANTS = [
     ("certificate: sink clause", "flow.py",
      "    if layers[-1][model.final] != 0:",
      "    if False:"),
-    ("certificate: model-move clause", "flow.py",
-     "        if any(map(operator.gt, map(at, tails), map(operator.add, costs, map(at, heads)))):",
-     "        if False:"),
+    ("certificate: model-move clause on the last layer", "flow.py",
+     "    if any(map(operator.gt, map(at, tails), map(operator.add, costs, map(at, heads)))):",
+     "    if False:"),
     ("certificate: log-move clause", "flow.py",
-     "            if any(d > model.log_cost + dn for d, dn in zip(here, nxt)) or any(",
-     "            if False or any("),
+     "        if any(map(operator.gt, here, up)) or any(here[u] > nxt[s] for u, s in model.sync.get(a, ())):",
+     "        if False or any(here[u] > nxt[s] for u, s in model.sync.get(a, ())):"),
     ("certificate: synchronous-move clause", "flow.py",
-     "                here[u] > nxt[s] for u, s in model.sync.get(trace[pos], ())",
-     "                False for u, s in model.sync.get(trace[pos], ())"),
+     "        if any(map(operator.gt, here, up)) or any(here[u] > nxt[s] for u, s in model.sync.get(a, ())):",
+     "        if any(map(operator.gt, here, up)) or False:"),
+    ("certificate: no changed head", "flow.py",
+     "        for v in itertools.compress(range(len(here)), map(operator.ne, here, up)):",
+     "        for v in ():"),
     ("walk guard", "flow.py",
      "        if s is None or len(path) > graph.nodes:",
      "        if s is None:"),
     ("walk's final cost check", "flow.py",
-     "    if spent != layers[0][0] or alignment.total_cost != Fraction(spent, model.scale):",
+     "    if spent != layers[0][0]:",
      "    if False:"),
+    ("unaligned_outcome: over-budget check", "flow.py",
+     "    if memo.reached(limits.max_nodes) is None:",
+     "    if False:"),
+    ("unaligned_outcome: seed check", "flow.py",
+     "    if model_relaxation(space.sp.process_net, space.sp.cost).seed is None:",
+     "    if False:"),
+    ("unaligned_outcome: capped check", "flow.py",
+     "    return Outcome.CAPPED if memo.capped else Outcome.INFEASIBLE",
+     "    return Outcome.INFEASIBLE"),
+    ("ProductSpace.out: synchronous moves in reverse order", "sync_product.py",
+     "            for j, k in self.sp.sync_moves_at[pos]:",
+     "            for j, k in reversed(self.sp.sync_moves_at[pos]):"),
+    ("ProductSpace.out: model moves in reverse order", "sync_product.py",
+     "        for j, s in row:",
+     "        for j, s in reversed(row):"),
     ("simplex: warm start's feasibility test", "simplex.py",
      "        if all(v >= 0 for v in cells[:-1]):",
      "        if True:"),
@@ -61,6 +79,12 @@ MUTANTS = [
     ("simplex: run_dual's infeasible return", "simplex.py",
      "            if entering < 0:\n                return False",
      "            if entering < 0:\n                return True"),
+    ("simplex: the last column never enters", "simplex.py",
+     "            for j in range(width):\n                if self.obj[j] < 0:",
+     "            for j in range(width - 1):\n                if self.obj[j] < 0:"),
+    ("simplex: ratio tie-break inverted", "simplex.py",
+     "                        and self.basis[i] < self.basis[leaving]",
+     "                        and self.basis[i] > self.basis[leaving]"),
     ("A*: reuse rule", "astar.py",
      "            if t is None or x.get(t, 0) >= 1:",
      "            if t is None or x.get(t, 0) >= 0:"),
