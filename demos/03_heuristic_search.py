@@ -21,7 +21,6 @@ from flowalign.generator import (
     parse_block_spec,
     playout,
 )
-from flowalign.sync_product import ProductSpace
 
 block = parse_block_spec("seq(a, b, c, d, loop(seq(e, f), g), h, i, j, k)")
 net = block_to_net(block)
@@ -33,7 +32,7 @@ noisy = apply_random_edits(clean, 6, alphabet_of(block), rng, kinds=("swap",))
 for label, acts in (("clean", clean), ("noisy", noisy)):
     product = product_for_trace(net, Trace(label, acts))
     # The relaxation at the start state (key 0), in units of 1/scale.
-    relaxation = MarkingEquation(ProductSpace(product))
+    relaxation = MarkingEquation(product)
     h0 = Fraction(relaxation(0), relaxation.scale)
     print(f"{label} trace ({len(acts)} events): relaxation bound at start = {h0}")
     for heuristic in (Heuristic.ZERO, Heuristic.MARKING_EQUATION):

@@ -1,6 +1,6 @@
 """Best-first optimal alignment over the synchronous product's state space.
 
-The search runs on the int keys of a ``sync_product.ProductSpace`` and
+The search runs on the int state keys of a ``SynchronousProduct`` and
 reads each expanded state's moves from its ``out``, in the reachability
 graph's order.  States are ordered by f = g + h, ties broken by larger g,
 then FIFO.  The heuristic is the exact optimum of the product's
@@ -62,7 +62,7 @@ from .errors import InvalidInputError
 from .flow import Alignment, Method, Outcome, RunStats, unaligned_outcome
 from .reachability import ExplorationLimits
 from .simplex import BasisCache, solve_min_eq
-from .sync_product import ProductSpace, SynchronousProduct, model_relaxation
+from .sync_product import SynchronousProduct, model_relaxation
 
 
 class Heuristic(Enum):
@@ -90,17 +90,16 @@ class MarkingEquation:
     ``Fraction``; ``math.inf`` for a dead end) into ``values`` and keeps a
     finite one's sparse optimal x and basis for the reuse rule and warm
     starts.  Keys, move costs and each key's process marking and trace
-    position come from ``space`` (its ``state`` and ``prices``).
+    position come from ``sp`` (its ``state`` and ``prices``).
     """
 
-    def __init__(self, space: ProductSpace):
-        sp = space.sp
+    def __init__(self, sp: SynchronousProduct):
         self.relaxation = relax = model_relaxation(sp.process_net, sp.cost)
         _, deviation, self.scale = sp.cost.scaled
         self.final = sp.process_net.final_marking
-        self.state = space.state
+        self.state = sp.state
         self.columns = relax.columns(sp)
-        self.costs = space.prices
+        self.costs = sp.prices
         self.suffixes = [([0] * len(relax.labels), 0)]  # (label counts, constant) of sigma[pos:], pos = n down
         for a in reversed(sp.trace_labels):
             counts, outside = self.suffixes[-1]
@@ -167,14 +166,13 @@ def astar_align(
     :func:`~flowalign.flow.unaligned_outcome`'s under ``limits`` (``None``
     means the default limits), whose walk of the model ``max_nodes``
     bounds.  Outcomes are reported in the stats, never raised.  It skips
-    the self-loops and the moves over the token cap that
-    :meth:`~flowalign.sync_product.ProductSpace.out` lists, so both methods
-    search the same capped space.
+    the self-loops and the moves over the token cap that ``sp.out``
+    lists, so both methods search the same capped space.
     """
     stats = RunStats(Method.ASTAR, Outcome.OPTIMAL)
     t0 = time.perf_counter_ns()
     deadline = t0 + cfg.timeout * 1e9
-    space = ProductSpace(sp)
+    costs, final = sp.prices, sp.final
     start = 0  # the initial state's key
 
     # g, h and f are in units of 1/scale (see the module docstring).
@@ -182,9 +180,8 @@ def astar_align(
     # under the derived admissible bound max(0, h(parent) - move cost) and
     # only gets its own value when it is about to be expanded.
     parent: dict[int, tuple[int, int]] = {}
-    costs = space.prices
     if cfg.heuristic is Heuristic.MARKING_EQUATION:
-        heuristic = MarkingEquation(space)
+        heuristic = MarkingEquation(sp)
         h_exact = heuristic.values
     else:
         heuristic, h_exact = None, {}
@@ -198,7 +195,7 @@ def astar_align(
             stats.heuristic_calls = heuristic.solves
             stats.heuristic_reuses = heuristic.reuses
             stats.heuristic_pivots = heuristic.tableaux.pivots
-        stats.outcome = outcome or unaligned_outcome(space, limits or ExplorationLimits())
+        stats.outcome = outcome or unaligned_outcome(sp, limits or ExplorationLimits())
         stats.solve_us = (time.perf_counter_ns() - t0) // 1000
         return alignment, stats
 
@@ -217,7 +214,7 @@ def astar_align(
         g = -neg_g
         if g > best_g.get(cur, math.inf):
             continue
-        if cur == space.final:
+        if cur == final:
             path = []
             key = cur
             while key != start:
@@ -233,7 +230,7 @@ def astar_align(
             heapq.heappush(heap, (g + hc, neg_g, next(counter), cur))
             continue
         stats.expansions += 1
-        for j, succ in space.out(cur):
+        for j, succ in sp.out(cur):
             if succ is None or succ == cur:
                 continue  # over the token cap, or a self-loop
             ng = g + costs[j]

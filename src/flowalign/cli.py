@@ -207,7 +207,7 @@ def cmd_inspect(args) -> int:
         print(f"RG: over budget (the model alone has more than {limits.max_nodes} reachable markings)")
     else:
         flags = ["over budget"] if graph.nodes > limits.max_nodes or graph.edges > limits.max_edges else []
-        if graph.space.memo.capped:
+        if graph.product.memo.capped:
             flags.append("capped")
         print(
             f"RG: {graph.nodes} nodes, {graph.edges} edges; "

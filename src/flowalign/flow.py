@@ -26,8 +26,8 @@ per-model counts (``layered_graph``), and ``solve_layered`` computes the
 same labels one trace position at a time and walks the same path,
 certifying only what the layer above does not imply.  The counts decide
 the node and edge budgets exactly, so a graph that a budget would cut
-short is refused unbuilt and never priced.  Everything here is exact
-integer or ``Fraction`` arithmetic.
+short is refused unbuilt, after the counts price its model's graph.
+Everything here is exact integer or ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .errors import InternalInvariantError, InvalidInputError, UnreachableFinalE
 from .petri import TAU, PetriNet, SuccessorMemo
 from .reachability import ExplorationLimits, ReachabilityGraph
 from .simplex import integers
-from .sync_product import GAP, CostConfig, ProductSpace, SyncMove, SynchronousProduct, model_relaxation
+from .sync_product import GAP, CostConfig, SyncMove, SynchronousProduct, model_relaxation
 
 
 class Method(Enum):
@@ -288,7 +288,7 @@ def extract_alignment(
     if cur != rg.final_index:
         raise InternalInvariantError("chosen edges do not form an initial-to-final path")
 
-    alignment = Alignment.from_path(sp, path, sum(map(ProductSpace(sp).prices.__getitem__, path)), Method.LP)
+    alignment = Alignment.from_path(sp, path, sum(map(sp.prices.__getitem__, path)), Method.LP)
     if alignment.total_cost != sol.objective:
         raise InternalInvariantError("alignment cost disagrees with LP objective")
     return alignment
@@ -330,10 +330,10 @@ class ModelGraph:
 
 
 class LayeredGraph(NamedTuple):
-    """The reachability graph of ``space.sp`` as its model's graph and trace:
+    """The reachability graph of ``product`` as its model's graph and trace:
     node ``(u, pos)`` per reachable model marking ``u`` and trace position ``pos``."""
 
-    space: ProductSpace
+    product: SynchronousProduct
     model: ModelGraph
     nodes: int
     edges: int
@@ -351,8 +351,7 @@ def layered_graph(sp: SynchronousProduct, limits: ExplorationLimits) -> LayeredG
     exceed ``max_nodes`` or ``max_edges``.
     """
     net, n = sp.process_net, len(sp.trace_labels)
-    space = ProductSpace(sp)
-    memo = space.memo
+    memo = sp.memo
     reached = memo.reached(limits.max_nodes)
     if reached is None:
         return None
@@ -362,7 +361,7 @@ def layered_graph(sp: SynchronousProduct, limits: ExplorationLimits) -> LayeredG
     nodes = model.reachable * (n + 1)
     edges = (n + 1) * len(model.edges[0]) + n * model.reachable
     edges += sum(len(model.sync.get(a, ())) for a in sp.trace_labels)
-    return LayeredGraph(space, model, nodes, edges)
+    return LayeredGraph(sp, model, nodes, edges)
 
 
 def _settle(dist: list, into: list[list[tuple[int, int]]], sources) -> list:
@@ -390,12 +389,12 @@ def solve_layered(graph: LayeredGraph) -> Alignment | None:
     the final node.  Layer n is the model's ``to_final``; layer pos is
     seeded from layer pos + 1 through event pos's log and synchronous
     moves, then settled.  The walk from ``(m_0, 0)`` takes the first tight
-    move that :meth:`~flowalign.sync_product.ProductSpace.out` lists: the
-    built graph's lowest-index tight edge, as a node's out-edges are
+    move that :meth:`~flowalign.sync_product.SynchronousProduct.out` lists:
+    the built graph's lowest-index tight edge, as a node's out-edges are
     contiguous and in that order.  The labels are certified on every edge,
     as :func:`_certify` does; the walk's integer total is the cost.
     """
-    space, model, sp = graph.space, graph.model, graph.space.sp
+    sp, model = graph.product, graph.model
     if model.final is None:
         return None
     trace = sp.trace_labels
@@ -411,11 +410,11 @@ def solve_layered(graph: LayeredGraph) -> Alignment | None:
                 lowered.append(u)
         layers.append(_settle(here, model.into, lowered))
     layers.reverse()
-    prices, split = space.prices, space.split
+    prices, split, final = sp.prices, sp.split, sp.final
     path, spent, key = [], 0, 0
-    while key != space.final:
+    while key != final:
         u, pos = split(key)
-        for k, s in space.out(key):
+        for k, s in sp.out(key):
             if s is None or s == key:
                 continue
             c = prices[k]
@@ -464,17 +463,17 @@ def _certify_layers(model: ModelGraph, trace: tuple[str, ...], layers: list[list
                     raise InternalInvariantError(f"distance label violated by a model move at position {pos}")
 
 
-def unaligned_outcome(space: ProductSpace, limits: ExplorationLimits) -> Outcome:
-    """Why ``space``'s product has no alignment: its model alone has more
+def unaligned_outcome(sp: SynchronousProduct, limits: ExplorationLimits) -> Outcome:
+    """Why product ``sp`` has no alignment: its model alone has more
     than ``limits.max_nodes`` reachable markings, or else the model's
     marking equation has no solution from its initial to its final marking
     (a necessary condition for reaching it, under any cap), or else the
     cap pruned a move from a reachable model marking (and so from the
     product, which pairs each with every trace position), or else none."""
-    memo = space.memo
+    memo = sp.memo
     if memo.reached(limits.max_nodes) is None:
         return Outcome.OVER_BUDGET
-    if model_relaxation(space.sp.process_net, space.sp.cost).seed is None:
+    if model_relaxation(sp.process_net, sp.cost).seed is None:
         return Outcome.INFEASIBLE
     return Outcome.CAPPED if memo.capped else Outcome.INFEASIBLE
 
@@ -504,7 +503,7 @@ def lp_align(
             if alignment is not None:
                 stats.outcome = Outcome.OPTIMAL
             else:
-                stats.outcome = unaligned_outcome(graph.space, limits)
+                stats.outcome = unaligned_outcome(sp, limits)
     stats.rg_build_us = (t1 - t0) // 1000
     stats.solve_us = (time.perf_counter_ns() - t1) // 1000
     return alignment, stats

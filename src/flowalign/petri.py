@@ -8,7 +8,7 @@ A net also keeps caches of derived data: its firing data and one
 :class:`SuccessorMemo` per token cap.  The memo numbers the markings
 reached from the initial marking in discovery order and keeps each one's
 successors once they have been read through :func:`successors`.
-Every walk of a product reads its moves from a ``sync_product.ProductSpace``
+Every walk of a product reads its moves from ``SynchronousProduct.out``,
 composed from it, so aligning a model against many traces fires each model
 transition once per marking, not once per product state, and every walk
 rejects the caps the memo refuses: one below 1 or below the initial marking.

@@ -1,10 +1,10 @@
 """Bounded breadth-first reachability graphs of synchronous products.
 
 The graph of a synchronous product is a breadth-first search over the
-states of a :class:`~flowalign.sync_product.ProductSpace`, which lists
-each state's moves in canonical order.  The build numbers new nodes,
-applies the node and edge budgets and counts what it prunes, which no
-other walk of the product needs.  Nodes are numbered in discovery order,
+states of a :class:`~flowalign.sync_product.SynchronousProduct`, whose
+``out`` lists each state's moves in canonical order.  The build numbers
+new nodes, applies the node and edge budgets and counts what it prunes,
+which no other walk of the product needs.  Nodes are numbered in discovery order,
 so the queue is node order and needs no container of its own, and each
 process marking's successors are read once per model and token cap,
 however many traces are aligned.
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .errors import InvalidLimitsError
 from .petri import Marking
-from .sync_product import ProductSpace, SynchronousProduct, View, cost_vector
+from .sync_product import SynchronousProduct, View, cost_vector
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class ReachabilityGraph:
 
 class NodeView(View):
     """The nodes of a graph as product markings, from the pair of its
-    :class:`~flowalign.sync_product.ProductSpace` and its node keys."""
+    :class:`~flowalign.sync_product.SynchronousProduct` and its node keys."""
 
     __slots__ = ()
 
@@ -94,8 +94,8 @@ class NodeView(View):
         return len(self._of[1])
 
     def _item(self, i: int) -> Marking:
-        space, keys = self._of
-        return space.marking(keys[i])
+        sp, keys = self._of
+        return sp.marking(keys[i])
 
 
 class EdgeView(View):
@@ -125,14 +125,13 @@ def build_reachability_graph(
     ``None`` means the default limits.
     """
     limits = limits or ExplorationLimits()
-    space = ProductSpace(sp)
     keys, index = [0], {0: 0}
     tails, heads, moves = [], [], []
     stats = RGStats()
-    final_index = 0 if space.final == 0 else None
+    final_index = 0 if sp.final == 0 else None
     for node, key in enumerate(keys):
         stats.nodes_expanded += 1
-        for move, succ in space.out(key):
+        for move, succ in sp.out(key):
             if succ is None or succ == key:
                 stats.cap_prunes += succ is None
                 stats.edges_pruned_self_loops += succ == key
@@ -144,7 +143,7 @@ def build_reachability_graph(
             if head is None:
                 head = index[succ] = len(keys)
                 keys.append(succ)
-                if succ == space.final:
+                if succ == sp.final:
                     final_index = head
             tails.append(node)
             heads.append(head)
@@ -152,7 +151,7 @@ def build_reachability_graph(
         if stats.truncated:
             break
     return ReachabilityGraph(
-        nodes=NodeView((space, keys)),
+        nodes=NodeView((sp, keys)),
         tails=tails,
         heads=heads,
         moves=moves,

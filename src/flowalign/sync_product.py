@@ -15,7 +15,7 @@ trace position against a gap.  Costs follow the standard scheme:
 synchronous moves are free, silent model moves cost a tiny epsilon, and
 every visible deviation costs ``deviation_cost``.
 
-Every walk of a product reads its moves from :meth:`ProductSpace.out`,
+Every walk of a product reads its moves from :meth:`SynchronousProduct.out`,
 composed from the model's successor memo and the trace path: the one
 place the canonical move order is written.  The model moves and A*'s
 :class:`Relaxation` depend only on the net and the costs, so each net
@@ -98,20 +98,49 @@ class CostConfig:
         return tau, dev, scale
 
 
+class _StateSpace:
+    """Sets a product's ``memo``, ``final`` and ``prices`` on the first read of any, as plain
+    attributes: a ``__getattr__`` hook or a ``cached_property`` would slow every later read."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, sp, owner=None):
+        if sp is None:
+            return self
+        net, n = sp.process_net, len(sp.trace_labels)
+        memo = successor_memo(net, sp.token_cap)
+        tau, dev, _ = sp.cost.scaled
+        prices = [0] * sp.offsets[0] + [tau if a is TAU else dev for a in net.labels] + [dev] * n
+        object.__setattr__(sp, "memo", memo)
+        object.__setattr__(sp, "final", memo.ids[net.final_marking] * (n + 1) + n)
+        object.__setattr__(sp, "prices", prices)
+        return getattr(sp, self.name)
+
+
 @dataclass(frozen=True)
 class SynchronousProduct:
     """The product of a process net and the trace model of one trace.
 
     ``moves`` is in one canonical order: all synchronous moves (by process
     transition, then trace position), then model moves (process order),
-    then log moves (trace order).  A product marking is a process-net
-    marking followed by one entry per trace position ``0..n``, with the
-    one trace token at the number of events consumed so far.
+    then log moves (trace order); ``offsets`` are the indices of the first
+    model move and of the first log move.  ``sync_moves_at[pos]`` lists
+    ``(process transition index, move index)`` for the synchronous moves at
+    trace position ``pos`` (0-based), in process order.  ``cost`` prices
+    the moves, and ``token_cap`` bounds each place's tokens in every state
+    that either engine searches.
 
-    ``sync_moves_at[pos]`` lists ``(process transition index, move index)``
-    for the synchronous moves at trace position ``pos`` (0-based), in
-    process order.  ``cost`` prices the moves, and ``token_cap`` bounds each
-    place's tokens in every state that either engine searches.
+    A product marking is a process-net marking followed by one entry per
+    trace position ``0..n``, with the one trace token at the number of
+    events consumed so far.  A state's key is ``pid * (n + 1) + pos``, for
+    its trace position ``pos`` and the id ``pid`` of its process marking in
+    ``memo``, the model's :class:`~flowalign.petri.SuccessorMemo` under
+    ``token_cap``.  The initial state's key is 0, ``final`` is the final
+    state's, and ``prices`` is each move's cost in the units of
+    ``CostConfig.scaled``.  These three are made on the first read of any,
+    which is when a cap below 1 or below the initial marking raises the
+    memo's :class:`InvalidLimitsError`, and are left out of pickles.
     """
 
     process_net: PetriNet
@@ -119,11 +148,60 @@ class SynchronousProduct:
     cost: CostConfig = CostConfig()
     token_cap: int = 8
     sync_moves_at: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
+    offsets: tuple[int, int] = field(init=False, repr=False, compare=False)
+
+    memo, final, prices = _StateSpace(), _StateSpace(), _StateSpace()
 
     def __post_init__(self) -> None:
         at, syncs = _sync_moves_at(self.process_net, self.trace_labels)
         object.__setattr__(self, "sync_moves_at", at)
-        object.__setattr__(self, "_syncs", syncs)
+        object.__setattr__(self, "offsets", (syncs, syncs + len(self.process_net.transitions)))
+        object.__setattr__(self, "_stride", len(self.trace_labels) + 1)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k not in ("memo", "final", "prices")}
+
+    def out(self, key: int) -> Iterator[tuple[int, int | None]]:
+        """The product's one successor function: each move enabled at state
+        ``key``, with its successor's key, in the canonical move order, the
+        order in which firing each move of the product net, in move order,
+        meets them:
+
+        1. the synchronous move of each process transition ``j`` enabled at
+           ``pid`` whose label is the event at ``pos``, to ``(pid_j, pos + 1)``,
+           in ascending ``j``;
+        2. the model move of every ``j`` enabled at ``pid``, to ``(pid_j, pos)``,
+           in ascending ``j``;
+        3. the log move at ``pos``, to ``(pid, pos + 1)``, unless the trace is done.
+
+        A successor is None when the move would put more than ``token_cap``
+        tokens on a place (exactly when its process successor does, as a
+        trace place holds at most one token), and ``key`` for a self-loop.
+        """
+        stride, (model0, log0), memo = self._stride, self.offsets, self.memo
+        pid, pos = divmod(key, stride)
+        row = memo.table[pid] or memo.expand(pid)
+        if pos < stride - 1:
+            for j, k in self.sync_moves_at[pos]:
+                yield from ((k, None if s < 0 else s * stride + pos + 1) for i, s in row if i == j)
+        for j, s in row:
+            yield model0 + j, None if s < 0 else s * stride + pos
+        if pos < stride - 1:
+            yield log0 + pos, key + 1
+
+    def split(self, key: int) -> tuple[int, int]:
+        """The process marking's id and the trace position of state ``key``."""
+        return divmod(key, self._stride)
+
+    def state(self, key: int) -> tuple[Marking, int]:
+        """The process marking and the trace position of state ``key``."""
+        pid, pos = divmod(key, self._stride)
+        return self.memo.markings[pid], pos
+
+    def marking(self, key: int) -> Marking:
+        """The full product marking of state ``key``."""
+        marking, pos = self.state(key)
+        return marking + _one_hot(pos, len(self.trace_labels))
 
     @property
     def moves(self) -> "MoveView":
@@ -151,7 +229,7 @@ class SynchronousProduct:
     def kind_counts(self, path: Sequence[int] | None = None) -> tuple[int, int, int, int]:
         """How many moves of each kind, in :class:`MoveKind` order, the product
         has, or the move indices ``path`` hold, from the index ranges alone."""
-        model0, log0 = _move_offsets(self)
+        model0, log0 = self.offsets
         labels = self.process_net.labels
         if path is None:
             tau = labels.count(TAU)
@@ -199,10 +277,10 @@ class MoveView(View):
     __slots__ = ()
 
     def __len__(self) -> int:
-        return _move_offsets(self._of)[1] + len(self._of.trace_labels)
+        return self._of.offsets[1] + len(self._of.trace_labels)
 
     def _item(self, k: int) -> SyncMove:
-        sp, (model0, log0) = self._of, _move_offsets(self._of)
+        sp, (model0, log0) = self._of, self._of.offsets
         k = range(len(self))[k]
         if model0 <= k < log0:
             return _model_moves(sp.process_net, sp.cost)[k - model0]
@@ -306,7 +384,7 @@ class Relaxation:
     def columns(self, sp: SynchronousProduct) -> list[int | None]:
         """Each move's column: sync ``(j, pos)`` is ``y_j``, model ``j`` is
         ``x_j``, a log move ``s`` of its label, or None if the model has none."""
-        model0, log0 = _move_offsets(sp)
+        model0, log0 = sp.offsets
         cols: list[int | None] = [None] * model0 + list(range(log0 - model0))
         for pairs in sp.sync_moves_at:
             for j, k in pairs:
@@ -335,80 +413,6 @@ def model_relaxation(sn: PetriNet, cost: CostConfig) -> Relaxation:
     sync_columns = {j: t + c for c, j in enumerate(visible)}
     made = Relaxation(rows, costs, labels, sync_columns, optimum and seed)
     return cache.setdefault(cost, made)
-
-
-class ProductSpace:
-    """The product's state space under its token cap, keyed by ints.
-
-    A state is a process marking plus the position ``pos`` of the trace
-    token; its key is ``pid * (n + 1) + pos``, where ``pid`` numbers the
-    marking in ``memo``, the model's
-    :class:`~flowalign.petri.SuccessorMemo` for ``sp.token_cap``, and
-    ``n`` is the trace length.  The initial state's key is 0 and
-    ``final`` is the final state's.  A cap below 1 or below the initial
-    marking raises the memo's :class:`InvalidLimitsError`.  ``offsets``
-    are the indices of the first model move and of the first log move, and
-    ``prices`` is each move's cost in the units of ``CostConfig.scaled``.
-
-    :meth:`out` is the product's one successor function.  It yields the
-    moves enabled at a state as ``(move index, successor key)`` in the
-    canonical move order, the order in which firing every move of the
-    product as a Petri net, in move order, meets them:
-
-    1. the synchronous move of each process transition ``j`` enabled at
-       ``pid`` whose label is the event at ``pos``, to ``(pid_j, pos + 1)``,
-       in ascending ``j``;
-    2. the model move of every ``j`` enabled at ``pid``, to ``(pid_j, pos)``,
-       in ascending ``j``;
-    3. the log move at ``pos``, to ``(pid, pos + 1)``, unless the trace is
-       done.
-
-    A successor is None when the move would put more than ``token_cap``
-    tokens on a place (exactly when its process successor does, as a trace
-    place holds at most one token), and the state's own key for a self-loop.
-    """
-
-    def __init__(self, sp: SynchronousProduct) -> None:
-        n = len(sp.trace_labels)
-        self.sp, self._n, self._stride = sp, n, n + 1
-        self.memo = memo = successor_memo(sp.process_net, sp.token_cap)
-        self.final = memo.ids[sp.process_net.final_marking] * self._stride + n
-        self.offsets = _move_offsets(sp)
-        tau, dev, _ = sp.cost.scaled
-        model_prices = [tau if a is TAU else dev for a in sp.process_net.labels]
-        self.prices = [0] * self.offsets[0] + model_prices + [dev] * n
-
-    def out(self, key: int) -> Iterator[tuple[int, int | None]]:
-        """Yield every move enabled at state ``key``, with its successor's key."""
-        stride, (model0, log0) = self._stride, self.offsets
-        pid, pos = divmod(key, stride)
-        row = self.memo.table[pid] or self.memo.expand(pid)
-        if pos < self._n:
-            for j, k in self.sp.sync_moves_at[pos]:
-                yield from ((k, None if s < 0 else s * stride + pos + 1) for i, s in row if i == j)
-        for j, s in row:
-            yield model0 + j, None if s < 0 else s * stride + pos
-        if pos < self._n:
-            yield log0 + pos, key + 1
-
-    def split(self, key: int) -> tuple[int, int]:
-        """The process marking's id and the trace position of state ``key``."""
-        return divmod(key, self._stride)
-
-    def state(self, key: int) -> tuple[Marking, int]:
-        """The process marking and the trace position of state ``key``."""
-        pid, pos = divmod(key, self._stride)
-        return self.memo.markings[pid], pos
-
-    def marking(self, key: int) -> Marking:
-        """The full product marking of state ``key``."""
-        marking, pos = self.state(key)
-        return marking + _one_hot(pos, self._n)
-
-
-def _move_offsets(sp: SynchronousProduct) -> tuple[int, int]:
-    """The indices of the first model move and of the first log move."""
-    return sp._syncs, sp._syncs + len(sp.process_net.transitions)
 
 
 def cost_vector(sp: SynchronousProduct) -> tuple[Fraction, ...]:

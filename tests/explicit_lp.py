@@ -32,7 +32,7 @@ from flowalign.flow import FlowProblem, FlowSolution
 from flowalign.petri import IntMatrix, Marking, PetriNet, Trace, firing_data, incidence_matrices, trace_ids
 from flowalign.reachability import ReachabilityGraph
 from flowalign.simplex import integers
-from flowalign.sync_product import MoveKind, ProductSpace, SynchronousProduct, _trace_renaming
+from flowalign.sync_product import MoveKind, SynchronousProduct, _trace_renaming
 
 
 # Petri nets: firing one transition, the trace model, the product net.
@@ -145,21 +145,21 @@ def product_net(sp: SynchronousProduct) -> PetriNet:
 # A*'s marking equation at a full product marking.
 
 
-class MarkingKeyedSpace(ProductSpace):
-    """A product's state space keyed by full product markings."""
+class MarkingKeyedProduct(SynchronousProduct):
+    """A product whose states are keyed by full product markings."""
 
     def state(self, m: Marking) -> tuple[Marking, int]:
         """The process marking and trace position of product marking ``m``."""
-        width = len(self.sp.process_net.places)
+        width = len(self.process_net.places)
         trace = m[width:]
-        if len(m) != len(self.sp.final_marking) or sorted(trace) != [0] * (len(trace) - 1) + [1]:
+        if len(m) != len(self.final_marking) or sorted(trace) != [0] * (len(trace) - 1) + [1]:
             raise InvalidInputError("marking does not index the product's places with one trace token")
         return m[:width], trace.index(1)
 
 
 def marking_equation(sp: SynchronousProduct) -> MarkingEquation:
     """A :class:`~flowalign.astar.MarkingEquation` keyed by full product markings."""
-    return MarkingEquation(MarkingKeyedSpace(sp))
+    return MarkingEquation(MarkingKeyedProduct(sp.process_net, sp.trace_labels, sp.cost, sp.token_cap))
 
 
 def marking_equation_heuristic(sp: SynchronousProduct, m: Marking) -> Fraction | float:

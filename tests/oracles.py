@@ -37,7 +37,6 @@ from flowalign.sync_product import (
     MoveKind,
     SyncMove,
     SynchronousProduct,
-    _move_offsets,
     _trace_renaming,
     cost_vector,
 )
@@ -170,7 +169,7 @@ def incidence_rows(sp: SynchronousProduct) -> list[list[int]]:
     at ``pos + 1``."""
     pre, post = firing_data(sp.process_net)
     width, n = len(sp.process_net.places), len(sp.trace_labels)
-    model0, log0 = _move_offsets(sp)
+    model0, log0 = sp.offsets
     # (move index, process transition or None, event position or None)
     columns = [(k, j, pos) for pos, pairs in enumerate(sp.sync_moves_at) for j, k in pairs]
     columns += [(model0 + j, j, None) for j in range(len(pre))]

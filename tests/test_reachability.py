@@ -6,7 +6,9 @@ import pytest
 import oracles
 from conftest import make_fig_acyclic
 from explicit_lp import NodeArcIncidence, check_tu_column_structure, node_arc_incidence, product_net
+from flowalign.astar import astar_align
 from flowalign.errors import InvalidLimitsError
+from flowalign.flow import lp_align
 from flowalign.petri import Trace, incidence_matrices
 from flowalign.reachability import ExplorationLimits, build_reachability_graph
 from flowalign.sync_product import product_for_trace
@@ -86,9 +88,12 @@ class TestBuildReachabilityGraph:
         assert set(low.nodes) <= set(high.nodes)
         assert low_edges <= high_edges
 
-    def test_initial_marking_over_cap_rejected(self, toy_product):
+    @pytest.mark.parametrize("walk", [build_reachability_graph, lp_align, astar_align], ids=["rg", "lp", "astar"])
+    def test_initial_marking_over_cap_rejected(self, walk, toy_product):
+        # The product is built; the first walk of its state space raises.
+        sp = dataclasses.replace(toy_product, token_cap=0)
         with pytest.raises(InvalidLimitsError):
-            build_reachability_graph(dataclasses.replace(toy_product, token_cap=0))
+            walk(sp)
 
 
 class TestNodeArcIncidence:

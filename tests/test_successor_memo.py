@@ -1,6 +1,6 @@
 """The product state space composed from a per-model successor memo.
 
-``sync_product.ProductSpace.out`` composes each product state's moves
+``SynchronousProduct.out`` composes each product state's moves
 from the model's memo, and every walk of the product reads it: the
 reachability graph build, A* and the layered flow walk.
 ``petri.successors`` on the product net and
@@ -34,8 +34,14 @@ from flowalign.flow import Outcome, lp_align
 from flowalign.errors import InvalidLimitsError
 from flowalign.petri import PetriNet, Trace, incidence_matrices, successor_memo, successors
 from flowalign.reachability import ExplorationLimits, build_reachability_graph
-from flowalign.sync_product import ProductSpace, product_for_trace
-from oracles import incidence_rows, oracle_shortest_cost, product_marking_equation, reference_reachability_graph
+from flowalign.sync_product import product_for_trace
+from oracles import (
+    eager_moves,
+    incidence_rows,
+    oracle_shortest_cost,
+    product_marking_equation,
+    reference_reachability_graph,
+)
 from test_heuristic_lp import first_edit_cycle
 
 LABELS = ("a", "b", "c", None)
@@ -137,20 +143,22 @@ def test_space_successors_equal_product_firing():
         assert incidence_rows(sp) == [list(row) for row in incidence_matrices(net).incidence]
         seen["empty_traces"] += not sp.trace_labels
         if any(v > cap for v in sp.initial_marking):
-            with pytest.raises(InvalidLimitsError):
-                ProductSpace(sp)
+            # The product and its moves are made; its state space is not.
+            assert tuple(sp.moves) == eager_moves(sp)
+            for read in (lambda: sp.memo, lambda: sp.final, lambda: sp.prices, lambda: next(sp.out(0))):
+                with pytest.raises(InvalidLimitsError):
+                    read()
             seen["over_cap"] += 1
             return
-        space = ProductSpace(sp)
         keys, found = [0], {0}
         for key in keys:
-            marking = space.marking(key)
-            out = list(space.out(key))
+            marking = sp.marking(key)
+            out = list(sp.out(key))
             fired = list(successors(net, marking, cap))
             # Every move fired at the full marking is listed, in the same
             # order: a capped one with None, a self-loop with its own key.
             assert [k for k, _ in out] == [j for j, _ in fired]
-            assert [None if s is None else space.marking(s) for _, s in out] == [m for _, m in fired]
+            assert [None if s is None else sp.marking(s) for _, s in out] == [m for _, m in fired]
             assert all((s == key) == (m == marking) for (_, s), (_, m) in zip(out, fired))
             seen["cap_prunes"] += any(m is None for _, m in fired)
             seen["self_loops"] += any(m == marking for _, m in fired)
@@ -158,13 +166,13 @@ def test_space_successors_equal_product_firing():
                 if s is not None and s not in found:
                     found.add(s)
                     keys.append(s)
-        markings = [space.marking(key) for key in keys]
+        markings = [sp.marking(key) for key in keys]
         assert markings[0] == sp.initial_marking
         assert len(set(markings)) == len(markings)
-        assert space.marking(space.final) == sp.final_marking
-        assert (space.final in found) == (sp.final_marking in markings)
-        seen["final_reached"] += space.final in found
-        seen["final_unreached"] += space.final not in found
+        assert sp.marking(sp.final) == sp.final_marking
+        assert (sp.final in found) == (sp.final_marking in markings)
+        seen["final_reached"] += sp.final in found
+        seen["final_unreached"] += sp.final not in found
 
     check()
     wanted = ("cap_prunes", "self_loops", "empty_traces", "over_cap", "final_reached", "final_unreached")

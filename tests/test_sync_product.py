@@ -15,13 +15,14 @@ import flowalign
 from flowalign.errors import InvalidInputError
 from flowalign.model_io import parse_pnml
 from flowalign.petri import PetriNet, Trace
+from flowalign import sync_product
+from flowalign.bench import RunConfig, run_engines
 from flowalign.flow import lp_align
 from oracles import eager_moves, product_to_pnml
 from flowalign.sync_product import (
     GAP,
     CostConfig,
     MoveKind,
-    ProductSpace,
     _model_moves,
     cost_vector,
     model_relaxation,
@@ -205,8 +206,31 @@ class TestCostConfig:
         assert cfg.scaled == (cfg.tau_cost * cfg.scaled[2], cfg.deviation_cost * cfg.scaled[2], cfg.scaled[2])
         for net in (insurance, fig_acyclic):
             sp = product_for_trace(net, INSURANCE_TRACE, cfg)
-            prices = ProductSpace(sp).prices
-            assert [Fraction(p, cfg.scaled[2]) for p in prices] == list(cost_vector(sp))
+            assert [Fraction(p, cfg.scaled[2]) for p in sp.prices] == list(cost_vector(sp))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [RunConfig(method="both"), RunConfig(method="hybrid", max_nodes=5)],
+    ids=["both", "hybrid_fallback"],
+)
+def test_one_state_space_per_product(cfg, fig_acyclic, monkeypatch):
+    """A* and the flow engine walk the product's own state space, so the
+    model's memo is looked up once per product, not once per engine run."""
+    calls, lookup = [], sync_product.successor_memo
+    monkeypatch.setattr(sync_product, "successor_memo", lambda *args: calls.append(args) or lookup(*args))
+    trace = Trace("t", ("a",) + ("x",) * 58 + ("e",))
+    result = run_engines(fig_acyclic, trace, cfg, Fraction(9, 10))
+    assert len(result.runs) == 2 and result.runs[-1][0] is not None
+    assert calls == [(fig_acyclic, cfg.token_cap)]
+
+
+def test_a_product_pickles_without_its_state_space(insurance):
+    sp = product_for_trace(insurance, INSURANCE_TRACE)
+    alignment, _ = lp_align(sp)
+    clone = pickle.loads(pickle.dumps(sp))
+    assert clone == sp and "memo" in vars(sp) and "memo" not in vars(clone)
+    assert lp_align(clone)[0].path == alignment.path
 
 
 def assert_moves_are_the_eager_moves(sp) -> tuple:
@@ -279,13 +303,13 @@ def modules_naming(names: set[str]) -> set[str]:
 
 
 def test_only_sync_product_reads_the_move_layout():
-    """The canonical move order is written once, in ``ProductSpace.out``:
+    """The canonical move order is written once, in ``SynchronousProduct.out``:
     no other module reads the synchronous move table or the move offsets."""
     assert modules_naming({"sync_moves_at", "_move_offsets", "offsets"}) == {"sync_product.py"}
 
 
 def test_engines_read_the_token_cap_only_through_the_product():
-    """The cap is ``SynchronousProduct.token_cap``, which ``ProductSpace``
-    reads: no engine names the cap or the model's successor memo."""
+    """The cap is ``SynchronousProduct.token_cap``, which the product's
+    state space reads: no engine names the cap or the model's successor memo."""
     engines = {"astar.py", "flow.py", "reachability.py"}
     assert not engines & modules_naming({"token_cap", "successor_memo"})
