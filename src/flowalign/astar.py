@@ -26,22 +26,31 @@ deviation cost to h.  So the optima are equal at every product state.
 How h is computed.  A search maps each move t to its column ``col(t)``
 (sync ``(j, pos)`` to ``y_j``, model ``j`` to ``x_j``, log at ``pos`` to
 ``s`` of its label).  A marking's h is solved lazily, when it is about to
-be expanded; a finite one keeps only its sparse optimal x and basis.
-When marking m was reached from its parent p by move t:
+be expanded; a finite one keeps its ``simplex.Optimum``: the rhs cells
+of its optimal tableau (``B^-1 b`` and the objective, over the rows'
+denominators), that tableau's basis, and a weak reference to the
+tableau.  When marking m was reached from its parent p by move t, then
+b(m) = b(p) - A_col(t):
 
 - **Reuse.**  If ``x_p[col(t)] >= 1`` then ``h(m) = h(p) - c(t)``:
   ``x_p - e_col(t)`` is feasible for m, and any y feasible for m gives
-  ``y + e_col(t)`` feasible for p.  A log move whose label the model
-  lacks changes no rhs and always reuses.
+  ``y + e_col(t)`` feasible for p.  That is when col(t) is basic in row
+  i with ``cells[i] >= dens[i]``; m's cells are p's, in p's basis, with
+  ``dens[i]`` taken off cell i and c(t) put on the objective.  A log move
+  whose label the model lacks changes no rhs and always reuses.
 - **Warm start.**  Otherwise the dual simplex starts from p's optimal
-  tableau, still dual feasible since only the rhs changed.  Each search
-  has its own ``simplex.BasisCache``, which starts holding the model's
-  seed, the optimal tableau at rhs ``(m_f - m_0, 0)``, solved once per
-  model and cost config.  The start marking (cold if the seed LP is
-  infeasible) and a marking whose parent's tableau was evicted start from
-  the cache's most recently used tableau.  From a tableau only ``B^-1 b``
-  and the objective are computed, with no pivot or copy while it stays
-  primal feasible.
+  tableau, still dual feasible since only the rhs changed.  While the
+  search's ``simplex.BasisCache`` still holds that very tableau, m's
+  cells are p's less the tableau's column col(t), in O(rows).  The cache
+  starts holding the model's seed, the optimal tableau at rhs
+  ``(m_f - m_0, 0)``, solved once per model and cost config.  The start
+  marking (cold if the seed LP is infeasible) and a marking whose
+  parent's tableau was evicted start from the cached tableau of the
+  parent's basis if any, else from the cache's most recently used one,
+  and compute the cells from b.  With every basic value nonnegative h is
+  read off with no pivot or copy; a dual step onto a basis the cache
+  holds reads that tableau, and any other step pivots a copy.  h leaves
+  as an ``int`` unless the optimum is not integral.
 
 Either way h is the exact optimum, so the expansion order and alignment
 do not depend on how it was obtained, nor on which searches ran before.
@@ -61,7 +70,7 @@ from fractions import Fraction
 from .errors import InvalidInputError
 from .flow import Alignment, Method, Outcome, RunStats, unaligned_outcome
 from .reachability import ExplorationLimits
-from .simplex import BasisCache, solve_min_eq
+from .simplex import BasisCache, Optimum, solve_min_eq
 from .sync_product import SynchronousProduct, model_relaxation
 
 
@@ -88,9 +97,9 @@ class MarkingEquation:
     seeded with the model's, which counts the pivots.  ``self(m, via)``
     puts h(m) in units of 1/``scale`` (an ``int`` when integral, else a
     ``Fraction``; ``math.inf`` for a dead end) into ``values`` and keeps a
-    finite one's sparse optimal x and basis for the reuse rule and warm
-    starts.  Keys, move costs and each key's process marking and trace
-    position come from ``sp`` (its ``state`` and ``prices``).
+    finite one's ``simplex.Optimum`` for the reuse rule and warm starts.
+    Keys, move costs and each key's process marking and trace position
+    come from ``sp`` (its ``state`` and ``prices``).
     """
 
     def __init__(self, sp: SynchronousProduct):
@@ -112,7 +121,7 @@ class MarkingEquation:
         self.suffixes.reverse()
         self.tableaux = BasisCache(relax.rows, relax.costs, relax.seed)
         self.values: dict[Hashable, int | Fraction | float] = {}
-        self._optima: dict[Hashable, tuple[dict[int, Fraction], tuple[int, ...]]] = {}
+        self._optima: dict[Hashable, Optimum] = {}
         self.solves = 0  # simplex calls, all warm-started unless the model has no seed
         self.reuses = 0  # values taken from the parent's solution
 
@@ -127,32 +136,26 @@ class MarkingEquation:
         val = self.values.get(m)
         if val is not None:
             return val
-        basis = None
-        optimum = self._optima.get(via[0]) if via is not None else None
-        if optimum is not None:
-            x, basis = optimum
+        parent = None
+        prior = self._optima.get(via[0]) if via is not None else None
+        if prior is not None:
             t = self.columns[via[1]]
-            if t is None or x.get(t, 0) >= 1:
+            optimum = prior if t is None else prior.less(t)
+            if optimum is not None:
                 self.reuses += 1
-                if t is not None:
-                    x = dict(x)
-                    x[t] -= 1
-                    if not x[t]:
-                        del x[t]
-                self._optima[m] = (x, basis)
+                self._optima[m] = optimum
                 val = self.values[via[0]] - self.costs[via[1]]
                 self.values[m] = val
                 return val
+            parent = (prior, t)
         self.solves += 1
         rhs, outside = self.rhs(m)
-        result = solve_min_eq(self.relaxation.rows, rhs, self.relaxation.costs, basis, cache=self.tableaux)
+        result = solve_min_eq(self.relaxation.rows, rhs, self.relaxation.costs, cache=self.tableaux, parent=parent)
         if result is None:
             val = math.inf
         else:
-            value, x = result
-            value += outside
-            val = value.numerator if value.denominator == 1 else value
-            self._optima[m] = ({j: x[j] for j in result.basis if x[j]}, result.basis)
+            val = result.value + outside
+            self._optima[m] = result
         self.values[m] = val
         return val
 

@@ -271,51 +271,87 @@ def serialize_pnml(net: PetriNet, net_id: str = "net1") -> bytes:
     return ET.tostring(root, encoding="utf-8", xml_declaration=True)
 
 
+_UNNAMED = object()  # an event with no concept:name string read yet
+
+
+class _XesReader:
+    """The parser target of :func:`parse_xes`.
+
+    It keeps no element: only the local names of the open elements, and
+    the case id and activities of each open trace and the name of each
+    open event read so far.  A ``Trace`` is made when its tag closes.
+    """
+
+    def __init__(self) -> None:
+        self.root: str | None = None
+        self.traces: list[Trace] = []
+        self.skipped = 0
+        self._open: list[str] = []  # local names of the open elements
+        self._traces: list[list] = []  # [case id, activities] per open trace
+        self._events: list[list] = []  # [name, child of a trace?] per open event
+        self._names: dict[str, str] = {}  # one str per distinct activity
+        self._local: dict[str, str] = {}  # tag -> local name
+
+    def start(self, tag: str, attrib: dict[str, str]) -> None:
+        name = self._local.get(tag)
+        if name is None:
+            name = self._local[tag] = _local(tag)
+        parent = self._open[-1] if self._open else None
+        self._open.append(name)
+        if parent is None:
+            self.root = name
+        if name == "string":
+            if attrib.get("key") == "concept:name":
+                if parent == "trace":
+                    self._traces[-1][0] = attrib.get("value")
+                elif parent == "event" and self._events[-1][0] is _UNNAMED:
+                    self._events[-1][0] = attrib.get("value")
+        elif name == "trace":
+            self._traces.append([None, []])
+        elif name == "event":
+            self._events.append([_UNNAMED, parent == "trace"])
+
+    def end(self, tag: str) -> None:
+        name = self._open.pop()
+        if name == "trace":
+            case_id, activities = self._traces.pop()
+            if case_id is None:
+                case_id = f"case-{len(self.traces)}"
+            self.traces.append(Trace(case_id, tuple(activities)))
+        elif name == "event":
+            activity, in_trace = self._events.pop()
+            if not in_trace:
+                return
+            if activity is _UNNAMED or activity is None:
+                self.skipped += 1
+            else:
+                self._traces[-1][1].append(self._names.setdefault(activity, activity))
+
+
 def parse_xes(source: bytes | str | Path | IO[bytes], source_name: str = "") -> EventLog:
     """Read an event log from XES.
 
     One :class:`Trace` per ``<trace>``, in the order the traces close (file
-    order; a nested trace comes before the trace that holds it); the
-    activity is the event's ``concept:name`` string attribute.  Events
-    lacking it are skipped and counted in ``EventLog.skipped_events``.  A
-    document whose root is not ``<log>`` raises :class:`ModelParseError`.
-    Each trace's elements are freed once it is read, so the parse holds
-    one trace's tree at a time.
+    order; a nested trace comes before the trace that holds it); the case
+    id is the trace's last ``concept:name`` string child and the activity
+    the event's first.  Events lacking it are skipped and counted in
+    ``EventLog.skipped_events``.  A document whose root is not ``<log>``
+    raises :class:`ModelParseError`.  No element tree is built: the parse
+    holds one trace's fields at a time.
     """
     if not source_name and isinstance(source, (str, Path)):
         source_name = str(source)
-    traces: list[Trace] = []
-    names: dict[str, str] = {}  # one str per distinct activity
-    skipped = 0
+    reader = _XesReader()
     with _input_stream(source) as stream, _xml_errors("XES"):
-        events = ET.iterparse(stream, events=("end",))
-        for _, trace_el in events:
-            if _local(trace_el.tag) != "trace":
-                continue
-            case_id = None
-            activities: list[str] = []
-            for child in trace_el:
-                tag = _local(child.tag)
-                if tag == "string" and child.get("key") == "concept:name":
-                    case_id = child.get("value")
-                elif tag == "event":
-                    name = None
-                    for attr in child:
-                        if _local(attr.tag) == "string" and attr.get("key") == "concept:name":
-                            name = attr.get("value")
-                            break
-                    if name is None:
-                        skipped += 1
-                    else:
-                        activities.append(names.setdefault(name, name))
-            traces.append(Trace(case_id if case_id is not None else f"case-{len(traces)}", tuple(activities)))
-            trace_el.clear()
-        root = events.root
-    if _local(root.tag) != "log":
-        raise ModelParseError(f"XES root element is <{_local(root.tag)}>, not <log>")
-    if skipped:
-        log.warning("skipped %d events without concept:name", skipped)
-    return EventLog(tuple(traces), source_name=source_name, skipped_events=skipped)
+        parser = ET.XMLParser(target=reader)
+        for chunk in iter(lambda: stream.read(1 << 16), b""):
+            parser.feed(chunk)
+        parser.close()
+    if reader.root != "log":
+        raise ModelParseError(f"XES root element is <{reader.root}>, not <log>")
+    if reader.skipped:
+        log.warning("skipped %d events without concept:name", reader.skipped)
+    return EventLog(tuple(reader.traces), source_name=source_name, skipped_events=reader.skipped)
 
 
 _ATTRIB_ESCAPES = str.maketrans(

@@ -6,7 +6,8 @@ cost vector by the lcm of its own (so a silent-move cost of 1/10^6 becomes
 an integer); the tableau then runs on Python ``int`` only.  Tableau rows
 are integer cell vectors with one shared positive denominator, so a pivot
 costs integer multiply-adds plus a single gcd reduction per row.  The cost
-scale is divided out only when the optimal value leaves the solver.
+scale is divided out only when the optimal value is read, as an ``int``
+unless it is not integral.
 
 There are two ways in:
 
@@ -18,14 +19,16 @@ There are two ways in:
   reduced costs do not depend on ``b``, so each is dual feasible for every
   ``b``, and block E holds ``B^-1`` times the row scales: from it only
   ``B^-1 b`` and the objective cell are computed, O(m k) for the k
-  nonzeros of ``b``.  If every basic value is nonnegative the answer is
-  read off with no pivot and no copy; else an exact dual simplex with
-  Bland's rule (the infeasible basic variable of smallest index leaves;
-  among ratio ties the smallest column index enters) runs on a copy given
-  the new rhs column, and either restores primal feasibility or proves the
-  LP infeasible.  A solve starts from the tableau of the basis it is
-  given when that one is cached, else from the one the cache used last,
-  so the start changes the work done, never the optimal value.
+  nonzeros of ``b``, or O(m) from an optimum on the same tableau whose
+  ``b`` differs by one column of ``A``.  If every basic value is
+  nonnegative the answer is read off with no pivot and no copy; else an
+  exact dual simplex with Bland's rule (the infeasible basic variable of
+  smallest index leaves; among ratio ties the smallest column index
+  enters) either restores primal feasibility or proves the LP
+  infeasible.  A step onto a basis the cache holds reads that tableau;
+  any other pivots a copy.  A solve starts from the tableau of the basis
+  it is given when that one is cached, else from the one the cache used
+  last, so the start changes the work done, never the optimal value.
 
 Rows of ``A`` that are combinations of the other rows are dropped from
 the tableau.  Every tableau carries the row operations applied so far (a
@@ -40,6 +43,7 @@ relaxations, not as a general-purpose solver.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import OrderedDict
 from fractions import Fraction
 from typing import Sequence
@@ -54,23 +58,70 @@ class Unbounded(InternalInvariantError):
     pass
 
 
-class Optimum(tuple):
-    """An optimal solve: unpacks as ``(value, x)``.
+class Optimum:
+    """An optimal solve: unpacks as ``(value, x)``, both made when read.
 
-    ``value`` is a ``Fraction``; ``x`` holds an ``int`` for every integral
-    entry and a ``Fraction`` only for the others.  ``basis`` lists the
-    basic columns at the optimum, one per constraint row that is not a
-    combination of the others.  Pass it back as ``solve_min_eq(a, b2, c,
-    basis, cache)`` to warm-start a solve of the same ``a`` and ``c`` with
-    another right-hand side from the tableau ``cache`` keeps of it.
+    ``value`` and each entry of ``x`` are an ``int`` where integral and a
+    ``Fraction`` only otherwise.  The optimum is kept as its tableau holds
+    it: ``basis`` lists the basic columns in the tableau's row order, one
+    per constraint row that is not a combination of the others; ``cells``
+    holds each row's rhs cell, over that row's denominator in ``dens``,
+    then the objective cell, the value times ``-obj_den * scale``.
+    ``tableau()`` is that tableau while a :class:`BasisCache` keeps it,
+    else None.  Pass ``basis`` back as ``solve_min_eq(a, b2, c, basis,
+    cache)``, or the optimum as ``parent=(optimum, j)`` when ``b2`` is
+    ``b`` less column j of ``a``, to warm-start a solve of the same ``a``
+    and ``c`` from the tableau ``cache`` keeps of it.
     """
 
-    basis: tuple[int, ...]
+    __slots__ = ("cells", "basis", "dens", "obj_den", "costs", "scale", "tableau")
 
-    def __new__(cls, value: Fraction, x: list[int | Fraction], basis: tuple[int, ...]) -> "Optimum":
-        self = super().__new__(cls, (value, x))
+    def __init__(self, cells: list[int], basis: tuple[int, ...], dens: list[int], obj_den: int,
+                 costs: list[int], scale: int, tableau: weakref.ref):
+        self.cells = cells
         self.basis = basis
-        return self
+        self.dens = dens
+        self.obj_den = obj_den
+        self.costs = costs
+        self.scale = scale
+        self.tableau = tableau
+
+    @property
+    def value(self) -> int | Fraction:
+        num, den = -self.cells[-1], self.obj_den * self.scale
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
+
+    def __iter__(self):
+        x: list[int | Fraction] = [0] * len(self.costs)
+        for bi, v, den in zip(self.basis, self.cells, self.dens):
+            if v:
+                q, r = divmod(v, den)
+                x[bi] = Fraction(v, den) if r else q
+        return iter((self.value, x))
+
+    def __getitem__(self, i: int):
+        return tuple(self)[i]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (Optimum, tuple)) and tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"Optimum{tuple(self)!r}"
+
+    def less(self, j: int) -> "Optimum | None":
+        """The optimum at ``b`` less column j of ``a``, read off this one in
+        O(rows) when ``x_j >= 1``, else None.  ``x - e_j`` is feasible
+        there, and any ``y`` feasible there gives ``y + e_j`` feasible here,
+        so it is optimal there, in this basis, at this value less ``c_j``."""
+        if j in self.basis:
+            i = self.basis.index(j)
+            if self.cells[i] >= self.dens[i]:
+                cells = self.cells[:]
+                cells[i] -= self.dens[i]
+                cells[-1] += self.obj_den * self.costs[j]
+                return Optimum(cells, self.basis, self.dens, self.obj_den, self.costs, self.scale, self.tableau)
+        return None
 
 
 def integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
@@ -125,8 +176,8 @@ class _Tableau:
     j and ``obj[-1] / obj_den`` the negated objective value.  ``basis[i]``
     is row i's basic column.  ``dependent`` holds, per dropped row, the
     weights of a combination of the original rows that vanishes on ``A``.
-    ``pivots`` counts the primal and dual simplex pivots made on this
-    tableau.
+    ``pivots`` counts the primal simplex pivots made on this tableau (a
+    dual step counts on its :class:`BasisCache`).
     """
 
     def __init__(self, rows: list[list[int]], basis: list[int], scales: list[int]):
@@ -179,6 +230,23 @@ class _Tableau:
                 cell += row[j] * v
             cells.append(cell)
         return cells
+
+    def less(self, cells: list[int], j: int, costs: Sequence[int]) -> list[int]:
+        """``rhs_cells`` of ``b`` less column j of ``a``, given those of
+        ``b``, in O(rows).
+
+        Each row's weights turn column j of ``a`` into the row's cell j, so
+        that cell comes off.  The objective row is ``obj_den * costs`` plus
+        its weights times ``a``, so its cell drops by ``obj[j] - obj_den *
+        costs[j]``.
+        """
+        new = [v - row[j] for v, row in zip(cells, self.rows)]
+        new.append(cells[-1] - (self.obj[j] - self.obj_den * costs[j]))
+        return new
+
+    def cells(self) -> list[int]:
+        """The rhs column, then the objective cell, as ``rhs_cells`` gives them."""
+        return [row[-1] for row in self.rows] + [self.obj[-1]]
 
     def set_rhs(self, cells: list[int]) -> None:
         """Write ``rhs_cells``' result into the rhs column and objective."""
@@ -240,44 +308,9 @@ class _Tableau:
             self.pivot(leaving, entering)
             self.pivots += 1
 
-    def run_dual(self, width: int) -> bool:
-        """Dual Bland-rule pivoting from a dual-feasible basis.
-
-        Returns False when a row proves the LP infeasible: its basic value
-        is negative and no column can enter it.
-        """
-        obj = self.obj
-        while True:
-            leaving = -1
-            for i, row in enumerate(self.rows):
-                if row[-1] < 0 and (leaving < 0 or self.basis[i] < self.basis[leaving]):
-                    leaving = i
-            if leaving < 0:
-                return True
-            row = self.rows[leaving]
-            entering = -1
-            best_num = best_den = 0  # ratio obj[j] / -row[j], both over positive dens
-            for j in range(width):
-                coef = row[j]
-                if coef < 0 and (entering < 0 or obj[j] * best_den < best_num * -coef):
-                    best_num, best_den = obj[j], -coef
-                    entering = j
-            if entering < 0:
-                return False
-            self.pivot(leaving, entering)
-            self.pivots += 1
-
-    def optimum(self, n: int, scale: int, cells: list[int] | None = None) -> Optimum:
-        """The optimum this tableau holds, or, given ``rhs_cells``' result
-        for a ``b`` it is still optimal for, the optimum of that ``b``."""
-        if cells is None:
-            cells = [row[-1] for row in self.rows]
-            cells.append(self.obj[-1])
-        x: list[int | Fraction] = [0] * n
-        for bi, v, den in zip(self.basis, cells, self.dens):
-            if v:
-                x[bi] = v // den if v % den == 0 else Fraction(v, den)
-        return Optimum(Fraction(-cells[-1], self.obj_den * scale), x, tuple(self.basis))
+    def optimum(self, cells: list[int], costs: list[int], scale: int) -> Optimum:
+        """The optimum at rhs ``cells``, for which this tableau is optimal."""
+        return Optimum(cells, tuple(self.basis), self.dens, self.obj_den, costs, scale, weakref.ref(self))
 
 
 def _cold(a, b, n: int, costs: list[int]) -> tuple[_Tableau, bool]:
@@ -319,6 +352,52 @@ def _cold(a, b, n: int, costs: list[int]) -> tuple[_Tableau, bool]:
     return tab, True
 
 
+def _dual(
+    tab: _Tableau, cells: list[int], n: int, b: Sequence[int], cache: "BasisCache"
+) -> tuple[_Tableau, list[int]] | None:
+    """Dual Bland-rule pivoting from ``tab``, a tableau ``cache`` holds, at
+    rhs ``cells`` (those of ``b``): the optimal tableau and its cells, or
+    None when a row proves the LP infeasible, its basic value negative and
+    no column able to enter it.
+
+    The steps depend only on the basis, not on which tableau of it is read,
+    so a step onto a basis ``cache`` holds reads that tableau and the cells
+    of ``b`` on it instead of pivoting; any other step pivots a copy.
+    Either counts as one pivot in ``cache.pivots``.  With no step the
+    cached tableau is returned, neither copied nor pivoted.
+    """
+    own = False  # is tab a copy this solve may pivot?
+    while True:
+        basis, obj = tab.basis, tab.obj
+        leaving = -1
+        for i, bi in enumerate(basis):
+            if cells[i] < 0 and (leaving < 0 or bi < basis[leaving]):
+                leaving = i
+        if leaving < 0:
+            return tab, cells
+        row = tab.rows[leaving]
+        entering = -1
+        best_num = best_den = 0  # ratio obj[j] / -row[j], both over positive dens
+        for j in range(n):
+            coef = row[j]
+            if coef < 0 and (entering < 0 or obj[j] * best_den < best_num * -coef):
+                best_num, best_den = obj[j], -coef
+                entering = j
+        if entering < 0:
+            return None
+        cache.pivots += 1
+        step = cache.find(basis[:leaving] + [entering] + basis[leaving + 1:])
+        if step is not None:
+            tab, own = step, False
+            cells = step.rhs_cells(n, [(k, v) for k, v in enumerate(b) if v])
+            continue
+        if not own:
+            tab, own = tab.copy(), True
+            tab.set_rhs(cells)
+        tab.pivot(leaving, entering)
+        cells = tab.cells()
+
+
 class BasisCache:
     """Optimal tableaux of one ``a`` and ``c``, keyed by basis as a set.
 
@@ -331,7 +410,10 @@ class BasisCache:
     goes to the other end and stays only if a warm start asks for its
     basis before the next optimum arrives.  Entries are never mutated: a
     warm start reads the answer off a cached tableau when its basis stays
-    optimal and pivots on a copy otherwise.  Only integer right-hand sides
+    optimal, and a dual step reads the tableau of its new basis when that
+    is cached (:meth:`find`, which leaves the order as it is) and pivots
+    a copy otherwise.  An evicted tableau is freed: an :class:`Optimum`
+    refers to its tableau weakly.  Only integer right-hand sides
     use the cache: for them every row's scale is the one its row of ``a``
     alone gives (negated where the cold tableau's rhs was negative), so
     block E turns any integer ``b`` into integer cells.  ``pivots`` counts
@@ -341,9 +423,12 @@ class BasisCache:
 
     Why 16: an A* search keeps returning to a few bases.  On the corpus's
     first edit cycle (108 seeded searches, 1,863 warm starts from a
-    parent's basis) none misses its basis with room for 16 tableaux; with
-    room for 8, 33 miss, and with room for 5, 75, each starting from the
-    most recently used tableau instead.
+    parent's basis) none misses its basis with room for 16 tableaux, so
+    every one reads its cells off its parent's in O(rows), and 565 of
+    the 1,553 dual steps find their new basis cached.  With room for 8,
+    33 miss, 519 steps find theirs and 1,576 steps are taken; with room
+    for 5, 75 miss, 403 and 1,590.  A miss starts from the most recently
+    used tableau instead.
     """
 
     def __init__(self, a: Sequence[Sequence[int | Fraction]], c: Sequence[int | Fraction], seed=None):
@@ -368,6 +453,10 @@ class BasisCache:
                 return tab
         return next(reversed(self._tableaux.values()), None)
 
+    def find(self, basis: Sequence[int]) -> _Tableau | None:
+        """The cached tableau of ``basis``, or None; the order is kept."""
+        return self._tableaux.get(tuple(sorted(basis)))
+
     def put(self, tab: _Tableau) -> None:
         key = tuple(sorted(tab.basis))
         if key in self._tableaux:
@@ -384,6 +473,7 @@ def solve_min_eq(
     c: Sequence[int | Fraction],
     basis: Sequence[int] | None = None,
     cache: BasisCache | None = None,
+    parent: tuple[Optimum, int] | None = None,
 ) -> Optimum | None:
     """Minimize ``c.x`` subject to ``a x = b`` and ``x >= 0``.
 
@@ -395,7 +485,18 @@ def solve_min_eq(
     cache is empty, and for a ``b`` that is not all ``int``.  The start
     changes the work done and may change which optimal ``x`` is returned,
     never the optimal value.  A ``basis`` without a ``cache`` is refused.
+
+    ``parent = (optimum, j)`` stands for ``optimum.basis`` and says that
+    ``b`` is the optimum's right-hand side less column j of ``a``.  While
+    the cache still holds the optimum's own tableau, ``b``'s cells on it
+    are the optimum's less that tableau's column j, in O(rows), and ``b``
+    needs no check against the dropped rows: their combinations vanish on
+    ``a``, so ``b`` obeys them as the optimum's right-hand side did.
     """
+    if parent is not None:
+        if basis is not None:
+            raise InvalidInputError("a warm start takes a basis or a parent, not both")
+        basis = parent[0].basis
     if cache is None:
         if basis is not None:
             raise InvalidInputError("a basis warm-starts a solve only through a BasisCache")
@@ -404,25 +505,27 @@ def solve_min_eq(
     elif not set(map(type, b)) <= {int}:
         cache = None
     n = len(c)
-    if len(a) == 0:
-        return Optimum(Fraction(0), [0] * n, ())
     costs, scale = integers(c) if cache is None else (cache.costs, cache.scale)
+    if len(a) == 0:
+        return _Tableau([], [], []).optimum([0], costs, scale)
     tab = None if cache is None else cache.get(basis)
     if tab is None:
         tab, feasible = _cold(a, b, n, costs)
+        if cache is not None:
+            cache.pivots += tab.pivots
+            if feasible:
+                cache.put(tab)
+        return tab.optimum(tab.cells(), costs, scale) if feasible else None
+    if parent is not None and parent[0].tableau() is tab:
+        cells = tab.less(parent[0].cells, parent[1], costs)
     else:
         nonzeros = [(k, v) for k, v in enumerate(b) if v]
         if not tab.consistent(nonzeros):
             return None
         cells = tab.rhs_cells(n, nonzeros)
-        if all(v >= 0 for v in cells[:-1]):
-            # Still primal feasible, so still optimal: no pivot, no copy.
-            return tab.optimum(n, scale, cells)
-        tab = tab.copy()
-        tab.set_rhs(cells)
-        feasible = tab.run_dual(n)
-    if cache is not None:
-        cache.pivots += tab.pivots
-        if feasible:
-            cache.put(tab)
-    return tab.optimum(n, scale) if feasible else None
+    found = _dual(tab, cells, n, b, cache)
+    if found is None:
+        return None
+    tab, cells = found
+    cache.put(tab)
+    return tab.optimum(cells, costs, scale)

@@ -283,6 +283,74 @@ def test_basis_cache_changes_no_answer(size, chain):
             assert sum(cj * xj for cj, xj in zip(c, x)) == value
 
 
+def nonzeros(b):
+    return [(k, v) for k, v in enumerate(b) if v]
+
+
+@given(equality_lps())
+@settings(max_examples=200, deadline=None)
+def test_child_cells_in_o_rows_equal_the_rhs_cells_of_the_child(lp):
+    """For every column j, b's cells less the tableau's column j are the
+    cells of b - a_j on that tableau; where x_j >= 1, ``Optimum.less``
+    gives the same cells and a cold solve's value; and a solve given
+    ``parent=(optimum, j)`` gives a cold solve's verdict and value."""
+    a, b, _, c = lp
+    cache = BasisCache(a, c)
+    first = solve_min_eq(a, b, c, cache=cache)
+    tab, n = first.tableau(), len(c)
+    assert tab is cache.find(first.basis)
+    assert tab.rhs_cells(n, nonzeros(b)) == first.cells
+    for j in range(n):
+        child = [v - row[j] for v, row in zip(b, a)]
+        cells = tab.less(first.cells, j, cache.costs)
+        assert cells == tab.rhs_cells(n, nonzeros(child))
+        cold = solve_min_eq(a, child, c)
+        reused = first.less(j)
+        if reused is not None:
+            assert first[1][j] >= 1 and reused.cells == cells
+            assert reused.value == first.value - c[j] == cold.value
+        else:
+            assert first[1][j] < 1
+        if all(v == int(v) for v in child):
+            warm = solve_min_eq(a, [int(v) for v in child], c, cache=BasisCache(a, c, cache), parent=(first, j))
+            assert (warm is None) == (cold is None)
+            assert warm is None or warm.value == cold.value
+
+
+def test_a_step_reusing_dual_solve_equals_one_that_pivots_a_copy():
+    """A dual step onto a cached basis reads that tableau instead of
+    pivoting a copy; every solve of a chain still returns the same value,
+    the same basis and the same pivot count as with that lookup off."""
+    steps = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lp_chains(), st.sampled_from([2, 5, BASIS_CACHE_SIZE]))
+    def check(chain, size):
+        a, c, bs, seeds = chain
+        real = simplex.BasisCache.find
+
+        def counted(cache, basis):
+            found = real(cache, basis)
+            steps["cached"] += found is not None
+            return found
+
+        runs = []
+        for find in (counted, lambda cache, basis: None):
+            cache = BasisCache(a, c)
+            work = []
+            with mock.patch.object(simplex, "BASIS_CACHE_SIZE", size), mock.patch.object(simplex.BasisCache, "find", find):
+                results = [solve_min_eq(a, bs[0], c, cache=cache)]
+                for b, k in zip(bs[1:], seeds):
+                    seed = results[k]
+                    results.append(solve_min_eq(a, b, c, None if seed is None else seed.basis, cache))
+                    work.append(cache.pivots)
+            runs.append((work, [r if r is None else (r.value, sorted(r.basis)) for r in results]))
+        assert runs[0] == runs[1]
+
+    check()
+    assert steps["cached"] > 0
+
+
 def test_basis_cache_seeds_a_warm_start_without_refactoring(monkeypatch):
     a, c = [[1, 1, 0, -1], [0, 1, 1, 0], [1, 0, -1, 2]], [3, 1, 4, 2]
     bs = ([4, 1, 5], [1, 1, 1], [0, 5, -5])
@@ -344,14 +412,34 @@ def test_cached_basis_that_stays_optimal_is_neither_copied_nor_pivoted(monkeypat
         assert same_optimum(got, solve_min_eq(a, b, c))
         assert got.basis == first.basis  # in the cached tableau's row order
 
-    # A b whose basic values go negative still runs the dual simplex on a copy.
+    # A b whose basic values go negative still runs the dual simplex on a
+    # copy, from a cache that holds no basis the steps reach.
     for b in ([4, 1, 5], [3, 0, 0]):
         del copies[:]
-        before = cache.pivots
-        got = solve_min_eq(a, b, c, first.basis, cache=cache)
-        assert len(copies) == 1 and cache.pivots > before
+        fresh = BasisCache(a, c, cache)
+        got = solve_min_eq(a, b, c, first.basis, cache=fresh)
+        assert len(copies) == 1 and fresh.pivots == 1
         assert same_optimum(got, solve_min_eq(a, b, c))
     assert got is None  # [3, 0, 0] is infeasible
+
+
+def test_a_dual_step_onto_a_cached_basis_reads_that_tableau(monkeypatch):
+    """[3, 0, 0]'s one dual step from the first optimum's basis reaches the
+    basis of [4, 1, 5]'s optimum: with that tableau cached, the step reads
+    it, with no copy and no pivot, yet counts as a pivot, and the solve
+    proves the LP infeasible as before."""
+    a, c = [[1, 1, 0, -1], [0, 1, 1, 0], [1, 0, -1, 2]], [3, 1, 4, 2]
+    cache = BasisCache(a, c)
+    first = solve_min_eq(a, [2, 3, -1], c, cache=cache)
+    reached = solve_min_eq(a, [4, 1, 5], c, first.basis, cache=cache)
+    assert len(cache) == 2 and sorted(cache.find(reached.basis).basis) == sorted(reached.basis)
+    copies, pivots = counting(monkeypatch, "copy"), counting(monkeypatch, "pivot")
+    before = cache.pivots
+    assert solve_min_eq(a, [3, 0, 0], c, first.basis, cache=cache) is None
+    assert copies == pivots == [] and cache.pivots == before + 1
+    # Started from the reached basis itself, the step is not needed.
+    got = solve_min_eq(a, [4, 1, 5], c, first.basis, cache=cache)
+    assert copies == pivots == [] and cache.pivots == before + 2 and got.tableau() is cache.find(reached.basis)
 
 
 def test_inconsistent_rhs_on_a_cached_basis_is_infeasible(monkeypatch):
@@ -380,8 +468,8 @@ def test_unusable_basis_starts_from_the_most_recent_tableau(monkeypatch):
     assert len(cache) == 2 and sorted(used.basis) == [0, 1] and sorted(newest.basis) == [1, 2]
     solve_min_eq(a, [5, 1], c, used.basis, cache)  # a hit: {0, 1} is now the most recently used
     starts = []
-    real = simplex._Tableau.rhs_cells
-    monkeypatch.setattr(simplex._Tableau, "rhs_cells", lambda tab, *args: starts.append(tab) or real(tab, *args))
+    real = simplex.BasisCache.get
+    monkeypatch.setattr(simplex.BasisCache, "get", lambda cache, basis: starts.append(real(cache, basis)) or starts[-1])
     colds = counting_calls(monkeypatch, simplex, "_cold")
     value = solve_min_eq(a, [2, 3], c)[0]
     del colds[:]
@@ -459,10 +547,11 @@ def test_basis_cache_holds_every_basis_a_long_search_asks_for(monkeypatch):
     colds = counting_calls(monkeypatch, simplex, "_cold")
     bases, hits, sizes = [], [], []
 
-    def watching(a, b, c, basis=None, cache=None):
+    def watching(a, b, c, cache=None, parent=None):
+        basis = None if parent is None else parent[0].basis
         bases.append(basis)
         hits.append(basis is not None and sorted(cache.get(basis).basis) == sorted(basis))
-        result = solve_min_eq(a, b, c, basis, cache)
+        result = solve_min_eq(a, b, c, cache=cache, parent=parent)
         sizes.append(len(cache))
         return result
 
@@ -506,6 +595,32 @@ def test_a_search_with_room_for_one_tableau_solves_nothing_cold(monkeypatch):
         assert value == (math.inf if cold is None else cold[0] + outside)
 
 
+def test_no_evicted_tableau_is_kept_alive(monkeypatch):
+    """An optimum refers to its tableau weakly: with room for one tableau,
+    after every solve of the longest search at most one of the tableaux it
+    made is alive, the one its cache holds."""
+    sp = m06_k7()
+    model_relaxation(sp.process_net, sp.cost)
+    made, live = weakref.WeakSet(), []
+    real_init = simplex._Tableau.__init__
+
+    def init(tab, *args):
+        real_init(tab, *args)
+        made.add(tab)
+
+    def watching(*args, **kwargs):
+        result = solve_min_eq(*args, **kwargs)
+        live.append(len(made))
+        return result
+
+    monkeypatch.setattr(simplex._Tableau, "__init__", init)
+    monkeypatch.setattr(simplex, "BASIS_CACHE_SIZE", 1)
+    monkeypatch.setattr(astar, "solve_min_eq", watching)
+    alignment, stats = astar_align(sp)
+    assert stats.outcome is Outcome.OPTIMAL and len(live) == stats.heuristic_calls > 200
+    assert max(live) == 1
+
+
 def test_first_edit_cycle_solver_work():
     """The heuristic's work summed over the 108 searches of the corpus's
     first edit cycle: simplex calls, values reused from a parent, and
@@ -534,12 +649,18 @@ def test_one_cold_solve_per_model(monkeypatch):
     """Each of the 12 models solves its seed cold once; all 1,971 of the
     searches' own solves are warm starts, each search's first from its
     model's seed and every later one from a parent's basis."""
-    colds, solves = counting_calls(monkeypatch, simplex, "_cold"), counting_calls(monkeypatch, astar, "solve_min_eq")
+    colds, parents = counting_calls(monkeypatch, simplex, "_cold"), []
+
+    def solving(*args, parent=None, **kwargs):
+        parents.append(parent)
+        return solve_min_eq(*args, parent=parent, **kwargs)
+
+    monkeypatch.setattr(astar, "solve_min_eq", solving)
     products = fresh_first_edit_cycle()
     runs = [astar_align(sp)[1] for _, sp in products]
     assert len(colds) == len({sp.process_net for _, sp in products}) == 12
-    assert len(solves) == sum(s.heuristic_calls for s in runs) == 1971
-    assert sum(args[3] is None for args in solves) == len(products)  # one start marking per search
+    assert len(parents) == sum(s.heuristic_calls for s in runs) == 1971
+    assert parents.count(None) == len(products)  # one start marking per search
 
 
 def test_search_counters_do_not_depend_on_other_searches():

@@ -240,11 +240,14 @@ RNG = random.Random(7)
 PLAYOUTS = [playout(LOOP_BLOCK, RNG) for _ in range(50)]
 # Transient memory (peak minus the parsed log) of a parse.  A whole-tree
 # parse holds about 3.5 KB per case of these logs (14 MB at 4,000 cases).
-# The stream holds one trace's tree, the parser's buffers, and one emptied
-# <trace> element per case (about 80 bytes), which the root keeps until
-# the parse ends: 0.27 MB at 1,000 cases, 0.51 MB at 4,000.
+# An element-per-trace stream that clears each <trace> still leaves the
+# emptied element under the root until the parse ends, about 80 bytes per
+# case (0.27 MB at 1,000 cases, 0.51 MB at 4,000).  The parse builds no
+# element, so only the parser's buffers and one trace's fields are
+# transient (about 0.2 MB at either size); what grows with the log is the
+# list of traces, copied once into the log's tuple (8 bytes a case).
 TRANSIENT_BOUND = 1 << 20
-SHELL_BYTES_PER_CASE = 160
+GROWTH_BYTES_PER_CASE = 16
 
 
 def test_parse_holds_bounded_memory(tmp_path):
@@ -263,7 +266,7 @@ def test_parse_holds_bounded_memory(tmp_path):
         assert len(log) == cases
         transient[cases] = peak - current
     assert max(transient.values()) < TRANSIENT_BOUND, transient
-    assert transient[4_000] - transient[1_000] < 3_000 * SHELL_BYTES_PER_CASE, transient
+    assert transient[4_000] - transient[1_000] < 3_000 * GROWTH_BYTES_PER_CASE, transient
 
 
 class TestCsvLog:

@@ -73,14 +73,23 @@ MUTANTS = [
      "        for j, s in row:",
      "        for j, s in reversed(row):"),
     ("simplex: warm start's feasibility test", "simplex.py",
-     "        if all(v >= 0 for v in cells[:-1]):",
-     "        if True:"),
+     "        if leaving < 0:\n            return tab, cells",
+     "        if True:\n            return tab, cells"),
     ("simplex: consistent", "simplex.py",
      "        return not any(sum([w[k] * v for k, v in nonzeros]) for w in self.dependent)",
      "        return True"),
-    ("simplex: run_dual's infeasible return", "simplex.py",
-     "            if entering < 0:\n                return False",
-     "            if entering < 0:\n                return True"),
+    ("simplex: dual simplex's infeasible return", "simplex.py",
+     "        if entering < 0:\n            return None",
+     "        if entering < 0:\n            return tab, cells"),
+    ("simplex: objective-cell update of a child's cells", "simplex.py",
+     "        new.append(cells[-1] - (self.obj[j] - self.obj_den * costs[j]))",
+     "        new.append(cells[-1] - self.obj[j])"),
+    ("simplex: reuse threshold", "simplex.py",
+     "            if self.cells[i] >= self.dens[i]:",
+     "            if self.cells[i] > self.dens[i]:"),
+    ("simplex: cached-step lookup", "simplex.py",
+     "        step = cache.find(basis[:leaving] + [entering] + basis[leaving + 1:])",
+     "        step = None"),
     ("simplex: the last column never enters", "simplex.py",
      "            for j in range(width):\n                if self.obj[j] < 0:",
      "            for j in range(width - 1):\n                if self.obj[j] < 0:"),
@@ -88,8 +97,8 @@ MUTANTS = [
      "                        and self.basis[i] < self.basis[leaving]",
      "                        and self.basis[i] > self.basis[leaving]"),
     ("A*: reuse rule", "astar.py",
-     "            if t is None or x.get(t, 0) >= 1:",
-     "            if t is None or x.get(t, 0) >= 0:"),
+     "            optimum = prior if t is None else prior.less(t)",
+     "            optimum = prior"),
     ("A*: requeue", "astar.py",
      "        if g + hc > f:",
      "        if False:"),
