@@ -24,7 +24,15 @@ graph is the model's reachability graph copied once per trace position
 and joined by synchronous and log moves, so its size follows from
 per-model counts (``layered_graph``), and ``solve_layered`` computes the
 same labels one trace position at a time and walks the same path,
-certifying only what the layer above does not imply.  The counts decide
+certifying only what the layer above does not imply.  A layer is the
+layer above it put through one event's moves and then settled, which
+takes only min and +, so it commutes with adding a constant: layer below
+(x + k) = (layer below x) + k, and so does every certificate inequality,
+which compares two labels of the same pair of layers.  Each layer is
+therefore a shape (the layer less its minimum) plus an integer offset,
+and ``ModelGraph`` keeps, per model, each step from a shape through an
+event to the next shape and offset, certified once when it is made, so
+that a trace builds only the steps no earlier trace took.  The counts decide
 the node and edge budgets exactly, so a graph that a budget would cut
 short is refused unbuilt, after the counts price its model's graph.
 Everything here is exact integer or ``Fraction`` arithmetic.
@@ -36,6 +44,7 @@ import heapq
 import itertools
 import math
 import operator
+import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -296,6 +305,12 @@ def extract_alignment(
 
 _INF = math.inf  # the label of a node that cannot reach the final node
 
+#: Most cells one :class:`ModelGraph`'s layer memo keeps (see there for why).
+LAYER_MEMO_CELLS = 1 << 17
+#: The cells a stored step counts: its key, value and dict slot take about
+#: 240 bytes, as many as 30 of a shape's 8-byte label slots.
+STEP_CELLS = 32
+
 
 class ModelGraph:
     """The model's reachability graph under one token cap and cost config,
@@ -303,8 +318,31 @@ class ModelGraph:
     ``(u, c)`` per model move from ``u`` to ``v`` at scaled cost ``c``, bar
     self-loops and capped moves, and ``edges`` holds them as flat tail,
     head and cost arrays; ``sync[a]`` lists ``(u, s)`` per uncapped move of
-    a transition labelled ``a``.  ``to_final``, the last layer of every
-    trace, is each marking's model-only distance to ``final``."""
+    a transition labelled ``a``.  ``shapes[0]``, the last layer of every
+    trace, is each marking's model-only distance to ``final``, certified
+    once here.
+
+    The layer memo.  Layer ``pos`` of a trace is ``F_a(layer pos + 1)`` for
+    the event ``a`` at ``pos``, where ``F_a`` takes one min per log and
+    synchronous move and then settles through model moves, so
+    ``F_a(x + k) = F_a(x) + k`` for any integer ``k``.  A layer is thus a
+    shape, ``shapes[i]``, the layer less its minimum, plus an offset, and
+    ``steps[i, a]`` is ``(i', delta)``: ``F_a(shapes[i]) = shapes[i'] +
+    delta``.  Shape 0's minimum is ``final``'s label, 0.  A step is
+    certified (:func:`_certify_step`) when it is made and stored only after
+    it passed; the check compares labels of the same two layers, so a
+    shift of both keeps its verdict and the step needs no check on reuse.
+    Shapes are tuples whose ints are interned per graph.  The memo stores
+    at most :data:`LAYER_MEMO_CELLS` cells, a shape counting its length and
+    a step :data:`STEP_CELLS`; past that, a step is made, certified and used
+    but not kept.
+
+    Why 2**17 cells, about 1 MB of shape slots and steps (plus one interned
+    int per distinct label value, at most 65 in any model below): on the
+    ``flow-rg`` benchmark's two corpus passes the largest memo of one model
+    (m06) holds 29,390 cells (243 shapes of 58 labels, 478 steps), and
+    ``hybrid-log``'s model 6,776, so the bound binds on no benchmark model.
+    """
 
     def __init__(self, net: PetriNet, memo: SuccessorMemo, reached: list[bool], cost: CostConfig) -> None:
         tau, self.log_cost, _ = cost.scaled
@@ -323,10 +361,72 @@ class ModelGraph:
                     self.into[s].append((u, self.costs[j]))
                     for ends, v in zip(self.edges, (u, s, self.costs[j])):
                         ends.append(v)
-        self.to_final = [_INF] * len(reached)
+        self.shapes: list[tuple] = []
+        self.steps: dict[tuple[int, str], tuple[int, int]] = {}
+        self.cells = 0
+        self._shape_ids: dict[tuple, int] = {}
+        self._ints: dict = {}
+        self._lock = threading.Lock()
         if self.final is not None:
-            self.to_final[self.final] = 0
-            _settle(self.to_final, self.into, (self.final,))
+            to_final = [_INF] * len(reached)
+            to_final[self.final] = 0
+            _certify_last(self, _settle(to_final, self.into, (self.final,)))
+            self._keep(tuple(to_final))
+
+    def _keep(self, shape: tuple) -> int:
+        # Callers hold the lock (or own the graph); the id is published last.
+        shape = tuple(map(self._ints.setdefault, shape, shape))
+        self.shapes.append(shape)
+        self.cells += len(shape)
+        self._shape_ids[shape] = j = len(self.shapes) - 1
+        return j
+
+    def layers(self, trace: Sequence[str]) -> list[tuple[tuple, int]]:
+        """Each position's layer as ``(shape, offset)``, position 0 first:
+        node ``(u, pos)``'s label is ``shape[u] + offset``.  Needs ``final``."""
+        shapes, steps = self.shapes, self.steps
+        i, shape, offset = 0, shapes[0], 0
+        layers = [(shape, offset)]
+        for a in reversed(trace):
+            step = steps.get((i, a))
+            if step is None:
+                i, shape, delta = self._step(i, shape, a)
+            else:
+                i, delta = step
+                shape = shapes[i]
+            offset += delta
+            layers.append((shape, offset))
+        layers.reverse()
+        return layers
+
+    def _step(self, i: int | None, nxt: tuple, a: str) -> tuple[int | None, tuple, int]:
+        """``F_a(nxt)``, certified, then stored as :meth:`_store` does."""
+        # Log moves keep the next layer's labels consistent, so only the
+        # nodes that a synchronous move lowers are sources.
+        here, lowered = [d + self.log_cost for d in nxt], []
+        for u, s in self.sync.get(a, ()):
+            if nxt[s] < here[u]:
+                here[u] = nxt[s]
+                lowered.append(u)
+        here = _settle(here, self.into, lowered)
+        _certify_step(self, a, here, nxt)
+        return self._store(i, a, here)
+
+    def _store(self, i: int | None, a: str, here: list) -> tuple[int | None, tuple, int]:
+        """Layer ``here`` as ``(shape id, shape, delta)``, keeping the step
+        from shape ``i`` under ``a`` when ``i`` is not None and there is
+        room; the id is None when the shape is not kept."""
+        delta = min(here)
+        shape = tuple(d - delta for d in here)
+        with self._lock:
+            j = self._shape_ids.get(shape)
+            need = STEP_CELLS + (len(shape) if j is None else 0)
+            if i is not None and self.cells + need <= LAYER_MEMO_CELLS:
+                if j is None:
+                    j = self._keep(shape)
+                self.steps[i, a] = (j, delta)
+                self.cells += STEP_CELLS
+        return j, shape if j is None else self.shapes[j], delta
 
 
 class LayeredGraph(NamedTuple):
@@ -386,40 +486,33 @@ def solve_layered(graph: LayeredGraph) -> Alignment | None:
     when the final node is unreachable.
 
     Layer ``pos`` holds the integer distance of each node ``(u, pos)`` to
-    the final node.  Layer n is the model's ``to_final``; layer pos is
-    seeded from layer pos + 1 through event pos's log and synchronous
-    moves, then settled.  The walk from ``(m_0, 0)`` takes the first tight
-    move that :meth:`~flowalign.sync_product.SynchronousProduct.out` lists:
-    the built graph's lowest-index tight edge, as a node's out-edges are
-    contiguous and in that order.  The labels are certified on every edge,
-    as :func:`_certify` does; the walk's integer total is the cost.
+    the final node, read off the model's layer memo
+    (:meth:`ModelGraph.layers`): layer n is the model's ``shapes[0]``, and
+    layer pos is layer pos + 1 seeded through event pos's log and
+    synchronous moves, then settled.  The walk from ``(m_0, 0)`` takes the
+    first tight move that :meth:`~flowalign.sync_product.SynchronousProduct.out`
+    lists: the built graph's lowest-index tight edge, as a node's out-edges
+    are contiguous and in that order.  Every layer was certified on every
+    edge, as :func:`_certify` does, when the memo made it; the walk's
+    integer total is the cost.
     """
     sp, model = graph.product, graph.model
     if model.final is None:
         return None
-    trace = sp.trace_labels
-    layers = [model.to_final]
-    for a in reversed(trace):
-        # Log moves keep the next layer's labels consistent, so only the
-        # nodes that a synchronous move lowers are sources.
-        nxt, lowered = layers[-1], []
-        here = [d + model.log_cost for d in nxt]
-        for u, s in model.sync.get(a, ()):
-            if nxt[s] < here[u]:
-                here[u] = nxt[s]
-                lowered.append(u)
-        layers.append(_settle(here, model.into, lowered))
-    layers.reverse()
+    layers = model.layers(sp.trace_labels)
     prices, split, final = sp.prices, sp.split, sp.final
     path, spent, key = [], 0, 0
     while key != final:
         u, pos = split(key)
+        shape, offset = layers[pos]
+        label = shape[u] + offset
         for k, s in sp.out(key):
             if s is None or s == key:
                 continue
             c = prices[k]
             v, at = split(s)
-            if c + layers[at][v] == layers[pos][u]:
+            shape, offset = layers[at]
+            if c + shape[v] + offset == label:
                 break
         else:
             s = None
@@ -428,39 +521,42 @@ def solve_layered(graph: LayeredGraph) -> Alignment | None:
         key = s
         path.append(k)
         spent += c
-    _certify_layers(model, trace, layers)
-    if spent != layers[0][0]:
+    shape, offset = layers[0]
+    if spent != shape[0] + offset:
         raise InternalInvariantError("path cost disagrees with distance label")
     return Alignment.from_path(sp, path, spent, Method.LP)
 
 
-def _certify_layers(model: ModelGraph, trace: tuple[str, ...], layers: list[list]) -> None:
-    """Prove ``dist(tail) <= cost + dist(head)`` on every edge; the walk
-    took only tight moves.  Layer n is checked on every model move; each
-    lower layer ``here`` on its log and synchronous moves into the layer
-    ``nxt`` above, and on the model moves into its changed heads, the
-    ``v`` with ``here[v] != nxt[v] + L`` (``L`` the log cost), read from
-    the labels.  A model move ``t -> h`` of cost ``c`` into any other head
-    holds: ``here[t] <= nxt[t] + L <= c + nxt[h] + L = c + here[h]``, by
-    ``t``'s log move and by the layer above, which holds by induction down
-    from layer n.  So this passes exactly when the full scan does.
-    """
-    if layers[-1][model.final] != 0:
+def _certify_last(model: ModelGraph, last: Sequence) -> None:
+    """Prove ``dist(tail) <= cost + dist(head)`` on every model move of the
+    last layer ``last``, and ``dist(final) = 0``."""
+    if last[model.final] != 0:
         raise InternalInvariantError("sink distance is nonzero")
     tails, heads, costs = model.edges
-    at = layers[-1].__getitem__
+    at = last.__getitem__
     if any(map(operator.gt, map(at, tails), map(operator.add, costs, map(at, heads)))):
-        raise InternalInvariantError(f"distance label violated by a model move at position {len(trace)}")
-    for pos, a in enumerate(trace):
-        here, nxt = layers[pos], layers[pos + 1]
-        up = list(map(operator.add, nxt, itertools.repeat(model.log_cost)))
-        if any(map(operator.gt, here, up)) or any(here[u] > nxt[s] for u, s in model.sync.get(a, ())):
-            raise InternalInvariantError(f"distance label violated by event {pos}")
-        for v in itertools.compress(range(len(here)), map(operator.ne, here, up)):
-            dv = here[v]
-            for u, c in model.into[v]:
-                if here[u] > c + dv:
-                    raise InternalInvariantError(f"distance label violated by a model move at position {pos}")
+        raise InternalInvariantError("distance label violated by a model move at the last position")
+
+
+def _certify_step(model: ModelGraph, a: str, here: Sequence, nxt: Sequence) -> None:
+    """Prove ``dist(tail) <= cost + dist(head)`` on every edge of layer
+    ``here``, event ``a``'s layer below ``nxt``, given that every model move
+    holds on ``nxt``: on its log and synchronous moves into ``nxt``, and on
+    the model moves into its changed heads, the ``v`` with ``here[v] !=
+    nxt[v] + L`` (``L`` the log cost), read from the labels.  A model move
+    ``t -> h`` of cost ``c`` into any other head holds: ``here[t] <= nxt[t]
+    + L <= c + nxt[h] + L = c + here[h]``, by ``t``'s log move and by
+    ``nxt``.  So from :func:`_certify_last` on the last layer, by induction
+    upward, this passes exactly when the scan of every edge does.
+    """
+    up = list(map(operator.add, nxt, itertools.repeat(model.log_cost)))
+    if any(map(operator.gt, here, up)) or any(here[u] > nxt[s] for u, s in model.sync.get(a, ())):
+        raise InternalInvariantError(f"distance label violated by event {a!r}")
+    for v in itertools.compress(range(len(here)), map(operator.ne, here, up)):
+        dv = here[v]
+        for u, c in model.into[v]:
+            if here[u] > c + dv:
+                raise InternalInvariantError(f"distance label violated by a model move under event {a!r}")
 
 
 def unaligned_outcome(sp: SynchronousProduct, limits: ExplorationLimits) -> Outcome:

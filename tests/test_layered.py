@@ -11,11 +11,14 @@ cuts short is never priced, even when it reached the final marking.
 
 import contextlib
 import dataclasses
+import gc
 import math
 import os
 import pickle
+import random
 import signal
 import sys
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -300,31 +303,52 @@ def one_step_product():
     return product_for_trace(net, Trace("a", ("a",)))
 
 
+def cold(sp):
+    """``sp`` on a copy of its net that a pickle round trip left without
+    caches, with the model's graph priced (by the real settle) and no
+    layer step memoized yet."""
+    sp = pickle.loads(pickle.dumps(sp))
+    model = layered_graph(sp, ExplorationLimits()).model
+    assert not model.steps and len(model.shapes) == (model.final is not None)
+    return sp, model
+
+
+def certify_layers(model, trace, layers):
+    """Every check that the labels ``layers`` of a solve pass: the last
+    layer's, and each position's step from the layer above, made upward."""
+    flow._certify_last(model, layers[-1])
+    for pos in reversed(range(len(trace))):
+        flow._certify_step(model, trace[pos], layers[pos], layers[pos + 1])
+
+
 @pytest.mark.parametrize(
     "pos, marking, label, message",
     [
         # t from m_0 at position 0, whose head m_f is unchanged from position
         # 1: the check derives that move from m_0's log move, which fails.
-        (0, 0, lambda d: 2 * d + 1, "violated by event 0"),
-        (0, 1, lambda d: d + 1, "violated by event 0"),  # the log move from m_f at position 0
-        (0, 0, lambda d: 1, "violated by event 0"),  # the synchronous move (t, a) from m_0
+        (0, 0, lambda d: 2 * d + 1, "violated by event 'a'"),
+        (0, 1, lambda d: d + 1, "violated by event 'a'"),  # the log move from m_f at position 0
+        (0, 0, lambda d: 1, "violated by event 'a'"),  # the synchronous move (t, a) from m_0
         (1, 1, lambda d: 1, "sink distance is nonzero"),
-        (0, 1, lambda d: -2 * d, "violated by a model move at position 0"),  # t into m_f, now a changed head
-        (1, 0, lambda d: 2 * d + 1, "violated by a model move at position 1"),  # t from m_0 at the last position
+        (0, 1, lambda d: -2 * d, "violated by a model move under event 'a'"),  # t into m_f, now a changed head
+        (1, 0, lambda d: 2 * d + 1, "violated by a model move at the last position"),  # t from m_0
     ],
     ids=["model move", "log move", "synchronous move", "sink", "model move into a changed head", "last layer"],
 )
 def test_certificate_rejects_one_corrupted_label(pos, marking, label, message):
     """Each case breaks one inequality that no other clause of the check
-    catches."""
+    catches: the step's check from position 1 to 0 at position 0, and the
+    last layer's check at position 1."""
     sp = one_step_product()
     model = layered_graph(sp, ExplorationLimits()).model
     d = model.log_cost
     layers = [[0, d], [d, 0]]
-    flow._certify_layers(model, sp.trace_labels, layers)
+    checks = (lambda: flow._certify_step(model, "a", *layers), lambda: flow._certify_last(model, layers[1]))
+    for check in checks:
+        check()
     layers[pos][marking] = label(d)
     with pytest.raises(InternalInvariantError, match=message):
-        flow._certify_layers(model, sp.trace_labels, layers)
+        checks[pos]()
 
 
 def certifies(check, model, trace, layers) -> bool:
@@ -335,24 +359,20 @@ def certifies(check, model, trace, layers) -> bool:
     return True
 
 
-def test_certificate_agrees_with_the_full_scan(monkeypatch):
+def test_certificate_agrees_with_the_full_scan():
     """On the labels of real solves with one label raised or lowered, at
-    any position, the check raises exactly when the scan of every model
+    any position, the checks raise exactly when the scan of every model
     move on every layer does."""
     seen = Counter()
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(priced_products(), st.data())
     def check(sp, data):
-        solved = []
-        with monkeypatch.context() as patch:
-            patch.setattr(flow, "_certify_layers", lambda *args: solved.append(args))
-            solve_layered(layered_graph(sp, ExplorationLimits()))
-        if not solved:
+        model, trace = layered_graph(sp, ExplorationLimits()).model, sp.trace_labels
+        if model.final is None:
             return
-        model, trace, layers = solved[0]
-        layers = [list(layer) for layer in layers]  # the last is the model's own to_final
-        assert certifies(flow._certify_layers, model, trace, layers)
+        layers = [[d + offset for d in shape] for shape, offset in model.layers(trace)]
+        assert certifies(certify_layers, model, trace, layers)
         pos = data.draw(st.integers(0, len(layers) - 1))
         v = data.draw(st.integers(0, len(layers[pos]) - 1))
         d, old = model.log_cost, layers[pos][v]
@@ -361,34 +381,145 @@ def test_certificate_agrees_with_the_full_scan(monkeypatch):
         else:
             delta = data.draw(st.sampled_from((1, d - 1, d, d + 1, 2 * d, math.inf)))
             layers[pos][v] = old + delta if data.draw(st.booleans()) else old - delta
-        verdict = certifies(flow._certify_layers, model, trace, layers)
+        verdict = certifies(certify_layers, model, trace, layers)
         assert verdict == certifies(full_scan_certificate, model, trace, layers)
         seen["rejected" if not verdict else "accepted"] += 1
         if not verdict and pos < len(trace):
             with pytest.raises(InternalInvariantError) as err:
-                flow._certify_layers(model, trace, layers)
-            seen["changed head"] += "model move" in str(err.value)
+                certify_layers(model, trace, layers)
+            seen["changed head"] += "model move under" in str(err.value)
 
     check()
     assert all(seen[k] for k in ("rejected", "accepted", "changed head")), seen
 
 
-def test_lp_align_raises_on_a_label_settled_too_low(monkeypatch):
-    sp = one_step_product()
-    alignment, _ = lp_align(sp)  # prices the model's graph with the real settle
-    assert alignment.total_cost == 0
-    model, settle = layered_graph(sp, ExplorationLimits()).model, flow._settle
+def settle_too_low(model):
+    """A settle that drops m_f's label at position 0 of ``one_step_product``
+    below the model move into it, off the walk's path, so that only the
+    certificate can see it."""
+    settle = flow._settle
 
     def too_low(dist, into, sources):
-        # m_f's label at position 0 drops below the model move into it, off
-        # the walk's path, so only the certificate can see it.
         dist = settle(dist, into, sources)
         dist[model.final] -= 3 * model.log_cost
         return dist
 
-    monkeypatch.setattr(flow, "_settle", too_low)
-    with pytest.raises(InternalInvariantError, match="model move at position 0"):
+    return too_low
+
+
+def test_lp_align_raises_on_a_label_settled_too_low(monkeypatch):
+    sp, model = cold(one_step_product())
+    monkeypatch.setattr(flow, "_settle", settle_too_low(model))
+    with pytest.raises(InternalInvariantError, match="model move under event 'a'"):
         lp_align(sp)
+
+
+def test_a_failed_certificate_stores_nothing(monkeypatch):
+    """The step that failed is not memoized, so the same trace is made and
+    checked again and fails again, and so does a longer one through it."""
+    sp, model = cold(one_step_product())
+    monkeypatch.setattr(flow, "_settle", settle_too_low(model))
+    for trace in (("a",), ("a",), ("a", "a")):
+        with pytest.raises(InternalInvariantError, match="model move under event 'a'"):
+            lp_align(product_for_trace(sp.process_net, Trace("t", trace)))
+        assert model.steps == {} and len(model.shapes) == 1 and model.cells == len(model.shapes[0])
+    monkeypatch.undo()
+    assert lp_align(sp)[0].total_cost == 0
+
+
+def counting_settle(patch):
+    """Count the calls of ``flow._settle`` made under ``patch``."""
+    settle, calls = flow._settle, []
+
+    def counted(dist, into, sources):
+        calls.append(sources)
+        return settle(dist, into, sources)
+
+    patch.setattr(flow, "_settle", counted)
+    return calls
+
+
+def test_a_second_solve_of_a_trace_settles_nothing(monkeypatch):
+    for _, sp in first_edit_cycle({"m02", "m09"}):
+        sp, _ = cold(sp)
+        first = lp_align(sp)[0]
+        with monkeypatch.context() as patch:
+            calls = counting_settle(patch)
+            again = lp_align(sp)[0]
+        assert calls == [] and again.path == first.path and again.total_cost == first.total_cost
+
+
+def test_a_repeated_event_shares_its_layer_shape(monkeypatch):
+    """Under a run of a's, ``one_step_product``'s layers are [d, 0], then
+    [0, d], then [0, d] + k d: two steps, whatever the run's length."""
+    sp, model = cold(one_step_product())
+    calls = counting_settle(monkeypatch)
+    alignment, _ = lp_align(product_for_trace(sp.process_net, Trace("t", ("a",) * 40)))
+    assert alignment.total_cost == 39 * CostConfig().deviation_cost
+    assert len(calls) == 2 and len(model.steps) == 2 and len(model.shapes) == 2
+
+
+def random_traces(net, rng, count, length):
+    labels = sorted({a for a in net.labels if a is not TAU}) + ["z"]
+    return [tuple(rng.choices(labels, k=rng.randint(0, length))) for _ in range(count)]
+
+
+def test_a_warm_layer_memo_solves_as_a_cold_one_and_the_explicit_kernel():
+    """Steps that other traces memoized give the same path and cost as a
+    cold memo, and as the built graph's explicit solve."""
+    seen = Counter()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(priced_products(), st.randoms(use_true_random=False))
+    def check(sp, rng):
+        warm, model = cold(sp)
+        if model.final is None:
+            return
+        for trace in random_traces(sp.process_net, rng, 6, len(sp.trace_labels) + 3):
+            lp_align(product_for_trace(warm.process_net, Trace("w", trace), sp.cost))
+        steps = len(model.steps)
+        alignment = lp_align(warm)[0]
+        seen["reused"] += len(model.steps) < steps + len(sp.trace_labels)
+        cold_alignment = lp_align(cold(sp)[0])[0]
+        rg = build_reachability_graph(sp)
+        explicit = extract_alignment(rg, sp, solve_min_cost_unit_flow(assemble_flow_problem(rg)))
+        assert alignment.path == cold_alignment.path == explicit.path
+        assert alignment.total_cost == cold_alignment.total_cost == explicit.total_cost
+
+    check()
+    assert seen["reused"], seen
+
+
+def test_layer_memo_stops_growing_at_its_bound(monkeypatch):
+    """Past ``LAYER_MEMO_CELLS`` a step is used but not kept: once the
+    bound leaves no room for a shape, a log twice as long leaves the
+    memo's allocations within a few steps of where they were, and the
+    alignments are those of an unbounded memo."""
+    m06 = next(net for model_id, net, _ in build_corpus_models() if model_id == "m06")
+    traces = random_traces(m06, random.Random(5), 120, 20)
+    unbounded = [list(lp_align(product_for_trace(m06, Trace("t", trace)))[0].path) for trace in traces]
+    monkeypatch.setattr(flow, "LAYER_MEMO_CELLS", 1_000)
+    net, paths = pickle.loads(pickle.dumps(m06)), []
+
+    def solve_and_measure(log):
+        # Copied, so that what the test keeps is not counted as the memo's.
+        paths.extend(list(lp_align(product_for_trace(net, Trace("t", trace)))[0].path) for trace in log)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, flow.__file__)])
+        return sum(stat.size for stat in snapshot.statistics("filename"))
+
+    tracemalloc.start()
+    try:
+        half = solve_and_measure(traces[:60])
+        model = successor_memo(net, 8).priced[CostConfig()]
+        shapes, cells = len(model.shapes), model.cells
+        full = solve_and_measure(traces[60:])
+    finally:
+        tracemalloc.stop()
+    assert cells + flow.STEP_CELLS + len(model.shapes[0]) > flow.LAYER_MEMO_CELLS  # no shape fits
+    assert len(model.shapes) == shapes and cells <= model.cells <= flow.LAYER_MEMO_CELLS
+    assert full <= 1.05 * half, (half, full)
+    assert paths == unbounded
 
 
 @contextlib.contextmanager
@@ -409,18 +540,22 @@ def fail_after(seconds: int):
 
 
 def test_lp_align_raises_when_a_label_cycle_traps_the_walk(fig_cyclic, monkeypatch):
-    """Layer 0 settled all infinite: every model move at position 0 looks
-    tight, and the first one listed at each marking runs round the model's
-    d-loop, so only the walk's length guard stops it."""
-    sp = product_for_trace(fig_cyclic, Trace("t", ("a", "b", "c", "e")))
-    assert lp_align(sp)[0].total_cost == 0  # prices the model's graph with the real settle
+    """Layer 0 settled infinite but at m_f, and no step checked: every
+    model move into another marking at position 0 looks tight, and the
+    first one listed at each marking runs round the model's d-loop, so
+    only the walk's length guard stops it.  (The step's certificate,
+    made before any walk, would refuse that layer.)"""
+    sp, model = cold(product_for_trace(fig_cyclic, Trace("t", ("a", "b", "c", "e"))))
     settle, calls = flow._settle, []
 
     def infinite_layer_0(dist, into, sources):
         calls.append(sources)
         dist = settle(dist, into, sources)
-        return [math.inf] * len(dist) if len(calls) == len(sp.trace_labels) else dist
+        if len(calls) < len(sp.trace_labels):
+            return dist
+        return [0 if v == model.final else math.inf for v in range(len(dist))]
 
     monkeypatch.setattr(flow, "_settle", infinite_layer_0)
+    monkeypatch.setattr(flow, "_certify_step", lambda *args: None)
     with fail_after(20), pytest.raises(InternalInvariantError, match="label walk stuck"):
         lp_align(sp)

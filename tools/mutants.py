@@ -37,25 +37,37 @@ ADDRESS_SPACE = 4 << 30  # bytes per pytest run
 #: (name, file, line as it is, line as mutated); each line occurs once in its file.
 MUTANTS = [
     ("certificate: sink clause", "flow.py",
-     "    if layers[-1][model.final] != 0:",
+     "    if last[model.final] != 0:",
      "    if False:"),
     ("certificate: model-move clause on the last layer", "flow.py",
      "    if any(map(operator.gt, map(at, tails), map(operator.add, costs, map(at, heads)))):",
      "    if False:"),
     ("certificate: log-move clause", "flow.py",
-     "        if any(map(operator.gt, here, up)) or any(here[u] > nxt[s] for u, s in model.sync.get(a, ())):",
-     "        if False or any(here[u] > nxt[s] for u, s in model.sync.get(a, ())):"),
+     "    if any(map(operator.gt, here, up)) or any(here[u] > nxt[s] for u, s in model.sync.get(a, ())):",
+     "    if False or any(here[u] > nxt[s] for u, s in model.sync.get(a, ())):"),
     ("certificate: synchronous-move clause", "flow.py",
-     "        if any(map(operator.gt, here, up)) or any(here[u] > nxt[s] for u, s in model.sync.get(a, ())):",
-     "        if any(map(operator.gt, here, up)) or False:"),
+     "    if any(map(operator.gt, here, up)) or any(here[u] > nxt[s] for u, s in model.sync.get(a, ())):",
+     "    if any(map(operator.gt, here, up)) or False:"),
     ("certificate: no changed head", "flow.py",
-     "        for v in itertools.compress(range(len(here)), map(operator.ne, here, up)):",
-     "        for v in ():"),
+     "    for v in itertools.compress(range(len(here)), map(operator.ne, here, up)):",
+     "    for v in ():"),
+    ("layer memo: a step stored before its certificate", "flow.py",
+     "        _certify_step(self, a, here, nxt)\n        return self._store(i, a, here)",
+     "        stored = self._store(i, a, here)\n        _certify_step(self, a, here, nxt)\n        return stored"),
+    ("layer memo: shapes not normalized", "flow.py",
+     "        delta = min(here)",
+     "        delta = 0"),
+    ("layer memo: a step keyed without its event", "flow.py",
+     "            step = steps.get((i, a))",
+     "            step = next((v for (k, _), v in list(steps.items()) if k == i), None)"),
+    ("layer memo: offsets not summed", "flow.py",
+     "            offset += delta",
+     "            offset = delta"),
     ("walk guard", "flow.py",
      "        if s is None or len(path) > graph.nodes:",
      "        if s is None:"),
     ("walk's final cost check", "flow.py",
-     "    if spent != layers[0][0]:",
+     "    if spent != shape[0] + offset:",
      "    if False:"),
     ("unaligned_outcome: over-budget check", "flow.py",
      "    if memo.reached(limits.max_nodes) is None:",
